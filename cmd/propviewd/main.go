@@ -52,7 +52,7 @@ func main() {
 	maxBatch := fs.Int("max-batch", 0, "max targets coalesced into one group solve (0 = default 32, 1 disables coalescing)")
 	coalesceWait := fs.Duration("coalesce-wait", 0, "how long a write batch waits for more arrivals before committing (0 = commit immediately; batching then comes from contention)")
 	asyncQueue := fs.Int("async-queue", 64, "bounded queue for async /delete commits (0 disables async mode)")
-	segments := fs.Int("segments", 0, "shard each relation into this many hash-partitioned segments so commits derive and compact in parallel (0 = unsegmented store)")
+	segments := fs.Int("segments", 0, "store each relation as this many hash-partitioned segments so commits derive and compact in parallel (0 and 1 both mean the one-segment store)")
 	maintWorkers := fs.Int("maintenance-workers", 0, "intra-view maintenance width: workers fanning one view's provenance-tree and where-index delta across hash partitions (0 = auto-budget from write-workers, 1 = serial per view)")
 	var prepares prepareFlags
 	fs.Var(&prepares, "prepare", "view to prepare at boot, as name=QUERY (repeatable)")
@@ -60,6 +60,11 @@ func main() {
 	if *dbPath == "" {
 		fs.Usage()
 		fmt.Fprintln(os.Stderr, "propviewd: -db is required")
+		os.Exit(2)
+	}
+	if *segments < 0 {
+		fs.Usage()
+		fmt.Fprintln(os.Stderr, "propviewd: -segments must be >= 0")
 		os.Exit(2)
 	}
 	raw, err := os.ReadFile(*dbPath)
@@ -77,7 +82,7 @@ func main() {
 		Segments:           *segments,
 		MaintenanceWorkers: *maintWorkers,
 	})
-	if *segments > 0 {
+	if *segments > 1 {
 		log.Printf("source store sharded into %d segments per relation", *segments)
 	}
 	for _, p := range prepares {

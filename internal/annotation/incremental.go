@@ -28,6 +28,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/layered"
 	"repro/internal/overlay"
 	"repro/internal/parallel"
 	"repro/internal/relation"
@@ -99,8 +100,8 @@ type annNode struct {
 type whereMetrics struct {
 	touched atomic.Int64 // candidate entries + partner probes examined
 	derives atomic.Int64 // incremental generations derived
-	om      overlay.Metrics
-	vm      relation.VersionMetrics
+	om      layered.Counters
+	vm      layered.Counters
 }
 
 // MaintenanceTouched reports the cumulative number of entries and partner

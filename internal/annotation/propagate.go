@@ -140,7 +140,7 @@ func ComputeWhere(q algebra.Query, db *relation.Database) (*WhereView, error) {
 		view.Insert(t)
 		return true
 	})
-	return &WhereView{View: view, root: ar.node, in: in, met: &whereMetrics{}}, nil
+	return &WhereView{View: view.Seal(), root: ar.node, in: in, met: &whereMetrics{}}, nil
 }
 
 // WhereOf returns the source locations whose annotation propagates to view

@@ -30,7 +30,7 @@
 //     retained tree covers — and it is rebuilt lazily on the first
 //     Annotate after the insert.
 //
-// Concurrency: readers are lock-free on immutable copy-on-write snapshots.
+// Concurrency: readers are lock-free on immutable snapshots.
 // Writes — deletions and insertions — flow through a batching/coalescing
 // pipeline (pipeline.go): concurrent Delete/DeleteGroup calls against the
 // same view coalesce into a single cached-basis group solve, concurrent
@@ -49,10 +49,11 @@
 // serial engine.
 //
 // Storage: source generations live in the persistent, structure-sharing
-// versioned store (internal/relation, version.go). A commit derives the
+// versioned store (internal/relation, segment.go). A commit derives the
 // next generation in O(|Δ|) — untouched relations are shared by pointer,
-// touched relations get an overlay version (tombstones + appends) over
-// the same base arrays — instead of the old copy-the-world
+// touched relations get a frozen version (tombstones + appends over each
+// touched segment) sharing the same base arrays — instead of the old
+// copy-the-world
 // DeleteAll/InsertAll, so commit cost scales with the write, not with
 // |S|, and retaining several generations (the serving one plus those
 // pinned by view snapshots) costs overlays, not copies. Stats surfaces
@@ -222,28 +223,22 @@ type Engine struct {
 	nCoalescedIns atomic.Int64 // insert requests that shared a batch
 }
 
-// New creates an engine over a private frozen snapshot of db
-// (relation.Database.Freeze): O(#relations) instead of the deep O(|S|)
-// Clone this used to cost, sharing the caller's tuple storage
-// copy-on-write. Later mutations of the caller's database do not reach
-// the engine — a mutated relation copies its storage away from the
-// snapshot first — which is what makes the published generations
-// immutable. An optional Options tunes the write pipeline; omitted or
-// zero fields take the documented defaults. With Options.Segments > 0
-// the snapshot is instead re-sharded into that many segments per
-// relation (Database.Sharded, O(|S|) once), buying parallel commits at
-// construction cost.
+// New creates an engine over a private frozen snapshot of db, stored as
+// Options.Segments hash-partitioned segments per relation
+// (relation.Database.Sharded; 0 and 1 both mean the one-segment store).
+// Freezing copies each builder relation of db once, O(|S|), and shares
+// an already frozen relation with the same segment count in O(1); either
+// way later mutations of the caller's database do not reach the engine,
+// which is what makes the published generations immutable. An optional
+// Options tunes the write pipeline; omitted or zero fields take the
+// documented defaults.
 func New(db *relation.Database, opts ...Options) *Engine {
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
 	}
 	o = o.withDefaults()
-	store := db.Freeze()
-	if o.Segments > 0 {
-		store = db.Sharded(o.Segments)
-	}
-	return &Engine{opt: o, db: store, views: make(map[string]*prepared)}
+	return &Engine{opt: o, db: db.Sharded(o.Segments), views: make(map[string]*prepared)}
 }
 
 // Prepare registers q under name: the query is validated, normalized
@@ -439,11 +434,12 @@ func (e *Engine) Schema(name string) (relation.Schema, error) {
 // Query returns the materialized view — no evaluation happens.
 //
 // Aliasing contract: the returned relation is a read-only view of the
-// generation current when Query ran (relation.Relation.ReadOnly, O(1)).
-// It shares the snapshot's tuple storage, so reads are free; it is NOT
-// updated by later writes — re-Query for the current generation. A caller
-// that mutates it gets a private copy-on-write clone rather than a race
-// with the engine, so the snapshot cannot be corrupted from outside.
+// generation current when Query ran (relation.Relation.ReadOnly, O(1):
+// the provenance layer publishes views frozen). It shares the snapshot's
+// immutable store, so reads are free; it is NOT updated by later writes —
+// re-Query for the current generation. A caller that mutates it thaws a
+// private copy rather than racing with the engine, so the snapshot cannot
+// be corrupted from outside.
 //
 // propview:read-only
 func (e *Engine) Query(name string) (*relation.Relation, error) {
@@ -719,10 +715,11 @@ func (e *Engine) Annotate(name string, target relation.Tuple, attr relation.Attr
 }
 
 // Database returns the current source generation as a read-only frozen
-// snapshot (relation.Database.Freeze, O(#relations)): it shares the
-// generation's tuple storage but is detached from later commits, and a
-// caller mutating one of its relations gets a copy-on-write clone instead
-// of reaching the engine's state.
+// snapshot (relation.Database.Freeze, O(#relations): every relation of a
+// generation is frozen, so each is shared as a new header over its
+// immutable store). It is detached from later commits, and a caller
+// mutating one of its relations thaws a private copy instead of reaching
+// the engine's state.
 func (e *Engine) Database() *relation.Database {
 	return e.database().Freeze()
 }

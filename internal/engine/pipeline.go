@@ -67,13 +67,14 @@ type Options struct {
 	// batching then arises only from contention on the commit lock, which
 	// keeps uncontended latency unchanged.
 	MaxCoalesceWait time.Duration
-	// Segments, when positive, stores the source database sharded into
-	// that many hash-partitioned segments per relation
-	// (relation.Database.Sharded): commit-time overlay derivation and
-	// compaction scatter across segments and run in parallel, and folds
-	// cost O(segment) instead of O(relation). Zero (the default) keeps the
-	// unsegmented store. Worth turning on for large relations under write
-	// load; a good starting point is a few segments per core.
+	// Segments is the number of hash-partitioned segments each source
+	// relation is stored as (relation.Database.Sharded). Every segment
+	// keeps its own overlay and fold/squash schedule, so commit-time
+	// derivation and compaction scatter across segments and run in
+	// parallel, and folds cost O(segment) instead of O(relation). Zero
+	// (the default) and one both mean the one-segment store. Worth
+	// raising for large relations under write load; a good starting point
+	// is a few segments per core.
 	Segments int
 	// MaintenanceWorkers bounds the INTRA-view parallelism of each view's
 	// maintenance pass during a commit: sibling subtrees of the provenance

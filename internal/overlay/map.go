@@ -1,87 +1,62 @@
 // Package overlay provides the persistent, structure-sharing containers
 // shared by the provenance tree's per-node state and the annotation
-// layer's where-provenance index: a string-keyed map with an immutable
-// base plus layered deltas, and the join-bucket chains used by the
-// incremental maintenance passes. Both follow the representation relation
-// versions use (internal/relation/version.go), with the same compaction
-// thresholds (relation.OverlayFoldLimit / relation.OverlayMaxDepth), so
-// deriving the next generation of a node's state costs O(|Δ|) — the base
-// and all earlier layers are shared by pointer — instead of an O(|node|)
-// wholesale copy per write.
+// layer's where-provenance index: a string-keyed map over the layered
+// store (internal/layered), and the join-bucket chains used by the
+// incremental maintenance passes. A map compacts on the unsegmented
+// schedule (layered.ForSegments(1)), so deriving the next generation of a
+// node's state costs O(|Δ|) — the base and all earlier layers are shared
+// by pointer — instead of an O(|node|) wholesale copy per write.
 //
-// Resolution rule: the topmost layer mentioning a key decides it (set ⇒
-// that value, dead ⇒ absent); an unmentioned key falls through to the
-// base. Values are treated as immutable once stored — a derive that
-// changes a key's value stores a freshly built value, never mutates the
-// old one — which is what makes generations safe to read concurrently.
+// Values are treated as immutable once stored — a derive that changes a
+// key's value stores a freshly built value, never mutates the old one —
+// which is what makes generations safe to read concurrently.
 package overlay
 
-import (
-	"sync/atomic"
+import "repro/internal/layered"
 
-	"repro/internal/relation"
-)
+// Metrics counts map compaction over the lifetime of a generation chain
+// (or a family of chains, e.g. every map of one provenance tree). A nil
+// *Metrics disables counting.
+type Metrics = layered.Counters
 
-// Metrics counts overlay-map compaction over the lifetime of a generation
-// chain (or a family of chains, e.g. every map of one provenance tree);
-// the counters are cumulative and safe for concurrent use. A nil *Metrics
-// disables counting.
-type Metrics struct {
-	folds    atomic.Int64
-	squashes atomic.Int64
+// entry is one binding of a Map.
+type entry[V any] struct {
+	k string
+	v V
 }
 
-// Folds reports overlays folded into a fresh flat base.
-func (m *Metrics) Folds() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.folds.Load()
-}
+func (e entry[V]) Key() string { return e.k }
 
-// Squashes reports overlay chains merged into a single layer.
-func (m *Metrics) Squashes() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.squashes.Load()
-}
+// mapBase is a Map's flat base.
+type mapBase[V any] map[string]V
 
-// mapLayer is one immutable overlay generation of a Map.
-type mapLayer[V any] struct {
-	below    *mapLayer[V]
-	set      map[string]V        // keys (re)bound at this layer
-	dead     map[string]struct{} // keys removed at this layer
-	depth    int                 // layers in the chain, this one included
-	mentions int                 // cumulative len(set)+len(dead) across the chain
+func (b mapBase[V]) Len() int { return len(b) }
+
+func (b mapBase[V]) Has(k string) bool {
+	_, ok := b[k]
+	return ok
 }
 
 // Map is a persistent string-keyed map: an immutable base shared across
 // every version derived from it, plus a chain of overlay layers.
 type Map[V any] struct {
-	base map[string]V
-	top  *mapLayer[V]
-	live int // current entry count
+	s layered.Store[entry[V], mapBase[V]]
 }
+
+var mapPolicy = layered.ForSegments(1)
 
 // NewMap wraps an eagerly built map as a flat base version. The map is
 // owned by the Map afterwards and must not be mutated.
 func NewMap[V any](base map[string]V) *Map[V] {
-	return &Map[V]{base: base, live: len(base)}
+	return &Map[V]{layered.New[entry[V]](mapBase[V](base))}
 }
 
-// Get resolves key k through the overlay.
+// Get resolves key k through the overlay, else the base.
 func (m *Map[V]) Get(k string) (V, bool) {
-	for l := m.top; l != nil; l = l.below {
-		if v, ok := l.set[k]; ok {
-			return v, true
-		}
-		if _, ok := l.dead[k]; ok {
-			var zero V
-			return zero, false
-		}
+	if e, ok, decided := m.s.Decide(k); decided {
+		return e.v, ok
 	}
-	v, ok := m.base[k]
+	v, ok := m.s.Base()[k]
 	return v, ok
 }
 
@@ -92,67 +67,35 @@ func (m *Map[V]) Has(k string) bool {
 }
 
 // Size returns the current entry count. O(1).
-func (m *Map[V]) Size() int { return m.live }
-
-// decisions resolves every key the overlay mentions to its deciding layer
-// (nil when the topmost mention is a removal). Keys absent from the result
-// fall through to the base.
-func (m *Map[V]) decisions() map[string]*mapLayer[V] {
-	if m.top == nil {
-		return nil
-	}
-	d := make(map[string]*mapLayer[V], m.top.mentions)
-	for l := m.top; l != nil; l = l.below {
-		for k := range l.set {
-			if _, ok := d[k]; !ok {
-				d[k] = l
-			}
-		}
-		for k := range l.dead {
-			if _, ok := d[k]; !ok {
-				d[k] = nil
-			}
-		}
-	}
-	return d
-}
+func (m *Map[V]) Size() int { return m.s.Len() }
 
 // Each calls yield for every live entry, in no particular order, stopping
 // early if yield returns false.
-func (m *Map[V]) Each(yield func(k string, v V) bool) {
-	d := m.decisions()
-	for k, v := range m.base {
-		if l, mentioned := d[k]; mentioned {
-			if l == nil {
-				continue
-			}
-			if !yield(k, l.set[k]) {
-				return
-			}
-			delete(d, k) // yielded; don't emit again below
+func (m *Map[V]) Each(yield func(k string, v V) bool) { each(&m.s, yield) }
+
+func each[V any](s *layered.Store[entry[V], mapBase[V]], yield func(k string, v V) bool) {
+	w := s.Walk()
+	for k, v := range s.Base() {
+		if w.Overlaid() && w.Mentioned(k) {
 			continue
 		}
 		if !yield(k, v) {
 			return
 		}
 	}
-	for k, l := range d {
-		if l == nil {
-			continue
-		}
-		if _, inBase := m.base[k]; inBase {
-			continue // already yielded above
-		}
-		if !yield(k, l.set[k]) {
+	for e, ok := w.Next(); ok; e, ok = w.Next() {
+		if !yield(e.k, e.v) {
 			return
 		}
 	}
 }
 
 // Flatten materializes the current entries into a fresh map.
-func (m *Map[V]) Flatten() map[string]V {
-	out := make(map[string]V, m.live)
-	m.Each(func(k string, v V) bool {
+func (m *Map[V]) Flatten() map[string]V { return flatten(&m.s) }
+
+func flatten[V any](s *layered.Store[entry[V], mapBase[V]]) mapBase[V] {
+	out := make(mapBase[V], s.Len())
+	each(s, func(k string, v V) bool {
 		out[k] = v
 		return true
 	})
@@ -161,80 +104,31 @@ func (m *Map[V]) Flatten() map[string]V {
 
 // Derive publishes the version of m with the keys of set (re)bound and the
 // keys of dead removed, folding or squashing when the overlay trips the
-// shared thresholds. set and dead must be disjoint and are owned by the
-// new version afterwards; passing both empty returns the receiver. The
-// receiver is unchanged. O(|Δ|) plus amortized compaction.
+// unsegmented schedule. set and dead must be disjoint and dead is owned by
+// the new version afterwards; passing both empty returns the receiver.
+// The receiver is unchanged. O(|Δ|) plus amortized compaction.
 func (m *Map[V]) Derive(set map[string]V, dead map[string]struct{}, met *Metrics) *Map[V] {
 	if len(set) == 0 && len(dead) == 0 {
 		return m
 	}
-	live := m.live
-	for k := range set {
+	live := m.s.Len()
+	added := make([]entry[V], 0, len(set))
+	for k, v := range set {
 		if !m.Has(k) {
 			live++
 		}
+		added = append(added, entry[V]{k, v})
 	}
 	for k := range dead {
 		if m.Has(k) {
 			live--
 		}
 	}
-	l := &mapLayer[V]{
-		below:    m.top,
-		set:      set,
-		dead:     dead,
-		depth:    1,
-		mentions: len(set) + len(dead),
-	}
-	if m.top != nil {
-		l.depth += m.top.depth
-		l.mentions += m.top.mentions
-	}
-	v := &Map[V]{base: m.base, top: l, live: live}
-	if l.mentions > relation.OverlayFoldLimit(len(m.base)) {
-		if met != nil {
-			met.folds.Add(1)
-		}
-		return &Map[V]{base: v.Flatten(), live: live}
-	}
-	if l.depth > relation.OverlayMaxDepth {
-		if met != nil {
-			met.squashes.Add(1)
-		}
-		v.top = v.squashedTop()
-	}
-	return v
-}
-
-// squashedTop merges the whole chain into one layer over the same base:
-// every mentioned base key that died is kept as a removal, every live
-// mentioned key as a binding. O(overlay); the base is untouched.
-func (m *Map[V]) squashedTop() *mapLayer[V] {
-	d := m.decisions()
-	set := make(map[string]V)
-	dead := make(map[string]struct{})
-	for k, l := range d {
-		if l != nil {
-			set[k] = l.set[k]
-		} else if _, inBase := m.base[k]; inBase {
-			dead[k] = struct{}{}
-		}
-	}
-	return &mapLayer[V]{set: set, dead: dead, depth: 1, mentions: len(set) + len(dead)}
+	return &Map[V]{m.s.Derive(dead, added, live, mapPolicy, met, flatten[V])}
 }
 
 // Depth reports the overlay chain length (0 when flat).
-func (m *Map[V]) Depth() int {
-	if m.top == nil {
-		return 0
-	}
-	return m.top.depth
-}
+func (m *Map[V]) Depth() int { return m.s.Depth() }
 
 // Mentions reports the cumulative overlay size (0 when flat).
-func (m *Map[V]) Mentions() int {
-	if m.top == nil {
-		return 0
-	}
-	return m.top.mentions
-}
+func (m *Map[V]) Mentions() int { return m.s.Mentions() }

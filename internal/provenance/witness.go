@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/algebra"
+	"repro/internal/layered"
 	"repro/internal/overlay"
 	"repro/internal/parallel"
 	"repro/internal/relation"
@@ -228,8 +229,8 @@ type treeMetrics struct {
 	// guarded-by: atomic
 	parDerives atomic.Int64
 
-	relM relation.VersionMetrics // node-relation overlay activity
-	mapM overlay.Metrics         // witness/bucket map overlay activity
+	relM layered.Counters // node-relation overlay activity
+	mapM layered.Counters // witness/bucket map overlay activity
 
 	intern witnessInterner // canonical Witness values, shared along the chain
 }
@@ -1234,7 +1235,7 @@ func ComputeLimited(q algebra.Query, db *relation.Database, lim Limit) (*Result,
 		view.Insert(t)
 		return true
 	})
-	return &Result{View: view, basis: wr.wit, plan: q, lim: lim, tree: wr, tm: &treeMetrics{}}, nil
+	return &Result{View: view.Seal(), basis: wr.wit, plan: q, lim: lim, tree: wr, tm: &treeMetrics{}}, nil
 }
 
 // evalNode is one operator of the evaluated plan: its output relation
@@ -1312,7 +1313,7 @@ func witnessEval(q algebra.Query, db *relation.Database, lim Limit) (*evalNode, 
 			}
 			return true
 		})
-		return &evalNode{rel: rel, wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
+		return &evalNode{rel: rel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
 
 	case algebra.Project:
 		child, err := witnessEval(q.Child, db, lim)
@@ -1340,7 +1341,7 @@ func witnessEval(q algebra.Query, db *relation.Database, lim Limit) (*evalNode, 
 			}
 			wit[k] = m
 		}
-		return &evalNode{rel: rel, wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
+		return &evalNode{rel: rel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
 
 	case algebra.Join:
 		left, err := witnessEval(q.Left, db, lim)
@@ -1381,7 +1382,7 @@ func witnessEval(q algebra.Query, db *relation.Database, lim Limit) (*evalNode, 
 			}
 			wit[k] = m
 		}
-		return &evalNode{rel: out, wit: overlay.NewMap(wit), kids: []*evalNode{left, right}, shape: sh, lbuck: lbuck, rbuck: rbuck}, nil
+		return &evalNode{rel: out.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{left, right}, shape: sh, lbuck: lbuck, rbuck: rbuck}, nil
 
 	case algebra.Union:
 		left, err := witnessEval(q.Left, db, lim)
@@ -1416,7 +1417,7 @@ func witnessEval(q algebra.Query, db *relation.Database, lim Limit) (*evalNode, 
 			}
 			wit[k] = m
 		}
-		return &evalNode{rel: outRel, wit: overlay.NewMap(wit), kids: []*evalNode{left, right}}, nil
+		return &evalNode{rel: outRel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{left, right}}, nil
 
 	case algebra.Rename:
 		child, err := witnessEval(q.Child, db, lim)
@@ -1435,7 +1436,7 @@ func witnessEval(q algebra.Query, db *relation.Database, lim Limit) (*evalNode, 
 			wit[t.Key()] = ws
 			return true
 		})
-		return &evalNode{rel: rel, wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
+		return &evalNode{rel: rel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
 
 	default:
 		return nil, fmt.Errorf("provenance: unknown query node %T", q)

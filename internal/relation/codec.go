@@ -85,6 +85,13 @@ func parseHeader(line string) (string, Schema, error) {
 	if len(attrs) == 0 {
 		return "", Schema{}, fmt.Errorf("relation %q has no attributes", name)
 	}
+	seen := make(map[string]bool, len(attrs))
+	for _, a := range attrs {
+		if seen[a] {
+			return "", Schema{}, fmt.Errorf("relation %q repeats attribute %q", name, a)
+		}
+		seen[a] = true
+	}
 	return name, NewSchema(attrs...), nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/layered"
 )
 
 // storeMetrics counts versioned-store activity over the lifetime of a
@@ -12,16 +14,13 @@ import (
 // derived from the same root (Freeze starts a fresh one), so the counters
 // are cumulative across commits.
 type storeMetrics struct {
+	layered.Counters // segment folds and squashes
 	// guarded-by: atomic
 	derives atomic.Int64 // DeleteAll/InsertAll generations derived
 	// guarded-by: atomic
 	sharedRels atomic.Int64 // relations shared by pointer during derives
 	// guarded-by: atomic
 	rewrittenRels atomic.Int64 // relations given a new overlay version
-	// guarded-by: atomic
-	folds atomic.Int64 // overlays folded into a fresh base
-	// guarded-by: atomic
-	squashes atomic.Int64 // overlay chains merged into one layer
 	// guarded-by: atomic
 	parallelDerives atomic.Int64 // derives that scattered across >1 segment
 }
@@ -57,8 +56,10 @@ type StoreStats struct {
 	// Squashes counts overlay chains merged into a single layer without
 	// touching the base.
 	Squashes int64 `json:"squashes"`
-	// Segmented summarizes the sharded relations of this generation (all
-	// zero when the store was built with Freeze rather than Sharded).
+	// Segmented summarizes how this generation's frozen relations spread
+	// over segments. Every frozen relation is segmented (one segment
+	// unless the store was built with Sharded(n > 1)), so it is always
+	// filled in; its overlay fields equal the ones above.
 	Segmented SegmentStats `json:"segmented"`
 }
 
@@ -92,7 +93,7 @@ func (db *Database) metrics() *storeMetrics {
 }
 
 // StoreStats summarizes the versioned store as of this generation.
-// O(#relations).
+// O(#segments).
 func (db *Database) StoreStats() StoreStats {
 	m := db.metrics()
 	st := StoreStats{
@@ -101,47 +102,41 @@ func (db *Database) StoreStats() StoreStats {
 		DerivedVersions:    m.derives.Load(),
 		SharedRelations:    m.sharedRels.Load(),
 		RewrittenRelations: m.rewrittenRels.Load(),
-		Compactions:        m.folds.Load(),
-		Squashes:           m.squashes.Load(),
+		Compactions:        m.Folds(),
+		Squashes:           m.Squashes(),
 	}
 	st.Segmented.ParallelDerives = m.parallelDerives.Load()
 	for _, r := range db.rels {
-		if d := r.overlayDepth(); d > 0 {
-			st.OverlayRelations++
-			if d > st.MaxOverlayDepth {
-				st.MaxOverlayDepth = d
-			}
-			st.OverlayMentions += r.overlayMentions()
-		}
 		if r.seg == nil {
 			continue
 		}
 		st.Segmented.Relations++
 		st.Segmented.Segments += len(r.seg.segs)
-		st.Segmented.OverlayMentions += r.seg.overlayMentions()
-		if d := r.seg.overlayDepth(); d > st.Segmented.MaxOverlayDepth {
-			st.Segmented.MaxOverlayDepth = d
-		}
 		for _, s := range r.seg.segs {
-			if s.live > st.Segmented.MaxSegmentTuples {
-				st.Segmented.MaxSegmentTuples = s.live
-			}
+			st.Segmented.MaxSegmentTuples = max(st.Segmented.MaxSegmentTuples, s.Len())
 		}
+		d, n := r.seg.overlayShape()
+		if d > 0 {
+			st.OverlayRelations++
+		}
+		st.MaxOverlayDepth = max(st.MaxOverlayDepth, d)
+		st.OverlayMentions += n
 	}
+	st.Segmented.MaxOverlayDepth, st.Segmented.OverlayMentions = st.MaxOverlayDepth, st.OverlayMentions
 	return st
 }
 
 // Database is a named collection of relations — the source database S of
 // the paper. Relation names are unique.
 //
-// Databases are versioned: DeleteAll, InsertAll and Freeze derive new
-// generations in O(|Δ|) that share structure with the receiver — untouched
-// relations by pointer, touched relations as overlay versions over the
-// same base storage (see version.go). A derived database is a snapshot:
-// treat it and its ancestor as read-only afterwards, since legacy
-// mutations through a pointer-shared relation are visible in both. (The
-// mutators themselves stay safe: a relation whose storage is shared
-// copies before writing.)
+// Databases are versioned: DeleteAll and InsertAll derive new generations
+// in O(|Δ|) that share structure with the receiver — untouched relations
+// by pointer, touched relations as frozen versions over the same segment
+// bases (segment.go). A derived database is a snapshot: treat it and its
+// ancestor as read-only afterwards, since a legacy mutation through a
+// pointer-shared relation is visible in both. (The mutators themselves
+// stay safe: a frozen relation thaws a private copy before writing, so the
+// store underneath is never touched.)
 type Database struct {
 	rels  map[string]*Relation
 	order []string // insertion order of relation names
@@ -207,7 +202,7 @@ func (db *Database) Size() int {
 }
 
 // Clone returns a deep copy of the database: every relation gets fresh,
-// privately owned flat storage. Kept for callers that need full
+// privately owned builder storage. Kept for callers that need full
 // independence including under mutation; the versioned ops (DeleteAll,
 // InsertAll, Freeze) replace it everywhere O(|S|) copying matters.
 func (db *Database) Clone() *Database {
@@ -218,20 +213,16 @@ func (db *Database) Clone() *Database {
 	return c
 }
 
-// Freeze returns an immutable snapshot of the database in O(#relations):
-// every relation is wrapped in a read-only view sharing its storage, with
-// the original marked shared so later legacy mutations of the caller's
-// relations copy-on-write away from the snapshot instead of reaching it.
-// This is what Engine.New uses in place of the old deep Clone. The
-// snapshot starts a fresh version chain with zeroed store metrics.
+// Freeze returns an immutable snapshot of the database: every relation
+// frozen, the caller's database untouched. A frozen relation is shared as
+// a new header over its immutable store, O(1); a builder is copied into a
+// one-segment store, O(|r|) once. Later mutations of the caller's
+// relations therefore never reach the snapshot. The snapshot starts a
+// fresh version chain with zeroed store metrics.
 //
 // propview:read-only
 func (db *Database) Freeze() *Database {
-	c := &Database{
-		rels:  make(map[string]*Relation, len(db.rels)),
-		order: db.order[:len(db.order):len(db.order)],
-		m:     &storeMetrics{},
-	}
+	c := db.snapshot()
 	for _, n := range db.order {
 		c.rels[n] = db.rels[n].ReadOnly()
 	}
@@ -239,38 +230,34 @@ func (db *Database) Freeze() *Database {
 }
 
 // Sharded returns an immutable snapshot of the database with every
-// relation re-stored as n hash-partitioned segments (segment.go): each
+// relation stored as n hash-partitioned segments (segment.go): each
 // segment keeps its own base, overlay chain, and fold/squash schedule, so
 // commits scatter their delta across the affected segments' workers and
-// compaction costs O(segment) instead of O(relation). O(|S|) — a one-time
-// re-shard, like the deep Clone that Freeze replaced, paid once at engine
-// construction. n <= 0 falls back to Freeze (the unsegmented store). Like
-// Freeze, the snapshot starts a fresh version chain with zeroed metrics.
+// compaction costs O(segment) instead of O(relation). n <= 1 is the
+// one-segment store. A relation already frozen with n segments is shared
+// in O(1); any other is re-stored in O(|r|), once. Like Freeze, the
+// snapshot starts a fresh version chain with zeroed metrics.
 func (db *Database) Sharded(n int) *Database {
-	if n <= 0 {
-		return db.Freeze()
-	}
-	c := &Database{
-		rels:  make(map[string]*Relation, len(db.rels)),
-		order: db.order[:len(db.order):len(db.order)],
-		m:     &storeMetrics{},
-	}
+	n = max(n, 1)
+	c := db.snapshot()
 	for _, name := range db.order {
-		c.rels[name] = db.rels[name].sharded(n)
+		r := db.rels[name]
+		if r.Segments() == n || (n == 1 && r.seg == nil) {
+			c.rels[name] = r.ReadOnly()
+		} else {
+			c.rels[name] = r.frozen(newSegStore(n, r.Tuples(), nil))
+		}
 	}
 	return c
 }
 
-// derived starts a new generation sharing the receiver's metrics. The
-// order slice is full-sliced so a later Add on either side cannot alias.
-//
-// propview:publish
-func (db *Database) derived() *Database {
+// snapshot starts an empty database with db's relation order and a fresh
+// version chain.
+func (db *Database) snapshot() *Database {
 	return &Database{
-		rels:    make(map[string]*Relation, len(db.rels)),
-		order:   db.order[:len(db.order):len(db.order)],
-		m:       db.m,
-		version: db.version + 1,
+		rels:  make(map[string]*Relation, len(db.rels)),
+		order: db.order[:len(db.order):len(db.order)],
+		m:     &storeMetrics{},
 	}
 }
 
@@ -308,59 +295,30 @@ func (db *Database) Contains(st SourceTuple) bool {
 // source tuples removed: the S \ T of the paper. Missing tuples are
 // ignored. The receiver is not modified. O(|T|) plus amortized overlay
 // compaction: untouched relations are shared by pointer, touched
-// relations get an overlay version tombstoning exactly the deleted keys
-// (iteration order as if rebuilt). The result is a structure-sharing
-// snapshot — see the Database doc for the aliasing contract.
+// relations get a frozen version tombstoning exactly the deleted keys
+// (iteration order as if rebuilt; a builder is frozen first, in O(|r|)).
+// The result is a structure-sharing snapshot — see the Database doc for
+// the aliasing contract.
 func (db *Database) DeleteAll(T []SourceTuple) *Database {
-	// Segmented relations take their keys raw: the presence probe belongs
-	// inside the per-segment workers, where it parallelizes with the derive
-	// (and duplicates collapse there too). Flat relations keep the central
-	// filter, which deleteVersion's contract requires.
-	drop := make(map[string]map[string]struct{})
-	rawKeys := make(map[string][]string)
+	// Keys go to the segment workers unchecked: the presence probe runs
+	// there, in parallel with the derive.
+	keys := make(map[string]map[string]struct{})
 	for _, st := range T {
-		r := db.rels[st.Rel]
-		if r == nil {
+		if db.rels[st.Rel] == nil {
 			continue
 		}
-		if r.seg != nil {
-			rawKeys[st.Rel] = append(rawKeys[st.Rel], st.Tuple.Key())
-			continue
+		if keys[st.Rel] == nil {
+			keys[st.Rel] = make(map[string]struct{})
 		}
-		if !r.Contains(st.Tuple) {
-			continue
-		}
-		m := drop[st.Rel]
-		if m == nil {
-			m = make(map[string]struct{})
-			drop[st.Rel] = m
-		}
-		m[st.Tuple.Key()] = struct{}{}
+		keys[st.Rel][st.Tuple.Key()] = struct{}{}
 	}
-	c := db.derived()
-	for _, n := range db.order {
-		r := db.rels[n]
-		if keys := rawKeys[n]; len(keys) > 0 {
-			if ns, ok := r.seg.deleteAll(keys, db.metrics()); ok {
-				c.rels[n] = r.withSeg(ns)
-				db.metrics().rewrittenRels.Add(1)
-				continue
-			}
-			r.shared.Store(true)
-			c.rels[n] = r
-			db.metrics().sharedRels.Add(1)
-			continue
+	m := db.metrics()
+	return db.derive(func(r *Relation) (*segStore, bool) {
+		if len(keys[r.name]) == 0 {
+			return nil, false
 		}
-		if keys := drop[n]; len(keys) > 0 {
-			c.rels[n] = r.deleteVersion(keys, db.metrics())
-			db.metrics().rewrittenRels.Add(1)
-		} else {
-			c.rels[n] = r
-			db.metrics().sharedRels.Add(1)
-		}
-	}
-	db.metrics().derives.Add(1)
-	return c
+		return r.store().deleteAll(keys[r.name], false, &m.Counters, &m.parallelDerives)
+	})
 }
 
 // InsertAll returns a new generation of the database with the given
@@ -375,6 +333,10 @@ func (db *Database) DeleteAll(T []SourceTuple) *Database {
 // plus amortized overlay compaction, with the same structure sharing and
 // aliasing contract as DeleteAll.
 func (db *Database) InsertAll(I []SourceTuple) (*Database, error) {
+	// As in DeleteAll, the request-order list goes to the segment workers
+	// raw: a key always hashes to one segment, so their per-segment
+	// presence checks and dedup are global, and run in parallel.
+	add := make(map[string][]Tuple)
 	for _, st := range I {
 		r := db.rels[st.Rel]
 		if r == nil {
@@ -383,57 +345,41 @@ func (db *Database) InsertAll(I []SourceTuple) (*Database, error) {
 		if len(st.Tuple) != r.Schema().Len() {
 			return nil, fmt.Errorf("relation: inserting arity-%d tuple into %s%s", len(st.Tuple), st.Rel, r.Schema())
 		}
-	}
-	// As in DeleteAll, segmented relations take the raw request-order list:
-	// a key always hashes to one segment, so the workers' per-segment
-	// presence checks and dedup are global, and run in parallel. Flat
-	// relations keep the central pass.
-	add := make(map[string][]Tuple)
-	raw := make(map[string][]Tuple)
-	var seen map[string]struct{}
-	for _, st := range I {
-		r := db.rels[st.Rel]
-		if r.seg != nil {
-			raw[st.Rel] = append(raw[st.Rel], st.Tuple)
-			continue
-		}
-		if r.Contains(st.Tuple) {
-			continue
-		}
-		k := st.Key()
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[string]struct{}, len(I))
-		}
-		seen[k] = struct{}{}
 		add[st.Rel] = append(add[st.Rel], st.Tuple)
 	}
-	c := db.derived()
+	m := db.metrics()
+	return db.derive(func(r *Relation) (*segStore, bool) {
+		if len(add[r.name]) == 0 {
+			return nil, false
+		}
+		return r.store().insertAll(add[r.name], false, &m.Counters, &m.parallelDerives)
+	}), nil
+}
+
+// derive builds the next generation: each relation for which step derives
+// a store is rewritten over it, every other one is shared by pointer.
+//
+// propview:publish
+func (db *Database) derive(step func(*Relation) (*segStore, bool)) *Database {
+	m := db.metrics()
+	c := &Database{
+		rels:    make(map[string]*Relation, len(db.rels)),
+		order:   db.order[:len(db.order):len(db.order)],
+		m:       m,
+		version: db.version + 1,
+	}
 	for _, n := range db.order {
 		r := db.rels[n]
-		if ts := raw[n]; len(ts) > 0 {
-			if ns, ok := r.seg.insertAll(ts, db.metrics()); ok {
-				c.rels[n] = r.withSeg(ns)
-				db.metrics().rewrittenRels.Add(1)
-				continue
-			}
-			r.shared.Store(true)
-			c.rels[n] = r
-			db.metrics().sharedRels.Add(1)
-			continue
-		}
-		if ts := add[n]; len(ts) > 0 {
-			c.rels[n] = r.insertVersion(ts, db.metrics())
-			db.metrics().rewrittenRels.Add(1)
+		if st, ok := step(r); ok {
+			c.rels[n] = r.frozen(st)
+			m.rewrittenRels.Add(1)
 		} else {
 			c.rels[n] = r
-			db.metrics().sharedRels.Add(1)
+			m.sharedRels.Add(1)
 		}
 	}
-	db.metrics().derives.Add(1)
-	return c, nil
+	m.derives.Add(1)
+	return c
 }
 
 // AllSourceTuples enumerates every tuple of every relation in insertion

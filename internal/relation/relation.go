@@ -12,26 +12,22 @@ import (
 // set semantics (inserting a duplicate is a no-op, as in the paper's
 // set-based model).
 //
-// A relation is either flat — it owns its tuple array and index, and the
-// mutators write in place — or a version: an immutable view of shared base
-// storage plus an overlay of tombstones and appended tuples (version.go).
-// Versions are produced by Database.DeleteAll/InsertAll/Freeze in O(|Δ|)
-// and are safe to read concurrently; reads behave identically in both
-// modes, and a legacy mutation of a version first takes a private flat
-// copy (copy-on-write).
+// A relation is in one of two states. A builder — what New and Insert
+// make — owns its tuple array and index, and the mutators write in place.
+// A frozen relation is an immutable segmented store (segment.go): the
+// versions Database.DeleteAll/InsertAll/Freeze and DeleteVersion/
+// InsertVersion derive in O(|Δ|), safe to read concurrently. Reads behave
+// identically in both states, and a legacy mutation of a frozen relation
+// first thaws it into a private builder, leaving the store untouched.
 type Relation struct {
 	name   string
 	schema Schema
-	tuples []Tuple        // base tuple array; shared across versions when shared is set
-	index  map[string]int // tuple key -> position in tuples
+	tuples []Tuple        // builder: tuples in insertion order
+	index  map[string]int // builder: tuple key -> position in tuples
 
-	top  *layer    // overlay chain; nil for a flat relation
-	live int       // tuple count when overlaid (== len(tuples) minus tombstones plus appends)
-	seg  *segStore // sharded store (segment.go); nil unless Database.Sharded built this relation
+	seg *segStore // frozen store; nil for a builder
 	// guarded-by: atomic
-	shared atomic.Bool // base storage shared with other versions: mutators must copy first
-	// guarded-by: atomic
-	flat atomic.Pointer[[]Tuple] // cached overlay materialization, built lazily
+	flat atomic.Pointer[[]Tuple] // frozen: cached materialization, built lazily
 }
 
 // New creates an empty relation with the given name and schema.
@@ -54,28 +50,22 @@ func (r *Relation) Name() string { return r.name }
 // Schema returns the relation's schema.
 func (r *Relation) Schema() Schema { return r.schema }
 
-// Len returns the number of tuples. O(1) in both modes.
+// Len returns the number of tuples. O(1) in both states.
 func (r *Relation) Len() int {
-	if r.seg != nil {
-		return r.seg.live
+	if r.seg == nil {
+		return len(r.tuples)
 	}
-	if r.top != nil {
-		return r.live
-	}
-	return len(r.tuples)
+	return r.seg.live
 }
 
 // Insert adds tuple t. It reports whether the tuple was new (set
-// semantics). It panics if the arity does not match the schema. On a
-// relation whose storage is shared with other versions, the first
-// mutation takes a private flat copy (copy-on-write).
+// semantics). It panics if the arity does not match the schema. A frozen
+// relation is first thawed into a private builder.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.schema.Len() {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into %s%s", len(t), r.name, r.schema))
 	}
-	if r.top != nil || r.seg != nil || r.shared.Load() {
-		r.materializeOwned()
-	}
+	r.thaw()
 	k := t.Key()
 	if _, ok := r.index[k]; ok {
 		return false
@@ -92,32 +82,21 @@ func (r *Relation) InsertStrings(ss ...string) bool { return r.Insert(StringTupl
 func (r *Relation) Contains(t Tuple) bool { return r.ContainsKey(t.Key()) }
 
 // ContainsKey reports whether the relation holds a tuple with the given
-// key. Reads through the overlay: the topmost layer mentioning the key
-// decides, else the base index.
+// key.
 func (r *Relation) ContainsKey(key string) bool {
-	if r.seg != nil {
-		return r.seg.containsKey(key)
+	if r.seg == nil {
+		_, ok := r.index[key]
+		return ok
 	}
-	for l := r.top; l != nil; l = l.below {
-		if _, ok := l.addedIndex[key]; ok {
-			return true
-		}
-		if _, ok := l.dead[key]; ok {
-			return false
-		}
-	}
-	_, ok := r.index[key]
-	return ok
+	return r.seg.containsKey(key)
 }
 
 // Delete removes tuple t, reporting whether it was present. Deletion is
 // O(n) in the worst case because positions shift; bulk deletes go through
-// Database.DeleteAll, which derives an O(|Δ|) overlay version instead.
-// Like Insert, deleting from shared storage copies first.
+// Database.DeleteAll, which derives an O(|Δ|) version instead. Like
+// Insert, deleting from a frozen relation thaws it first.
 func (r *Relation) Delete(t Tuple) bool {
-	if r.top != nil || r.seg != nil || r.shared.Load() {
-		r.materializeOwned()
-	}
+	r.thaw()
 	k := t.Key()
 	i, ok := r.index[k]
 	if !ok {
@@ -132,71 +111,60 @@ func (r *Relation) Delete(t Tuple) bool {
 }
 
 // Tuples returns the tuples in insertion order. The slice and its tuples
-// must not be modified by callers. On a versioned relation the flat form
-// is materialized once per version and cached; evaluation-style consumers
-// that only walk the tuples should prefer Each, which reads through the
-// overlay without materializing.
+// must not be modified by callers. A frozen relation with one segment and
+// no overlay returns its base array; any other frozen relation is
+// materialized once and cached. Evaluation-style consumers that only walk
+// the tuples should prefer Each, which reads through the store without
+// materializing.
 //
 // propview:read-only
 func (r *Relation) Tuples() []Tuple {
-	if r.top == nil && r.seg == nil {
-		return r.tuples
+	if ts, ok := r.plain(); ok {
+		return ts
 	}
-	if f := r.flat.Load(); f != nil {
-		return *f
-	}
-	var flat []Tuple
-	if r.seg != nil {
-		flat = r.seg.flatten()
-	} else {
-		flat = r.flatten()
-	}
+	flat := r.seg.flatten()
 	r.flat.Store(&flat)
 	return flat
 }
 
+// plain returns the tuples when they are at hand without materializing:
+// a builder's array, a frozen relation's cached materialization, or the
+// base of a one-segment store without overlay.
+func (r *Relation) plain() ([]Tuple, bool) {
+	if r.seg == nil {
+		return r.tuples, true
+	}
+	if f := r.flat.Load(); f != nil {
+		return *f, true
+	}
+	return r.seg.plain()
+}
+
 // Each calls yield for every tuple in insertion order, stopping early if
-// yield returns false. Unlike Tuples it never materializes a versioned
-// relation: base tuples stream past the tombstone set, then appended
-// tuples follow, at O(overlay) extra space however large the base is.
+// yield returns false. Unlike Tuples it never materializes a frozen
+// relation: each segment streams its base past its overlay, merged by
+// sequence, at O(overlay) extra space however large the base is.
 // Yielded tuples alias the relation's storage; callbacks that keep one
 // must copy it (see internal/analysis).
 //
 // propview:no-retain
 func (r *Relation) Each(yield func(Tuple) bool) {
-	if r.top == nil && r.seg == nil {
-		for _, t := range r.tuples {
+	if ts, ok := r.plain(); ok {
+		for _, t := range ts {
 			if !yield(t) {
 				return
 			}
 		}
 		return
 	}
-	if f := r.flat.Load(); f != nil {
-		for _, t := range *f {
-			if !yield(t) {
-				return
-			}
-		}
-		return
-	}
-	if r.seg != nil {
-		r.seg.eachMerged(yield)
-		return
-	}
-	r.eachOverlay(yield)
+	r.seg.eachMerged(yield)
 }
 
 // Tuple returns the i-th tuple in insertion order.
-func (r *Relation) Tuple(i int) Tuple {
-	if r.top == nil && r.seg == nil {
-		return r.tuples[i]
-	}
-	return r.Tuples()[i]
-}
+func (r *Relation) Tuple(i int) Tuple { return r.Tuples()[i] }
 
-// Clone returns a deep copy of the relation: flat, privately owned
-// storage whatever the receiver's representation.
+// Clone returns a deep copy of the relation: a builder with privately
+// owned storage, whatever the receiver's state.
 func (r *Relation) Clone() *Relation {
 	c := New(r.name, r.schema)
 	r.Each(func(t Tuple) bool {

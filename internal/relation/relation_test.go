@@ -276,6 +276,7 @@ func TestReadDatabaseErrors(t *testing.T) {
 		"relation R(A, B)\nonly-one\n",   // arity mismatch
 		"relation R(A)\nrelation R(A)\n", // duplicate relation
 		"relation (A)\nx\n",              // empty name
+		"relation R(a, a)\nx, y\n",       // repeated attribute
 	}
 	for _, c := range cases {
 		if _, err := ReadDatabaseString(c); err == nil {

@@ -1,14 +1,14 @@
 package relation
 
-// Sharded persistent stores: the scatter/gather representation behind
-// Database.Sharded. A segmented relation hash-partitions its tuples by key
-// into a fixed number of segments, each an independent versioned store —
-// its own immutable base array, tombstone/append overlay chain, and
-// fold/squash schedule — so deriving a commit's overlay, folding a
-// saturated overlay into a fresh base, and answering containment probes
-// all cost O(segment) and run concurrently across segments (parallel.For),
-// where the unsegmented store serializes one O(relation) pass on a single
-// goroutine.
+// Frozen relations: the segmented store behind every relation version.
+// A frozen relation hash-partitions its tuples by key into n ≥ 1
+// segments, each an independent layered store (internal/layered) — its
+// own immutable base, tombstone/append overlay chain, and fold/squash
+// schedule — so deriving a commit's overlay, folding a saturated overlay
+// into a fresh base, and answering containment probes all cost
+// O(segment) and run concurrently across segments (parallel.For). One
+// segment is the unsegmented store: a builder freezes into it by handing
+// over its arrays.
 //
 // Iteration order is the only subtlety: the observable contract (and the
 // differential suites) require byte-identical order to a legacy rebuild —
@@ -22,27 +22,19 @@ package relation
 // emission order, which is ascending by induction), and every layer's
 // appends carry sequences above all below — so the merge reproduces the
 // legacy order exactly, including the delete-then-reinsert
-// re-emission-at-the-end rule.
+// re-emission-at-the-end rule. A one-segment store emits in sequence
+// order by construction: it skips the merge and keeps no base sequences.
 //
-// Segments compact on their own thresholds (segFoldMin/segMaxDepth below
-// the legacy overlayFoldMin/maxOverlayDepth): a segment's base is a
-// fraction of the relation, so both the fold floor and the tolerable chain
-// depth shrink with it, keeping per-probe overlay walks short without
-// giving up fold amortization.
+// Segments compact on layered.ForSegments(n): the fold floor and the
+// tolerable chain depth shrink with the segment count, since a segment's
+// base is a fraction of the relation.
 
-import "repro/internal/parallel"
+import (
+	"sync/atomic"
 
-const (
-	segFoldMin  = 24
-	segMaxDepth = 8
+	"repro/internal/layered"
+	"repro/internal/parallel"
 )
-
-func segFoldLimit(baseLen int) int {
-	if l := baseLen / overlayFoldDiv; l > segFoldMin {
-		return l
-	}
-	return segFoldMin
-}
 
 // segHash is the partition function — 32-bit FNV-1a, shared with the
 // maintenance layers via the parallel package so a tuple's view-delta
@@ -55,273 +47,149 @@ type seqTuple struct {
 	t   Tuple
 }
 
-// segLayer is one immutable overlay generation of a segment; the exact
-// analogue of layer (version.go) over sequence-tagged entries.
-type segLayer struct {
-	below      *segLayer
-	dead       map[string]struct{} // keys tombstoned at this layer
-	added      []seqTuple          // novel entries appended at this layer
-	addedIndex map[string]struct{} // keys of added
-	depth      int
-	mentions   int
+func (st seqTuple) Key() string { return st.t.Key() }
+
+// segBase is a segment's immutable base: tuples in emission order, their
+// key index and, in a store of more than one segment, their sequences.
+type segBase struct {
+	tuples []Tuple
+	index  map[string]int // key -> position in tuples
+	seqs   []uint64       // nil in a one-segment store
 }
 
-func segChainDepth(l *segLayer) int {
-	if l == nil {
-		return 0
+func (b *segBase) Len() int { return len(b.tuples) }
+
+func (b *segBase) at(i int) seqTuple {
+	st := seqTuple{t: b.tuples[i]}
+	if b.seqs != nil {
+		st.seq = b.seqs[i]
 	}
-	return l.depth
+	return st
 }
 
-func segChainMentions(l *segLayer) int {
-	if l == nil {
-		return 0
-	}
-	return l.mentions
-}
-
-// segment is one hash partition: an immutable sequence-sorted base plus an
-// overlay chain, exactly the versioned-relation representation scaled down.
-type segment struct {
-	base  []seqTuple
-	index map[string]int // key -> position in base
-	top   *segLayer
-	live  int
-}
-
-func (s *segment) containsKey(key string) bool {
-	for l := s.top; l != nil; l = l.below {
-		if _, ok := l.addedIndex[key]; ok {
-			return true
-		}
-		if _, ok := l.dead[key]; ok {
-			return false
-		}
-	}
-	_, ok := s.index[key]
+func (b *segBase) Has(k string) bool {
+	_, ok := b.index[k]
 	return ok
 }
 
-// mentionsMap resolves every key the overlay mentions to its deciding
-// layer (nil when the topmost mention is a tombstone); same resolution
-// rule as Relation.mentionsMap.
-func (s *segment) mentionsMap() map[string]*segLayer {
-	if s.top == nil {
-		return nil
+// segment is one hash partition: a layered store of sequence-tagged
+// tuples.
+type segment = layered.Store[seqTuple, *segBase]
+
+// segHas reports whether segment s holds key k: the overlay decides, else
+// the base index.
+func segHas(s *segment, k string) bool {
+	if _, ok, decided := s.Decide(k); decided {
+		return ok
 	}
-	m := make(map[string]*segLayer, s.top.mentions)
-	for l := s.top; l != nil; l = l.below {
-		for _, st := range l.added {
-			k := st.t.Key()
-			if _, ok := m[k]; !ok {
-				m[k] = l
-			}
-		}
-		for k := range l.dead {
-			if _, ok := m[k]; !ok {
-				m[k] = nil
-			}
-		}
-	}
-	return m
+	return s.Base().Has(k)
 }
 
-func (s *segment) layersBottomUp() []*segLayer {
-	if s.top == nil {
-		return nil
-	}
-	out := make([]*segLayer, 0, s.top.depth)
-	for l := s.top; l != nil; l = l.below {
-		out = append(out, l)
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-// eachLive walks the segment's live entries in sequence order.
-func (s *segment) eachLive(yield func(seqTuple) bool) {
-	m := s.mentionsMap()
-	for _, st := range s.base {
-		if _, mentioned := m[st.t.Key()]; !mentioned {
-			if !yield(st) {
-				return
-			}
-		}
-	}
-	for _, l := range s.layersBottomUp() {
-		for _, st := range l.added {
-			if m[st.t.Key()] == l {
-				if !yield(st) {
-					return
-				}
-			}
-		}
-	}
-}
-
-func (s *segment) flattenSeq() []seqTuple {
-	out := make([]seqTuple, 0, s.live)
-	s.eachLive(func(st seqTuple) bool {
-		out = append(out, st)
-		return true
-	})
-	return out
-}
-
-// withLayer publishes the segment version with l on top, folding or
-// squashing on the per-segment thresholds. Folds cost O(segment), not
-// O(relation) — the point of sharding — and neighboring segments fold
-// independently on their own schedules.
-func (s *segment) withLayer(l *segLayer, live int, m *storeMetrics) *segment {
-	v := &segment{base: s.base, index: s.index, top: l, live: live}
-	if l.mentions > segFoldLimit(len(s.base)) {
-		flat := v.flattenSeq()
-		index := make(map[string]int, len(flat))
-		for i, st := range flat {
-			index[st.t.Key()] = i
-		}
-		if m != nil {
-			m.folds.Add(1)
-		}
-		return &segment{base: flat, index: index, live: len(flat)}
-	}
-	if l.depth > segMaxDepth {
-		v.top = v.squashedTop()
-		if m != nil {
-			m.squashes.Add(1)
-		}
-	}
-	return v
-}
-
-// squashedTop merges the chain into one layer over the same base; same
-// semantics as Relation.squashedTop.
-func (s *segment) squashedTop() *segLayer {
-	m := s.mentionsMap()
-	dead := make(map[string]struct{})
-	for k := range m {
-		if _, inBase := s.index[k]; inBase {
-			dead[k] = struct{}{}
-		}
-	}
-	var added []seqTuple
-	addedIndex := make(map[string]struct{})
-	for _, l := range s.layersBottomUp() {
-		for _, st := range l.added {
-			if k := st.t.Key(); m[k] == l {
-				added = append(added, st)
-				addedIndex[k] = struct{}{}
-			}
-		}
-	}
-	return &segLayer{dead: dead, added: added, addedIndex: addedIndex, depth: 1, mentions: len(dead) + len(added)}
-}
-
-// deleteSeg derives the segment with the given present keys tombstoned.
-func (s *segment) deleteSeg(dead map[string]struct{}, m *storeMetrics) *segment {
-	l := &segLayer{
-		below:    s.top,
-		dead:     dead,
-		depth:    segChainDepth(s.top) + 1,
-		mentions: segChainMentions(s.top) + len(dead),
-	}
-	return s.withLayer(l, s.live-len(dead), m)
-}
-
-// insertSeg derives the segment with the novel entries appended; entries
-// must be key-distinct, absent from the segment, and sequence-ascending.
-func (s *segment) insertSeg(ts []seqTuple, m *storeMetrics) *segment {
-	addedIndex := make(map[string]struct{}, len(ts))
-	for _, st := range ts {
-		addedIndex[st.t.Key()] = struct{}{}
-	}
-	l := &segLayer{
-		below:      s.top,
-		added:      ts,
-		addedIndex: addedIndex,
-		depth:      segChainDepth(s.top) + 1,
-		mentions:   segChainMentions(s.top) + len(ts),
-	}
-	return s.withLayer(l, s.live+len(ts), m)
-}
-
-// segStore is the sharded store of one relation: the segment array plus
+// segStore is the store of one frozen relation: the segment array plus
 // the global sequence allocator. Immutable after construction — derives
-// build a new store sharing untouched segments by pointer — so any
+// build a new store sharing untouched segments by value — so any
 // retained generation stays readable while writers scatter new ones.
 type segStore struct {
-	segs []*segment
+	segs []segment
 	live int
 	// nextSeq is the next unallocated global sequence number.
 	// propview:generation
 	nextSeq uint64
+	// one backs segs in a one-segment store, saving an allocation per
+	// derive of the common case.
+	one [1]segment
 }
 
 func (st *segStore) segOf(key string) int {
+	if len(st.segs) == 1 {
+		return 0
+	}
 	return int(segHash(key) % uint32(len(st.segs)))
 }
 
 func (st *segStore) containsKey(key string) bool {
-	return st.segs[st.segOf(key)].containsKey(key)
+	return segHas(&st.segs[st.segOf(key)], key)
 }
 
-// deleteAll derives the store with the present subset of keys tombstoned:
-// keys scatter to their segments, each affected segment filters to the
-// keys it actually holds and derives its next version (folding on its own
-// schedule) concurrently with its neighbors, and the gather shares every
-// untouched segment by pointer. Returns (nil, false) when no requested key
-// was present, so the caller can share the whole relation.
-//
-// propview:publish
-func (st *segStore) deleteAll(keys []string, m *storeMetrics) (*segStore, bool) {
-	if len(keys) == 0 {
+// plain returns the live tuples without materializing when the store has
+// one segment and no overlay: the base array itself.
+func (st *segStore) plain() ([]Tuple, bool) {
+	if len(st.segs) != 1 || st.segs[0].Depth() != 0 {
 		return nil, false
 	}
-	bySeg := make([][]string, len(st.segs))
-	for _, k := range keys {
-		i := st.segOf(k)
-		bySeg[i] = append(bySeg[i], k)
-	}
-	affected := make([]int, 0, len(st.segs))
-	for i := range bySeg {
-		if len(bySeg[i]) > 0 {
-			affected = append(affected, i)
+	return st.segs[0].Base().tuples, true
+}
+
+// derive publishes a segment's next version on the store's schedule; a
+// fold rebuilds the segment's base from its live entries in emission
+// order.
+func (st *segStore) derive(s *segment, dead map[string]struct{}, added []seqTuple, live int, c *layered.Counters) segment {
+	multi := len(st.segs) > 1
+	return s.Derive(dead, added, live, layered.ForSegments(len(st.segs)), c, func(v *segment) *segBase {
+		b := &segBase{tuples: make([]Tuple, 0, v.Len()), index: make(map[string]int, v.Len())}
+		if multi {
+			b.seqs = make([]uint64, 0, v.Len())
 		}
-	}
-	segs := make([]*segment, len(st.segs))
-	copy(segs, st.segs)
-	removed := make([]int, len(st.segs))
-	if len(affected) > 1 && m != nil {
-		m.parallelDerives.Add(1)
-	}
-	parallel.For(len(affected), func(j int) {
-		i := affected[j]
-		s := st.segs[i]
-		var present map[string]struct{}
-		for _, k := range bySeg[i] {
-			if s.containsKey(k) {
-				if present == nil {
-					present = make(map[string]struct{}, len(bySeg[i]))
-				}
+		for c := newSegCursor(v); c.ok; c.advance() {
+			b.index[c.cur.t.Key()] = len(b.tuples)
+			b.tuples = append(b.tuples, c.cur.t)
+			if multi {
+				b.seqs = append(b.seqs, c.cur.seq)
+			}
+		}
+		return b
+	})
+}
+
+// deleteAll derives the store with the present subset of the dead keys
+// tombstoned: keys scatter to their segments, each affected segment
+// filters to the keys it actually holds and derives its next version, and
+// the gather shares every untouched segment by pointer. The map is owned
+// by the store afterwards: in a one-segment store holding every key it
+// becomes the tombstone set itself. Returns (nil, false) when no key was
+// present, so the caller can share the whole relation. exact promises
+// that every key is present, and skips the filter. Compactions count into
+// c, and a derive scattered across more than one segment into par (either
+// may be nil).
+func (st *segStore) deleteAll(dead map[string]struct{}, exact bool, c *layered.Counters, par *atomic.Int64) (*segStore, bool) {
+	return update(st, dead, func() []map[string]struct{} {
+		bySeg := make([]map[string]struct{}, len(st.segs))
+		for k := range dead {
+			i := st.segOf(k)
+			if bySeg[i] == nil {
+				bySeg[i] = make(map[string]struct{})
+			}
+			bySeg[i][k] = struct{}{}
+		}
+		return bySeg
+	}, 0, par, func(s *segment, keys map[string]struct{}) (segment, int) {
+		present := keys
+		if !exact {
+			present = presentKeys(s, keys)
+		}
+		if len(present) == 0 {
+			return *s, 0
+		}
+		return st.derive(s, present, nil, s.Len()-len(present), c), -len(present)
+	})
+}
+
+// presentKeys returns the keys s holds: keys itself when it holds them
+// all, the common case, else a filtered copy.
+func presentKeys(s *segment, keys map[string]struct{}) map[string]struct{} {
+	for k := range keys {
+		if segHas(s, k) {
+			continue
+		}
+		present := make(map[string]struct{}, len(keys))
+		for k := range keys {
+			if segHas(s, k) {
 				present[k] = struct{}{}
 			}
 		}
-		if len(present) == 0 {
-			return
-		}
-		segs[i] = s.deleteSeg(present, m)
-		removed[i] = len(present)
-	})
-	total := 0
-	for _, n := range removed {
-		total += n
+		return present
 	}
-	if total == 0 {
-		return nil, false
-	}
-	return &segStore{segs: segs, live: st.live - total, nextSeq: st.nextSeq}, true
+	return keys
 }
 
 // insertAll derives the store with the novel subset of ts appended in
@@ -331,108 +199,124 @@ func (st *segStore) deleteAll(keys []string, m *storeMetrics) (*segStore, bool) 
 // coordination between segment workers. Presence checks and intra-batch
 // dedup run inside the workers: a key always hashes to one segment, so
 // per-segment dedup is global dedup. Returns (nil, false) when nothing was
-// novel.
+// novel. exact promises that the tuples are novel and distinct, and skips
+// the checks; counts as deleteAll does.
+func (st *segStore) insertAll(ts []Tuple, exact bool, c *layered.Counters, par *atomic.Int64) (*segStore, bool) {
+	cands := make([]seqTuple, len(ts))
+	for i, t := range ts {
+		cands[i] = seqTuple{seq: st.nextSeq + uint64(i), t: t}
+	}
+	return update(st, cands, func() [][]seqTuple {
+		bySeg := make([][]seqTuple, len(st.segs))
+		for _, c := range cands {
+			i := st.segOf(c.t.Key())
+			bySeg[i] = append(bySeg[i], c)
+		}
+		return bySeg
+	}, uint64(len(ts)), par, func(s *segment, cands []seqTuple) (segment, int) {
+		var novel []seqTuple
+		var seen map[string]struct{}
+		for _, c := range cands {
+			if !exact {
+				k := c.t.Key()
+				if _, dup := seen[k]; dup || segHas(s, k) {
+					continue
+				}
+				if seen == nil {
+					seen = make(map[string]struct{}, len(cands))
+				}
+				seen[k] = struct{}{}
+			}
+			novel = append(novel, seqTuple{seq: c.seq, t: c.t.Clone()})
+		}
+		if len(novel) == 0 {
+			return *s, 0
+		}
+		return st.derive(s, nil, novel, s.Len()+len(novel), c), len(novel)
+	})
+}
+
+// group is one segment's share of a derive's input.
+type group interface {
+	~map[string]struct{} | ~[]seqTuple
+}
+
+// update derives the next store from input all, consuming seqs sequence
+// numbers: work runs on every segment with input and returns the
+// segment's next version and live-count change (the segment itself when
+// unchanged). A one-segment
+// store hands all to its segment; a larger one scatters it and runs the
+// affected segments concurrently, each writing only its own slot, and the
+// gather shares untouched segments by value. Returns (nil, false) when no
+// segment changed.
 //
 // propview:publish
-func (st *segStore) insertAll(ts []Tuple, m *storeMetrics) (*segStore, bool) {
-	if len(ts) == 0 {
+func update[G group](st *segStore, all G, scatter func() []G, seqs uint64, par *atomic.Int64, work func(*segment, G) (segment, int)) (*segStore, bool) {
+	if len(all) == 0 {
 		return nil, false
 	}
-	bySeg := make([][]seqTuple, len(st.segs))
-	seq := st.nextSeq
-	for _, t := range ts {
-		i := st.segOf(t.Key())
-		bySeg[i] = append(bySeg[i], seqTuple{seq: seq, t: t})
-		seq++
+	if len(st.segs) == 1 {
+		s, d := work(&st.segs[0], all)
+		if d == 0 {
+			return nil, false
+		}
+		ns := &segStore{live: st.live + d, nextSeq: st.nextSeq + seqs, one: [1]segment{s}}
+		ns.segs = ns.one[:]
+		return ns, true
 	}
-	affected := make([]int, 0, len(st.segs))
+	bySeg := scatter()
+	affected := make([]int, 0, len(bySeg))
 	for i := range bySeg {
 		if len(bySeg[i]) > 0 {
 			affected = append(affected, i)
 		}
 	}
-	segs := make([]*segment, len(st.segs))
-	copy(segs, st.segs)
-	added := make([]int, len(st.segs))
-	if len(affected) > 1 && m != nil {
-		m.parallelDerives.Add(1)
+	if len(affected) > 1 && par != nil {
+		par.Add(1)
 	}
+	segs := make([]segment, len(st.segs))
+	copy(segs, st.segs)
+	deltas := make([]int, len(segs))
 	parallel.For(len(affected), func(j int) {
 		i := affected[j]
-		s := st.segs[i]
-		var novel []seqTuple
-		var seen map[string]struct{}
-		for _, c := range bySeg[i] {
-			k := c.t.Key()
-			if s.containsKey(k) {
-				continue
-			}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[string]struct{}, len(bySeg[i]))
-			}
-			seen[k] = struct{}{}
-			novel = append(novel, seqTuple{seq: c.seq, t: c.t.Clone()})
-		}
-		if len(novel) == 0 {
-			return
-		}
-		segs[i] = s.insertSeg(novel, m)
-		added[i] = len(novel)
+		segs[i], deltas[i] = work(&st.segs[i], bySeg[i])
 	})
-	total := 0
-	for _, n := range added {
-		total += n
+	live := st.live
+	for _, d := range deltas {
+		live += d
 	}
-	if total == 0 {
+	if live == st.live { // every change moves the live count
 		return nil, false
 	}
-	return &segStore{segs: segs, live: st.live + total, nextSeq: seq}, true
+	return &segStore{segs: segs, live: live, nextSeq: st.nextSeq + seqs}, true
 }
 
 // segCursor streams one segment's live entries in ascending sequence
 // order, pull-style, at O(overlay) extra space.
 type segCursor struct {
-	base   []seqTuple
-	m      map[string]*segLayer
-	layers []*segLayer
-	bi     int // next base position
-	li, ai int // next layer, next position in its added list
-	cur    seqTuple
-	ok     bool
+	base *segBase
+	w    layered.Walk[seqTuple]
+	bi   int // next base position
+	cur  seqTuple
+	ok   bool
 }
 
 func newSegCursor(s *segment) *segCursor {
-	c := &segCursor{base: s.base, m: s.mentionsMap(), layers: s.layersBottomUp()}
+	c := &segCursor{base: s.Base(), w: s.Walk()}
 	c.advance()
 	return c
 }
 
 func (c *segCursor) advance() {
-	for c.bi < len(c.base) {
-		st := c.base[c.bi]
+	for c.bi < c.base.Len() {
+		st := c.base.at(c.bi)
 		c.bi++
-		if _, mentioned := c.m[st.t.Key()]; !mentioned {
+		if !c.w.Overlaid() || !c.w.Mentioned(st.t.Key()) {
 			c.cur, c.ok = st, true
 			return
 		}
 	}
-	for c.li < len(c.layers) {
-		l := c.layers[c.li]
-		for c.ai < len(l.added) {
-			st := l.added[c.ai]
-			c.ai++
-			if c.m[st.t.Key()] == l {
-				c.cur, c.ok = st, true
-				return
-			}
-		}
-		c.li++
-		c.ai = 0
-	}
-	c.ok = false
+	c.cur, c.ok = c.w.Next()
 }
 
 // cursorHeap is a hand-rolled min-heap on the cursors' current sequence.
@@ -463,18 +347,26 @@ func (h cursorHeap) siftDown(i int) {
 const parallelCursorMin = 1 << 14
 
 // eachMerged streams the store's live tuples in global sequence order —
-// byte-identical to the legacy unsegmented iteration — by k-way-merging
-// the per-segment cursors. Yielded tuples alias segment storage (see
-// internal/analysis).
+// byte-identical to the legacy unsegmented iteration. One segment is
+// walked directly; more are k-way-merged by their cursors. Yielded tuples
+// alias segment storage (see internal/analysis).
 //
 // propview:no-retain
 func (st *segStore) eachMerged(yield func(Tuple) bool) {
+	if len(st.segs) == 1 {
+		for c := newSegCursor(&st.segs[0]); c.ok; c.advance() {
+			if !yield(c.cur.t) {
+				return
+			}
+		}
+		return
+	}
 	cs := make([]*segCursor, len(st.segs))
 	if st.live >= parallelCursorMin {
-		parallel.For(len(st.segs), func(i int) { cs[i] = newSegCursor(st.segs[i]) })
+		parallel.For(len(st.segs), func(i int) { cs[i] = newSegCursor(&st.segs[i]) })
 	} else {
-		for i, s := range st.segs {
-			cs[i] = newSegCursor(s)
+		for i := range st.segs {
+			cs[i] = newSegCursor(&st.segs[i])
 		}
 	}
 	h := make(cursorHeap, 0, len(cs))
@@ -513,64 +405,49 @@ func (st *segStore) flatten() []Tuple {
 	return out
 }
 
-// overlayDepth / overlayMentions summarize the segments' overlay shape:
-// the deepest chain and the total mention count.
-func (st *segStore) overlayDepth() int {
-	d := 0
+// overlayShape summarizes the segments' overlay: the deepest chain and
+// the total mention count.
+func (st *segStore) overlayShape() (depth, mentions int) {
 	for _, s := range st.segs {
-		if sd := segChainDepth(s.top); sd > d {
-			d = sd
+		depth = max(depth, s.Depth())
+		mentions += s.Mentions()
+	}
+	return depth, mentions
+}
+
+// newSegStore builds a frozen store of n segments over tuples in their
+// iteration order. One segment adopts tuples and index as its base (a nil
+// index is built), so the caller hands them over; more segments copy the
+// tuple headers into hash partitions, with sequences preserving the
+// order, in O(|tuples|).
+func newSegStore(n int, tuples []Tuple, index map[string]int) *segStore {
+	//lint:ignore genmonotonic a new store starts a fresh sequence space; its tuples hold sequences 0..len-1
+	st := &segStore{live: len(tuples), nextSeq: uint64(len(tuples))}
+	if n <= 1 {
+		if index == nil {
+			index = make(map[string]int, len(tuples))
+			for i, t := range tuples {
+				index[t.Key()] = i
+			}
 		}
+		st.one[0] = layered.New[seqTuple](&segBase{tuples: tuples, index: index})
+		st.segs = st.one[:]
+		return st
 	}
-	return d
-}
-
-func (st *segStore) overlayMentions() int {
-	n := 0
-	for _, s := range st.segs {
-		n += segChainMentions(s.top)
+	parts := make([]*segBase, n)
+	for i := range parts {
+		parts[i] = &segBase{index: make(map[string]int)}
 	}
-	return n
-}
-
-// withSeg publishes a derived segmented version of r over the given store.
-func (r *Relation) withSeg(ns *segStore) *Relation {
-	r.shared.Store(true)
-	v := &Relation{name: r.name, schema: r.schema, seg: ns}
-	v.shared.Store(true)
-	return v
-}
-
-// sharded builds a segmented snapshot of the relation: tuples are deep-
-// copied into n hash partitions with sequence numbers preserving the
-// current iteration order. O(|r|) — a one-time re-shard, not a derive.
-func (r *Relation) sharded(n int) *Relation {
-	parts := make([][]seqTuple, n)
-	var seq uint64
-	r.Each(func(t Tuple) bool {
-		i := int(segHash(t.Key()) % uint32(n))
-		parts[i] = append(parts[i], seqTuple{seq: seq, t: t.Clone()})
-		seq++
-		return true
-	})
-	segs := make([]*segment, n)
+	for seq, t := range tuples {
+		k := t.Key()
+		p := parts[segHash(k)%uint32(n)]
+		p.index[k] = len(p.tuples)
+		p.tuples = append(p.tuples, t)
+		p.seqs = append(p.seqs, uint64(seq))
+	}
+	st.segs = make([]segment, n)
 	for i, p := range parts {
-		idx := make(map[string]int, len(p))
-		for j, st := range p {
-			idx[st.t.Key()] = j
-		}
-		segs[i] = &segment{base: p, index: idx, live: len(p)}
+		st.segs[i] = layered.New[seqTuple](p)
 	}
-	//lint:ignore genmonotonic sharded starts a fresh sequence space; seq counted the re-sharded tuples from zero
-	v := &Relation{name: r.name, schema: r.schema, seg: &segStore{segs: segs, live: int(seq), nextSeq: seq}}
-	v.shared.Store(true)
-	return v
-}
-
-// Segments reports the relation's segment count (0 when unsegmented).
-func (r *Relation) Segments() int {
-	if r.seg == nil {
-		return 0
-	}
-	return len(r.seg.segs)
+	return st
 }

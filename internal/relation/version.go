@@ -1,300 +1,79 @@
 package relation
 
-// Versioned relations: the persistent, structure-sharing representation
-// behind Database.DeleteAll/InsertAll and Database.Freeze.
-//
-// A relation version is an immutable base (the tuples/index arrays, shared
-// across every version derived from it) plus a chain of overlay layers.
-// Each layer records one delta: a tombstone key-set (dead) and a list of
-// appended novel tuples (added). Deriving a version is O(|Δ|): the base
-// and all earlier layers are shared by pointer, only the new layer is
-// allocated. Iteration order is exactly what a from-scratch rebuild would
-// produce — base tuples in base order minus every tombstoned key, then
-// appended tuples in append order — so Tuples(), Contains() and Len()
-// are indistinguishable from the flat relations they replace.
-//
-// Resolution rule: the TOPMOST layer mentioning a key decides it (added ⇒
-// present, dead ⇒ absent; within one layer added wins, which is what a
-// squashed delete-then-reinsert needs); an unmentioned key falls through
-// to the base index. A tuple deleted and later re-inserted is therefore
-// suppressed at its base position and re-emitted at the end — identical to
-// the legacy rebuild, which dropped it and re-appended it.
-//
-// Two compactions bound the overlay:
-//
-//   - fold: when the cumulative mention count exceeds a fraction of the
-//     base (overlayFoldDiv, with overlayFoldMin as a floor for tiny
-//     relations), the overlay is folded into a fresh flat base. The O(n)
-//     fold is amortized over the ≥ n/overlayFoldDiv delta operations that
-//     provoked it, keeping derives amortized O(|Δ|).
-//   - squash: when the chain grows deeper than maxOverlayDepth without
-//     tripping the fold (e.g. a steady delete/restore churn whose mentions
-//     cancel), the chain is merged into a single layer over the same base
-//     in O(overlay), bounding lookup cost without touching the base.
-//
-// Publication safety: every field of a derived version is immutable after
-// construction except the lazily-built flat cache (atomic, idempotent) and
-// the shared flag (atomic, monotone false→true), so versions are safe to
-// read concurrently. The legacy mutators (Insert/Delete) remain available:
-// on a version whose storage is shared they first materialize a private
-// flat copy (copy-on-write), so old call sites keep their semantics while
-// never corrupting a published version.
+import (
+	"maps"
+	"slices"
 
-// Overlay tuning. foldLimit is the mention count past which a derive folds
-// the overlay into a fresh base; maxOverlayDepth is the layer-chain length
-// past which a derive squashes the chain into one layer.
-const (
-	overlayFoldMin  = 64
-	overlayFoldDiv  = 4
-	maxOverlayDepth = 32
+	"repro/internal/layered"
 )
 
-func foldLimit(baseLen int) int {
-	if l := baseLen / overlayFoldDiv; l > overlayFoldMin {
-		return l
-	}
-	return overlayFoldMin
-}
-
-// layer is one immutable overlay generation: the delta of a single derive
-// (or the merge of a squashed chain) over the version below it.
-type layer struct {
-	below      *layer
-	dead       map[string]struct{} // keys tombstoned at this layer
-	added      []Tuple             // novel tuples appended at this layer
-	addedIndex map[string]struct{} // keys of added
-	depth      int                 // layers in the chain, this one included
-	mentions   int                 // cumulative len(dead)+len(added) across the chain
-}
-
-func chainDepth(l *layer) int {
-	if l == nil {
-		return 0
-	}
-	return l.depth
-}
-
-func chainMentions(l *layer) int {
-	if l == nil {
-		return 0
-	}
-	return l.mentions
-}
-
-// mentionsMap resolves every key the overlay mentions to its deciding
-// layer: the topmost layer that adds it, or nil when the topmost mention
-// is a tombstone. Keys absent from the map fall through to the base.
-func (r *Relation) mentionsMap() map[string]*layer {
-	if r.top == nil {
-		return nil
-	}
-	m := make(map[string]*layer, r.top.mentions)
-	for l := r.top; l != nil; l = l.below {
-		// added before dead: within one layer a re-appended key is present.
-		for _, t := range l.added {
-			k := t.Key()
-			if _, ok := m[k]; !ok {
-				m[k] = l
-			}
-		}
-		for k := range l.dead {
-			if _, ok := m[k]; !ok {
-				m[k] = nil
-			}
-		}
-	}
-	return m
-}
-
-// layersBottomUp returns the chain oldest-first, the order appended tuples
-// must be emitted in.
-func (r *Relation) layersBottomUp() []*layer {
-	if r.top == nil {
-		return nil
-	}
-	out := make([]*layer, 0, r.top.depth)
-	for l := r.top; l != nil; l = l.below {
-		out = append(out, l)
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-// eachOverlay is the one overlay walk in iteration order — base tuples
-// past the mention set, then each layer's surviving appends oldest-first —
-// shared by Each (streaming) and flatten (materializing) so the
-// resolution rule cannot drift between them. Callers must hold an
-// overlaid relation (top != nil). Yielded tuples alias base and overlay
-// storage (see internal/analysis).
+// Relation versions: moving between the builder and frozen states, and
+// deriving frozen versions outside the Database store.
 //
-// propview:no-retain
-func (r *Relation) eachOverlay(yield func(Tuple) bool) {
-	m := r.mentionsMap()
-	for _, t := range r.tuples {
-		if _, mentioned := m[t.Key()]; !mentioned {
-			if !yield(t) {
-				return
-			}
-		}
-	}
-	for _, l := range r.layersBottomUp() {
-		for _, t := range l.added {
-			if m[t.Key()] == l {
-				if !yield(t) {
-					return
-				}
-			}
-		}
-	}
-}
+// Every version is a frozen relation (segment.go). Freezing a builder
+// costs O(|r|) once — a copy of its arrays, which then become the base of
+// a one-segment store — and every later derive is O(|Δ|) plus amortized
+// compaction, sharing the base and all earlier layers. Iteration order is
+// exactly what a from-scratch rebuild would produce, so Tuples, Contains
+// and Len are indistinguishable from the builders they replace.
+//
+// Publication safety: every field of a frozen relation is immutable after
+// construction except the lazily-built flat cache (atomic, idempotent), so
+// versions are safe to read concurrently. The legacy mutators
+// (Insert/Delete) stay available: on a frozen relation they first thaw a
+// private builder, so old call sites keep their semantics while never
+// corrupting a published version.
 
-// flatten materializes the version's live tuples in iteration order into a
-// fresh slice. O(base + overlay).
-func (r *Relation) flatten() []Tuple {
-	if r.top == nil {
-		return r.tuples
-	}
-	out := make([]Tuple, 0, r.live)
-	r.eachOverlay(func(t Tuple) bool {
-		//lint:ignore eachretain flatten materializes the canonical slice; overlay storage is immutable once published
-		out = append(out, t)
-		return true
-	})
-	return out
-}
-
-// withLayer publishes a derived version with l on top of r, folding or
-// squashing when the overlay trips its thresholds. The receiver's storage
-// becomes shared; the receiver itself is unchanged.
-func (r *Relation) withLayer(l *layer, live int, m *storeMetrics) *Relation {
-	r.shared.Store(true)
-	v := &Relation{name: r.name, schema: r.schema, tuples: r.tuples, index: r.index, top: l, live: live}
-	v.shared.Store(true)
-	if l.mentions > foldLimit(len(r.tuples)) {
-		flat := v.flatten()
-		index := make(map[string]int, len(flat))
-		for i, t := range flat {
-			index[t.Key()] = i
-		}
-		if m != nil {
-			m.folds.Add(1)
-		}
-		// The folded version owns its fresh arrays: it is flat and mutable
-		// again until the next derive shares it.
-		return &Relation{name: r.name, schema: r.schema, tuples: flat, index: index}
-	}
-	if l.depth > maxOverlayDepth {
-		v.top = v.squashedTop()
-		if m != nil {
-			m.squashes.Add(1)
-		}
-	}
-	return v
-}
-
-// squashedTop merges the whole chain into one layer over the same base:
-// every mentioned base key is tombstoned (deleted outright, or suppressed
-// for re-emission at its appended position), and the surviving appended
-// tuples are kept in emission order. O(overlay); the base is not touched.
-func (r *Relation) squashedTop() *layer {
-	m := r.mentionsMap()
-	dead := make(map[string]struct{})
-	for k := range m {
-		if _, inBase := r.index[k]; inBase {
-			dead[k] = struct{}{}
-		}
-	}
-	var added []Tuple
-	addedIndex := make(map[string]struct{})
-	for _, l := range r.layersBottomUp() {
-		for _, t := range l.added {
-			if k := t.Key(); m[k] == l {
-				added = append(added, t)
-				addedIndex[k] = struct{}{}
-			}
-		}
-	}
-	return &layer{dead: dead, added: added, addedIndex: addedIndex, depth: 1, mentions: len(dead) + len(added)}
-}
-
-// deleteVersion derives the version of r with the given live keys removed.
-// Callers must pass only keys r currently contains. O(|dead|) plus
-// amortized compaction.
-func (r *Relation) deleteVersion(dead map[string]struct{}, m *storeMetrics) *Relation {
+// store returns the relation's frozen store: its own when frozen, else a
+// one-segment store over a private copy of the builder's arrays (O(|r|)).
+func (r *Relation) store() *segStore {
 	if r.seg != nil {
-		keys := make([]string, 0, len(dead))
-		for k := range dead {
-			keys = append(keys, k)
-		}
-		ns, ok := r.seg.deleteAll(keys, m)
-		if !ok {
-			r.shared.Store(true)
-			return r
-		}
-		return r.withSeg(ns)
+		return r.seg
 	}
-	l := &layer{
-		below:    r.top,
-		dead:     dead,
-		depth:    chainDepth(r.top) + 1,
-		mentions: chainMentions(r.top) + len(dead),
-	}
-	return r.withLayer(l, r.Len()-len(dead), m)
+	return newSegStore(1, slices.Clone(r.tuples), maps.Clone(r.index))
 }
 
-// insertVersion derives the version of r with ts appended, in order.
-// Callers must pass only tuples r does not contain, without duplicates.
-// O(|ts|) plus amortized compaction.
-func (r *Relation) insertVersion(ts []Tuple, m *storeMetrics) *Relation {
-	if r.seg != nil {
-		ns, ok := r.seg.insertAll(ts, m)
-		if !ok {
-			r.shared.Store(true)
-			return r
-		}
-		return r.withSeg(ns)
-	}
-	added := make([]Tuple, len(ts))
-	addedIndex := make(map[string]struct{}, len(ts))
-	for i, t := range ts {
-		added[i] = t.Clone()
-		addedIndex[t.Key()] = struct{}{}
-	}
-	l := &layer{
-		below:      r.top,
-		added:      added,
-		addedIndex: addedIndex,
-		depth:      chainDepth(r.top) + 1,
-		mentions:   chainMentions(r.top) + len(added),
-	}
-	return r.withLayer(l, r.Len()+len(added), m)
+// frozen returns a frozen relation over st under r's name and schema.
+func (r *Relation) frozen(st *segStore) *Relation {
+	return &Relation{name: r.name, schema: r.schema, seg: st}
 }
 
-// ReadOnly returns a read-only view of the relation in O(1): a new header
-// sharing the receiver's storage, with both marked shared so any later
-// legacy mutation — through the receiver or through the view — first
-// copies the storage it would touch (copy-on-write) instead of corrupting
-// the other side. This is what Engine.Query hands out: callers can read it
-// like any relation, and a caller that does mutate it silently gets a
-// private copy rather than a data race with the engine's snapshot.
+// ReadOnly returns a frozen view of the relation: O(1) for a frozen
+// relation — a new header sharing its immutable store — and O(|r|) once
+// for a builder, whose arrays it copies. This is what Engine.Query hands
+// out: callers can read it like any relation, and a caller that does
+// mutate it thaws a private copy rather than racing with the engine's
+// snapshot.
 //
 // propview:read-only
 func (r *Relation) ReadOnly() *Relation {
-	r.shared.Store(true)
-	v := &Relation{name: r.name, schema: r.schema, tuples: r.tuples, index: r.index, top: r.top, live: r.Len(), seg: r.seg}
-	v.shared.Store(true)
+	v := r.frozen(r.store())
 	if f := r.flat.Load(); f != nil {
 		v.flat.Store(f)
 	}
 	return v
 }
 
-// materializeOwned gives the relation private flat storage, detaching it
-// from any versions sharing its arrays. Called by the legacy mutators
-// before their first write to shared or overlaid storage (copy-on-write).
-func (r *Relation) materializeOwned() {
+// Seal freezes a builder in place in O(1): its arrays become the base of
+// a one-segment store, so later derives from it are O(|Δ|). The caller
+// must own r outright — no other goroutine may be reading it. Sealing a
+// frozen relation is a no-op; a later Insert or Delete thaws r again. It
+// returns r.
+func (r *Relation) Seal() *Relation {
+	if r.seg == nil {
+		r.seg = newSegStore(1, r.tuples, r.index)
+		r.tuples, r.index = nil, nil
+	}
+	return r
+}
+
+// thaw makes the relation a builder with private storage, detaching it
+// from the frozen store it read from. Called by the legacy mutators
+// before their first write.
+func (r *Relation) thaw() {
+	if r.seg == nil {
+		return
+	}
 	src := r.Tuples()
 	tuples := make([]Tuple, len(src))
 	copy(tuples, src)
@@ -302,104 +81,73 @@ func (r *Relation) materializeOwned() {
 	for i, t := range tuples {
 		index[t.Key()] = i
 	}
-	r.tuples, r.index, r.top, r.live = tuples, index, nil, 0
-	r.seg = nil
+	r.tuples, r.index, r.seg = tuples, index, nil
 	r.flat.Store(nil)
-	r.shared.Store(false)
 }
 
-// overlayDepth reports the overlay chain length (0 for a flat relation;
-// the deepest segment chain for a segmented one).
-func (r *Relation) overlayDepth() int {
-	if r.seg != nil {
-		return r.seg.overlayDepth()
+// overlayShape reports the deepest segment overlay chain and the total
+// overlay size (tombstones + appended tuples); zero for a builder.
+func (r *Relation) overlayShape() (depth, mentions int) {
+	if r.seg == nil {
+		return 0, 0
 	}
-	return chainDepth(r.top)
+	return r.seg.overlayShape()
 }
 
-// overlayMentions reports the cumulative overlay size (0 for a flat
-// relation; summed across segments for a segmented one).
-func (r *Relation) overlayMentions() int {
-	if r.seg != nil {
-		return r.seg.overlayMentions()
+// Segments reports the relation's segment count (0 for a builder).
+func (r *Relation) Segments() int {
+	if r.seg == nil {
+		return 0
 	}
-	return chainMentions(r.top)
+	return len(r.seg.segs)
 }
 
-// --- exported overlay derivation for non-source version chains ---
+// --- exported derivation for non-source version chains ---
 //
 // The Database store is not the only consumer of O(|Δ|) structure sharing:
-// the provenance layer keeps one materialized relation per operator node of
-// every prepared view, and maintains them under the same
-// tombstone/append discipline. The exported wrappers below hand that
-// machinery out without exposing the layer internals; chains derived this
-// way follow exactly the source store's semantics (iteration order as if
-// rebuilt, fold past OverlayFoldLimit mentions, squash past
-// OverlayMaxDepth layers).
-
-// VersionMetrics counts overlay activity for a version chain derived
-// outside the Database store, e.g. a provenance tree's node relations. One
-// instance is shared along a chain (or across the chains of one tree);
-// the counters are cumulative and safe for concurrent use. The zero value
-// is ready to use; a nil *VersionMetrics disables counting.
-type VersionMetrics struct{ m storeMetrics }
-
-// Derives reports the number of versions derived against these metrics.
-func (vm *VersionMetrics) Derives() int64 { return vm.m.derives.Load() }
-
-// Folds reports overlays folded into a fresh flat base.
-func (vm *VersionMetrics) Folds() int64 { return vm.m.folds.Load() }
-
-// Squashes reports overlay chains merged into a single layer.
-func (vm *VersionMetrics) Squashes() int64 { return vm.m.squashes.Load() }
-
-// store returns the internal counter set (nil-safe).
-func (vm *VersionMetrics) store() *storeMetrics {
-	if vm == nil {
-		return nil
-	}
-	return &vm.m
-}
+// the provenance layer keeps one relation per operator node of every
+// prepared view and maintains them under the same tombstone/append
+// discipline. Chains derived this way follow exactly the source store's
+// semantics and compaction schedule; their folds and squashes count into
+// the caller's layered.Counters (nil disables counting).
 
 // DeleteVersion derives the version of r with the given live keys
 // tombstoned, in O(|dead|) plus amortized compaction, sharing the
-// receiver's storage. Callers must pass only keys r currently contains
-// and treat both relations as immutable afterwards — the same contract
-// Database.DeleteAll operates under.
-func (r *Relation) DeleteVersion(dead map[string]struct{}, vm *VersionMetrics) *Relation {
-	m := vm.store()
-	if m != nil {
-		m.derives.Add(1)
+// receiver's store (a builder receiver is frozen first, in O(|r|)).
+// Callers must pass only keys r currently contains; dead is owned by the
+// new version afterwards, and both relations are immutable — the same
+// contract Database.DeleteAll operates under.
+func (r *Relation) DeleteVersion(dead map[string]struct{}, c *layered.Counters) *Relation {
+	st := r.store()
+	if ns, ok := st.deleteAll(dead, true, c, nil); ok {
+		st = ns
 	}
-	return r.deleteVersion(dead, m)
+	return r.frozen(st)
 }
 
 // InsertVersion derives the version of r with ts appended in order, in
-// O(|ts|) plus amortized compaction, sharing the receiver's storage.
-// Callers must pass only tuples r does not contain, without duplicates,
-// and treat both relations as immutable afterwards.
-func (r *Relation) InsertVersion(ts []Tuple, vm *VersionMetrics) *Relation {
-	m := vm.store()
-	if m != nil {
-		m.derives.Add(1)
+// O(|ts|) plus amortized compaction, sharing the receiver's store (a
+// builder receiver is frozen first, in O(|r|)). Callers must pass only
+// tuples r does not contain, without duplicates, and treat both relations
+// as immutable afterwards.
+func (r *Relation) InsertVersion(ts []Tuple, c *layered.Counters) *Relation {
+	st := r.store()
+	if ns, ok := st.insertAll(ts, true, c, nil); ok {
+		st = ns
 	}
-	return r.insertVersion(ts, m)
+	return r.frozen(st)
 }
 
-// OverlayFoldLimit is the cumulative mention count past which an overlay
-// should be folded into a fresh flat base of the given size. Exported so
-// overlay consumers outside this package (the provenance node stores'
-// witness and bucket maps) compact on the same amortization thresholds as
-// the relations themselves.
-func OverlayFoldLimit(baseLen int) int { return foldLimit(baseLen) }
-
-// OverlayMaxDepth is the overlay chain depth past which a derive should
-// squash the chain into a single layer; see OverlayFoldLimit.
-const OverlayMaxDepth = maxOverlayDepth
-
-// OverlayDepth reports the relation's overlay chain length (0 when flat).
-func (r *Relation) OverlayDepth() int { return r.overlayDepth() }
+// OverlayDepth reports the relation's deepest overlay chain (0 without
+// overlay).
+func (r *Relation) OverlayDepth() int {
+	d, _ := r.overlayShape()
+	return d
+}
 
 // OverlayMentions reports the relation's cumulative overlay size
-// (tombstones + appended tuples; 0 when flat).
-func (r *Relation) OverlayMentions() int { return r.overlayMentions() }
+// (tombstones + appended tuples; 0 without overlay).
+func (r *Relation) OverlayMentions() int {
+	_, m := r.overlayShape()
+	return m
+}

@@ -3,7 +3,19 @@ package relation
 import (
 	"strconv"
 	"testing"
+
+	"repro/internal/layered"
 )
+
+// The one-segment fold/squash schedule: fold past max(64, base/4)
+// mentions, squash past 32 layers.
+const (
+	oneSegFoldFloor = 64
+	oneSegMaxDepth  = 32
+)
+
+// baseOf returns the base of a one-segment frozen relation.
+func baseOf(r *Relation) *segBase { return r.seg.segs[0].Base() }
 
 func seedDB(nR, nS int) *Database {
 	db := NewDatabase()
@@ -25,7 +37,7 @@ func seedDB(nR, nS int) *Database {
 // by pointer, and a touched relation becomes an overlay version over the
 // same base array.
 func TestDeleteAllSharesUntouchedRelations(t *testing.T) {
-	db := seedDB(10, 10)
+	db := seedDB(10, 10).Freeze()
 	r0, s0 := db.Relation("R"), db.Relation("S")
 	next := db.DeleteAll([]SourceTuple{{Rel: "R", Tuple: r0.Tuple(3)}})
 	if next.Relation("S") != s0 {
@@ -35,10 +47,10 @@ func TestDeleteAllSharesUntouchedRelations(t *testing.T) {
 	if r1 == r0 {
 		t.Fatal("touched relation R was shared by pointer")
 	}
-	if r1.top == nil {
+	if r1.OverlayDepth() == 0 {
 		t.Fatal("touched relation R should be an overlay version")
 	}
-	if &r1.tuples[0] != &r0.tuples[0] {
+	if baseOf(r1) != baseOf(r0) {
 		t.Fatal("overlay version does not share the base tuple array")
 	}
 	if r0.Len() != 10 || r1.Len() != 9 {
@@ -116,8 +128,8 @@ func TestReadOnlyViewCopiesOnWrite(t *testing.T) {
 	}
 }
 
-// TestOverlayFoldThreshold: overlay mentions past max(overlayFoldMin,
-// base/overlayFoldDiv) fold into a fresh flat base.
+// TestOverlayFoldThreshold: overlay mentions past max(oneSegFoldFloor,
+// base/4) fold into a fresh flat base.
 func TestOverlayFoldThreshold(t *testing.T) {
 	db := NewDatabase()
 	r := New("R", NewSchema("A"))
@@ -127,8 +139,8 @@ func TestOverlayFoldThreshold(t *testing.T) {
 	db.MustAdd(r)
 
 	// Insert one novel tuple per derive: mentions grow by one each time,
-	// so the overlay must fold when they exceed overlayFoldMin.
-	for i := 0; i <= overlayFoldMin; i++ {
+	// so the overlay must fold when they exceed oneSegFoldFloor.
+	for i := 0; i <= oneSegFoldFloor; i++ {
 		next, err := db.InsertAll([]SourceTuple{{Rel: "R", Tuple: StringTuple("n" + strconv.Itoa(i))}})
 		if err != nil {
 			t.Fatal(err)
@@ -137,12 +149,12 @@ func TestOverlayFoldThreshold(t *testing.T) {
 	}
 	st := db.StoreStats()
 	if st.Compactions != 1 {
-		t.Fatalf("Compactions = %d, want exactly 1 after %d unit derives", st.Compactions, overlayFoldMin+1)
+		t.Fatalf("Compactions = %d, want exactly 1 after %d unit derives", st.Compactions, oneSegFoldFloor+1)
 	}
-	if got := db.Relation("R"); got.top != nil {
+	if got := db.Relation("R"); got.OverlayDepth() != 0 {
 		t.Fatal("relation should be flat right after a fold")
 	}
-	if got, want := db.Relation("R").Len(), 10+overlayFoldMin+1; got != want {
+	if got, want := db.Relation("R").Len(), 10+oneSegFoldFloor+1; got != want {
 		t.Fatalf("Len after fold = %d, want %d", got, want)
 	}
 }
@@ -152,7 +164,7 @@ func TestOverlayFoldThreshold(t *testing.T) {
 func TestOverlaySquashBoundsDepth(t *testing.T) {
 	db := seedDB(10, 1)
 	target := SourceTuple{Rel: "R", Tuple: db.Relation("R").Tuple(0)}
-	for i := 0; i < 10*maxOverlayDepth; i++ {
+	for i := 0; i < 10*oneSegMaxDepth; i++ {
 		if i%2 == 0 {
 			db = db.DeleteAll([]SourceTuple{target})
 		} else {
@@ -162,8 +174,8 @@ func TestOverlaySquashBoundsDepth(t *testing.T) {
 			}
 			db = next
 		}
-		if d := db.Relation("R").overlayDepth(); d > maxOverlayDepth+1 {
-			t.Fatalf("iteration %d: overlay depth %d exceeds bound %d", i, d, maxOverlayDepth+1)
+		if d := db.Relation("R").OverlayDepth(); d > oneSegMaxDepth+1 {
+			t.Fatalf("iteration %d: overlay depth %d exceeds bound %d", i, d, oneSegMaxDepth+1)
 		}
 	}
 	st := db.StoreStats()
@@ -174,8 +186,8 @@ func TestOverlaySquashBoundsDepth(t *testing.T) {
 	// tuple squashes to one tombstone plus one append), so they oscillate
 	// within the depth bound instead of growing without limit, and the
 	// (never-growing) base is never folded.
-	if st.OverlayMentions > maxOverlayDepth+2 {
-		t.Fatalf("steady churn accumulated %d overlay mentions, want ≤ %d", st.OverlayMentions, maxOverlayDepth+2)
+	if st.OverlayMentions > oneSegMaxDepth+2 {
+		t.Fatalf("steady churn accumulated %d overlay mentions, want ≤ %d", st.OverlayMentions, oneSegMaxDepth+2)
 	}
 	if st.Compactions != 0 {
 		t.Fatalf("steady churn folded %d times; squashing should have absorbed it", st.Compactions)
@@ -202,7 +214,7 @@ func TestEachStopsEarly(t *testing.T) {
 	db := NewDatabase()
 	db.MustAdd(r)
 	v := db.DeleteAll([]SourceTuple{{Rel: "R", Tuple: StringTuple("t0")}}).Relation("R")
-	if v.top == nil {
+	if v.OverlayDepth() == 0 {
 		t.Fatal("expected an overlay version")
 	}
 	if got := count(v); got != 2 {
@@ -212,21 +224,22 @@ func TestEachStopsEarly(t *testing.T) {
 
 // TestExportedVersionDerivation pins the out-of-store overlay API the
 // provenance node relations ride on: DeleteVersion/InsertVersion share the
-// base storage, behave byte-identically to a rebuild, and report their
-// compaction activity through VersionMetrics on the same thresholds as
-// the Database store.
+// base storage of a sealed relation, behave byte-identically to a
+// rebuild, and report their compaction activity through layered.Counters
+// on the same thresholds as the Database store.
 func TestExportedVersionDerivation(t *testing.T) {
-	var vm VersionMetrics
+	var vm layered.Counters
 	r := New("N", NewSchema("A", "B"))
 	for i := 0; i < 10; i++ {
 		r.InsertStrings("a"+strconv.Itoa(i), "b"+strconv.Itoa(i))
 	}
+	r.Seal()
 	dead := map[string]struct{}{r.Tuple(2).Key(): {}, r.Tuple(7).Key(): {}}
 	v := r.DeleteVersion(dead, &vm)
 	if v.Len() != 8 || r.Len() != 10 {
 		t.Fatalf("Len: version %d (want 8), receiver %d (want 10)", v.Len(), r.Len())
 	}
-	if &v.tuples[0] != &r.tuples[0] {
+	if baseOf(v) != baseOf(r) {
 		t.Fatal("DeleteVersion did not share the base tuple array")
 	}
 	v2 := v.InsertVersion([]Tuple{StringTuple("z0", "z0"), StringTuple("z1", "z1")}, &vm)
@@ -248,9 +261,6 @@ func TestExportedVersionDerivation(t *testing.T) {
 			t.Fatalf("tuple %d = %v, want %v", i, v2.Tuple(i), wt)
 		}
 	}
-	if vm.Derives() != 2 {
-		t.Fatalf("Derives = %d, want 2", vm.Derives())
-	}
 	if v2.OverlayDepth() != 2 || v2.OverlayMentions() != 4 {
 		t.Fatalf("overlay shape depth=%d mentions=%d, want 2/4", v2.OverlayDepth(), v2.OverlayMentions())
 	}
@@ -260,7 +270,7 @@ func TestExportedVersionDerivation(t *testing.T) {
 	cur := v2
 	for i := 0; cur.OverlayDepth() > 0 || vm.Folds() == 0; i++ {
 		cur = cur.InsertVersion([]Tuple{StringTuple("f"+strconv.Itoa(i), "f")}, &vm)
-		if i > 10*OverlayFoldLimit(10) {
+		if i > 10*layered.ForSegments(1).FoldLimit(10) {
 			t.Fatal("overlay never folded")
 		}
 	}
@@ -270,5 +280,28 @@ func TestExportedVersionDerivation(t *testing.T) {
 	// Nil metrics are accepted.
 	if got := cur.DeleteVersion(map[string]struct{}{cur.Tuple(0).Key(): {}}, nil); got.Len() != cur.Len()-1 {
 		t.Fatal("nil-metrics DeleteVersion failed")
+	}
+}
+
+// TestOneSegmentStoreIsTheDefault: Freeze, Sharded(0) and Sharded(1) of a
+// builder database all build the one-segment store over the same tuples,
+// and re-sharding a frozen database to its own segment count shares each
+// store instead of re-storing it.
+func TestOneSegmentStoreIsTheDefault(t *testing.T) {
+	db := seedDB(10, 10)
+	want := WriteDatabaseString(db)
+	for name, snap := range map[string]*Database{"Freeze": db.Freeze(), "Sharded(0)": db.Sharded(0), "Sharded(1)": db.Sharded(1)} {
+		for _, r := range snap.Relations() {
+			if r.Segments() != 1 {
+				t.Fatalf("%s: %s has %d segments, want 1", name, r.Name(), r.Segments())
+			}
+		}
+		if got := WriteDatabaseString(snap); got != want {
+			t.Fatalf("%s changed the tuples:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	four := db.Sharded(4)
+	if again := four.Sharded(4); again.Relation("R").seg != four.Relation("R").seg {
+		t.Fatal("Sharded(4) of a 4-segment database re-stored the relation")
 	}
 }
