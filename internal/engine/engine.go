@@ -53,11 +53,11 @@
 // next generation in O(|Δ|) — untouched relations are shared by pointer,
 // touched relations get a frozen version (tombstones + appends over each
 // touched segment) sharing the same base arrays — instead of the old
-// copy-the-world
-// DeleteAll/InsertAll, so commit cost scales with the write, not with
-// |S|, and retaining several generations (the serving one plus those
-// pinned by view snapshots) costs overlays, not copies. Stats surfaces
-// the store's sharing/compaction counters and the live version count.
+// copy-the-world DeleteAll/InsertAll, so commit cost scales with the
+// write, not with |S|, and retaining several generations (the serving one
+// plus those pinned by view snapshots) costs overlays, not copies. Stats
+// surfaces the store's sharing/compaction counters and the live version
+// count.
 package engine
 
 import (

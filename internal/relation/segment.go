@@ -244,11 +244,10 @@ type group interface {
 // update derives the next store from input all, consuming seqs sequence
 // numbers: work runs on every segment with input and returns the
 // segment's next version and live-count change (the segment itself when
-// unchanged). A one-segment
-// store hands all to its segment; a larger one scatters it and runs the
-// affected segments concurrently, each writing only its own slot, and the
-// gather shares untouched segments by value. Returns (nil, false) when no
-// segment changed.
+// unchanged). A one-segment store hands all to its segment; a larger one
+// scatters it and runs the affected segments concurrently, each writing
+// only its own slot, and the gather shares untouched segments by value.
+// Returns (nil, false) when no segment changed.
 //
 // propview:publish
 func update[G group](st *segStore, all G, scatter func() []G, seqs uint64, par *atomic.Int64, work func(*segment, G) (segment, int)) (*segStore, bool) {

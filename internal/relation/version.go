@@ -85,15 +85,6 @@ func (r *Relation) thaw() {
 	r.flat.Store(nil)
 }
 
-// overlayShape reports the deepest segment overlay chain and the total
-// overlay size (tombstones + appended tuples); zero for a builder.
-func (r *Relation) overlayShape() (depth, mentions int) {
-	if r.seg == nil {
-		return 0, 0
-	}
-	return r.seg.overlayShape()
-}
-
 // Segments reports the relation's segment count (0 for a builder).
 func (r *Relation) Segments() int {
 	if r.seg == nil {
@@ -138,16 +129,22 @@ func (r *Relation) InsertVersion(ts []Tuple, c *layered.Counters) *Relation {
 	return r.frozen(st)
 }
 
-// OverlayDepth reports the relation's deepest overlay chain (0 without
-// overlay).
+// OverlayDepth reports the relation's deepest segment overlay chain (0
+// without overlay or for a builder).
 func (r *Relation) OverlayDepth() int {
-	d, _ := r.overlayShape()
+	if r.seg == nil {
+		return 0
+	}
+	d, _ := r.seg.overlayShape()
 	return d
 }
 
-// OverlayMentions reports the relation's cumulative overlay size
-// (tombstones + appended tuples; 0 without overlay).
+// OverlayMentions reports the relation's overlay size across segments
+// (tombstones + appended tuples; 0 without overlay or for a builder).
 func (r *Relation) OverlayMentions() int {
-	_, m := r.overlayShape()
+	if r.seg == nil {
+		return 0
+	}
+	_, m := r.seg.overlayShape()
 	return m
 }
