@@ -1084,6 +1084,53 @@ func benchmarkApplyInsertionTreeSize(b *testing.B, rows int) {
 func BenchmarkApplyInsertion_TreeSize1k(b *testing.B)   { benchmarkApplyInsertionTreeSize(b, 1_000) }
 func BenchmarkApplyInsertion_TreeSize100k(b *testing.B) { benchmarkApplyInsertionTreeSize(b, 100_000) }
 
+// benchmarkAnnotateAfterWrite measures what an Annotate costs once the
+// view it places on has changed: each iteration deletes one view tuple
+// (one source tuple, on the Gene⋈Protein key join), restores it, and then
+// annotates. Only the Annotate is timed — the delete's solver counts side
+// effects over the whole view, which is the write path's cost, not the
+// placement's. The Annotate catches the view's where-provenance index up
+// by replaying the two writes and reads placement from the maintained
+// reach counts, so ns/op and allocs/op should stay within ~2× across the
+// 16× view-size spread of _ViewSize1k and _ViewSize16k; rebuilding the
+// index or walking the view per Annotate would scale them with the view.
+func benchmarkAnnotateAfterWrite(b *testing.B, genes int) {
+	db, q := workload.Curation(rand.New(rand.NewSource(3)), genes, 1)
+	e := engine.New(db)
+	if err := e.Prepare("v", q); err != nil {
+		b.Fatal(err)
+	}
+	view, err := e.Query("v")
+	if err != nil {
+		b.Fatal(err)
+	}
+	targets := view.SortedTuples()[:64]
+	if _, err := e.Annotate("v", targets[0], "protein"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		t := targets[i%len(targets)]
+		rep, err := e.Delete("v", t, core.MinimizeSourceDeletions, core.DeleteOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Insert(rep.Result.T); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := e.Annotate("v", targets[(i+1)%len(targets)], "protein"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(view.Len()), "view-tuples")
+}
+
+func BenchmarkAnnotate_AfterWrite_ViewSize1k(b *testing.B)  { benchmarkAnnotateAfterWrite(b, 1_000) }
+func BenchmarkAnnotate_AfterWrite_ViewSize16k(b *testing.B) { benchmarkAnnotateAfterWrite(b, 16_000) }
+
 // Router overhead: the core dispatch on top of the direct algorithms.
 func BenchmarkRouter_Delete(b *testing.B) {
 	r := rand.New(rand.NewSource(17))

@@ -1,33 +1,36 @@
 // Incremental maintenance of the where-provenance index under source
-// deletions.
+// deletions and insertions.
 //
-// A source deletion can change the where-set of a *surviving* view tuple —
-// e.g. when one pre-image of a projected tuple dies, the tuple survives
-// via its other pre-images but its merged set shrinks — so the delta of
-// the index is not the delta of the view, and the old engine rebuilt the
-// whole index on the first Annotate after every deletion. ComputeWhere now
-// retains the full annotated operator tree (one annNode per operator, its
-// per-tuple sets in a persistent overlay map, plus the static pre-image /
-// join-partner maps the propagation rules invert), and ApplyDeletion
-// derives the next generation of the index by propagating (died, changed)
-// entry deltas up the tree: each node recomputes exactly the output
-// entries its children's delta can reach, prunes propagation where the
-// recomputed sets are unchanged, and derives its overlay map in O(|Δ|).
+// A source write can change the where-set of a *surviving* view tuple —
+// when one pre-image of a projected tuple dies, the tuple survives via its
+// other pre-images but its merged set shrinks; when a new pre-image
+// arrives, the set grows — so the delta of the index is not the delta of
+// the view. ComputeWhere therefore retains the full annotated operator
+// tree (one annNode per operator, its per-tuple sets in a persistent
+// overlay map, plus the pre-image and join-partner indexes the
+// propagation rules invert), and ApplyDeletion / ApplyInsertion derive the
+// next generation of the index by propagating (died, changed, added)
+// entry deltas up the tree: each node maps its children's delta to the
+// output entries it can reach (images — the same candidate step Affected
+// walks one source tuple up the tree with), recomputes exactly those,
+// prunes propagation where the recomputed sets are unchanged, and derives
+// its overlay maps in O(|Δ|).
 //
-// The static maps are built once per full computation and never grow:
-// under deletion-only maintenance no operator ever gains an output tuple,
-// so build-time pre-image lists and join buckets stay complete, and
-// entries that died in earlier generations are skipped by an ann.Has
-// check. Insertions would invalidate that (and can widen surviving sets
-// just like deletions can shrink them), so an insert commit drops the
-// index and the next Annotate rebuilds it from scratch — exactly the old
-// behavior, now paid only on the write kind that needs it.
+// The pre-image and join-partner indexes are persistent per generation
+// (overlay bucket chains, as in the provenance tree): a deletion removes
+// the died child tuples lazily, an insertion appends the added ones, so a
+// later step of either kind sees exactly the live pre-images and
+// partners. Under insertion where-sets only grow, so a projected tuple's
+// new sets are its old sets ∪ the contributions of its added or changed
+// pre-images; every other operator recomputes a candidate from its
+// children's new generation, which costs O(1) per candidate.
 package annotation
 
 import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/algebra"
 	"repro/internal/layered"
 	"repro/internal/overlay"
 	"repro/internal/parallel"
@@ -49,6 +52,16 @@ type annEntry struct {
 	sets []locSet
 }
 
+// holds reports whether id is in any of the entry's sets.
+func (e annEntry) holds(id int32) bool {
+	for _, s := range e.sets {
+		if s.has(id) {
+			return true
+		}
+	}
+	return false
+}
+
 type nodeKind uint8
 
 const (
@@ -65,34 +78,50 @@ const (
 type srcPos struct{ l, r int }
 
 // annNode is one operator of the retained where-provenance tree. The ann
-// map is a persistent overlay generation; everything else is immutable
-// after the full computation and shared by every derived generation.
+// map and the bucket indexes are persistent overlay generations;
+// everything else is immutable after the full computation and shared by
+// every derived generation.
 type annNode struct {
 	kind nodeKind
 	kids []*annNode
 	ann  *overlay.Map[annEntry]
 
-	// nodeScan
+	// nodeScan: the source relation and its attributes (an inserted tuple
+	// interns one location per attribute).
 	relName string
+	attrs   []relation.Attribute
+
+	// nodeSelect: the condition and the child schema it reads, for
+	// admitting inserted child tuples.
+	cond algebra.Condition
+	csch relation.Schema
 
 	// nodeProject: positions[i] is the child position of output position
-	// i; preimages lists the build-time child keys projecting onto each
-	// output key (rule 2 merges them, so a recompute unions the survivors).
+	// i; pre maps each output key to the child tuples projecting onto it
+	// (rule 2 merges them, so a deletion recomputes from the live ones).
 	// nodeUnion reuses positions for the right→left alignment permutation
 	// and inv for its inverse (out tuple → right pre-image).
 	positions []int
-	preimages map[string][]string
+	pre       *overlay.Map[overlay.BucketVal]
 	inv       []int
 
-	// nodeJoin
-	ls, rs relation.Schema      // operand schemas (output = ls ⋈ rs, left-prefixed)
-	common []relation.Attribute // join attributes
-	ronly  []int                // right positions appended after the left prefix
-	// lbuck/rbuck: join key → build-time partner tuples of that side.
-	lbuck, rbuck map[string][]relation.Tuple
+	// nodeJoin: output = left tuple ++ right's ronly positions.
+	ls         relation.Schema
+	ronly      []int
+	lkey, rkey []int // join-attribute positions in each operand
+	// lbuck/rbuck: join key → live tuples of that side.
+	lbuck, rbuck *overlay.Map[overlay.BucketVal]
 	mapping      []srcPos
 	rpos         []int // right position → output position
 }
+
+// image is the projection's output tuple for child tuple t.
+func (n *annNode) image(t relation.Tuple) relation.Tuple { return t.Project(n.positions) }
+
+func (n *annNode) imageKey(t relation.Tuple) string { return n.image(t).Key() }
+
+func (n *annNode) leftKey(t relation.Tuple) string  { return t.Project(n.lkey).Key() }
+func (n *annNode) rightKey(t relation.Tuple) string { return t.Project(n.rkey).Key() }
 
 // whereMetrics is shared along a WhereView generation chain, like the
 // provenance tree's treeMetrics: work counters for the O(|Δ|) contract
@@ -104,22 +133,45 @@ type whereMetrics struct {
 	vm      layered.Counters
 }
 
+// touch advances the work counter; a nil receiver (a read-only walk such
+// as Affected) counts nothing.
+func (m *whereMetrics) touch() {
+	if m != nil {
+		m.touched.Add(1)
+	}
+}
+
 // MaintenanceTouched reports the cumulative number of entries and partner
 // probes the incremental maintenance examined across this index's
 // generation chain. The regression tests pin it to O(|Δ| · fan-out): a
-// full-index rebuild per deletion would scale it with the view instead.
+// full-index rebuild per write would scale it with the view instead.
 func (wv *WhereView) MaintenanceTouched() int64 { return wv.met.touched.Load() }
 
 // delta is what one node's generation step hands its parent: the entries
-// it removed (with their pre-deletion tuples, so the parent can compute
-// their images) and the surviving entries whose sets changed (with the
-// new sets).
+// it removed (with their pre-step tuples and sets, so the parent can
+// compute their images), the surviving entries whose sets changed (with
+// the new sets) and the entries new to the node.
 type delta struct {
 	died    []annEntry
 	changed []annEntry
+	added   []annEntry
 }
 
-func (d *delta) empty() bool { return len(d.died) == 0 && len(d.changed) == 0 }
+// all lists every entry of the delta, died first.
+func (d *delta) all() []annEntry {
+	out := make([]annEntry, 0, len(d.died)+len(d.changed)+len(d.added))
+	out = append(out, d.died...)
+	out = append(out, d.changed...)
+	return append(out, d.added...)
+}
+
+func tuplesOf(es []annEntry) []relation.Tuple {
+	out := make([]relation.Tuple, len(es))
+	for i, e := range es {
+		out[i] = e.t
+	}
+	return out
+}
 
 // setsEq reports whether two per-position set lists are identical.
 // Where-sets are canonical (sorted), so equality is positional.
@@ -140,6 +192,16 @@ func setsEq(a, b []locSet) bool {
 	return true
 }
 
+// write is one maintenance step's input: the written source tuples by
+// relation, the direction, and the chain's shared state.
+type write struct {
+	byRel map[string][]relation.Tuple
+	ins   bool
+	in    *interner
+	met   *whereMetrics
+	par   *parallel.Budget
+}
+
 // ApplyDeletion derives the where-provenance index of the generation with
 // the source tuples T removed, reusing the receiver's index: the retained
 // operator tree propagates T upward touching only the entries T can
@@ -156,21 +218,46 @@ func (wv *WhereView) ApplyDeletion(T []relation.SourceTuple) *WhereView {
 // ApplyDeletionWorkers: sibling subtrees of join/union nodes propagate
 // concurrently, and each node's candidate recomputation partitions by the
 // store's FNV-1a key hash into per-index slots gathered serially. The
-// (died, changed) propagation is order-free state — set/dead maps feeding
-// overlay derivations — so the derived index is identical at any worker
-// count; the fingerprint differential test pins that byte-for-byte.
-// workers <= 1 is exactly ApplyDeletion.
-//
-// propview:deterministic
+// derived index is identical at any worker count; the fingerprint
+// differential tests pin that byte-for-byte. workers <= 1 is exactly
+// ApplyDeletion.
 func (wv *WhereView) ApplyDeletionWorkers(T []relation.SourceTuple, workers int) *WhereView {
-	if len(T) == 0 || wv.root == nil {
+	return wv.apply(T, false, workers)
+}
+
+// ApplyInsertion derives the where-provenance index of the generation with
+// the source tuples I added — the dual of ApplyDeletion, at the same
+// O(|Δ| · fan-out) cost. Tuples already in the indexed source are no-ops.
+// The index retains the inserted tuples, which must not be mutated
+// afterwards. Locations of inserted tuples are interned into the chain's
+// shared interner, so every generation keeps answering for the locations
+// it knows.
+func (wv *WhereView) ApplyInsertion(I []relation.SourceTuple) *WhereView {
+	return wv.ApplyInsertionWorkers(I, 1)
+}
+
+// ApplyInsertionWorkers is ApplyInsertion with an intra-view parallelism
+// budget, exactly as ApplyDeletionWorkers. Ids interned by sibling scans
+// running concurrently may be assigned in either order; where-sets,
+// reach counts, Affected and placements are all functions of the
+// locations, not of their ids, so the index answers identically at any
+// width.
+func (wv *WhereView) ApplyInsertionWorkers(I []relation.SourceTuple, workers int) *WhereView {
+	return wv.apply(I, true, workers)
+}
+
+// apply runs one maintenance step and assembles the next generation: the
+// root's delta versions the view and adjusts the reach counts.
+func (wv *WhereView) apply(ts []relation.SourceTuple, ins bool, workers int) *WhereView {
+	if len(ts) == 0 || wv.root == nil {
 		return wv
 	}
 	byRel := make(map[string][]relation.Tuple, 1)
-	for _, st := range T {
+	for _, st := range ts {
 		byRel[st.Rel] = append(byRel[st.Rel], st.Tuple)
 	}
-	root, d := wv.root.applyDel(byRel, wv.met, parallel.NewBudget(workers))
+	w := &write{byRel: byRel, ins: ins, in: wv.in, met: wv.met, par: parallel.NewBudget(workers)}
+	root, d := wv.root.step(w)
 	if root == wv.root {
 		return wv
 	}
@@ -183,56 +270,69 @@ func (wv *WhereView) ApplyDeletionWorkers(T []relation.SourceTuple, workers int)
 		}
 		view = view.DeleteVersion(dead, &wv.met.vm)
 	}
-	return &WhereView{View: view, root: root, in: wv.in, met: wv.met}
+	if len(d.added) > 0 {
+		view = view.InsertVersion(tuplesOf(d.added), &wv.met.vm)
+	}
+	counts := wv.reach.derive(reachDelta(&d, wv.setsOf))
+	return &WhereView{View: view, root: root, in: wv.in, reach: counts, met: wv.met}
 }
 
-// applyDel propagates a source deletion through this node: children first,
-// then the node maps their deltas to candidate output entries, recomputes
-// each candidate from the children's new generation, and derives its own
-// ann map. Returns the receiver untouched (and an empty delta) when the
-// deletion cannot reach this subtree.
+// step propagates one write through this node: children first, then the
+// node maps their deltas to candidate output entries (images), recomputes
+// each candidate, and derives its own generation. Returns the receiver
+// untouched (and an empty delta) when the write cannot reach this subtree.
 //
-// par is the intra-view worker budget (nil = serial): two-child nodes
+// w.par is the intra-view worker budget (nil = serial): two-child nodes
 // recurse into their subtrees concurrently, and the candidate recomputes
 // of project/join/union nodes — the fan-out-heavy passes — partition by
-// key hash into per-index slots, gathered serially. Scan and
-// select/rename passes stay inline: their per-entry work is one overlay
-// probe, below any sensible partitioning threshold. Reads against the
-// children's new generations and the static build-time maps are safe
-// concurrently (immutable after construction); the touched counter is
-// atomic.
+// key hash into per-index slots, gathered serially in sorted key order.
+// Scan and select/rename passes stay inline: their per-entry work is one
+// overlay probe, below any sensible partitioning threshold. Reads against
+// published generations are safe concurrently, the interner takes its own
+// lock, and the touched counter is atomic.
 //
 // propview:deterministic
-func (n *annNode) applyDel(byRel map[string][]relation.Tuple, met *whereMetrics, par *parallel.Budget) (*annNode, delta) {
+func (n *annNode) step(w *write) (*annNode, delta) {
 	switch n.kind {
 	case nodeScan:
-		ts := byRel[n.relName]
+		ts := w.byRel[n.relName]
 		if len(ts) == 0 {
 			return n, delta{}
 		}
 		var d delta
-		var dead map[string]struct{}
+		set := make(map[string]annEntry)
+		dead := make(map[string]struct{})
 		for _, t := range ts {
 			k := t.Key()
-			met.touched.Add(1)
-			if e, ok := n.ann.Get(k); ok {
+			w.met.touch()
+			e, ok := n.ann.Get(k)
+			if _, dup := dead[k]; dup {
+				continue
+			}
+			if _, dup := set[k]; dup {
+				continue
+			}
+			switch {
+			case !w.ins && ok:
 				d.died = append(d.died, e)
-				if dead == nil {
-					dead = make(map[string]struct{}, len(ts))
-				}
 				dead[k] = struct{}{}
+			case w.ins && !ok:
+				e = annEntry{t: t, sets: w.in.scanSets(n.relName, t, k, n.attrs)}
+				d.added = append(d.added, e)
+				set[k] = e
 			}
 		}
-		if d.empty() {
+		if len(set) == 0 && len(dead) == 0 {
 			return n, delta{}
 		}
-		return n.derive(nil, nil, dead, &d, met), d
+		return n.derive(nil, set, dead, w.met), d
 
 	case nodeSelect, nodeRename:
 		// Both share the child's tuples and sets: an output entry dies
 		// exactly when the child entry died (it passed the filter /
-		// carried through the renaming), and set changes pass through.
-		nk, kd := n.kids[0].applyDel(byRel, met, par)
+		// carried through the renaming), set changes pass through, and an
+		// added child entry is added when it passes the filter.
+		nk, kd := n.kids[0].step(w)
 		if nk == n.kids[0] {
 			return n, delta{}
 		}
@@ -240,149 +340,123 @@ func (n *annNode) applyDel(byRel map[string][]relation.Tuple, met *whereMetrics,
 		set := make(map[string]annEntry)
 		dead := make(map[string]struct{})
 		for _, e := range kd.died {
-			met.touched.Add(1)
+			w.met.touch()
 			if old, ok := n.ann.Get(e.t.Key()); ok {
 				d.died = append(d.died, old)
 				dead[e.t.Key()] = struct{}{}
 			}
 		}
 		for _, e := range kd.changed {
-			met.touched.Add(1)
-			if _, ok := n.ann.Get(e.t.Key()); ok {
+			w.met.touch()
+			if n.ann.Has(e.t.Key()) {
 				d.changed = append(d.changed, e)
 				set[e.t.Key()] = e
 			}
 		}
-		return n.derive([]*annNode{nk}, set, dead, &d, met), d
+		for _, e := range kd.added {
+			w.met.touch()
+			if n.kind == nodeRename || n.cond.Holds(n.csch, e.t) {
+				d.added = append(d.added, e)
+				set[e.t.Key()] = e
+			}
+		}
+		return n.derive([]*annNode{nk}, set, dead, w.met), d
 
 	case nodeProject:
-		nk, kd := n.kids[0].applyDel(byRel, met, par)
+		nk, kd := n.kids[0].step(w)
 		if nk == n.kids[0] {
 			return n, delta{}
 		}
-		// Candidates: the images of every died or changed pre-image.
-		cands := make(map[string]struct{}, len(kd.died)+len(kd.changed))
-		for _, e := range kd.died {
-			cands[e.t.Project(n.positions).Key()] = struct{}{}
-		}
-		for _, e := range kd.changed {
-			cands[e.t.Project(n.positions).Key()] = struct{}{}
-		}
-		keys := make([]string, 0, len(cands))
-		for k := range cands {
-			keys = append(keys, k)
-		}
-		// Sorted for the same reason as candSlices: the serial gather below
-		// appends died/changed in keys order.
-		sort.Strings(keys)
-		// Recomputing one candidate reads only the child's new generation
-		// and the static pre-image lists: independent per candidate, so
-		// each index writes its own slot and the set/dead assembly gathers
-		// serially below.
-		slots := make([]projSlot, len(keys))
-		par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
-			k := keys[i]
-			old, ok := n.ann.Get(k)
-			if !ok {
-				return
+		keys, outs := candSlices(n.images(0, kd.all(), nil))
+		slots := make([]slot, len(keys))
+		node := *n
+		node.kids = []*annNode{nk}
+		if w.ins {
+			// Sets only grow: a candidate's new sets are its old sets ∪
+			// the contributions of its added or changed pre-images.
+			contrib := make(map[string][]annEntry, len(keys))
+			for _, es := range [][]annEntry{kd.changed, kd.added} {
+				for _, e := range es {
+					k := n.imageKey(e.t)
+					contrib[k] = append(contrib[k], e)
+				}
 			}
-			met.touched.Add(1)
-			sets := make([]locSet, len(n.positions))
-			live := false
-			for _, ck := range n.preimages[k] {
-				met.touched.Add(1)
-				ce, ok := nk.ann.Get(ck)
+			w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+				w.met.touch()
+				old, ok := n.ann.Get(keys[i])
+				sets := make([]locSet, len(n.positions))
+				copy(sets, old.sets)
+				for _, ce := range contrib[keys[i]] {
+					w.met.touch()
+					for j, p := range n.positions {
+						sets[j] = sets[j].union(ce.sets[p])
+					}
+				}
+				slots[i] = settle(old, ok, annEntry{t: outs[i], sets: sets}, true)
+			})
+			node.pre = overlay.BucketsAdd(n.pre, tuplesOf(kd.added), n.imageKey, &w.met.om)
+		} else {
+			// Recomputing one candidate reads only the child's new
+			// generation and the pre-image chains: the live pre-images'
+			// sets merge into the candidate's new sets.
+			w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+				old, ok := n.ann.Get(keys[i])
 				if !ok {
-					continue // pre-image dead (this commit or an earlier one)
+					return
 				}
-				live = true
-				for j, p := range n.positions {
-					sets[j] = sets[j].union(ce.sets[p])
-				}
-			}
-			switch {
-			case !live:
-				slots[i] = projSlot{e: old, died: true}
-			case !setsEq(old.sets, sets):
-				slots[i] = projSlot{e: annEntry{t: old.t, sets: sets}, changed: true}
-			}
-		})
-		var d delta
-		set := make(map[string]annEntry)
-		dead := make(map[string]struct{})
-		for i, k := range keys {
-			s := slots[i]
-			switch {
-			case s.died:
-				d.died = append(d.died, s.e)
-				dead[k] = struct{}{}
-			case s.changed:
-				d.changed = append(d.changed, s.e)
-				set[k] = s.e
-			}
+				w.met.touch()
+				sets := make([]locSet, len(n.positions))
+				live := false
+				bv, _ := n.pre.Get(keys[i])
+				bv.EachLive(nk.ann.Has, func(ct relation.Tuple) bool {
+					w.met.touch()
+					ce, _ := nk.ann.Get(ct.Key())
+					live = true
+					for j, p := range n.positions {
+						sets[j] = sets[j].union(ce.sets[p])
+					}
+					return true
+				})
+				slots[i] = settle(old, ok, annEntry{t: old.t, sets: sets}, live)
+			})
+			node.pre = overlay.BucketsRemove(n.pre, tuplesOf(kd.died), n.imageKey, nk.ann.Has, &w.met.om)
 		}
-		return n.derive([]*annNode{nk}, set, dead, &d, met), d
+		d, set, dead := gatherSlots(keys, slots)
+		return node.derive(nil, set, dead, w.met), d
 
 	case nodeJoin:
-		nl, ld, nr, rd := n.applyDelKids(byRel, met, par)
+		nl, ld, nr, rd := n.stepKids(w)
 		if nl == n.kids[0] && nr == n.kids[1] {
 			return n, delta{}
 		}
 		// Candidates: every output tuple pairing a delta entry of one side
-		// with a pre-commit-live partner of the other. Partner liveness is
-		// probed against the OLD opposite generation — a partner dying in
-		// this same commit still paired before it, and its output tuples
-		// must be re-examined (they die), not silently skipped. Each delta
-		// entry's probe writes its own slot of output tuples; the dedup
-		// into cands gathers serially (candidate state is order-free — the
-		// map below is iterated in whatever order either way).
-		cands := make(map[string]relation.Tuple, len(ld.died)+len(rd.died))
-		addSide := func(es []annEntry, mySchema relation.Schema, oppBuck map[string][]relation.Tuple, opp *annNode, leftSide bool) {
-			outs := make([][]relation.Tuple, len(es))
-			par.ForKeyed(len(es), parDeltaMin, func(i int) string { return es[i].t.Key() }, func(i int) {
-				e := es[i]
-				jk := relation.ProjectAttrs(mySchema, e.t, n.common).Key()
-				var o []relation.Tuple
-				for _, pt := range oppBuck[jk] {
-					met.touched.Add(1)
-					if !opp.ann.Has(pt.Key()) {
-						continue
-					}
-					if leftSide {
-						o = append(o, n.joined(e.t, pt))
-					} else {
-						o = append(o, n.joined(pt, e.t))
-					}
-				}
-				outs[i] = o
-			})
-			for _, ts := range outs {
-				for _, t := range ts {
-					cands[t.Key()] = t
-				}
-			}
+		// with a live partner of the other. A deletion probes the OLD
+		// generation — a partner dying in this same step still paired
+		// before it, and its output tuples must be re-examined (they die),
+		// not silently skipped. An insertion probes the NEW one, buckets
+		// extended first, so added×added pairs are found too.
+		probe := n
+		if w.ins {
+			grown := *n
+			grown.kids = []*annNode{nl, nr}
+			grown.lbuck = overlay.BucketsAdd(n.lbuck, tuplesOf(ld.added), n.leftKey, &w.met.om)
+			grown.rbuck = overlay.BucketsAdd(n.rbuck, tuplesOf(rd.added), n.rightKey, &w.met.om)
+			probe = &grown
 		}
-		addSide(ld.died, n.ls, n.rbuck, n.kids[1], true)
-		addSide(ld.changed, n.ls, n.rbuck, n.kids[1], true)
-		addSide(rd.died, n.rs, n.lbuck, n.kids[0], false)
-		addSide(rd.changed, n.rs, n.lbuck, n.kids[0], false)
-		keys, outs := candSlices(cands)
-		slots := make([]projSlot, len(keys))
-		par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
-			k, out := keys[i], outs[i]
-			old, ok := n.ann.Get(k)
-			if !ok {
-				return
-			}
-			met.touched.Add(1)
+		imgs := probe.images(0, ld.all(), w)
+		imgs = append(imgs, probe.images(1, rd.all(), w)...)
+		keys, outs := candSlices(imgs)
+		slots := make([]slot, len(keys))
+		w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+			w.met.touch()
+			old, ok := n.ann.Get(keys[i])
 			// The (left, right) pair is recoverable from the output tuple:
 			// the left operand is the prefix, the right re-projects.
-			lt := out[:n.ls.Len()]
-			rt := out.Project(n.rpos)
-			le, lok := nl.ann.Get(lt.Key())
-			re, rok := nr.ann.Get(rt.Key())
+			out := outs[i]
+			le, lok := nl.ann.Get(out[:n.ls.Len()].Key())
+			re, rok := nr.ann.Get(out.Project(n.rpos).Key())
 			if !lok || !rok {
-				slots[i] = projSlot{e: old, died: true}
+				slots[i] = settle(old, ok, annEntry{}, false)
 				return
 			}
 			sets := make([]locSet, len(n.mapping))
@@ -396,51 +470,38 @@ func (n *annNode) applyDel(byRel map[string][]relation.Tuple, met *whereMetrics,
 				}
 				sets[j] = s
 			}
-			if !setsEq(old.sets, sets) {
-				slots[i] = projSlot{e: annEntry{t: old.t, sets: sets}, changed: true}
-			}
+			slots[i] = settle(old, ok, annEntry{t: out, sets: sets}, true)
 		})
+		node := *probe
+		node.kids = []*annNode{nl, nr}
+		if !w.ins {
+			// Dead operand tuples leave the bucket indexes (lazily, with
+			// amortized compaction against the operands' new generations)
+			// so future probes stay proportional to the live fan-out.
+			node.lbuck = overlay.BucketsRemove(n.lbuck, tuplesOf(ld.died), n.leftKey, nl.ann.Has, &w.met.om)
+			node.rbuck = overlay.BucketsRemove(n.rbuck, tuplesOf(rd.died), n.rightKey, nr.ann.Has, &w.met.om)
+		}
 		d, set, dead := gatherSlots(keys, slots)
-		return n.derive([]*annNode{nl, nr}, set, dead, &d, met), d
+		return node.derive(nil, set, dead, w.met), d
 
 	case nodeUnion:
-		nl, ld, nr, rd := n.applyDelKids(byRel, met, par)
+		nl, ld, nr, rd := n.stepKids(w)
 		if nl == n.kids[0] && nr == n.kids[1] {
 			return n, delta{}
 		}
-		cands := make(map[string]relation.Tuple, len(ld.died)+len(rd.died))
-		for _, e := range ld.died {
-			cands[e.t.Key()] = e.t
-		}
-		for _, e := range ld.changed {
-			cands[e.t.Key()] = e.t
-		}
-		for _, e := range rd.died {
-			a := e.t.Project(n.positions)
-			cands[a.Key()] = a
-		}
-		for _, e := range rd.changed {
-			a := e.t.Project(n.positions)
-			cands[a.Key()] = a
-		}
-		keys, outs := candSlices(cands)
-		slots := make([]projSlot, len(keys))
-		par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+		imgs := n.images(0, ld.all(), nil)
+		imgs = append(imgs, n.images(1, rd.all(), nil)...)
+		keys, outs := candSlices(imgs)
+		slots := make([]slot, len(keys))
+		w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+			w.met.touch()
 			k, out := keys[i], outs[i]
 			old, ok := n.ann.Get(k)
-			if !ok {
-				return
-			}
-			met.touched.Add(1)
 			le, lok := nl.ann.Get(k)
 			// The alignment is a permutation, so the right pre-image is
 			// the inverse projection of the output tuple.
 			re, rok := nr.ann.Get(out.Project(n.inv).Key())
-			if !lok && !rok {
-				slots[i] = projSlot{e: old, died: true}
-				return
-			}
-			sets := make([]locSet, len(old.sets))
+			sets := make([]locSet, len(n.positions))
 			for j := range sets {
 				var s locSet
 				if lok {
@@ -451,41 +512,158 @@ func (n *annNode) applyDel(byRel map[string][]relation.Tuple, met *whereMetrics,
 				}
 				sets[j] = s
 			}
-			if !setsEq(old.sets, sets) {
-				slots[i] = projSlot{e: annEntry{t: old.t, sets: sets}, changed: true}
-			}
+			slots[i] = settle(old, ok, annEntry{t: out, sets: sets}, lok || rok)
 		})
 		d, set, dead := gatherSlots(keys, slots)
-		return n.derive([]*annNode{nl, nr}, set, dead, &d, met), d
+		return n.derive([]*annNode{nl, nr}, set, dead, w.met), d
 	}
 	return n, delta{}
 }
 
-// projSlot is one candidate's recompute outcome in a partitioned pass:
-// died (e is the old entry), changed (e is the new one), or neither.
-type projSlot struct {
-	e       annEntry
-	died    bool
-	changed bool
-}
-
-// candSlices materializes a candidate map into parallel key/tuple slices
-// so a partitioned pass can index it; candidate state is order-free, so
-// the map's iteration order is as good as any.
+// images maps entries of child side to the output tuples of this node
+// they can reach — the candidate step shared by maintenance (step) and
+// by Affected's walk up the tree (reachUp). A join probes the opposite
+// side's bucket index, walking the partners live in the opposite child;
+// a deletion probes the pre-step node, an insertion a copy whose buckets
+// and children already include the step's additions. The result may
+// repeat a tuple; callers deduplicate.
+//
+// With a write, each probe runs in the write's budget and writes its own
+// slot, gathered serially in entry order, and probes count as touched.
 //
 // propview:deterministic
-func candSlices(cands map[string]relation.Tuple) ([]string, []relation.Tuple) {
-	// Sorted, not map order: the slots these keys index are gathered into
-	// the delta's died/changed lists positionally, so the key order here IS
-	// the delta order — a map range would make it vary run to run.
-	keys := make([]string, 0, len(cands))
-	for k := range cands {
+func (n *annNode) images(side int, es []annEntry, w *write) []relation.Tuple {
+	out := make([]relation.Tuple, 0, len(es))
+	switch n.kind {
+	case nodeSelect, nodeRename:
+		out = append(out, tuplesOf(es)...)
+	case nodeProject:
+		for _, e := range es {
+			out = append(out, n.image(e.t))
+		}
+	case nodeUnion:
+		for _, e := range es {
+			if side == 0 {
+				out = append(out, e.t)
+			} else {
+				out = append(out, n.image(e.t))
+			}
+		}
+	case nodeJoin:
+		var par *parallel.Budget
+		var met *whereMetrics
+		if w != nil {
+			par, met = w.par, w.met
+		}
+		probes := make([][]relation.Tuple, len(es))
+		par.ForKeyed(len(es), parDeltaMin, func(i int) string { return es[i].t.Key() }, func(i int) {
+			t := es[i].t
+			var found []relation.Tuple
+			if side == 0 {
+				bv, _ := n.rbuck.Get(n.leftKey(t))
+				bv.EachLive(n.kids[1].ann.Has, func(pt relation.Tuple) bool {
+					met.touch()
+					found = append(found, n.joined(t, pt))
+					return true
+				})
+			} else {
+				bv, _ := n.lbuck.Get(n.rightKey(t))
+				bv.EachLive(n.kids[0].ann.Has, func(pt relation.Tuple) bool {
+					met.touch()
+					found = append(found, n.joined(pt, t))
+					return true
+				})
+			}
+			probes[i] = found
+		})
+		for _, ts := range probes {
+			out = append(out, ts...)
+		}
+	}
+	return out
+}
+
+// reachUp returns this node's entries whose where-sets hold id, the
+// location of one field of source tuple t of relation rel: the scans of
+// rel hold t's entry, and every other node keeps the images of its
+// children's hits that still hold id. The walk touches t's fan-out
+// through the operators only.
+func (n *annNode) reachUp(rel string, t relation.Tuple, id int32) []annEntry {
+	var cands []relation.Tuple
+	if n.kind == nodeScan {
+		if n.relName == rel {
+			cands = []relation.Tuple{t}
+		}
+	} else {
+		for side, kid := range n.kids {
+			if kh := kid.reachUp(rel, t, id); len(kh) > 0 {
+				cands = append(cands, n.images(side, kh, nil)...)
+			}
+		}
+	}
+	var hits []annEntry
+	var seen map[string]bool
+	for _, u := range cands {
+		k := u.Key()
+		if len(cands) > 1 {
+			if seen[k] {
+				continue
+			}
+			if seen == nil {
+				seen = make(map[string]bool, len(cands))
+			}
+			seen[k] = true
+		}
+		if e, ok := n.ann.Get(k); ok && e.holds(id) {
+			hits = append(hits, e)
+		}
+	}
+	return hits
+}
+
+// slot is one candidate's recompute outcome in a partitioned pass: died
+// (e is the old entry), changed or added (e is the new one), or none.
+type slot struct {
+	e                    annEntry
+	died, changed, added bool
+}
+
+// settle classifies a recomputed candidate: old/had is its entry before
+// the step, cur/live its recomputed entry (live false when no derivation
+// survives).
+func settle(old annEntry, had bool, cur annEntry, live bool) slot {
+	switch {
+	case had && !live:
+		return slot{e: old, died: true}
+	case !had && live:
+		return slot{e: cur, added: true}
+	case had && !setsEq(old.sets, cur.sets):
+		return slot{e: annEntry{t: old.t, sets: cur.sets}, changed: true}
+	}
+	return slot{}
+}
+
+// candSlices deduplicates candidate output tuples into parallel key/tuple
+// slices a partitioned pass can index.
+//
+// propview:deterministic
+func candSlices(ts []relation.Tuple) ([]string, []relation.Tuple) {
+	// Sorted, not first-seen or map order: the slots these keys index are
+	// gathered into the delta's lists positionally, so the key order here
+	// IS the delta order — and it must not depend on how the probes that
+	// produced the candidates were partitioned.
+	byKey := make(map[string]relation.Tuple, len(ts))
+	for _, t := range ts {
+		byKey[t.Key()] = t
+	}
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	outs := make([]relation.Tuple, len(keys))
 	for i, k := range keys {
-		outs[i] = cands[k]
+		outs[i] = byKey[k]
 	}
 	return keys, outs
 }
@@ -494,7 +672,7 @@ func candSlices(cands map[string]relation.Tuple) ([]string, []relation.Tuple) {
 // delta and overlay derivation inputs, serially.
 //
 // propview:deterministic
-func gatherSlots(keys []string, slots []projSlot) (delta, map[string]annEntry, map[string]struct{}) {
+func gatherSlots(keys []string, slots []slot) (delta, map[string]annEntry, map[string]struct{}) {
 	var d delta
 	set := make(map[string]annEntry)
 	dead := make(map[string]struct{})
@@ -507,24 +685,27 @@ func gatherSlots(keys []string, slots []projSlot) (delta, map[string]annEntry, m
 		case s.changed:
 			d.changed = append(d.changed, s.e)
 			set[k] = s.e
+		case s.added:
+			d.added = append(d.added, s.e)
+			set[k] = s.e
 		}
 	}
 	return d, set, dead
 }
 
-// applyDelKids recurses into a two-child node's subtrees — concurrently
-// with a budget (the sibling-subtree axis; Budget.For is the join
-// barrier), inline without one.
+// stepKids recurses into a two-child node's subtrees — concurrently with a
+// budget (the sibling-subtree axis; Budget.For is the join barrier),
+// inline without one.
 //
 // propview:deterministic
-func (n *annNode) applyDelKids(byRel map[string][]relation.Tuple, met *whereMetrics, par *parallel.Budget) (nl *annNode, ld delta, nr *annNode, rd delta) {
+func (n *annNode) stepKids(w *write) (nl *annNode, ld delta, nr *annNode, rd delta) {
 	var nodes [2]*annNode
 	var deltas [2]delta
 	run := func(i int) {
-		nodes[i], deltas[i] = n.kids[i].applyDel(byRel, met, par)
+		nodes[i], deltas[i] = n.kids[i].step(w)
 	}
-	if par != nil {
-		par.For(2, run)
+	if w.par != nil {
+		w.par.For(2, run)
 	} else {
 		run(0)
 		run(1)
@@ -533,10 +714,10 @@ func (n *annNode) applyDelKids(byRel map[string][]relation.Tuple, met *whereMetr
 }
 
 // derive publishes this node's next generation: same statics, new kids
-// (when given) and the ann overlay derived with the step's delta. Empty
-// maps fall through to overlay.Map.Derive's no-op path, so a node whose
-// entries all survived unchanged still re-links its updated children.
-func (n *annNode) derive(kids []*annNode, set map[string]annEntry, dead map[string]struct{}, d *delta, met *whereMetrics) *annNode {
+// (when given) and the ann overlay derived with the step's entry changes.
+// Empty maps skip the derive, so a node whose entries all survived
+// unchanged still re-links its updated children.
+func (n *annNode) derive(kids []*annNode, set map[string]annEntry, dead map[string]struct{}, met *whereMetrics) *annNode {
 	node := *n
 	if kids != nil {
 		node.kids = kids

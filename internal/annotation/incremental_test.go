@@ -22,7 +22,7 @@ func whereFingerprint(wv *WhereView) string {
 		for pos, set := range sets {
 			keys := make([]string, len(set))
 			for i, id := range set {
-				keys[i] = wv.in.locs[id].Key()
+				keys[i] = wv.in.loc(id).Key()
 			}
 			sort.Strings(keys)
 			lines = append(lines, fmt.Sprintf("%s.%s={%s}", t.Key(), attrs[pos], strings.Join(keys, ",")))

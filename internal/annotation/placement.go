@@ -56,7 +56,9 @@ func PlaceOn(wv *WhereView, t relation.Tuple, attr relation.Attribute) (*Placeme
 	return placeOn(wv, t, attr)
 }
 
-// placeOn runs the candidate scan on a precomputed where-provenance view.
+// placeOn compares the target's candidates by their reach counts — one
+// O(1) read per candidate, the counts carried by the index generation —
+// and expands only the winner into its Affected set.
 func placeOn(wv *WhereView, t relation.Tuple, attr relation.Attribute) (*Placement, error) {
 	if !wv.View.Contains(t) {
 		return nil, fmt.Errorf("%w: tuple %v not in view", ErrNoPlacement, t)
@@ -65,21 +67,11 @@ func placeOn(wv *WhereView, t relation.Tuple, attr relation.Attribute) (*Placeme
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("%w: view location (%v, %s)", ErrNoPlacement, t, attr)
 	}
-	// One pass over the view counts, for every source location id, how
-	// many view locations it reaches; candidates then compare by count.
-	counts := make(map[int32]int, len(wv.in.locs))
-	for _, tu := range wv.View.Tuples() {
-		for _, set := range wv.setsOf(tu.Key()) {
-			for _, id := range set {
-				counts[id]++
-			}
-		}
-	}
 	best := candidates[0]
 	bestCount := -1
 	for _, cand := range candidates {
 		id, _ := wv.in.lookup(cand)
-		c := counts[id]
+		c := int(wv.reach.get(id))
 		if bestCount < 0 || c < bestCount || (c == bestCount && cand.Less(best)) {
 			best, bestCount = cand, c
 		}
@@ -107,15 +99,6 @@ func PlaceAll(q algebra.Query, db *relation.Database) ([]CellPlacement, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Shared counts: how many view locations each source location reaches.
-	counts := make(map[int32]int, len(wv.in.locs))
-	for _, tu := range wv.View.Tuples() {
-		for _, set := range wv.setsOf(tu.Key()) {
-			for _, id := range set {
-				counts[id]++
-			}
-		}
-	}
 	attrs := wv.View.Schema().Attrs()
 	var out []CellPlacement
 	for _, tu := range wv.View.Tuples() {
@@ -124,11 +107,11 @@ func PlaceAll(q algebra.Query, db *relation.Database) ([]CellPlacement, error) {
 			if len(set) == 0 {
 				continue
 			}
-			best := wv.in.locs[set[0]]
-			bestCount := counts[set[0]]
+			best := wv.in.loc(set[0])
+			bestCount := int(wv.reach.get(set[0]))
 			for _, id := range set[1:] {
-				if c := counts[id]; c < bestCount || (c == bestCount && wv.in.locs[id].Less(best)) {
-					best, bestCount = wv.in.locs[id], c
+				if c, l := int(wv.reach.get(id)), wv.in.loc(id); c < bestCount || (c == bestCount && l.Less(best)) {
+					best, bestCount = l, c
 				}
 			}
 			out = append(out, CellPlacement{

@@ -22,6 +22,7 @@ package annotation
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/overlay"
@@ -75,36 +76,115 @@ func (s locSet) union(t locSet) locSet {
 	return out
 }
 
-// interner assigns dense ids to source locations.
+// interner assigns dense ids to source locations, the attributes of one
+// source tuple getting consecutive ids. One interner serves every
+// generation of an index and only ever appends: an id, once given, names
+// the same location for the life of the chain — a deleted and restored
+// tuple gets its old ids back — so where-sets and reach counts stay
+// comparable across generations. The lock lets concurrent maintenance
+// passes intern at once: sibling scans of one pass, or two catch-ups
+// replaying from the same base generation.
 type interner struct {
-	ids  map[string]int32
-	locs []relation.Location
+	mu sync.Mutex
+	// rels maps a relation name to its interned tuples.
+	// guarded-by: mu
+	rels map[string]*internedRel
+	// tuples lists the interned tuples in interning order.
+	// guarded-by: mu
+	tuples []internedTuple
+	// owner maps a location id to its tuple's index in tuples.
+	// guarded-by: mu
+	owner []int32
 }
 
-func newInterner() *interner { return &interner{ids: make(map[string]int32)} }
+// internedRel is one source relation's part of an interner.
+type internedRel struct {
+	name  string
+	attrs []relation.Attribute
+	byKey map[string]int32 // tuple key → index in interner.tuples
+}
 
-func (in *interner) id(l relation.Location) int32 {
-	k := l.Key()
-	if id, ok := in.ids[k]; ok {
-		return id
+// internedTuple is one source tuple whose locations have ids first,
+// first+1, … in attribute order.
+type internedTuple struct {
+	rel   *internedRel
+	t     relation.Tuple
+	first int32
+}
+
+func newInterner() *interner { return &interner{rels: make(map[string]*internedRel)} }
+
+// scanSets interns the locations of source tuple t of relation rel (tk is
+// t's key), one per attribute, and returns them as the tuple's
+// per-position singleton where-sets.
+func (in *interner) scanSets(rel string, t relation.Tuple, tk string, attrs []relation.Attribute) []locSet {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	r := in.rels[rel]
+	if r == nil {
+		r = &internedRel{name: rel, attrs: attrs, byKey: make(map[string]int32)}
+		in.rels[rel] = r
 	}
-	id := int32(len(in.locs))
-	in.ids[k] = id
-	in.locs = append(in.locs, l)
-	return id
+	var first int32
+	if ti, ok := r.byKey[tk]; ok {
+		first = in.tuples[ti].first
+	} else {
+		first = int32(len(in.owner))
+		r.byKey[tk] = int32(len(in.tuples))
+		for range attrs {
+			in.owner = append(in.owner, int32(len(in.tuples)))
+		}
+		in.tuples = append(in.tuples, internedTuple{rel: r, t: t, first: first})
+	}
+	ids := make([]int32, len(attrs))
+	sets := make([]locSet, len(attrs))
+	for i := range attrs {
+		ids[i] = first + int32(i)
+		sets[i] = ids[i : i+1 : i+1]
+	}
+	return sets
 }
 
 func (in *interner) lookup(l relation.Location) (int32, bool) {
-	id, ok := in.ids[l.Key()]
-	return id, ok
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	r := in.rels[l.Rel]
+	if r == nil {
+		return 0, false
+	}
+	ti, ok := r.byKey[l.Tuple.Key()]
+	if !ok {
+		return 0, false
+	}
+	for i, a := range r.attrs {
+		if a == l.Attr {
+			return in.tuples[ti].first + int32(i), true
+		}
+	}
+	return 0, false
+}
+
+// loc returns the location with the given id.
+func (in *interner) loc(id int32) relation.Location {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	it := in.tuples[in.owner[id]]
+	return relation.Loc(it.rel.name, it.t, it.rel.attrs[id-it.first])
+}
+
+// size returns the number of locations interned so far.
+func (in *interner) size() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.owner)
 }
 
 // WhereView is a view evaluated with where-provenance: every (tuple,
 // attribute) position carries the set of source locations that propagate
 // to it under the forward rules. The view keeps the full annotated
-// operator tree it was computed from, so a source deletion derives the
-// next generation of the index incrementally (ApplyDeletion) instead of
-// forcing a recomputation.
+// operator tree it was computed from, so a source deletion or insertion
+// derives the next generation of the index incrementally (ApplyDeletion,
+// ApplyInsertion) instead of forcing a recomputation.
 type WhereView struct {
 	// View is Q(S), named algebra.DefaultViewName.
 	View *relation.Relation
@@ -112,7 +192,10 @@ type WhereView struct {
 	// tuple keys to per-position source location sets.
 	root *annNode
 	in   *interner
-	met  *whereMetrics
+	// reach holds, per interned location id, the number of view locations
+	// its annotation reaches — the side-effect count placement compares.
+	reach *reach
+	met   *whereMetrics
 }
 
 // setsOf returns the per-position where sets of the view tuple with key k,
@@ -135,12 +218,24 @@ func ComputeWhere(q algebra.Query, db *relation.Database) (*WhereView, error) {
 	if err != nil {
 		return nil, err
 	}
-	view := relation.New(algebra.DefaultViewName, ar.rel.Schema())
+	// The view shares its tuples with the root's entries, in evaluation
+	// order.
+	rows := make([]relation.Tuple, 0, ar.rel.Len())
 	ar.rel.Each(func(t relation.Tuple) bool {
-		view.Insert(t)
+		rows = append(rows, ar.get(t).t)
 		return true
 	})
-	return &WhereView{View: view.Seal(), root: ar.node, in: in, met: &whereMetrics{}}, nil
+	counts := make([]int32, in.size())
+	ar.node.ann.Each(func(_ string, e annEntry) bool {
+		for _, set := range e.sets {
+			for _, id := range set {
+				counts[id]++
+			}
+		}
+		return true
+	})
+	view := relation.Adopt(algebra.DefaultViewName, ar.rel.Schema(), rows)
+	return &WhereView{View: view, root: ar.node, in: in, reach: newReach(counts), met: &whereMetrics{}}, nil
 }
 
 // WhereOf returns the source locations whose annotation propagates to view
@@ -158,7 +253,7 @@ func (wv *WhereView) WhereOf(t relation.Tuple, attr relation.Attribute) []relati
 	set := sets[pos]
 	out := make([]relation.Location, len(set))
 	for i, id := range set {
-		out[i] = wv.in.locs[id]
+		out[i] = wv.in.loc(id)
 	}
 	return out
 }
@@ -183,7 +278,9 @@ func (wv *WhereView) PropagatesTo(src relation.Location, t relation.Tuple, attr 
 
 // Affected returns every view location annotated by placing an annotation
 // at source location src — the forward image of src, including the target
-// itself when it propagates.
+// itself when it propagates — inserted in location order. It follows src's
+// tuple up the retained operator tree (reachUp), so the cost is the
+// tuple's fan-out through the operators, not the size of the view.
 func (wv *WhereView) Affected(src relation.Location) *relation.LocationSet {
 	out := relation.NewLocationSet()
 	id, ok := wv.in.lookup(src)
@@ -191,12 +288,17 @@ func (wv *WhereView) Affected(src relation.Location) *relation.LocationSet {
 		return out
 	}
 	attrs := wv.View.Schema().Attrs()
-	for _, t := range wv.View.Tuples() {
-		for pos, set := range wv.setsOf(t.Key()) {
+	var locs []relation.Location
+	for _, e := range wv.root.reachUp(src.Rel, src.Tuple, id) {
+		for pos, set := range e.sets {
 			if set.has(id) {
-				out.Add(relation.Loc(wv.View.Name(), t, attrs[pos]))
+				locs = append(locs, relation.Loc(wv.View.Name(), e.t, attrs[pos]))
 			}
 		}
+	}
+	relation.SortLocations(locs)
+	for _, l := range locs {
+		out.Add(l)
 	}
 	return out
 }
@@ -204,19 +306,10 @@ func (wv *WhereView) Affected(src relation.Location) *relation.LocationSet {
 // SourceLocations returns every source location that reaches at least one
 // view location (the union of all where-sets), in interning order.
 func (wv *WhereView) SourceLocations() []relation.Location {
-	seen := make([]bool, len(wv.in.locs))
-	wv.root.ann.Each(func(_ string, e annEntry) bool {
-		for _, set := range e.sets {
-			for _, id := range set {
-				seen[id] = true
-			}
-		}
-		return true
-	})
 	var out []relation.Location
-	for i, ok := range seen {
-		if ok {
-			out = append(out, wv.in.locs[i])
+	for id, n := 0, wv.in.size(); id < n; id++ {
+		if wv.reach.get(int32(id)) > 0 {
+			out = append(out, wv.in.loc(int32(id)))
 		}
 	}
 	return out
@@ -245,14 +338,11 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 		attrs := base.Schema().Attrs()
 		m := make(map[string]annEntry, base.Len())
 		base.Each(func(t relation.Tuple) bool {
-			sets := make([]locSet, len(attrs))
-			for i, a := range attrs {
-				sets[i] = locSet{in.id(relation.Loc(q.Rel, t, a))}
-			}
-			m[t.Key()] = annEntry{t: t, sets: sets}
+			k := t.Key()
+			m[k] = annEntry{t: t, sets: in.scanSets(q.Rel, t, k, attrs)}
 			return true
 		})
-		node := &annNode{kind: nodeScan, relName: q.Rel, ann: overlay.NewMap(m)}
+		node := &annNode{kind: nodeScan, relName: q.Rel, attrs: attrs, ann: overlay.NewMap(m)}
 		return &annRel{rel: base, node: node}, nil
 
 	case algebra.Select:
@@ -269,7 +359,8 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 			}
 			return true
 		})
-		node := &annNode{kind: nodeSelect, kids: []*annNode{child.node}, ann: overlay.NewMap(m)}
+		node := &annNode{kind: nodeSelect, kids: []*annNode{child.node}, ann: overlay.NewMap(m),
+			cond: q.Cond, csch: child.rel.Schema()}
 		return &annRel{rel: rel, node: node}, nil
 
 	case algebra.Project:
@@ -287,7 +378,7 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 		}
 		rel := relation.New("π", schema)
 		m := make(map[string]annEntry)
-		pre := make(map[string][]string)
+		pre := make(map[string][]relation.Tuple)
 		child.rel.Each(func(t relation.Tuple) bool {
 			pt := t.Project(positions)
 			rel.Insert(pt)
@@ -298,16 +389,16 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 			}
 			// Projection merges all pre-images: every child tuple with
 			// t'.B = t contributes its sets (rule 2).
-			childSets := child.get(t).sets
+			ce := child.get(t)
 			for i, p := range positions {
-				e.sets[i] = e.sets[i].union(childSets[p])
+				e.sets[i] = e.sets[i].union(ce.sets[p])
 			}
 			m[k] = e
-			pre[k] = append(pre[k], t.Key())
+			pre[k] = append(pre[k], ce.t)
 			return true
 		})
 		node := &annNode{kind: nodeProject, kids: []*annNode{child.node},
-			ann: overlay.NewMap(m), positions: positions, preimages: pre}
+			ann: overlay.NewMap(m), positions: positions, pre: overlay.NewBuckets(pre)}
 		return &annRel{rel: rel, node: node}, nil
 
 	case algebra.Join:
@@ -323,16 +414,21 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 		outSchema := ls.Join(rs)
 		rel := relation.New("⋈", outSchema)
 		common := ls.Common(rs)
+		lkey, rkey := make([]int, len(common)), make([]int, len(common))
+		for i, a := range common {
+			lkey[i], _ = ls.Index(a)
+			rkey[i], _ = rs.Index(a)
+		}
 		lbuck := make(map[string][]relation.Tuple)
 		left.rel.Each(func(lt relation.Tuple) bool {
-			k := relation.ProjectAttrs(ls, lt, common).Key()
+			k := lt.Project(lkey).Key()
 			//lint:ignore eachretain join buckets alias the immutable annotated snapshot and are only probed, never written through
 			lbuck[k] = append(lbuck[k], lt)
 			return true
 		})
 		rbuck := make(map[string][]relation.Tuple)
 		right.rel.Each(func(rt relation.Tuple) bool {
-			k := relation.ProjectAttrs(rs, rt, common).Key()
+			k := rt.Project(rkey).Key()
 			//lint:ignore eachretain join buckets alias the immutable annotated snapshot and are only probed, never written through
 			rbuck[k] = append(rbuck[k], rt)
 			return true
@@ -366,11 +462,11 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 			}
 		}
 		node := &annNode{kind: nodeJoin, kids: []*annNode{left.node, right.node},
-			ls: ls, rs: rs, common: common, ronly: ronly,
-			lbuck: lbuck, rbuck: rbuck, mapping: mapping, rpos: rpos}
+			ls: ls, ronly: ronly, lkey: lkey, rkey: rkey,
+			lbuck: overlay.NewBuckets(lbuck), rbuck: overlay.NewBuckets(rbuck), mapping: mapping, rpos: rpos}
 		m := make(map[string]annEntry)
 		left.rel.Each(func(lt relation.Tuple) bool {
-			k := relation.ProjectAttrs(ls, lt, common).Key()
+			k := lt.Project(lkey).Key()
 			lsets := left.get(lt).sets
 			for _, rt := range rbuck[k] {
 				rsets := right.get(rt).sets
@@ -405,12 +501,12 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 		}
 		rel := relation.New("∪", left.rel.Schema())
 		m := make(map[string]annEntry)
+		// A left entry is shared as is until a right tuple merges into it;
+		// the alignment is a permutation, so that happens at most once per
+		// key, and the merge copies the sets first.
 		left.rel.Each(func(t relation.Tuple) bool {
 			rel.Insert(t)
-			le := left.get(t)
-			sets := make([]locSet, len(le.sets))
-			copy(sets, le.sets)
-			m[t.Key()] = annEntry{t: t, sets: sets}
+			m[t.Key()] = left.get(t)
 			return true
 		})
 		attrs := left.rel.Schema().Attrs()
@@ -428,13 +524,16 @@ func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, err
 			rsets := right.get(t).sets
 			k := aligned.Key()
 			e, ok := m[k]
-			if !ok {
-				e = annEntry{t: aligned, sets: make([]locSet, len(attrs))}
+			sets := make([]locSet, len(attrs))
+			if ok {
+				copy(sets, e.sets)
+			} else {
+				e.t = aligned
 			}
 			for i, p := range positions {
-				e.sets[i] = e.sets[i].union(rsets[p])
+				sets[i] = sets[i].union(rsets[p])
 			}
-			m[k] = e
+			m[k] = annEntry{t: e.t, sets: sets}
 			return true
 		})
 		node := &annNode{kind: nodeUnion, kids: []*annNode{left.node, right.node},
@@ -491,7 +590,7 @@ func PropagationRelation(q algebra.Query, db *relation.Database) ([][2]relation.
 		for pos, set := range sets {
 			vloc := relation.Loc(wv.View.Name(), t, attrs[pos])
 			for _, id := range set {
-				out = append(out, [2]relation.Location{wv.in.locs[id], vloc})
+				out = append(out, [2]relation.Location{wv.in.loc(id), vloc})
 			}
 		}
 	}

@@ -194,7 +194,7 @@ func (s *Store) Materialize(q algebra.Query, db *relation.Database) (*AnnotatedV
 		for pos, set := range sets {
 			var anns []Annotation
 			for _, id := range set {
-				srcLoc := wv.in.locs[id]
+				srcLoc := wv.in.loc(id)
 				for _, aid := range s.byLoc[srcLoc.Key()] {
 					anns = append(anns, s.byID[aid])
 				}

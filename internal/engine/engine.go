@@ -4,9 +4,10 @@
 //
 // Prepare runs the algebra layer once per view — validation, Theorem 3.1
 // normalization, join-order optimization — then materializes the view and
-// computes the witness basis (why-provenance) and the where-provenance
-// index. Query, Witnesses, Delete, DeleteGroup, Insert and Annotate
-// requests are answered from that cached state:
+// computes the witness basis (why-provenance); the where-provenance index
+// follows on the view's first Annotate. Query, Witnesses, Delete,
+// DeleteGroup, Insert and Annotate requests are answered from that cached
+// state:
 //
 //   - deletions solve on the cached basis (internal/deletion's *Basis
 //     solvers) and maintain the materialized view and basis of every
@@ -20,15 +21,22 @@
 //     exactly the derivations using inserted tuples — so a curated
 //     database can grow, and can undo a propagated deletion by restoring
 //     exactly the deleted tuples, without a restart-and-re-Prepare;
-//   - annotation placement scans the cached where-provenance index. A
-//     deletion commit maintains the index incrementally: a source deletion
-//     can shrink the where-set of a *surviving* view tuple (e.g. when a
-//     projection pre-image dies with its join partner), so the index
-//     retains its annotated operator tree and ApplyDeletion propagates the
-//     delta through it in O(|Δ|) at commit time. An insert commit drops
-//     the index — insertion can widen surviving where-sets beyond what the
-//     retained tree covers — and it is rebuilt lazily on the first
-//     Annotate after the insert.
+//   - annotation placement answers from the where-provenance index, built
+//     lazily and then caught up, never rebuilt per write. A write can
+//     shrink or widen the where-set of a *surviving* view tuple (e.g. when
+//     a projection pre-image dies with its join partner), so the index
+//     retains its annotated operator tree and WhereView.ApplyDeletion /
+//     ApplyInsertion propagate a write through it in O(|Δ|). Commits leave
+//     the index alone: a snapshot holds either a built index or a
+//     catch-up log — an older generation's index plus the ordered writes
+//     since — and the first Annotate on the generation replays the log,
+//     off the commit lock. Once the pending tuples outnumber the base
+//     index's view rows the log is dropped and that Annotate rebuilds the
+//     index from scratch instead. Each index generation carries per-
+//     location reach counts, so placement compares its candidates in O(1)
+//     each and walks only the winner's forward image (see Annotate);
+//     ViewStats.WhereReady reports whether an Annotate on the current
+//     generation runs no full computation.
 //
 // Concurrency: readers are lock-free on immutable snapshots.
 // Writes — deletions and insertions — flow through a batching/coalescing
@@ -93,10 +101,18 @@ type snapshot struct {
 	db   *relation.Database // source generation this snapshot reflects
 	prov *provenance.Result // materialized view + witness basis
 
-	whereOnce  sync.Once
-	whereBuilt atomic.Bool           // guarded-by: atomic
-	where      *annotation.WhereView // guarded-by: whereOnce
-	whereErr   error                 // guarded-by: whereOnce
+	whereOnce sync.Once
+	// where is the built index, stored once whereOnce has computed or
+	// caught it up — or before publication, when a commit disjoint from
+	// the view carries its predecessor's index over.
+	// guarded-by: atomic
+	where atomic.Pointer[annotation.WhereView]
+	// whereLog is how an index not built yet will be caught up; nil means
+	// the first Annotate computes it from scratch. Cleared once where is
+	// stored, so a caught-up generation does not keep its base alive.
+	// guarded-by: atomic
+	whereLog atomic.Pointer[whereLog]
+	whereErr error // guarded-by: whereOnce
 
 	// sorted caches the lexicographically ordered view rows, built lazily
 	// per published snapshot; QueryPage slices it, so a page costs
@@ -107,6 +123,24 @@ type snapshot struct {
 	// (nextSnapshot). An atomic pointer rather than a Once so the carry
 	// can read a live snapshot's cache without racing its builders.
 	sorted atomic.Pointer[[]relation.Tuple] // guarded-by: atomic
+}
+
+// whereLog is an index of an older generation of the view plus the writes
+// committed since, which replayed in order give this generation's index.
+type whereLog struct {
+	base *annotation.WhereView
+	last *whereWrite
+}
+
+// whereWrite is one committed write a where index has yet to replay: a
+// deletion's T or an insertion's novel tuples. Writes link newest-first,
+// so a commit extends a snapshot's pending log in O(1).
+type whereWrite struct {
+	prev *whereWrite
+	ins  bool
+	T    []relation.SourceTuple
+	// n is the number of tuples pending up to and including this write.
+	n int
 }
 
 // sortedView returns the snapshot's lexicographically sorted rows,
@@ -123,54 +157,115 @@ func (s *snapshot) sortedView() []relation.Tuple {
 }
 
 // nextSnapshot wraps a view's maintenance result for the new source
-// generation. When the write left the result untouched — ApplyDeletion /
-// ApplyInsertion returned the receiver because the write was disjoint
-// from the view's base relations — the caches that remain valid carry
-// over instead of being recomputed per commit: the sorted page rows
-// (unchanged view) and the where-provenance index (a function of plan +
-// base relations the write did not touch). A changed result starts
-// cold, exactly as before.
-func nextSnapshot(old *snapshot, newDB *relation.Database, prov *provenance.Result) *snapshot {
+// generation; ins and T are the committed write. When the write left the
+// result untouched — ApplyDeletion / ApplyInsertion returned the receiver
+// because the write was disjoint from the view — every cache carries over
+// as is: the sorted page rows and the where index, built or pending. A
+// changed result starts its sorted rows cold, and its where index pending:
+// the old generation's index (or its base) plus the write, replayed on
+// the next Annotate. Once the pending tuples outnumber the base view's
+// rows, replaying would cost about as much as a rebuild, so the base is
+// dropped and the next Annotate computes the index from scratch.
+func nextSnapshot(old *snapshot, newDB *relation.Database, prov *provenance.Result, ins bool, T []relation.SourceTuple) *snapshot {
 	s := &snapshot{db: newDB, prov: prov}
-	if prov != old.prov {
+	// The log is read before the index: a concurrent catch-up of old
+	// stores the index before it clears the log, so one of the two is
+	// seen.
+	lg := old.whereLog.Load()
+	wv := old.where.Load()
+	if prov == old.prov {
+		if p := old.sorted.Load(); p != nil {
+			s.sorted.Store(p)
+		}
+		if wv != nil {
+			s.where.Store(wv)
+		} else {
+			s.whereLog.Store(lg)
+		}
 		return s
 	}
-	if p := old.sorted.Load(); p != nil {
-		s.sorted.Store(p)
+	var next whereLog
+	switch {
+	case wv != nil:
+		next.base = wv
+	case lg != nil:
+		next = *lg
+	default:
+		return s
 	}
-	if old.whereBuilt.Load() {
-		// whereBuilt is set after the index is written (inside the old
-		// snapshot's Once), so the read here is ordered; firing the new
-		// snapshot's Once before publication makes whereView return the
-		// carried index without recomputing.
-		//lint:ignore lockguard old.whereBuilt.Load() orders the read of old.where (set-after-write inside old's Once)
-		s.where = old.where
-		s.whereBuilt.Store(true)
-		s.whereOnce.Do(func() {})
+	n := len(T)
+	if next.last != nil {
+		n += next.last.n
 	}
+	if n > next.base.View.Len() {
+		return s
+	}
+	next.last = &whereWrite{prev: next.last, ins: ins, T: T, n: n}
+	s.whereLog.Store(&next)
 	return s
 }
 
 // computeWhere builds a where-provenance index; a package variable so
-// engine tests can inject index-computation failures (the error paths are
-// otherwise unreachable for a plan that already passed Prepare).
+// engine tests can count full computations and inject failures (the error
+// paths are otherwise unreachable for a plan that already passed Prepare).
 var computeWhere = annotation.ComputeWhere
 
-// whereView returns the where-provenance index, computing it at most once
-// per generation. The first Annotate after an insert commit (or on a view
-// whose index was never built) pays one evaluation; deletion commits
-// maintain the index incrementally at commit time (see apply), and
-// subsequent calls on the same generation are free. A computation error is
-// cached like a result: it is surfaced on every Annotate against this
-// generation but never blocks Prepare or the deletion path.
-func (s *snapshot) whereView(plan algebra.Query) (*annotation.WhereView, error) {
+// computeProvenance evaluates a view with its witness basis; a package
+// variable so engine tests can stall or race the off-lock part of Prepare.
+var computeProvenance = provenance.ComputeLimited
+
+// whereView returns the where-provenance index of this generation,
+// producing it at most once: a carried or already produced index is
+// returned as is; otherwise the first caller replays the pending writes
+// onto the base index at the given intra-view width, or — with no base —
+// computes the index from scratch. Either way it runs off the commit
+// lock. A computation error is cached like a result: it is surfaced on
+// every Annotate against this generation but never blocks Prepare or the
+// write path.
+func (s *snapshot) whereView(plan algebra.Query, workers int) (*annotation.WhereView, error) {
+	if wv := s.where.Load(); wv != nil {
+		return wv, nil
+	}
 	s.whereOnce.Do(func() {
-		s.where, s.whereErr = computeWhere(plan, s.db)
-		if s.whereErr == nil {
-			s.whereBuilt.Store(true)
+		lg := s.whereLog.Load()
+		if lg == nil {
+			wv, err := computeWhere(plan, s.db)
+			if err != nil {
+				s.whereErr = err
+				return
+			}
+			s.where.Store(wv)
+			return
 		}
+		var writes []*whereWrite
+		for w := lg.last; w != nil; w = w.prev {
+			writes = append(writes, w)
+		}
+		wv := lg.base
+		for i := len(writes) - 1; i >= 0; i-- {
+			if writes[i].ins {
+				wv = wv.ApplyInsertionWorkers(writes[i].T, workers)
+			} else {
+				wv = wv.ApplyDeletionWorkers(writes[i].T, workers)
+			}
+		}
+		s.where.Store(wv)
+		s.whereLog.Store(nil)
 	})
-	return s.where, s.whereErr
+	if wv := s.where.Load(); wv != nil {
+		return wv, nil
+	}
+	return nil, s.whereErr
+}
+
+// whereReady reports whether an Annotate on this generation runs no full
+// index computation: the index is built, or a base to catch up from is
+// pending.
+func (s *snapshot) whereReady() bool {
+	// The log first, as in nextSnapshot: a catch-up stores the index
+	// before it clears the log, so readiness never flickers off.
+	lg := s.whereLog.Load()
+	return s.where.Load() != nil || lg != nil
 }
 
 // prepared is one registered view: its plan (fixed at Prepare time) and the
@@ -244,12 +339,12 @@ func New(db *relation.Database, opts ...Options) *Engine {
 // Prepare registers q under name: the query is validated, normalized
 // (Theorem 3.1 — propagation-preserving, so cached provenance answers match
 // the original query), join-order optimized, evaluated, and its witness
-// basis and where-provenance index are computed and cached. The where
-// index is computed eagerly (a second evaluation) so the first Annotate is
-// as cheap as the rest; deletion-only deployments that mind the prepare
-// cost can still serve — the index is rebuilt lazily on post-deletion
-// generations. Preparing the same (name, query) pair again is a no-op;
-// reusing a name for a different query returns ErrConflict.
+// basis is computed and cached. The where-provenance index is not: the
+// view's first Annotate computes it, and from then on every Annotate only
+// replays the writes committed since the index's generation (see
+// Annotate), so a view that is never annotated never pays for or holds an
+// index. Preparing the same (name, query) pair again is a no-op; reusing a
+// name for a different query returns ErrConflict.
 func (e *Engine) Prepare(name string, q algebra.Query) error {
 	return e.PrepareLimited(name, q, provenance.Limit{})
 }
@@ -264,8 +359,8 @@ const maxPrepareRetries = 3
 // is enforced here and re-enforced by Insert's incremental maintenance, so
 // every later write stays within it too.
 //
-// The expensive work — evaluation, witness-basis computation, the eager
-// where-index — runs WITHOUT the commit lock, against a captured source
+// The expensive work — evaluation and witness-basis computation — runs
+// WITHOUT the commit lock, against a captured source
 // generation; concurrent deletes and inserts commit freely underneath an
 // in-flight prepare instead of stalling behind it. Registration then takes
 // the commit lock and revalidates the captured generation: if a commit
@@ -284,7 +379,7 @@ func (e *Engine) PrepareLimited(name string, q algebra.Query, lim provenance.Lim
 			return nil, nil, err
 		}
 		plan := algebra.OptimizeJoins(algebra.Normalize(q), db)
-		prov, err := provenance.ComputeLimited(plan, db, lim)
+		prov, err := computeProvenance(plan, db, lim)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -292,14 +387,7 @@ func (e *Engine) PrepareLimited(name string, q algebra.Query, lim provenance.Lim
 		p.cls.view = algebra.Classify(q, algebra.ProblemViewSideEffect)
 		p.cls.source = algebra.Classify(q, algebra.ProblemSourceSideEffect)
 		p.cls.ann = algebra.Classify(q, algebra.ProblemAnnotationPlacement)
-		snap := &snapshot{db: db, prov: prov}
-		// The where index is computed eagerly so the first Annotate is as
-		// cheap as the rest, but a failure here must not fail the Prepare:
-		// the deletion path never needs the index, and the package doc
-		// promises deletion-only deployments still serve. The error is
-		// cached in the snapshot and surfaced on Annotate.
-		snap.whereView(plan)
-		return p, snap, nil
+		return p, &snapshot{db: db, prov: prov}, nil
 	}
 
 	for attempt := 0; ; attempt++ {
@@ -392,8 +480,8 @@ func (e *Engine) Views() []string {
 	return out
 }
 
-// Describe returns metadata about one prepared view. Unlike Stats it does
-// not walk witness lists (WitnessCount stays zero), and unlike Query it
+// Describe returns metadata about one prepared view. Unlike Stats it
+// leaves WitnessCount and Tree zero, and unlike Query it
 // does not count toward the served-query statistics — it is the cheap
 // accessor for servers composing responses.
 //
@@ -417,7 +505,7 @@ func (e *Engine) Describe(name string) (ViewStats, error) {
 		Fragment:   p.frag,
 		ViewSize:   snap.prov.View.Len(),
 		Generation: gen,
-		WhereReady: snap.whereBuilt.Load(),
+		WhereReady: snap.whereReady(),
 	}, nil
 }
 
@@ -662,20 +750,7 @@ func (e *Engine) apply(T []relation.SourceTuple, reqs int) {
 		// ApplyDeletionTo adopts newDB's relation versions at the scan
 		// nodes, so the tree and the store share one version chain per
 		// relation instead of deriving parallel ones.
-		next[i] = nextSnapshot(old, newDB, old.prov.ApplyDeletionWorkers(newDB, T, intra))
-		if s := next[i]; !s.whereBuilt.Load() && old.whereBuilt.Load() {
-			// The old generation had a built where index and the commit is
-			// a pure deletion: derive the new index from it in O(|Δ|)
-			// (annotation.WhereView.ApplyDeletion) instead of leaving the
-			// snapshot cold and paying a full recomputation on the next
-			// Annotate. Insert commits still start cold — insertion can
-			// widen surviving where-sets past what the retained tree's
-			// static maps cover.
-			//lint:ignore lockguard s is pre-publication (no reader sees it until snap.Store below); old.whereBuilt.Load() orders the read of old.where
-			s.where = old.where.ApplyDeletionWorkers(T, intra)
-			s.whereBuilt.Store(true)
-			s.whereOnce.Do(func() {})
-		}
+		next[i] = nextSnapshot(old, newDB, old.prov.ApplyDeletionWorkers(newDB, T, intra), false, T)
 		e.nMaint.Add(1)
 	})
 
@@ -690,14 +765,20 @@ func (e *Engine) apply(T []relation.SourceTuple, reqs int) {
 }
 
 // Annotate places an annotation on view location (target, attr) with
-// minimal side-effects, scanning the cached where-provenance index.
+// minimal side-effects, from the view's where-provenance index. The first
+// Annotate on a view computes the index; after that, the first Annotate on
+// each later generation catches the index up by replaying the writes
+// committed since (annotation.WhereView.ApplyDeletion / ApplyInsertion),
+// off the commit lock and at the intra-view width a single view gets, so
+// it pays for what changed rather than for the view. Placement then reads
+// the candidates' reach counts and walks only the winner's forward image.
 func (e *Engine) Annotate(name string, target relation.Tuple, attr relation.Attribute) (*core.AnnotateReport, error) {
 	p, err := e.lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	snap := p.snap.Load()
-	wv, err := snap.whereView(p.plan)
+	wv, err := snap.whereView(p.plan, e.opt.intraWorkers(1))
 	if err != nil {
 		return nil, err
 	}
@@ -759,8 +840,11 @@ type ViewStats struct {
 	// Generation counts the write requests (deletions and insertions)
 	// maintained through.
 	Generation int64 `json:"generation"`
-	// WhereReady reports whether the where-provenance index is built for
-	// the current generation.
+	// WhereReady reports whether an Annotate on the current generation
+	// runs no full where-index computation: the index is built, or an
+	// older generation's index is pending catch-up. False until the view's
+	// first Annotate, and after a write log long enough that a rebuild is
+	// due.
 	WhereReady bool `json:"where_ready"`
 	// Tree summarizes the view's provenance-tree store: node count and
 	// overlay shape of the current generation plus the lifetime
@@ -846,8 +930,9 @@ type Stats struct {
 
 // Stats assembles the current counters and per-view summaries. Like
 // Describe, each view's snapshot and generation are captured as a pair
-// under the read lock; the witness walk happens afterwards, off-lock, on
-// the captured immutable snapshots.
+// under the read lock. The cost is O(views): each view's witness total is
+// carried by its maintained basis (provenance.Result.WitnessCount), not
+// counted by walking the view.
 func (e *Engine) Stats() Stats {
 	type viewCapture struct {
 		p    *prepared
@@ -885,18 +970,14 @@ func (e *Engine) Stats() Stats {
 		MaintenanceWorkers:      e.opt.intraWorkers(len(ps)),
 	}
 	for _, c := range ps {
-		wit := 0
-		for _, t := range c.snap.prov.View.Tuples() {
-			wit += len(c.snap.prov.Witnesses(t))
-		}
 		st.Views = append(st.Views, ViewStats{
 			Name:         c.p.name,
 			Query:        c.p.src,
 			Fragment:     c.p.frag,
 			ViewSize:     c.snap.prov.View.Len(),
-			WitnessCount: wit,
+			WitnessCount: c.snap.prov.WitnessCount(),
 			Generation:   c.gen,
-			WhereReady:   c.snap.whereBuilt.Load(),
+			WhereReady:   c.snap.whereReady(),
 			Tree:         c.snap.prov.TreeStats(),
 		})
 	}

@@ -473,7 +473,7 @@ func (e *Engine) insertGroup(reqs []*writeReq) error {
 			errs[i] = fmt.Errorf("engine: maintaining view %q: %w", ps[i].name, ierr)
 			return
 		}
-		next[i] = nextSnapshot(old, newDB, prov)
+		next[i] = nextSnapshot(old, newDB, prov, true, novel)
 	})
 	for _, ierr := range errs {
 		if ierr != nil {

@@ -7,37 +7,37 @@ import (
 	"time"
 
 	"repro/internal/algebra"
-	"repro/internal/annotation"
 	"repro/internal/core"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
 // A slow Prepare must not stall concurrent writes: the evaluation and the
-// eager where-index run off the commit lock, so a Delete commits freely
+// witness basis run off the commit lock, so a Delete commits freely
 // underneath. The prepare then detects the commit at registration time and
 // recomputes, registering a snapshot coherent with the post-delete source.
 //
-// The where-index hook stands in for any expensive prepare-time work: the
-// first computeWhere call (the in-flight slow prepare) blocks until the
-// test's delete has committed; the recompute's call passes through.
+// The provenance hook stands in for any expensive prepare-time work: the
+// first computeProvenance call (the in-flight slow prepare) blocks until
+// the test's delete has committed; the recompute's call passes through.
 func TestPrepareDoesNotBlockConcurrentDelete(t *testing.T) {
-	e := mustEngine(t) // prepares "access" with the real computeWhere
+	e := mustEngine(t) // prepares "access" with the real computeProvenance
 
-	orig := computeWhere
-	defer func() { computeWhere = orig }()
+	orig := computeProvenance
+	defer func() { computeProvenance = orig }()
 	var (
 		first   sync.Once
-		reached = make(chan struct{}) // slow prepare is inside computeWhere
+		reached = make(chan struct{}) // slow prepare is inside computeProvenance
 		release = make(chan struct{}) // lets the slow prepare continue
 	)
-	computeWhere = func(q algebra.Query, db *relation.Database) (*annotation.WhereView, error) {
+	computeProvenance = func(q algebra.Query, db *relation.Database, lim provenance.Limit) (*provenance.Result, error) {
 		blockMe := false
 		first.Do(func() { blockMe = true })
 		if blockMe {
 			close(reached)
 			<-release
 		}
-		return orig(q, db)
+		return orig(q, db, lim)
 	}
 
 	prepErr := make(chan error, 1)
@@ -94,16 +94,16 @@ func TestPrepareDoesNotBlockConcurrentDelete(t *testing.T) {
 
 // A prepare losing the revalidation race more than maxPrepareRetries times
 // must still terminate: the final attempt computes while holding the
-// commit lock. Simulated by committing a delete from inside the where-hook
-// (i.e., during every off-lock computation) until the retries run out.
+// commit lock. Simulated by committing a delete from inside the provenance
+// hook (i.e., during every off-lock computation) until the retries run out.
 func TestPrepareRetriesExhaustedStillRegisters(t *testing.T) {
 	e := mustEngine(t)
 
-	orig := computeWhere
-	defer func() { computeWhere = orig }()
+	orig := computeProvenance
+	defer func() { computeProvenance = orig }()
 	var mu sync.Mutex
 	races := 0
-	computeWhere = func(q algebra.Query, db *relation.Database) (*annotation.WhereView, error) {
+	computeProvenance = func(q algebra.Query, db *relation.Database, lim provenance.Limit) (*provenance.Result, error) {
 		// Commit a delete during each off-lock prepare computation, forcing
 		// the generation check to fail until the retries run out. The guard
 		// stops exactly before the final attempt, which the engine runs
@@ -122,7 +122,7 @@ func TestPrepareRetriesExhaustedStillRegisters(t *testing.T) {
 				}
 			}
 		}
-		return orig(q, db)
+		return orig(q, db, lim)
 	}
 
 	if err := e.PrepareText("groups", "project(user, group; UserGroup)"); err != nil {

@@ -191,6 +191,10 @@ func TestUntouchedViewCarriesCachesAcrossCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Build vs's where index, which is built lazily on the first Annotate.
+	if _, err := e.Annotate("vs", relation.StringTuple("x0", "y0"), "X"); err != nil {
+		t.Fatal(err)
+	}
 	// A write stream into R only: vs is provably unaffected each commit.
 	for i := 0; i < 3; i++ {
 		target := relation.StringTuple("a"+strconv.Itoa(i), "b"+strconv.Itoa(i))

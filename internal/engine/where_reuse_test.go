@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/annotation"
@@ -9,94 +12,202 @@ import (
 	"repro/internal/relation"
 )
 
-// TestWhereIndexReuseAcrossDeletes pins the overlay-aware reuse contract:
-// deletion commits derive the where-provenance index incrementally from
-// the previous generation, so Annotate after any number of deletes never
-// re-runs the full index computation — computeWhere fires exactly once,
-// at Prepare. An insert commit is the path that legitimately drops the
-// index and recomputes lazily.
-func TestWhereIndexReuseAcrossDeletes(t *testing.T) {
+// countWhere replaces computeWhere with a counting wrapper for the test's
+// duration.
+func countWhere(t *testing.T) *int {
+	t.Helper()
+	var mu sync.Mutex
 	calls := 0
 	orig := computeWhere
 	computeWhere = func(q algebra.Query, db *relation.Database) (*annotation.WhereView, error) {
+		mu.Lock()
 		calls++
+		mu.Unlock()
 		return orig(q, db)
 	}
-	defer func() { computeWhere = orig }()
+	t.Cleanup(func() { computeWhere = orig })
+	return &calls
+}
 
-	e := mustEngine(t)
-	if calls != 1 {
-		t.Fatalf("Prepare ran computeWhere %d times, want 1 (the eager build)", calls)
+// reuseEngine prepares the user/file access view over a source large
+// enough that a script of writes leaves it well populated.
+func reuseEngine(t *testing.T, opts Options) *Engine {
+	t.Helper()
+	db := relation.NewDatabase()
+	ug := relation.New("UserGroup", relation.NewSchema("user", "group"))
+	for u := 0; u < 12; u++ {
+		ug.InsertStrings(fmt.Sprintf("u%d", u), fmt.Sprintf("g%d", u%4))
+		ug.InsertStrings(fmt.Sprintf("u%d", u), fmt.Sprintf("g%d", (u+1)%4))
 	}
-	if _, err := e.Annotate("access", relation.StringTuple("john", "f1"), "file"); err != nil {
+	db.MustAdd(ug)
+	gf := relation.New("GroupFile", relation.NewSchema("group", "file"))
+	for f := 0; f < 8; f++ {
+		gf.InsertStrings(fmt.Sprintf("g%d", f%4), fmt.Sprintf("f%d", f))
+	}
+	db.MustAdd(gf)
+	e := New(db, opts)
+	if err := e.PrepareText("access", srcQuery); err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
 
-	// Two deletion commits: each must carry a maintained index forward.
-	for _, target := range []relation.Tuple{
-		relation.StringTuple("john", "f2"),
-		relation.StringTuple("mary", "f1"),
-	} {
-		if _, err := e.Delete("access", target, core.MinimizeViewSideEffects, core.DeleteOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		vs, err := e.Describe("access")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vs.WhereReady {
-			t.Fatalf("WhereReady false after deleting %v — the commit did not maintain the index", target)
-		}
+// checkPlacements compares the engine's placement of every view cell with
+// annotation.Place over the engine's current source — a from-scratch
+// where-provenance evaluation that bypasses the engine's index.
+func checkPlacements(t *testing.T, e *Engine, label string) {
+	t.Helper()
+	p, err := e.lookup("access")
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	view, err := e.Query("access")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.Len() == 0 {
-		t.Fatal("view emptied; targets chosen above should leave survivors")
+	db := e.Database()
+	for _, tu := range view.SortedTuples() {
+		for _, attr := range view.Schema().Attrs() {
+			got, err := e.Annotate("access", tu, attr)
+			if err != nil {
+				t.Fatalf("%s: Annotate(%v, %s): %v", label, tu, attr, err)
+			}
+			want, err := annotation.Place(p.plan, db, tu, attr)
+			if err != nil {
+				t.Fatalf("%s: Place(%v, %s): %v", label, tu, attr, err)
+			}
+			if got.Placement.Source.Key() != want.Source.Key() || got.Placement.SideEffects != want.SideEffects ||
+				!got.Placement.Affected.Equal(want.Affected) {
+				t.Fatalf("%s: engine places (%v, %s) at %v with %d side effects, fresh evaluation at %v with %d",
+					label, tu, attr, got.Placement.Source, got.Placement.SideEffects, want.Source, want.SideEffects)
+			}
+		}
 	}
-	rep, err := e.Annotate("access", view.Tuple(0), "file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("computeWhere ran %d times after delete commits, want still 1 — the index was rebuilt instead of maintained", calls)
-	}
+}
 
-	// The maintained index must answer exactly like a fresh engine built on
-	// the post-deletion source (same plan pipeline, cold index).
-	fresh := New(e.Database())
-	if err := fresh.PrepareText("access", srcQuery); err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Annotate("access", view.Tuple(0), "file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Placement.Source.Key() != want.Placement.Source.Key() ||
-		rep.Placement.SideEffects != want.Placement.SideEffects {
-		t.Fatalf("maintained index placed (%v, %d side-effects), fresh engine places (%v, %d)",
-			rep.Placement.Source, rep.Placement.SideEffects, want.Placement.Source, want.Placement.SideEffects)
-	}
-	callsAfterFresh := calls // the fresh engine's own eager build
-
-	// An insert commit drops the index (insertion can widen surviving
-	// where-sets); the next Annotate rebuilds lazily.
-	if _, err := e.Insert([]relation.SourceTuple{{Rel: "UserGroup", Tuple: relation.StringTuple("zoe", "staff")}}); err != nil {
-		t.Fatal(err)
-	}
+func whereReady(t *testing.T, e *Engine) bool {
+	t.Helper()
 	vs, err := e.Describe("access")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs.WhereReady {
-		t.Fatal("WhereReady true right after an insert commit — inserts must drop the index")
+	return vs.WhereReady
+}
+
+// TestWhereIndexReuseAcrossDeletes pins the lazy, catch-up design of the
+// where-provenance index: Prepare builds none, the view's first Annotate
+// computes it once, and from then on no mix of deletes, group deletes,
+// inserts and coalesced insert batches makes an Annotate compute it again
+// — each generation replays the writes since the last annotated one, and
+// its placements match a from-scratch evaluation. WhereReady is true on
+// every generation after the first Annotate.
+func TestWhereIndexReuseAcrossDeletes(t *testing.T) {
+	calls := countWhere(t)
+	e := reuseEngine(t, Options{MaxCoalesceWait: 100 * time.Millisecond})
+	if *calls != 0 {
+		t.Fatalf("Prepare ran computeWhere %d times, want 0 (the index is built lazily)", *calls)
 	}
-	if _, err := e.Annotate("access", relation.StringTuple("zoe", "f1"), "file"); err != nil {
+	if whereReady(t, e) {
+		t.Fatal("WhereReady true before the first Annotate")
+	}
+	checkPlacements(t, e, "first annotate")
+	if *calls != 1 {
+		t.Fatalf("first Annotates ran computeWhere %d times, want 1", *calls)
+	}
+
+	view, _ := e.Query("access")
+	rep, err := e.Delete("access", view.Tuple(0), core.MinimizeViewSideEffects, core.DeleteOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != callsAfterFresh+1 {
-		t.Fatalf("computeWhere ran %d times after the insert (was %d) — want exactly one lazy rebuild", calls, callsAfterFresh)
+	if !whereReady(t, e) {
+		t.Fatal("WhereReady false after a delete of an annotated view")
+	}
+	checkPlacements(t, e, "after delete")
+
+	view, _ = e.Query("access")
+	group, err := e.DeleteGroup("access", []relation.Tuple{view.Tuple(0), view.Tuple(view.Len() - 1)},
+		core.MinimizeSourceDeletions, core.DeleteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Restore the first delete, then insert fresh tuples in one coalesced
+	// batch of concurrent requests, with no Annotate in between.
+	if _, err := e.Insert(rep.Result.T); err != nil {
+		t.Fatal(err)
+	}
+	if !whereReady(t, e) {
+		t.Fatal("WhereReady false after an insert commit")
+	}
+	var wg sync.WaitGroup
+	fresh := []relation.SourceTuple{
+		{Rel: "UserGroup", Tuple: relation.StringTuple("zoe", "g1")},
+		{Rel: "UserGroup", Tuple: relation.StringTuple("u3", "g2")},
+		{Rel: "GroupFile", Tuple: relation.StringTuple("g2", "f9")},
+		group.Result.T[0],
+	}
+	errs := make([]error, len(fresh))
+	for i := range fresh {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = e.Insert([]relation.SourceTuple{fresh[i]})
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.CoalescedInserts == 0 {
+		t.Fatalf("no insert requests coalesced: %+v", st)
+	}
+	if !whereReady(t, e) {
+		t.Fatal("WhereReady false after a coalesced insert batch")
+	}
+	checkPlacements(t, e, "after deletes, inserts and a coalesced batch")
+	if *calls != 1 {
+		t.Fatalf("computeWhere ran %d times after the write mix, want still 1 — the index was rebuilt instead of caught up", *calls)
+	}
+}
+
+// TestWhereIndexRebuildsAfterLongLog pins the catch-up rule's other side:
+// once the writes pending on a view outnumber the rows of the index they
+// would be replayed onto, the generation drops its base — WhereReady goes
+// false — and the next Annotate computes the index from scratch, once.
+func TestWhereIndexRebuildsAfterLongLog(t *testing.T) {
+	calls := countWhere(t)
+	e := reuseEngine(t, Options{})
+	checkPlacements(t, e, "first annotate")
+	if *calls != 1 {
+		t.Fatalf("first Annotates ran computeWhere %d times, want 1", *calls)
+	}
+	view, _ := e.Query("access")
+	rows := view.Len()
+	pending := 0
+	for i := 0; whereReady(t, e); i++ {
+		if i > 4*rows {
+			t.Fatalf("WhereReady still true after %d pending tuples over a %d-row base", pending, rows)
+		}
+		cur, _ := e.Query("access")
+		rep, err := e.Delete("access", cur.Tuple(i%cur.Len()), core.MinimizeSourceDeletions, core.DeleteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Insert(rep.Result.T); err != nil {
+			t.Fatal(err)
+		}
+		pending += 2 * len(rep.Result.T)
+	}
+	if pending <= rows {
+		t.Fatalf("base dropped after %d pending tuples, want more than the base's %d rows", pending, rows)
+	}
+	if *calls != 1 {
+		t.Fatalf("computeWhere ran %d times before any further Annotate", *calls)
+	}
+	checkPlacements(t, e, "after the rebuild")
+	if *calls != 2 {
+		t.Fatalf("computeWhere ran %d times, want exactly one rebuild", *calls)
 	}
 }

@@ -107,6 +107,13 @@ func BucketBase(r *relation.Relation, key func(relation.Tuple) string) *Map[Buck
 		groups[k] = append(groups[k], t)
 		return true
 	})
+	return NewBuckets(groups)
+}
+
+// NewBuckets wraps already grouped partner tuples as the flat base of a
+// bucket index. The groups map and its slices are owned by the index
+// afterwards and must not be mutated.
+func NewBuckets(groups map[string][]relation.Tuple) *Map[BucketVal] {
 	base := make(map[string]BucketVal, len(groups))
 	for k, ts := range groups {
 		base[k] = BucketVal{chain: &Bucket{tuples: ts}, n: len(ts)}

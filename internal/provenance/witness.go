@@ -164,6 +164,9 @@ type Result struct {
 	// basis maps view tuple keys to minimal witnesses; it is the root
 	// node's witness store, shared by pointer.
 	basis *overlay.Map[[]Witness]
+	// witnesses is the total witness count over basis, counted once by
+	// Compute and adjusted from the root's delta by each maintenance pass.
+	witnesses int
 
 	// plan is the query this result was computed for and lim the basis cap
 	// it was computed under; both are carried through maintenance so
@@ -186,6 +189,33 @@ type Result struct {
 func (r *Result) Witnesses(t relation.Tuple) []Witness {
 	ws, _ := r.basis.Get(t.Key())
 	return ws
+}
+
+// WitnessCount returns the total number of minimal witnesses over every
+// view tuple. O(1): the count is carried along the generation chain.
+func (r *Result) WitnessCount() int { return r.witnesses }
+
+// witnessesAfter returns the witness total of a generation whose basis
+// next differs from r's only at the tuples in changed.
+func (r *Result) witnessesAfter(next *overlay.Map[[]Witness], changed []relation.Tuple) int {
+	n := r.witnesses
+	for _, t := range changed {
+		k := t.Key()
+		old, _ := r.basis.Get(k)
+		cur, _ := next.Get(k)
+		n += len(cur) - len(old)
+	}
+	return n
+}
+
+// countWitnesses totals a basis map, O(|basis|).
+func countWitnesses(basis *overlay.Map[[]Witness]) int {
+	n := 0
+	basis.Each(func(_ string, ws []Witness) bool {
+		n += len(ws)
+		return true
+	})
+	return n
 }
 
 // filterWitnesses keeps the witnesses not intersecting the deleted set.
@@ -441,7 +471,8 @@ func (r *Result) ApplyDeletionWorkers(newDB *relation.Database, T []relation.Sou
 		}
 		view = view.DeleteVersion(dead, &r.tm.relM)
 	}
-	return &Result{View: view, basis: ds.node.wit, plan: r.plan, lim: r.lim, tree: ds.node, tm: r.tm}
+	return &Result{View: view, basis: ds.node.wit, witnesses: r.witnessesAfter(ds.node.wit, ds.touched),
+		plan: r.plan, lim: r.lim, tree: ds.node, tm: r.tm}
 }
 
 // deleteWithoutTree is the treeless fallback: one filtering pass over the
@@ -474,7 +505,8 @@ func (r *Result) deleteWithoutTree(del *deletionSet) *Result {
 	if len(dead) > 0 {
 		view = view.DeleteVersion(dead, &tm.relM)
 	}
-	return &Result{View: view, basis: r.basis.Derive(changes, dead, &tm.mapM), plan: r.plan, lim: r.lim, tree: r.tree, tm: tm}
+	basis := r.basis.Derive(changes, dead, &tm.mapM)
+	return &Result{View: view, basis: basis, witnesses: countWitnesses(basis), plan: r.plan, lim: r.lim, tree: r.tree, tm: tm}
 }
 
 // delState is one node's deletion-maintenance outcome: the maintained node
@@ -799,7 +831,8 @@ func (r *Result) ApplyInsertionWorkers(newDB *relation.Database, I []relation.So
 	if len(dn.novel) > 0 {
 		view = view.InsertVersion(dn.novel, &r.tm.relM)
 	}
-	return &Result{View: view, basis: dn.node.wit, plan: r.plan, lim: r.lim, tree: dn.node, tm: r.tm}, nil
+	return &Result{View: view, basis: dn.node.wit, witnesses: r.witnessesAfter(dn.node.wit, dn.delta),
+		plan: r.plan, lim: r.lim, tree: dn.node, tm: r.tm}, nil
 }
 
 // deltaNode is one operator node's incremental update: the maintained node
@@ -1235,7 +1268,7 @@ func ComputeLimited(q algebra.Query, db *relation.Database, lim Limit) (*Result,
 		view.Insert(t)
 		return true
 	})
-	return &Result{View: view.Seal(), basis: wr.wit, plan: q, lim: lim, tree: wr, tm: &treeMetrics{}}, nil
+	return &Result{View: view.Seal(), basis: wr.wit, witnesses: countWitnesses(wr.wit), plan: q, lim: lim, tree: wr, tm: &treeMetrics{}}, nil
 }
 
 // evalNode is one operator of the evaluated plan: its output relation

@@ -67,6 +67,19 @@ func (r *Relation) Seal() *Relation {
 	return r
 }
 
+// Adopt builds a frozen relation over ts without copying the tuples, in
+// the given order — for a layer that already owns its output tuples and
+// publishes them as a relation. The tuples must be distinct and match the
+// schema's arity; the caller hands ts and its tuples over and must not
+// mutate them afterwards. O(|ts|).
+func Adopt(name string, schema Schema, ts []Tuple) *Relation {
+	index := make(map[string]int, len(ts))
+	for i, t := range ts {
+		index[t.Key()] = i
+	}
+	return (&Relation{name: name, schema: schema, tuples: ts, index: index}).Seal()
+}
+
 // thaw makes the relation a builder with private storage, detaching it
 // from the frozen store it read from. Called by the legacy mutators
 // before their first write.
