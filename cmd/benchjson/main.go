@@ -46,11 +46,11 @@ type Result struct {
 
 // MaintRecord is the distilled per-view maintenance cost of one
 // BenchmarkApplyDeletion* / BenchmarkApplyInsertion* result: the operation
-// kind, the worker count the run used (parsed from the -cpu suffix that a
-// `-cpu 1,2,4,8` sweep appends to the name; 1 when absent), and the two
-// metrics the maintenance perf criterion is judged on. CI diffs the
-// `maintenance` records across PRs to see the parallel scaling curve
-// without re-deriving it from the raw benchmark lines.
+// kind, the worker count the run used (parsed from the -N GOMAXPROCS
+// suffix go test appends to the name; 1 when absent), and the two metrics
+// the maintenance perf criterion is judged on. CI diffs the `maintenance`
+// records across PRs to follow maintenance cost without re-deriving it
+// from the raw benchmark lines.
 type MaintRecord struct {
 	Name        string  `json:"name"`
 	Package     string  `json:"package,omitempty"`

@@ -48,12 +48,11 @@ func main() {
 	fs := flag.NewFlagSet("propviewd", flag.ExitOnError)
 	dbPath := fs.String("db", "", "path to the text database file (required)")
 	addr := fs.String("addr", ":8080", "listen address")
-	writeWorkers := fs.Int("write-workers", 0, "worker pool for per-view incremental maintenance (0 = GOMAXPROCS)")
+	writeWorkers := fs.Int("write-workers", 0, "how many prepared views a commit maintains concurrently (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 0, "max targets coalesced into one group solve (0 = default 32, 1 disables coalescing)")
 	coalesceWait := fs.Duration("coalesce-wait", 0, "how long a write batch waits for more arrivals before committing (0 = commit immediately; batching then comes from contention)")
 	asyncQueue := fs.Int("async-queue", 64, "bounded queue for async /delete commits (0 disables async mode)")
 	segments := fs.Int("segments", 0, "store each relation as this many hash-partitioned segments so commits derive and compact in parallel (0 and 1 both mean the one-segment store)")
-	maintWorkers := fs.Int("maintenance-workers", 0, "intra-view maintenance width: workers fanning one view's provenance-tree and where-index delta across hash partitions (0 = auto-budget from write-workers, 1 = serial per view)")
 	var prepares prepareFlags
 	fs.Var(&prepares, "prepare", "view to prepare at boot, as name=QUERY (repeatable)")
 	fs.Parse(os.Args[1:])
@@ -76,11 +75,10 @@ func main() {
 		log.Fatalf("propviewd: %v", err)
 	}
 	e := engine.New(db, engine.Options{
-		Workers:            *writeWorkers,
-		MaxBatchSize:       *maxBatch,
-		MaxCoalesceWait:    *coalesceWait,
-		Segments:           *segments,
-		MaintenanceWorkers: *maintWorkers,
+		Workers:         *writeWorkers,
+		MaxBatchSize:    *maxBatch,
+		MaxCoalesceWait: *coalesceWait,
+		Segments:        *segments,
 	})
 	if *segments > 1 {
 		log.Printf("source store sharded into %d segments per relation", *segments)

@@ -82,8 +82,9 @@
 //
 //   - `propview:deterministic` (doc comment of a function or method):
 //     the function's observable results are a pure function of its
-//     inputs — the width-invariance contract of the parallel maintenance
-//     paths. Checked by maporder (no returned value whose element order
+//     inputs — the width-invariance contract of the fan-out paths (the
+//     segmented store's scatter, the engine's across-view maintenance)
+//     and the maintenance walks they run. Checked by maporder (no returned value whose element order
 //     derives from a range over a map, unless sorted or gathered into
 //     keyed slots first) and gatherorder (slot arrays are gathered
 //     serially in index order, and no clock/RNG root — time.Now,

@@ -1,12 +1,12 @@
 // Package parslot holds fan-out workers to the per-index-slot write
 // discipline: a closure passed to a propview:fanout function (parallel.For,
-// Budget.For, Budget.ForKeyed) runs once per index, concurrently with its
+// the engine's fanOut) runs once per index, concurrently with its
 // siblings, so the only captured state it may write is a slot positioned by
 // its own index (`slots[i] = ...`, `&slots[i]` through a helper) or state
 // behind a mutex it holds. Any other captured mutation — a plain captured
 // variable, a shared map, a helper whose effect summary mutates a captured
 // argument — is a cross-worker race that surfaces as width-dependent
-// output, exactly what the differential width tests can only catch
+// output, exactly what differential tests can only catch
 // probabilistically. The checking itself lives in summary.Order (it needs
 // the ordering summaries and the Mutates effect facts); this analyzer
 // reports the parslot slice of that result under its own name so

@@ -1,7 +1,7 @@
 // Ordering/effect summaries: the second analyzer of this package. Where
 // summary.Analyzer models locks and goroutine lifetimes, Order models
-// DETERMINISM — the properties that make the parallel maintenance paths
-// width-invariant:
+// DETERMINISM — the properties that make the fan-out paths (the segmented
+// store's scatter, the engine's across-view maintenance) width-invariant:
 //
 //   - Which results of a function are ordered by a Go map `range`
 //     (MapOrdered)? Map iteration order varies run to run, so such a value

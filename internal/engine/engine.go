@@ -217,12 +217,14 @@ var computeProvenance = provenance.ComputeLimited
 // whereView returns the where-provenance index of this generation,
 // producing it at most once: a carried or already produced index is
 // returned as is; otherwise the first caller replays the pending writes
-// onto the base index at the given intra-view width, or — with no base —
-// computes the index from scratch. Either way it runs off the commit
-// lock. A computation error is cached like a result: it is surfaced on
-// every Annotate against this generation but never blocks Prepare or the
-// write path.
-func (s *snapshot) whereView(plan algebra.Query, workers int) (*annotation.WhereView, error) {
+// onto the base index, or — with no base — computes the index from
+// scratch. Either way it runs off the commit lock. A caught-up index
+// whose interner has outgrown its live source locations (see
+// internerBloated) is replaced by a from-scratch computation. A
+// computation error is cached like a result: it is surfaced on every
+// Annotate against this generation but never blocks Prepare or the write
+// path.
+func (s *snapshot) whereView(plan algebra.Query) (*annotation.WhereView, error) {
 	if wv := s.where.Load(); wv != nil {
 		return wv, nil
 	}
@@ -244,9 +246,16 @@ func (s *snapshot) whereView(plan algebra.Query, workers int) (*annotation.Where
 		wv := lg.base
 		for i := len(writes) - 1; i >= 0; i-- {
 			if writes[i].ins {
-				wv = wv.ApplyInsertionWorkers(writes[i].T, workers)
+				wv = wv.ApplyInsertion(writes[i].T)
 			} else {
-				wv = wv.ApplyDeletionWorkers(writes[i].T, workers)
+				wv = wv.ApplyDeletion(writes[i].T)
+			}
+		}
+		if internerBloated(wv) {
+			// A failed rebuild keeps the caught-up index: it answers
+			// correctly, only with a larger interner.
+			if fresh, err := computeWhere(plan, s.db); err == nil {
+				wv = fresh
 			}
 		}
 		s.where.Store(wv)
@@ -256,6 +265,16 @@ func (s *snapshot) whereView(plan algebra.Query, workers int) (*annotation.Where
 		return wv, nil
 	}
 	return nil, s.whereErr
+}
+
+// internerBloated reports whether a where index's interner holds more than
+// twice the source locations its scans still hold. The interner only
+// appends (a restored tuple gets its old ids back), so an engine inserting
+// ever-new tuples would grow it without bound; a from-scratch index starts
+// at exactly the live locations, so a rebuild runs at most once per
+// live-location count of inserted locations.
+func internerBloated(wv *annotation.WhereView) bool {
+	return wv.InternedLocations() > 2*wv.LiveLocations()
 }
 
 // whereReady reports whether an Annotate on this generation runs no full
@@ -723,10 +742,11 @@ func (e *Engine) Insert(tuples []relation.SourceTuple) (*InsertReport, error) {
 
 // apply publishes a new source generation with T removed and incrementally
 // maintains every prepared view: the per-view ApplyDeletion passes are
-// independent, so they fan out across the bounded worker pool instead of
-// running serially. reqs is the number of coalesced delete requests this
-// commit carries; each view's generation counter advances by it, keeping
-// generation counts identical to applying the requests one at a time.
+// independent, so they fan out across up to Options.Workers views at
+// once instead of running serially. reqs is the number of coalesced delete
+// requests this commit carries; each view's generation counter advances by
+// it, keeping generation counts identical to applying the requests one at
+// a time.
 // Callers hold wmu.
 //
 // propview:publish
@@ -744,13 +764,12 @@ func (e *Engine) apply(T []relation.SourceTuple, reqs int) {
 
 	newDB := db.DeleteAll(T)
 	next := make([]*snapshot, len(ps))
-	intra := e.opt.intraWorkers(len(ps))
 	e.fanOut(len(ps), func(i int) {
 		old := ps[i].snap.Load()
 		// ApplyDeletionTo adopts newDB's relation versions at the scan
 		// nodes, so the tree and the store share one version chain per
 		// relation instead of deriving parallel ones.
-		next[i] = nextSnapshot(old, newDB, old.prov.ApplyDeletionWorkers(newDB, T, intra), false, T)
+		next[i] = nextSnapshot(old, newDB, old.prov.ApplyDeletionTo(newDB, T), false, T)
 		e.nMaint.Add(1)
 	})
 
@@ -769,16 +788,16 @@ func (e *Engine) apply(T []relation.SourceTuple, reqs int) {
 // Annotate on a view computes the index; after that, the first Annotate on
 // each later generation catches the index up by replaying the writes
 // committed since (annotation.WhereView.ApplyDeletion / ApplyInsertion),
-// off the commit lock and at the intra-view width a single view gets, so
-// it pays for what changed rather than for the view. Placement then reads
-// the candidates' reach counts and walks only the winner's forward image.
+// off the commit lock, so it pays for what changed rather than for the
+// view. Placement then reads the candidates' reach counts and walks only
+// the winner's forward image.
 func (e *Engine) Annotate(name string, target relation.Tuple, attr relation.Attribute) (*core.AnnotateReport, error) {
 	p, err := e.lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	snap := p.snap.Load()
-	wv, err := snap.whereView(p.plan, e.opt.intraWorkers(1))
+	wv, err := snap.whereView(p.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -921,10 +940,9 @@ type Stats struct {
 	// Store summarizes the versioned source store: current overlay shape
 	// plus lifetime sharing and compaction counters.
 	Store relation.StoreStats `json:"store"`
-	// MaintenanceWorkers is the intra-view maintenance width in effect for
-	// the current view count: the resolved Options.MaintenanceWorkers, or
-	// the auto budget (Workers divided across concurrently maintained
-	// views) when unset. 1 means per-view maintenance runs serially.
+	// MaintenanceWorkers is always 1: each view's maintenance pass is
+	// serial. Kept only for the benchmark driver (perfbench) until the
+	// next change allowed to edit it.
 	MaintenanceWorkers int `json:"maintenance_workers"`
 }
 
@@ -967,7 +985,7 @@ func (e *Engine) Stats() Stats {
 		CommitBatches:           e.nBatches.Load(),
 		CoalescedDeletes:        e.nCoalesced.Load(),
 		CoalescedInserts:        e.nCoalescedIns.Load(),
-		MaintenanceWorkers:      e.opt.intraWorkers(len(ps)),
+		MaintenanceWorkers:      1,
 	}
 	for _, c := range ps {
 		st.Views = append(st.Views, ViewStats{

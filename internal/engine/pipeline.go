@@ -49,14 +49,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deletion"
+	"repro/internal/parallel"
 	"repro/internal/relation"
 )
 
 // Options tunes the engine's write pipeline. The zero value selects the
 // defaults noted on each field.
 type Options struct {
-	// Workers bounds the worker pool that fans out per-view incremental
-	// maintenance during a commit. Default: runtime.GOMAXPROCS(0).
+	// Workers bounds how many prepared views a commit maintains at once;
+	// each view's own maintenance pass is serial. Default:
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// MaxBatchSize caps the total number of target tuples coalesced into
 	// one group solve. A single DeleteGroup larger than the cap is still
@@ -76,19 +78,6 @@ type Options struct {
 	// raising for large relations under write load; a good starting point
 	// is a few segments per core.
 	Segments int
-	// MaintenanceWorkers bounds the INTRA-view parallelism of each view's
-	// maintenance pass during a commit: sibling subtrees of the provenance
-	// tree derive concurrently and per-node candidate work partitions by
-	// key hash (provenance.Result.ApplyDeletionWorkers /
-	// ApplyInsertionWorkers, annotation.WhereView.ApplyDeletionWorkers).
-	// This is the second parallelism axis, orthogonal to Workers (which
-	// fans out ACROSS views). Zero (the default) auto-budgets: each view's
-	// pass gets Workers divided by the number of concurrently maintained
-	// views, at least 1, so across-view × intra-view never exceeds
-	// Workers. Set to 1 to force serial per-view maintenance (the pre-PR-9
-	// behavior); set above 1 to pin an explicit intra-view width
-	// regardless of view count.
-	MaintenanceWorkers int
 }
 
 // withDefaults fills unset fields.
@@ -103,30 +92,6 @@ func (o Options) withDefaults() Options {
 		o.MaxCoalesceWait = 0
 	}
 	return o
-}
-
-// intraWorkers is the per-view maintenance width for a commit touching the
-// given number of views. With MaintenanceWorkers unset it divides the
-// across-view pool evenly: fanOut runs min(views, Workers) views at once,
-// so each gets Workers/min(views, Workers) workers (at least 1) and the
-// product never oversubscribes Workers. An explicit setting passes
-// through unchanged — the operator has opted out of the budget.
-func (o Options) intraWorkers(views int) int {
-	if o.MaintenanceWorkers > 0 {
-		return o.MaintenanceWorkers
-	}
-	if views < 1 {
-		views = 1
-	}
-	active := views
-	if o.Workers < active {
-		active = o.Workers
-	}
-	w := o.Workers / active
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // writeKind distinguishes the two write request types in the pipeline.
@@ -465,10 +430,9 @@ func (e *Engine) insertGroup(reqs []*writeReq) error {
 	}
 	next := make([]*snapshot, len(ps))
 	errs := make([]error, len(ps))
-	intra := e.opt.intraWorkers(len(ps))
 	e.fanOut(len(ps), func(i int) {
 		old := ps[i].snap.Load()
-		prov, ierr := old.prov.ApplyInsertionWorkers(newDB, novel, intra)
+		prov, ierr := old.prov.ApplyInsertion(newDB, novel)
 		if ierr != nil {
 			errs[i] = fmt.Errorf("engine: maintaining view %q: %w", ps[i].name, ierr)
 			return
@@ -496,35 +460,8 @@ func (e *Engine) insertGroup(reqs []*writeReq) error {
 	return nil
 }
 
-// fanOut runs fn(0..n-1) on up to e.opt.Workers concurrent workers and
-// waits for all of them.
+// fanOut runs fn(0..n-1), one prepared view per index, on up to
+// e.opt.Workers goroutines and waits for all of them.
 //
 // propview:fanout
-func (e *Engine) fanOut(n int, fn func(i int)) {
-	workers := e.opt.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
+func (e *Engine) fanOut(n int, fn func(i int)) { parallel.For(n, e.opt.Workers, fn) }

@@ -211,3 +211,80 @@ func TestWhereIndexRebuildsAfterLongLog(t *testing.T) {
 		t.Fatalf("computeWhere ran %d times, want exactly one rebuild", *calls)
 	}
 }
+
+// TestWhereIndexInternerStaysBounded churns ever-new source tuples through
+// Insert, Annotate and DeleteGroup: each round adds a user never seen
+// before, annotates one of its cells and deletes it again, so the view and
+// the live source locations stay the same size while every round interns
+// two new locations. The caught-up index must be replaced by a from-scratch
+// one whenever its interner outgrows twice the live locations, and its
+// placements must match a fresh ComputeWhere's throughout.
+func TestWhereIndexInternerStaysBounded(t *testing.T) {
+	calls := countWhere(t)
+	e := reuseEngine(t, Options{})
+	p, err := e.lookup("access")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFresh := func(label string) {
+		t.Helper()
+		fresh, err := annotation.ComputeWhere(p.plan, e.Database())
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, _ := e.Query("access")
+		for _, tu := range view.SortedTuples() {
+			for _, attr := range view.Schema().Attrs() {
+				got, err := e.Annotate("access", tu, attr)
+				if err != nil {
+					t.Fatalf("%s: Annotate(%v, %s): %v", label, tu, attr, err)
+				}
+				want, err := annotation.PlaceOn(fresh, tu, attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Placement.Source.Key() != want.Source.Key() || got.Placement.SideEffects != want.SideEffects ||
+					!got.Placement.Affected.Equal(want.Affected) {
+					t.Fatalf("%s: engine places (%v, %s) at %v with %d side effects, fresh index at %v with %d",
+						label, tu, attr, got.Placement.Source, got.Placement.SideEffects, want.Source, want.SideEffects)
+				}
+			}
+		}
+	}
+	checkFresh("first annotate")
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		user := fmt.Sprintf("n%d", i)
+		st := relation.SourceTuple{Rel: "UserGroup", Tuple: relation.StringTuple(user, "g1")}
+		if _, err := e.Insert([]relation.SourceTuple{st}); err != nil {
+			t.Fatal(err)
+		}
+		// g1 holds files f1 and f5.
+		targets := []relation.Tuple{relation.StringTuple(user, "f1"), relation.StringTuple(user, "f5")}
+		if _, err := e.Annotate("access", targets[0], "user"); err != nil {
+			t.Fatal(err)
+		}
+		wv := p.snap.Load().where.Load()
+		if wv == nil {
+			t.Fatalf("round %d: Annotate left no index on the current generation", i)
+		}
+		if in, live := wv.InternedLocations(), wv.LiveLocations(); in > 2*live {
+			t.Fatalf("round %d: index interns %d locations over %d live, want at most twice", i, in, live)
+		}
+		rep, err := e.DeleteGroup("access", targets, core.MinimizeSourceDeletions, core.DeleteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Result.T) != 1 || rep.Result.T[0].Key() != st.Key() {
+			t.Fatalf("round %d: deleting %s's rows removed %v, want only %v", i, user, rep.Result.T, st)
+		}
+		if i%50 == 49 {
+			checkFresh(fmt.Sprintf("round %d", i))
+		}
+	}
+	// Each round interns two locations over 64 live ones, so a rebuild is
+	// due about every 32 rounds.
+	if *calls < 1+rounds/40 {
+		t.Fatalf("computeWhere ran %d times over %d rounds, want the interner bound to rebuild the index at least %d times", *calls, rounds, rounds/40)
+	}
+}

@@ -1,41 +1,28 @@
-// Package parallel is the shared intra-process worker-pool primitive the
-// store and the view-maintenance layers fan out on. It grew out of
-// relation's private parallelFor when PR 9 parallelized per-view
-// maintenance: the provenance tree and the where-index needed the same
-// work-stealing loop the segmented source store already used, and
-// importing relation sideways from provenance would have inverted the
-// layering. The package has three pieces:
+// Package parallel is the intra-process worker loop the segmented source
+// store and the engine fan out on. It grew out of relation's private
+// parallelFor once the engine's across-view fan-out wanted the same
+// work-stealing loop; importing relation sideways for it would have
+// inverted the layering. The package has two pieces:
 //
-//   - For: the unbudgeted work-stealing loop (the promoted parallelFor),
-//     bounded by GOMAXPROCS. The segmented store's scatter paths use it
-//     directly.
-//   - Budget: a token pool bounding TOTAL extra goroutines across nested
-//     fan-outs. View maintenance nests (sibling subtrees each partitioning
-//     their candidate lists), and the engine already fans out across
-//     views, so a per-call GOMAXPROCS bound would oversubscribe
-//     multiplicatively; a Budget is acquired once per maintenance pass and
-//     threaded through the tree walk, so across-view × intra-view never
-//     exceeds the configured worker count.
-//   - Hash: the 32-bit FNV-1a key hash the store partitions segments by,
-//     exported so delta partitioning uses the SAME function — a tuple's
-//     maintenance partition matches its storage segment.
+//   - For: the work-stealing loop, bounded by a caller-given width. The
+//     segmented store's scatter paths pass GOMAXPROCS; the engine passes
+//     Options.Workers to maintain its prepared views concurrently.
+//   - Hash: the 32-bit FNV-1a key hash the store partitions segments by.
 //
-// Determinism contract: For/Budget.For/ForKeyed run fn over a fixed index
-// range with results landing in caller-owned per-index slots, so the
-// outcome is independent of worker count and schedule; only the execution
-// interleaving varies. Callers that need ordered output gather the slots
-// serially afterwards.
+// Determinism contract: For runs fn over a fixed index range with results
+// landing in caller-owned per-index slots, so the outcome is independent
+// of width and schedule; only the execution interleaving varies. Callers
+// that need ordered output gather the slots serially afterwards.
 package parallel
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Hash is 32-bit FNV-1a — the partition function shared by the segmented
-// source store and the maintenance delta partitioning. Inlined rather than
-// hash/fnv to avoid a Writer allocation per key on the hot path.
+// Hash is 32-bit FNV-1a, the partition function of the segmented source
+// store. Inlined rather than hash/fnv to avoid a Writer allocation per key
+// on the hot path.
 //
 // propview:deterministic
 func Hash(key string) uint32 {
@@ -47,32 +34,21 @@ func Hash(key string) uint32 {
 	return h
 }
 
-// For runs fn over 0..n-1 across min(n, GOMAXPROCS) goroutines pulling
-// indexes from a shared work-stealing counter, so uneven per-index cost
-// (one segment folding while its neighbors derive a one-key layer)
-// balances itself. GOMAXPROCS is read at call time, not process start, so
-// benchmark -cpu sweeps change the fan-out. Inlines when a single worker
-// would run — the scatter/gather paths cost nothing extra on GOMAXPROCS=1.
+// For runs fn over 0..n-1 across min(n, width) goroutines pulling indexes
+// from a shared work-stealing counter, so uneven per-index cost (one
+// segment folding while its neighbors derive a one-key layer) balances
+// itself. The calling goroutine is one of the workers, and For Waits for
+// the spawned ones before returning (the join proof: no goroutine
+// outlives the call). A width of 1 or less runs the plain inline loop, in
+// index order, at no cost over serial code.
 //
 // propview:fanout
 // propview:deterministic
-func For(n int, fn func(int)) {
-	if n <= 0 {
-		return
+func For(n, width int, fn func(int)) {
+	if width > n {
+		width = n
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	run(n, workers, fn)
-}
-
-// run executes the work-stealing loop: workers-1 spawned goroutines plus
-// the calling goroutine all pull indexes from one atomic counter, and the
-// caller Waits for the spawned ones before returning (the join proof —
-// no goroutine outlives the call).
-func run(n, workers int, fn func(int)) {
-	if workers <= 1 {
+	if width <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -80,8 +56,8 @@ func run(n, workers int, fn func(int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
+	wg.Add(width - 1)
+	for w := 1; w < width; w++ {
 		go func() {
 			defer wg.Done()
 			for {
@@ -93,8 +69,6 @@ func run(n, workers int, fn func(int)) {
 			}
 		}()
 	}
-	// The caller participates too: a Budget.For with zero free tokens
-	// degrades to this inline loop, costing nothing over serial code.
 	for {
 		i := int(next.Add(1)) - 1
 		if i >= n {
@@ -103,126 +77,4 @@ func run(n, workers int, fn func(int)) {
 		fn(i)
 	}
 	wg.Wait()
-}
-
-// Budget is a token pool bounding the total number of EXTRA goroutines a
-// tree of nested fan-outs may hold live at once. Each For call tries to
-// acquire up to n-1 tokens, spawns that many workers (the caller is always
-// the +1), and returns the tokens when the call joins; a call finding the
-// pool empty runs inline. So a Budget of w-1 tokens never has more than w
-// goroutines working, no matter how the fan-outs nest — the engine hands
-// each view's maintenance pass a budget sized so that across-view ×
-// intra-view stays within Options.Workers.
-//
-// A nil *Budget is valid and means "serial": every method inlines. That is
-// the workers<=1 representation, so maintenance code threads one pointer
-// unconditionally instead of branching on a worker count.
-type Budget struct {
-	// tokens is the number of extra goroutines still available.
-	// guarded-by: atomic
-	tokens atomic.Int64
-	limit  int64 // tokens at construction, for Width
-}
-
-// NewBudget returns a pool admitting workers-1 extra goroutines, or nil
-// (the serial budget) when workers <= 1.
-func NewBudget(workers int) *Budget {
-	if workers <= 1 {
-		return nil
-	}
-	b := &Budget{limit: int64(workers - 1)}
-	b.tokens.Store(b.limit)
-	return b
-}
-
-// Width is the advisory current parallel width: 1 (the caller) plus the
-// free tokens. Partition counts are sized by it; correctness never
-// depends on it (slot-array gathers are width-independent).
-func (b *Budget) Width() int {
-	if b == nil {
-		return 1
-	}
-	return 1 + int(b.tokens.Load())
-}
-
-// acquire takes up to want tokens, returning how many it got (possibly 0).
-func (b *Budget) acquire(want int64) int64 {
-	for {
-		free := b.tokens.Load()
-		if free <= 0 {
-			return 0
-		}
-		got := want
-		if got > free {
-			got = free
-		}
-		if b.tokens.CompareAndSwap(free, free-got) {
-			return got
-		}
-	}
-}
-
-// release returns tokens to the pool.
-func (b *Budget) release(got int64) {
-	if got > 0 {
-		b.tokens.Add(got)
-	}
-}
-
-// For runs fn over 0..n-1 on the caller plus up to n-1 borrowed workers,
-// joining them all (and returning the tokens) before it returns. With a
-// nil receiver, or when the pool is empty, it is exactly the inline loop —
-// same calls, same order.
-//
-// propview:fanout
-// propview:deterministic
-func (b *Budget) For(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if b == nil || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	got := b.acquire(int64(n - 1))
-	defer b.release(got)
-	run(n, 1+int(got), fn)
-}
-
-// ForKeyed runs eval over 0..n-1 with indexes partitioned by Hash(key(i)):
-// one partition is one work unit, so all indexes sharing a partition run
-// on one goroutine in ascending order, and min is the delta size below
-// which the call inlines (partitioning overhead isn't worth it for tiny
-// deltas). eval must write only per-index state (slot arrays); the gather
-// runs serially in the caller afterwards, which is what makes results
-// byte-identical at any width. Keyed partitioning rather than plain For
-// keeps every index of one key's partition on one goroutine — the same
-// discipline the segmented store uses, with the same hash, so a tuple's
-// maintenance partition matches its storage segment.
-//
-// propview:fanout
-// propview:deterministic
-func (b *Budget) ForKeyed(n, min int, key func(int) string, eval func(int)) {
-	p := b.Width()
-	if n < min || p <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			eval(i)
-		}
-		return
-	}
-	if p > n {
-		p = n
-	}
-	parts := make([][]int, p)
-	for i := 0; i < n; i++ {
-		s := int(Hash(key(i)) % uint32(p))
-		parts[s] = append(parts[s], i)
-	}
-	b.For(p, func(s int) {
-		for _, i := range parts[s] {
-			eval(i)
-		}
-	})
 }

@@ -8,12 +8,14 @@ import (
 )
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		hits := make([]atomic.Int64, n)
-		For(n, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("n=%d: index %d ran %d times, want 1", n, i, got)
+	for _, width := range []int{0, 1, 2, 8} {
+		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+			hits := make([]atomic.Int64, n)
+			For(n, width, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("width=%d n=%d: index %d ran %d times, want 1", width, n, i, got)
+				}
 			}
 		}
 	}
@@ -22,15 +24,38 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestForInlinesOnSingleProc(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	// With one proc the loop must run on the calling goroutine in order —
-	// observable as strictly ascending indexes without synchronization.
+	// At width GOMAXPROCS = 1 the loop must run on the calling goroutine in
+	// order, observable as strictly ascending indexes.
 	var mu sync.Mutex
 	var seen []int
-	For(100, func(i int) { mu.Lock(); seen = append(seen, i); mu.Unlock() })
+	For(100, runtime.GOMAXPROCS(0), func(i int) { mu.Lock(); seen = append(seen, i); mu.Unlock() })
+	if len(seen) != 100 {
+		t.Fatalf("covered %d indexes, want 100", len(seen))
+	}
 	for i, v := range seen {
 		if v != i {
 			t.Fatalf("inline order broken at %d: got %d", i, v)
 		}
+	}
+}
+
+func TestForBoundsConcurrencyToWidth(t *testing.T) {
+	// Width 3 is the caller plus two spawned workers: fn may never run on
+	// more than three goroutines at once, however many indexes there are.
+	var cur, peak atomic.Int64
+	For(64, 3, func(int) {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
+			}
+		}
+		runtime.Gosched()
+		cur.Add(-1)
+	})
+	if p := peak.Load(); p > 3 {
+		t.Fatalf("width-3 loop reached %d concurrent workers", p)
 	}
 }
 
@@ -46,125 +71,5 @@ func TestHashMatchesFNV1a(t *testing.T) {
 		if got := Hash(k); got != want {
 			t.Fatalf("Hash(%q) = %#x, want %#x", k, got, want)
 		}
-	}
-}
-
-func TestNewBudgetSerialIsNil(t *testing.T) {
-	for _, w := range []int{-1, 0, 1} {
-		if b := NewBudget(w); b != nil {
-			t.Fatalf("NewBudget(%d) = %v, want nil", w, b)
-		}
-	}
-	if b := NewBudget(4); b == nil || b.Width() != 4 {
-		t.Fatalf("NewBudget(4).Width() = %d, want 4", b.Width())
-	}
-}
-
-func TestNilBudgetInlines(t *testing.T) {
-	var b *Budget
-	var mu sync.Mutex
-	var seen []int
-	b.For(10, func(i int) { mu.Lock(); seen = append(seen, i); mu.Unlock() })
-	for i, v := range seen {
-		if v != i {
-			t.Fatalf("nil budget must inline in order; index %d got %d", i, v)
-		}
-	}
-	if b.Width() != 1 {
-		t.Fatalf("nil budget Width = %d, want 1", b.Width())
-	}
-	seen = seen[:0]
-	b.ForKeyed(10, 1, func(i int) string { return "k" }, func(i int) { mu.Lock(); seen = append(seen, i); mu.Unlock() })
-	if len(seen) != 10 {
-		t.Fatalf("nil budget ForKeyed covered %d indexes, want 10", len(seen))
-	}
-}
-
-func TestBudgetForCoversAndRestoresTokens(t *testing.T) {
-	b := NewBudget(8)
-	hits := make([]atomic.Int64, 500)
-	b.For(len(hits), func(i int) { hits[i].Add(1) })
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("index %d ran %d times, want 1", i, got)
-		}
-	}
-	if b.Width() != 8 {
-		t.Fatalf("tokens not restored after For: Width = %d, want 8", b.Width())
-	}
-}
-
-func TestBudgetBoundsNestedFanOut(t *testing.T) {
-	// 3 workers = caller + 2 tokens. Nested For calls may only ever have 3
-	// goroutines inside fn at once, however the outer/inner calls race for
-	// tokens.
-	b := NewBudget(3)
-	var cur, peak atomic.Int64
-	enter := func() {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-	}
-	b.For(8, func(i int) {
-		b.For(16, func(j int) {
-			enter()
-			cur.Add(-1)
-		})
-	})
-	if p := peak.Load(); p > 3 {
-		t.Fatalf("nested fan-out reached %d concurrent workers, budget allows 3", p)
-	}
-	if b.Width() != 3 {
-		t.Fatalf("tokens leaked: Width = %d, want 3", b.Width())
-	}
-}
-
-func TestForKeyedPartitionsByKeyAndCoversAll(t *testing.T) {
-	b := NewBudget(4)
-	n := 200
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = string(rune('a' + i%7))
-	}
-	hits := make([]atomic.Int64, n)
-	// Stamp each index from a global counter: one partition goroutine runs
-	// its indexes in ascending order, and same key ⇒ same partition, so
-	// per-key stamps must increase with index.
-	stamps := make([]int64, n)
-	var clock atomic.Int64
-	b.ForKeyed(n, 1, func(i int) string { return keys[i] }, func(i int) {
-		hits[i].Add(1)
-		stamps[i] = clock.Add(1)
-	})
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("index %d ran %d times, want 1", i, got)
-		}
-	}
-	last := make(map[string]int64)
-	for i := 0; i < n; i++ {
-		if prev, ok := last[keys[i]]; ok && stamps[i] <= prev {
-			t.Fatalf("key %q: index %d stamped %d, before its predecessor's %d — same-key indexes must run in order on one goroutine", keys[i], i, stamps[i], prev)
-		}
-		last[keys[i]] = stamps[i]
-	}
-}
-
-func TestForKeyedInlinesBelowMin(t *testing.T) {
-	b := NewBudget(8)
-	var mu sync.Mutex
-	var seen []int // appended in call order; the assertions below need inline execution
-	b.ForKeyed(9, 10, func(i int) string { return "x" }, func(i int) { mu.Lock(); seen = append(seen, i); mu.Unlock() })
-	for i, v := range seen {
-		if v != i {
-			t.Fatalf("ForKeyed below min must inline in order; index %d got %d", i, v)
-		}
-	}
-	if len(seen) != 9 {
-		t.Fatalf("covered %d indexes, want 9", len(seen))
 	}
 }

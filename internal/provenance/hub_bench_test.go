@@ -9,17 +9,15 @@ import (
 	"repro/internal/relation"
 )
 
-// BenchmarkApplyDeletion_Parallel measures one intra-view maintenance pass
-// over a ≥100k-tuple retained tree whose join-key distribution is skewed:
-// ten hub keys fan out 100×20 while fifty thousand cold keys pair 1:1.
-// Each iteration deletes one hub's entire R2 side (a ~2000-tuple view
-// delta landing in one bucket chain — the worst case for partition
-// balance) at a worker width equal to GOMAXPROCS, so a `-cpu 1,2,4,8`
-// sweep traces the parallel scaling curve; benchjson distills the
-// suffixed results into the report's `maintenance` records. The receiver
-// is immutable, so every iteration re-derives from the same base tree and
-// the measured work does not drift as the benchmark runs.
-func BenchmarkApplyDeletion_Parallel(b *testing.B) {
+// BenchmarkApplyDeletion_HubSkew measures one view maintenance pass over
+// a ≥100k-tuple retained tree whose join-key distribution is skewed: ten
+// hub keys fan out 100×20 while fifty thousand cold keys pair 1:1. Each
+// iteration deletes one hub's entire R2 side, a ~2000-tuple view delta
+// landing in one bucket chain; benchjson distills the result into the
+// report's `maintenance` records. The receiver is immutable, so every
+// iteration re-derives from the same base tree and the measured work does
+// not drift as the benchmark runs.
+func BenchmarkApplyDeletion_HubSkew(b *testing.B) {
 	const (
 		hubs    = 10
 		hubR    = 100 // R1 rows per hub key
@@ -65,15 +63,13 @@ func BenchmarkApplyDeletion_Parallel(b *testing.B) {
 			})
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-
 	// The setup above allocates on the order of the 100k-tuple tree; clear
-	// the debt so GC pacing doesn't land a collection in some widths'
-	// timed region and not others'.
+	// the debt so GC pacing doesn't land a collection in some runs' timed
+	// region and not others'.
 	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res.ApplyDeletionWorkers(nil, dels[i%hubs], workers)
+		res.ApplyDeletion(dels[i%hubs])
 	}
 }

@@ -10,15 +10,14 @@ package provenance
 // per witness, not a new witness.
 //
 // One interner is shared along a Result's generation chain (it lives in
-// treeMetrics, like the counters). Maintenance passes over a single chain
-// are serialized by the engine's commit lock, but ONE pass is no longer
-// single-goroutine: ApplyInsertionWorkers interns from sibling subtrees
-// and hash-partitioned join probes concurrently, so the table takes a
-// mutex. The critical section is the map probe/store only — key merging
-// and witness construction happen outside it — and the serial path pays
-// one uncontended lock per intern, noise next to the allocation it
-// saves. The hit/miss counters stay atomic because Stats readers don't
-// hold the lock.
+// treeMetrics, like the counters). Each maintenance pass runs on one
+// goroutine, and the engine serializes its passes over a chain under the
+// commit lock, but a Result is persistent: any two generations of one
+// chain may be derived from concurrently, so the table takes a mutex.
+// The critical section is the map probe/store only — key merging and
+// witness construction happen outside it — and an uncontended lock per
+// intern is noise next to the allocation it saves. The hit/miss counters
+// stay atomic because Stats readers don't hold the lock.
 
 import (
 	"strings"
@@ -69,7 +68,7 @@ func (wi *witnessInterner) union(w, v Witness) Witness {
 	return wi.put(k, UnionWitness(w, v))
 }
 
-// put stores w under k. Two workers missing on the same key may both
+// put stores w under k. Two passes missing on the same key may both
 // build and put it; the values are equal (canonical construction from the
 // same tuples), so last-write-wins is harmless — one duplicate build,
 // never a wrong value.

@@ -16,15 +16,8 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/layered"
 	"repro/internal/overlay"
-	"repro/internal/parallel"
 	"repro/internal/relation"
 )
-
-// parDeltaMin is the per-node candidate count below which a parallel
-// maintenance pass evaluates candidates inline instead of partitioning
-// them — partition setup isn't worth it for tiny deltas. A package var so
-// the differential tests can force the parallel path on small streams.
-var parDeltaMin = 16
 
 // Witness is a set of source tuples sufficient for an output tuple to
 // appear; elements are kept sorted by key so witnesses have canonical
@@ -255,9 +248,6 @@ type treeMetrics struct {
 	// candidate tuples examined during maintenance
 	// guarded-by: atomic
 	touchedTuples atomic.Int64
-	// maintenance passes that ran with a parallel budget (workers > 1)
-	// guarded-by: atomic
-	parDerives atomic.Int64
 
 	relM layered.Counters // node-relation overlay activity
 	mapM layered.Counters // witness/bucket map overlay activity
@@ -292,10 +282,6 @@ type TreeStats struct {
 	RewrittenNodes int64 `json:"rewritten_nodes"`
 	// TouchedTuples counts candidate tuples examined by maintenance.
 	TouchedTuples int64 `json:"touched_tuples"`
-	// ParallelDerives counts maintenance passes that ran with an intra-view
-	// worker budget (ApplyDeletionWorkers/ApplyInsertionWorkers with
-	// workers > 1); serial passes don't advance it.
-	ParallelDerives int64 `json:"parallel_derives"`
 	// RelFolds / RelSquashes count node-relation overlay compactions.
 	RelFolds    int64 `json:"rel_folds"`
 	RelSquashes int64 `json:"rel_squashes"`
@@ -313,19 +299,17 @@ type TreeStats struct {
 // TreeStats summarizes the provenance tree as of this generation.
 // O(#nodes).
 func (r *Result) TreeStats() TreeStats {
-	var st TreeStats
-	if r.tm != nil {
-		st.Derives = r.tm.derives.Load()
-		st.SharedNodes = r.tm.sharedNodes.Load()
-		st.RewrittenNodes = r.tm.rewrittenNodes.Load()
-		st.TouchedTuples = r.tm.touchedTuples.Load()
-		st.ParallelDerives = r.tm.parDerives.Load()
-		st.RelFolds = r.tm.relM.Folds()
-		st.RelSquashes = r.tm.relM.Squashes()
-		st.MapFolds = r.tm.mapM.Folds()
-		st.MapSquashes = r.tm.mapM.Squashes()
-		st.InternHits = r.tm.intern.hits.Load()
-		st.InternMisses = r.tm.intern.misses.Load()
+	st := TreeStats{
+		Derives:        r.tm.derives.Load(),
+		SharedNodes:    r.tm.sharedNodes.Load(),
+		RewrittenNodes: r.tm.rewrittenNodes.Load(),
+		TouchedTuples:  r.tm.touchedTuples.Load(),
+		RelFolds:       r.tm.relM.Folds(),
+		RelSquashes:    r.tm.relM.Squashes(),
+		MapFolds:       r.tm.mapM.Folds(),
+		MapSquashes:    r.tm.mapM.Squashes(),
+		InternHits:     r.tm.intern.hits.Load(),
+		InternMisses:   r.tm.intern.misses.Load(),
 	}
 	seeMap := func(m *overlay.Map[[]Witness]) {
 		if d := m.Depth(); d > st.MaxMapOverlayDepth {
@@ -357,9 +341,7 @@ func (r *Result) TreeStats() TreeStats {
 			walk(k)
 		}
 	}
-	if r.tree != nil {
-		walk(r.tree)
-	}
+	walk(r.tree)
 	return st
 }
 
@@ -411,7 +393,7 @@ func newDeletionSet(T []relation.SourceTuple) *deletionSet {
 // the receiver itself when T cannot affect the view); the receiver is
 // unchanged and stays fully readable.
 func (r *Result) ApplyDeletion(T []relation.SourceTuple) *Result {
-	return r.ApplyDeletionWorkers(nil, T, 1)
+	return r.ApplyDeletionTo(nil, T)
 }
 
 // ApplyDeletionTo is ApplyDeletion for callers that already derived the
@@ -424,42 +406,15 @@ func (r *Result) ApplyDeletion(T []relation.SourceTuple) *Result {
 // fold. This is the deletion-side dual of the adoption ApplyInsertion
 // already does with its newDB. A nil newDB derives private versions
 // (the ApplyDeletion behavior).
-func (r *Result) ApplyDeletionTo(newDB *relation.Database, T []relation.SourceTuple) *Result {
-	return r.ApplyDeletionWorkers(newDB, T, 1)
-}
-
-// ApplyDeletionWorkers is ApplyDeletionTo with an intra-view parallelism
-// budget: the tree walk derives sibling subtrees of joins and unions
-// concurrently, and each node's candidate evaluation is partitioned by
-// the store's FNV-1a key hash across up to workers goroutines (caller
-// included). The budget bounds TOTAL live goroutines across both axes —
-// nested fan-outs borrow from one token pool — so an engine fanning out
-// across views can size each view's budget to keep across-view ×
-// intra-view within its worker cap. workers <= 1 is exactly
-// ApplyDeletionTo: per-candidate results land in index-ordered slots and
-// are gathered serially, so the derived Result is byte-identical to the
-// serial walk at any worker count.
 //
 // propview:deterministic
-func (r *Result) ApplyDeletionWorkers(newDB *relation.Database, T []relation.SourceTuple, workers int) *Result {
+func (r *Result) ApplyDeletionTo(newDB *relation.Database, T []relation.SourceTuple) *Result {
 	del := newDeletionSet(T)
-	if len(del.keys) == 0 {
-		return r
-	}
-	if r.tree == nil || r.plan == nil {
-		// Not built by Compute (impossible via this package's constructors;
-		// kept so the method stays total): filter the basis wholesale.
-		return r.deleteWithoutTree(del)
-	}
-	if !touchesAny(r.plan, del.rels) {
+	if len(del.keys) == 0 || !touchesAny(r.plan, del.rels) {
 		return r
 	}
 	r.tm.derives.Add(1)
-	par := parallel.NewBudget(workers)
-	if par != nil {
-		r.tm.parDerives.Add(1)
-	}
-	ds := deleteNodeDelta(r.plan, r.tree, newDB, del, r.tm, par)
+	ds := deleteNodeDelta(r.plan, r.tree, newDB, del, r.tm)
 	if ds.node == r.tree {
 		return r
 	}
@@ -475,38 +430,11 @@ func (r *Result) ApplyDeletionWorkers(newDB *relation.Database, T []relation.Sou
 		plan: r.plan, lim: r.lim, tree: ds.node, tm: r.tm}
 }
 
-// deleteWithoutTree is the treeless fallback: one filtering pass over the
-// whole basis, O(|view|).
-func (r *Result) deleteWithoutTree(del *deletionSet) *Result {
-	tm := r.tm
-	if tm == nil {
-		tm = &treeMetrics{}
-	}
-	changes := make(map[string][]Witness)
-	dead := make(map[string]struct{})
-	r.View.Each(func(t relation.Tuple) bool {
-		tm.touchedTuples.Add(1)
-		k := t.Key()
-		ws, ok := r.basis.Get(k)
-		if !ok {
-			return true
-		}
-		kept := filterWitnesses(ws, del.keys)
-		switch {
-		case len(kept) == len(ws):
-		case len(kept) == 0:
-			dead[k] = struct{}{}
-		default:
-			changes[k] = kept
-		}
-		return true
-	})
-	view := r.View
-	if len(dead) > 0 {
-		view = view.DeleteVersion(dead, &tm.relM)
-	}
-	basis := r.basis.Derive(changes, dead, &tm.mapM)
-	return &Result{View: view, basis: basis, witnesses: countWitnesses(basis), plan: r.plan, lim: r.lim, tree: r.tree, tm: tm}
+// ApplyDeletionWorkers is ApplyDeletionTo; workers is ignored. It is kept
+// only for the benchmark driver (perfbench), until the next change allowed
+// to edit it.
+func (r *Result) ApplyDeletionWorkers(newDB *relation.Database, T []relation.SourceTuple, workers int) *Result {
+	return r.ApplyDeletionTo(newDB, T)
 }
 
 // delState is one node's deletion-maintenance outcome: the maintained node
@@ -528,17 +456,8 @@ type delState struct {
 // newDB is the caller's already-derived post-deletion source; scan nodes
 // adopt its relation versions instead of deriving their own.
 //
-// par is the intra-view worker budget (nil = serial): sibling subtrees of
-// two-child operators recurse concurrently, join probes and candidate
-// filtering partition by tuple-key hash into per-index slots, and every
-// map/overlay derivation gathers those slots serially in candidate order
-// — deletion state (tombstone sets, witness-change maps) is order-free,
-// so the derived node is identical at any width. The pre-deletion state
-// read concurrently (n.wit, bucket chains, child witness maps) is
-// immutable published generations, safe for any number of readers.
-//
 // propview:deterministic
-func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del *deletionSet, tm *treeMetrics, par *parallel.Budget) delState {
+func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del *deletionSet, tm *treeMetrics) delState {
 	if !touchesAny(q, del.rels) {
 		tm.sharedNodes.Add(1)
 		return delState{node: n}
@@ -593,19 +512,9 @@ func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del
 		panic(fmt.Sprintf("provenance: deleteNodeDelta: unknown query node %T", q))
 	}
 	kids := make([]delState, len(n.kids))
-	runKid := func(i int) { kids[i] = deleteNodeDelta(kidQ[i], n.kids[i], newDB, del, tm, par) }
-	if len(n.kids) == 2 && par != nil {
-		// Sibling-subtree axis: the two children read disjoint subtree
-		// state, so they derive concurrently; Budget.For is the join
-		// barrier before this node maps their touched-tuple reports.
-		par.For(2, runKid)
-	} else {
-		for i := range n.kids {
-			runKid(i)
-		}
-	}
 	kidsChanged := false
-	for i := range kids {
+	for i := range n.kids {
+		kids[i] = deleteNodeDelta(kidQ[i], n.kids[i], newDB, del, tm)
 		if kids[i].node != n.kids[i] {
 			kidsChanged = true
 		}
@@ -642,75 +551,43 @@ func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del
 		sh := n.shape
 		// Probes walk only live partners (EachLive): stale bucket entries
 		// are skipped by the child's pre-deletion witness map, and the walk
-		// stops once the bucket's live count is exhausted. Each touched
-		// tuple's probe writes only its own image slot; the dedup into
-		// cands gathers serially, left side then right, in touched order —
-		// the exact order the serial loop produced.
-		probe := func(touched []relation.Tuple, myKey func(relation.Tuple) string, buck *overlay.Map[overlay.BucketVal], oppAlive func(string) bool, leftSide bool) [][]relation.Tuple {
-			imgs := make([][]relation.Tuple, len(touched))
-			par.ForKeyed(len(touched), parDeltaMin, func(i int) string { return touched[i].Key() }, func(i int) {
-				t := touched[i]
-				bv, _ := buck.Get(myKey(t))
-				var out []relation.Tuple
-				bv.EachLive(oppAlive, func(pt relation.Tuple) bool {
-					if leftSide {
-						out = append(out, sh.join(t, pt))
-					} else {
-						out = append(out, sh.join(pt, t))
-					}
-					return true
-				})
-				imgs[i] = out
+		// stops once the bucket's live count is exhausted.
+		for _, t := range kids[0].touched {
+			bv, _ := n.rbuck.Get(sh.leftKey(t))
+			bv.EachLive(n.kids[1].wit.Has, func(pt relation.Tuple) bool {
+				add(sh.join(t, pt))
+				return true
 			})
-			return imgs
 		}
-		limgs := probe(kids[0].touched, sh.leftKey, n.rbuck, n.kids[1].wit.Has, true)
-		rimgs := probe(kids[1].touched, sh.rightKey, n.lbuck, n.kids[0].wit.Has, false)
-		for _, ts := range limgs {
-			for _, t := range ts {
-				add(t)
-			}
-		}
-		for _, ts := range rimgs {
-			for _, t := range ts {
-				add(t)
-			}
+		for _, t := range kids[1].touched {
+			bv, _ := n.lbuck.Get(sh.rightKey(t))
+			bv.EachLive(n.kids[0].wit.Has, func(pt relation.Tuple) bool {
+				add(sh.join(pt, t))
+				return true
+			})
 		}
 	}
 
-	// Segment-partitioned candidate work: filtering one candidate's witness
-	// list is independent of every other candidate (cands is deduplicated),
-	// so each index writes its own slot and the changes/dead/touched
-	// assembly below walks the slots serially in candidate order.
-	type delSlot struct {
-		ws   []Witness // pre-deletion list (nil ⇒ candidate absent from node)
-		kept []Witness
-		hit  bool
-	}
-	slots := make([]delSlot, len(cands))
-	par.ForKeyed(len(cands), parDeltaMin, func(i int) string { return cands[i].Key() }, func(i int) {
-		tm.touchedTuples.Add(1)
-		ws, ok := n.wit.Get(cands[i].Key())
-		if !ok {
-			return // image not in this node (e.g. a failed selection)
-		}
-		slots[i] = delSlot{ws: ws, kept: filterWitnesses(ws, del.keys), hit: true}
-	})
 	changes := make(map[string][]Witness)
 	dead := make(map[string]struct{})
 	var touched, died []relation.Tuple
-	for i, t := range cands {
-		s := slots[i]
-		if !s.hit || len(s.kept) == len(s.ws) {
+	for _, t := range cands {
+		tm.touchedTuples.Add(1)
+		k := t.Key()
+		ws, ok := n.wit.Get(k)
+		if !ok {
+			continue // image not in this node (e.g. a failed selection)
+		}
+		kept := filterWitnesses(ws, del.keys)
+		if len(kept) == len(ws) {
 			continue
 		}
 		touched = append(touched, t)
-		k := t.Key()
-		if len(s.kept) == 0 {
+		if len(kept) == 0 {
 			dead[k] = struct{}{}
 			died = append(died, t)
 		} else {
-			changes[k] = s.kept
+			changes[k] = kept
 		}
 	}
 
@@ -744,12 +621,6 @@ func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del
 	return delState{node: out, touched: touched, died: died}
 }
 
-// errNoDelta marks a plan node the delta evaluator has no incremental rule
-// for. The monotone SPJRU fragment is fully covered; the sentinel exists so
-// a future non-monotone operator (difference) degrades ApplyInsertion to a
-// full recompute instead of a wrong answer.
-var errNoDelta = fmt.Errorf("provenance: no delta rule for plan node")
-
 // ApplyInsertion derives the view and witness basis of Q(S ∪ I) from those
 // of Q(S) by a delta evaluation instead of a from-scratch recompute. The
 // key fact, valid for the monotone SPJRU fragment: insertions never remove
@@ -774,31 +645,12 @@ var errNoDelta = fmt.Errorf("provenance: no delta rule for plan node")
 // tuples genuinely added — tuples already present create no witnesses and
 // must be filtered by the caller. The basis cap the Result was computed
 // under is re-enforced: a grown basis exceeding it fails with ErrLimit and
-// no partial state. Returns a fresh Result; the receiver is unchanged. A
-// plan with no delta rule falls back to ComputeLimited over newDB.
-func (r *Result) ApplyInsertion(newDB *relation.Database, I []relation.SourceTuple) (*Result, error) {
-	return r.ApplyInsertionWorkers(newDB, I, 1)
-}
-
-// ApplyInsertionWorkers is ApplyInsertion with an intra-view parallelism
-// budget, mirroring ApplyDeletionWorkers: sibling subtrees delta-evaluate
-// concurrently and each node's candidate merges and join probes partition
-// by key hash, with per-index slots gathered serially in derivation order
-// — so the novel-tuple append order, the minimized witness lists, and any
-// ErrLimit failure (first candidate in derivation order to trip the cap)
-// are byte-identical to the serial pass at any worker count. workers <= 1
-// is exactly ApplyInsertion.
+// no partial state. Returns a fresh Result; the receiver is unchanged.
 //
 // propview:deterministic
-func (r *Result) ApplyInsertionWorkers(newDB *relation.Database, I []relation.SourceTuple, workers int) (*Result, error) {
+func (r *Result) ApplyInsertion(newDB *relation.Database, I []relation.SourceTuple) (*Result, error) {
 	if len(I) == 0 {
 		return r, nil
-	}
-	if r.plan == nil {
-		return nil, fmt.Errorf("provenance: ApplyInsertion on a Result not built by Compute")
-	}
-	if r.tree == nil {
-		return ComputeLimited(r.plan, newDB, r.lim)
 	}
 	// A plan whose base relations are disjoint from I is untouched: the
 	// view, basis and tree are all exactly as they were — the receiver IS
@@ -813,14 +665,7 @@ func (r *Result) ApplyInsertionWorkers(newDB *relation.Database, I []relation.So
 		return r, nil
 	}
 	r.tm.derives.Add(1)
-	par := parallel.NewBudget(workers)
-	if par != nil {
-		r.tm.parDerives.Add(1)
-	}
-	dn, err := insertNodeDelta(r.plan, r.tree, newDB, I, r.lim, touched, r.tm, par)
-	if err == errNoDelta {
-		return ComputeLimited(r.plan, newDB, r.lim)
-	}
+	dn, err := insertNodeDelta(r.plan, r.tree, newDB, I, r.lim, touched, r.tm)
 	if err != nil {
 		return nil, err
 	}
@@ -833,6 +678,13 @@ func (r *Result) ApplyInsertionWorkers(newDB *relation.Database, I []relation.So
 	}
 	return &Result{View: view, basis: dn.node.wit, witnesses: r.witnessesAfter(dn.node.wit, dn.delta),
 		plan: r.plan, lim: r.lim, tree: dn.node, tm: r.tm}, nil
+}
+
+// ApplyInsertionWorkers is ApplyInsertion; workers is ignored. It is kept
+// only for the benchmark driver (perfbench), until the next change allowed
+// to edit it.
+func (r *Result) ApplyInsertionWorkers(newDB *relation.Database, I []relation.SourceTuple, workers int) (*Result, error) {
+	return r.ApplyInsertion(newDB, I)
 }
 
 // deltaNode is one operator node's incremental update: the maintained node
@@ -865,33 +717,20 @@ func touchesAny(q algebra.Query, touched map[string]bool) bool {
 // Returns the witness-map changes, the grown tuples with their added
 // witnesses, and the tuples new to the node's relation; a candidate pruned
 // by an old subset is dropped here, exactly where a from-scratch
-// minimization would drop it.
-// The candidate minimizations — the hot loop of an insert pass — are
-// independent per candidate (cands is deduplicated, acc is read-only
-// here), so with a budget they partition by key hash into per-index
-// slots; the map/slice assembly walks the slots serially in candidate
-// order, which keeps delta/novel append order and the first-error choice
-// identical to the serial loop. Workers race only on touchedTuples,
-// which may over-count by the in-flight candidates of an erroring pass —
-// the commit aborts in that case, so the counter drift is unobservable.
+// minimization would drop it. The first candidate, in derivation order,
+// whose merged list trips check fails the merge.
 //
 // propview:deterministic
-func mergeCandidates(old *evalNode, cands []relation.Tuple, acc map[string][]Witness, check func([]Witness) error, tm *treeMetrics, par *parallel.Budget) (set map[string][]Witness, delta, novel []relation.Tuple, dwit map[string][]Witness, err error) {
-	type insSlot struct {
-		merged, added []Witness
-		novel         bool
-		err           error
-	}
-	slots := make([]insSlot, len(cands))
-	par.ForKeyed(len(cands), parDeltaMin, func(i int) string { return cands[i].Key() }, func(i int) {
-		t := cands[i]
+func mergeCandidates(old *evalNode, cands []relation.Tuple, acc map[string][]Witness, check func([]Witness) error, tm *treeMetrics) (set map[string][]Witness, delta, novel []relation.Tuple, dwit map[string][]Witness, err error) {
+	set = make(map[string][]Witness, len(cands))
+	dwit = make(map[string][]Witness, len(cands))
+	for _, t := range cands {
 		tm.touchedTuples.Add(1)
 		k := t.Key()
 		oldWs, _ := old.wit.Get(k)
 		merged := minimizeWitnesses(append(append([]Witness{}, oldWs...), acc[k]...))
 		if err := check(merged); err != nil {
-			slots[i].err = err
-			return
+			return nil, nil, nil, nil, err
 		}
 		oldKeys := make(map[string]bool, len(oldWs))
 		for _, w := range oldWs {
@@ -904,25 +743,12 @@ func mergeCandidates(old *evalNode, cands []relation.Tuple, acc map[string][]Wit
 			}
 		}
 		if len(added) == 0 {
-			return // every candidate was pruned: no growth at this tuple
+			continue // every candidate was pruned: no growth at this tuple
 		}
-		slots[i] = insSlot{merged: merged, added: added, novel: !old.rel.Contains(t)}
-	})
-	set = make(map[string][]Witness, len(cands))
-	dwit = make(map[string][]Witness, len(cands))
-	for i, t := range cands {
-		s := slots[i]
-		if s.err != nil {
-			return nil, nil, nil, nil, s.err
-		}
-		if len(s.added) == 0 {
-			continue
-		}
-		k := t.Key()
-		set[k] = s.merged
-		dwit[k] = s.added
+		set[k] = merged
+		dwit[k] = added
 		delta = append(delta, t)
-		if s.novel {
+		if !old.rel.Contains(t) {
 			novel = append(novel, t)
 		}
 	}
@@ -975,7 +801,7 @@ func passThrough(old *evalNode, child deltaNode, keep func(relation.Tuple) bool,
 // being rebuilt — e.g. the untouched side of a join.
 //
 // propview:deterministic
-func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I []relation.SourceTuple, lim Limit, touched map[string]bool, tm *treeMetrics, par *parallel.Budget) (deltaNode, error) {
+func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I []relation.SourceTuple, lim Limit, touched map[string]bool, tm *treeMetrics) (deltaNode, error) {
 	if !touchesAny(q, touched) {
 		tm.sharedNodes.Add(1)
 		return deltaNode{node: old}, nil
@@ -1037,7 +863,7 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 		return deltaNode{node: node, delta: delta, dwit: dwit, novel: delta}, nil
 
 	case algebra.Select:
-		child, err := insertNodeDelta(q.Child, old.kids[0], newDB, I, lim, touched, tm, par)
+		child, err := insertNodeDelta(q.Child, old.kids[0], newDB, I, lim, touched, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
@@ -1045,14 +871,14 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 		return passThrough(old, child, func(t relation.Tuple) bool { return q.Cond.Holds(sch, t) }, finish, tm), nil
 
 	case algebra.Rename:
-		child, err := insertNodeDelta(q.Child, old.kids[0], newDB, I, lim, touched, tm, par)
+		child, err := insertNodeDelta(q.Child, old.kids[0], newDB, I, lim, touched, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
 		return passThrough(old, child, nil, finish, tm), nil
 
 	case algebra.Project:
-		child, err := insertNodeDelta(q.Child, old.kids[0], newDB, I, lim, touched, tm, par)
+		child, err := insertNodeDelta(q.Child, old.kids[0], newDB, I, lim, touched, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
@@ -1069,14 +895,14 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 			}
 			acc[k] = append(acc[k], child.dwit[ct.Key()]...)
 		}
-		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm, par)
+		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
 		return finish(set, delta, novel, dwit, []*evalNode{child.node}), nil
 
 	case algebra.Union:
-		left, right, err := insertKidsPair(q.Left, q.Right, old, newDB, I, lim, touched, tm, par)
+		left, right, err := insertKidsPair(q.Left, q.Right, old, newDB, I, lim, touched, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
@@ -1102,14 +928,14 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 			}
 			acc[k] = append(acc[k], right.dwit[t.Key()]...)
 		}
-		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm, par)
+		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
 		return finish(set, delta, novel, dwit, []*evalNode{left.node, right.node}), nil
 
 	case algebra.Join:
-		left, right, err := insertKidsPair(q.Left, q.Right, old, newDB, I, lim, touched, tm, par)
+		left, right, err := insertKidsPair(q.Left, q.Right, old, newDB, I, lim, touched, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
@@ -1123,21 +949,13 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 		// New combinations = ΔL × R_new  ∪  L_old × ΔR: every pair using at
 		// least one added witness appears exactly once (ΔL×ΔR lands in the
 		// first term; the second pairs only OLD left witnesses with ΔR).
-		// Each delta tuple's probe writes only its own hit slot (the
-		// interner, the one shared mutable structure, takes its own lock);
-		// the dedup into cands/acc gathers serially, ΔL hits then ΔR hits
-		// in delta order — the exact sequence the serial loops produced.
-		type probeHit struct {
-			t  relation.Tuple
-			ws []Witness
-		}
-		probe := func(delta []relation.Tuple, dwit map[string][]Witness, myKey func(relation.Tuple) string, buck *overlay.Map[overlay.BucketVal], oppWit *overlay.Map[[]Witness], leftSide bool) [][]probeHit {
-			hits := make([][]probeHit, len(delta))
-			par.ForKeyed(len(delta), parDeltaMin, func(i int) string { return delta[i].Key() }, func(i int) {
-				t := delta[i]
+		var cands []relation.Tuple
+		seen := make(map[string]bool)
+		acc := make(map[string][]Witness)
+		probe := func(delta []relation.Tuple, dwit map[string][]Witness, myKey func(relation.Tuple) string, buck *overlay.Map[overlay.BucketVal], oppWit *overlay.Map[[]Witness], leftSide bool) {
+			for _, t := range delta {
 				myWs := dwit[t.Key()]
 				bv, _ := buck.Get(myKey(t))
-				var out []probeHit
 				bv.EachLive(oppWit.Has, func(pt relation.Tuple) bool {
 					pws, _ := oppWit.Get(pt.Key())
 					if len(pws) == 0 {
@@ -1160,33 +978,19 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 							}
 						}
 					}
-					out = append(out, probeHit{t: joined, ws: ws})
-					return true
-				})
-				hits[i] = out
-			})
-			return hits
-		}
-		lhits := probe(left.delta, left.dwit, sh.leftKey, rbuck, right.node.wit, true)
-		rhits := probe(right.delta, right.dwit, sh.rightKey, old.lbuck, old.kids[0].wit, false)
-		var cands []relation.Tuple
-		seen := make(map[string]bool)
-		acc := make(map[string][]Witness)
-		gather := func(hits [][]probeHit) {
-			for _, hs := range hits {
-				for _, h := range hs {
-					jk := h.t.Key()
+					jk := joined.Key()
 					if !seen[jk] {
 						seen[jk] = true
-						cands = append(cands, h.t)
+						cands = append(cands, joined)
 					}
-					acc[jk] = append(acc[jk], h.ws...)
-				}
+					acc[jk] = append(acc[jk], ws...)
+					return true
+				})
 			}
 		}
-		gather(lhits)
-		gather(rhits)
-		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm, par)
+		probe(left.delta, left.dwit, sh.leftKey, rbuck, right.node.wit, true)
+		probe(right.delta, right.dwit, sh.rightKey, old.lbuck, old.kids[0].wit, false)
+		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
@@ -1197,43 +1001,25 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 		return dn, nil
 
 	default:
-		return deltaNode{}, errNoDelta
+		// witnessEval admits no other node type into a tree.
+		panic(fmt.Sprintf("provenance: insertNodeDelta: unknown query node %T", q))
 	}
 }
 
-// insertKidsPair delta-evaluates a two-child operator's subtrees — the
-// sibling-subtree axis: with a budget the children run concurrently
-// (Budget.For is the join barrier before the parent maps their deltas);
-// serially the right child is skipped after a left error, exactly as the
-// inline recursion did. Error preference is left-first either way, so
-// errNoDelta fallbacks and ErrLimit attribution are width-independent.
+// insertKidsPair delta-evaluates a two-child operator's subtrees, left
+// first; the right child is skipped after a left error.
 //
 // propview:deterministic
-func insertKidsPair(ql, qr algebra.Query, old *evalNode, newDB *relation.Database, I []relation.SourceTuple, lim Limit, touched map[string]bool, tm *treeMetrics, par *parallel.Budget) (deltaNode, deltaNode, error) {
-	var res [2]deltaNode
-	var errs [2]error
-	run := func(i int) {
-		if i == 0 {
-			res[i], errs[i] = insertNodeDelta(ql, old.kids[0], newDB, I, lim, touched, tm, par)
-		} else {
-			res[i], errs[i] = insertNodeDelta(qr, old.kids[1], newDB, I, lim, touched, tm, par)
-		}
+func insertKidsPair(ql, qr algebra.Query, old *evalNode, newDB *relation.Database, I []relation.SourceTuple, lim Limit, touched map[string]bool, tm *treeMetrics) (deltaNode, deltaNode, error) {
+	left, err := insertNodeDelta(ql, old.kids[0], newDB, I, lim, touched, tm)
+	if err != nil {
+		return deltaNode{}, deltaNode{}, err
 	}
-	if par != nil {
-		par.For(2, run)
-	} else {
-		run(0)
-		if errs[0] == nil {
-			run(1)
-		}
+	right, err := insertNodeDelta(qr, old.kids[1], newDB, I, lim, touched, tm)
+	if err != nil {
+		return deltaNode{}, deltaNode{}, err
 	}
-	if errs[0] != nil {
-		return deltaNode{}, deltaNode{}, errs[0]
-	}
-	if errs[1] != nil {
-		return deltaNode{}, deltaNode{}, errs[1]
-	}
-	return res[0], res[1], nil
+	return left, right, nil
 }
 
 // Limit bounds witness-basis computation. The basis can be exponential in

@@ -30,15 +30,14 @@ package relation
 // base is a fraction of the relation.
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/layered"
 	"repro/internal/parallel"
 )
 
-// segHash is the partition function — 32-bit FNV-1a, shared with the
-// maintenance layers via the parallel package so a tuple's view-delta
-// partition matches its storage segment.
+// segHash is the partition function: 32-bit FNV-1a (parallel.Hash).
 func segHash(key string) uint32 { return parallel.Hash(key) }
 
 // seqTuple is one stored tuple tagged with its global insertion sequence.
@@ -276,7 +275,7 @@ func update[G group](st *segStore, all G, scatter func() []G, seqs uint64, par *
 	segs := make([]segment, len(st.segs))
 	copy(segs, st.segs)
 	deltas := make([]int, len(segs))
-	parallel.For(len(affected), func(j int) {
+	parallel.For(len(affected), runtime.GOMAXPROCS(0), func(j int) {
 		i := affected[j]
 		segs[i], deltas[i] = work(&st.segs[i], bySeg[i])
 	})
@@ -362,7 +361,7 @@ func (st *segStore) eachMerged(yield func(Tuple) bool) {
 	}
 	cs := make([]*segCursor, len(st.segs))
 	if st.live >= parallelCursorMin {
-		parallel.For(len(st.segs), func(i int) { cs[i] = newSegCursor(&st.segs[i]) })
+		parallel.For(len(st.segs), runtime.GOMAXPROCS(0), func(i int) { cs[i] = newSegCursor(&st.segs[i]) })
 	} else {
 		for i := range st.segs {
 			cs[i] = newSegCursor(&st.segs[i])
