@@ -1131,6 +1131,52 @@ func benchmarkAnnotateAfterWrite(b *testing.B, genes int) {
 func BenchmarkAnnotate_AfterWrite_ViewSize1k(b *testing.B)  { benchmarkAnnotateAfterWrite(b, 1_000) }
 func BenchmarkAnnotate_AfterWrite_ViewSize16k(b *testing.B) { benchmarkAnnotateAfterWrite(b, 16_000) }
 
+// buildInstance is the from-scratch build benchmarks' input: the paper's
+// UserGroup/GroupFile access view Π_{user,file}(UserGroup ⋈ GroupFile),
+// whose projection merges several witnesses and where-sets per view
+// tuple. users scales both relations; the view grows linearly with it.
+func buildInstance(users int) (*relation.Database, algebra.Query) {
+	return workload.UserGroupFile(rand.New(rand.NewSource(21)), users, users/10, users, 3, 3)
+}
+
+// benchmarkCompute times one from-scratch witness-basis build (Compute) of
+// the access view at the given size.
+func benchmarkCompute(b *testing.B, users int) {
+	db, q := buildInstance(users)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *provenance.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = provenance.Compute(q, db); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.View.Len()), "view-tuples")
+}
+
+func BenchmarkCompute_Small(b *testing.B) { benchmarkCompute(b, 100) }
+func BenchmarkCompute_Large(b *testing.B) { benchmarkCompute(b, 2_000) }
+
+// benchmarkComputeWhere times one from-scratch where-provenance index
+// build (ComputeWhere) of the access view at the given size.
+func benchmarkComputeWhere(b *testing.B, users int) {
+	db, q := buildInstance(users)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wv *annotation.WhereView
+	for i := 0; i < b.N; i++ {
+		var err error
+		if wv, err = annotation.ComputeWhere(q, db); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(wv.View.Len()), "view-tuples")
+}
+
+func BenchmarkComputeWhere_Small(b *testing.B) { benchmarkComputeWhere(b, 100) }
+func BenchmarkComputeWhere_Large(b *testing.B) { benchmarkComputeWhere(b, 2_000) }
+
 // Router overhead: the core dispatch on top of the direct algorithms.
 func BenchmarkRouter_Delete(b *testing.B) {
 	r := rand.New(rand.NewSource(17))

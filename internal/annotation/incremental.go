@@ -27,7 +27,6 @@
 package annotation
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/algebra"
@@ -72,7 +71,7 @@ type srcPos struct{ l, r int }
 
 // annNode is one operator of the retained where-provenance tree. The ann
 // map and the bucket indexes are persistent overlay generations;
-// everything else is immutable after the full computation and shared by
+// everything else is fixed when emptyAnnNode builds the tree and shared by
 // every derived generation.
 type annNode struct {
 	kind nodeKind
@@ -226,7 +225,7 @@ func (wv *WhereView) ApplyInsertion(I []relation.SourceTuple) *WhereView {
 // apply runs one maintenance step and assembles the next generation: the
 // root's delta versions the view and adjusts the reach counts.
 func (wv *WhereView) apply(ts []relation.SourceTuple, ins bool) *WhereView {
-	if len(ts) == 0 || wv.root == nil {
+	if len(ts) == 0 {
 		return wv
 	}
 	byRel := make(map[string][]relation.Tuple, 1)
@@ -262,8 +261,9 @@ type stepOut struct {
 	dead map[string]struct{}
 }
 
-func newStepOut() *stepOut {
-	return &stepOut{set: make(map[string]annEntry), dead: make(map[string]struct{})}
+// newStepOut starts a step expecting about n outcomes.
+func newStepOut(n int) *stepOut {
+	return &stepOut{d: delta{added: make([]annEntry, 0, n)}, set: make(map[string]annEntry, n), dead: make(map[string]struct{})}
 }
 
 // has reports whether the step already recorded an outcome for key k.
@@ -320,7 +320,7 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 		if len(ts) == 0 {
 			return n, delta{}
 		}
-		o := newStepOut()
+		o := newStepOut(len(ts))
 		for _, t := range ts {
 			k := t.Key()
 			w.met.touch()
@@ -349,7 +349,7 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 		if nk == n.kids[0] {
 			return n, delta{}
 		}
-		o := newStepOut()
+		o := newStepOut(len(kd.changed) + len(kd.added))
 		for _, e := range kd.died {
 			w.met.touch()
 			if old, ok := n.ann.Get(e.t.Key()); ok {
@@ -375,19 +375,18 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 		if nk == n.kids[0] {
 			return n, delta{}
 		}
-		keys, outs := candidates(n.images(0, kd.all(), nil))
-		o := newStepOut()
+		es := kd.all()
+		keys, outs, imgKeys := candidates(n.images(0, es, nil))
+		o := newStepOut(len(keys))
 		node := *n
 		node.kids = []*annNode{nk}
 		if w.ins {
 			// Sets only grow: a candidate's new sets are its old sets ∪
-			// the contributions of its added or changed pre-images.
+			// the contributions of its added or changed pre-images (an
+			// insertion kills no entry, so es holds only those).
 			contrib := make(map[string][]annEntry, len(keys))
-			for _, es := range [][]annEntry{kd.changed, kd.added} {
-				for _, e := range es {
-					k := n.imageKey(e.t)
-					contrib[k] = append(contrib[k], e)
-				}
+			for i, e := range es {
+				contrib[imgKeys[i]] = append(contrib[imgKeys[i]], e)
 			}
 			for i, k := range keys {
 				w.met.touch()
@@ -416,9 +415,9 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 				sets := make([]locSet, len(n.positions))
 				live := false
 				bv, _ := n.pre.Get(k)
-				bv.EachLive(nk.ann.Has, func(ct relation.Tuple) bool {
+				bv.EachLive(nk.ann.Has, func(_ relation.Tuple, ck string) bool {
 					w.met.touch()
-					ce, _ := nk.ann.Get(ct.Key())
+					ce, _ := nk.ann.Get(ck)
 					live = true
 					for j, p := range n.positions {
 						sets[j] = sets[j].union(ce.sets[p])
@@ -441,8 +440,10 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 		// with a live partner of the other. A deletion probes the OLD
 		// generation — a partner dying in this same step still paired
 		// before it, and its output tuples must be re-examined (they die),
-		// not silently skipped. An insertion probes the NEW one, buckets
-		// extended first, so added×added pairs are found too.
+		// not silently skipped. An insertion probes the NEW right side for
+		// the left delta, buckets extended first, and the OLD left side for
+		// the right delta, so every pair, added×added included, is found
+		// exactly once.
 		probe := n
 		if w.ins {
 			grown := *n
@@ -452,9 +453,9 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 			probe = &grown
 		}
 		imgs := probe.images(0, ld.all(), w.met)
-		imgs = append(imgs, probe.images(1, rd.all(), w.met)...)
-		keys, outs := candidates(imgs)
-		o := newStepOut()
+		imgs = append(imgs, n.images(1, rd.all(), w.met)...)
+		keys, outs, _ := candidates(imgs)
+		o := newStepOut(len(keys))
 		for i, k := range keys {
 			w.met.touch()
 			old, ok := n.ann.Get(k)
@@ -499,8 +500,8 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 		}
 		imgs := n.images(0, ld.all(), nil)
 		imgs = append(imgs, n.images(1, rd.all(), nil)...)
-		keys, outs := candidates(imgs)
-		o := newStepOut()
+		keys, outs, _ := candidates(imgs)
+		o := newStepOut(len(keys))
 		for i, k := range keys {
 			w.met.touch()
 			out := outs[i]
@@ -531,9 +532,10 @@ func (n *annNode) step(w *write) (*annNode, delta) {
 // they can reach — the candidate step shared by maintenance (step) and
 // by Affected's walk up the tree (reachUp). A join probes the opposite
 // side's bucket index, walking the partners live in the opposite child;
-// a deletion probes the pre-step node, an insertion a copy whose buckets
-// and children already include the step's additions. The result may
-// repeat a tuple; callers deduplicate.
+// a deletion probes the pre-step node, and an insertion probes a copy
+// whose buckets and children already include the step's additions for
+// the left side, the pre-step node for the right. The result may repeat
+// a tuple; callers deduplicate.
 //
 // Join probes count as touched in met (nil outside maintenance).
 //
@@ -559,14 +561,14 @@ func (n *annNode) images(side int, es []annEntry, met *whereMetrics) []relation.
 		for _, e := range es {
 			if side == 0 {
 				bv, _ := n.rbuck.Get(n.leftKey(e.t))
-				bv.EachLive(n.kids[1].ann.Has, func(pt relation.Tuple) bool {
+				bv.EachLive(n.kids[1].ann.Has, func(pt relation.Tuple, _ string) bool {
 					met.touch()
 					out = append(out, n.joined(e.t, pt))
 					return true
 				})
 			} else {
 				bv, _ := n.lbuck.Get(n.rightKey(e.t))
-				bv.EachLive(n.kids[0].ann.Has, func(pt relation.Tuple) bool {
+				bv.EachLive(n.kids[0].ann.Has, func(pt relation.Tuple, _ string) bool {
 					met.touch()
 					out = append(out, n.joined(pt, e.t))
 					return true
@@ -615,26 +617,30 @@ func (n *annNode) reachUp(rel string, t relation.Tuple, id int32) []annEntry {
 	return hits
 }
 
-// candidates deduplicates candidate output tuples into key-sorted
-// key/tuple slices. The sorted key order is the order the step records its
-// delta in, and so the order added tuples are appended to the view.
+// candidates deduplicates candidate output tuples into key/tuple slices in
+// first-appearance order, and returns every input's key, in input order.
+// First-appearance order is the order the step records its delta in, and
+// so the order added tuples are appended to the view: an insertion from
+// the empty instance lists a node's entries in evaluation order — child
+// order through σ, π and δ, left before right through ∪, and left-major
+// pairs through ⋈.
 //
 // propview:deterministic
-func candidates(ts []relation.Tuple) ([]string, []relation.Tuple) {
-	byKey := make(map[string]relation.Tuple, len(ts))
-	for _, t := range ts {
-		byKey[t.Key()] = t
+func candidates(ts []relation.Tuple) (keys []string, outs []relation.Tuple, tkeys []string) {
+	seen := make(map[string]bool, len(ts))
+	keys = make([]string, 0, len(ts))
+	outs = make([]relation.Tuple, 0, len(ts))
+	tkeys = make([]string, len(ts))
+	for i, t := range ts {
+		k := t.Key()
+		tkeys[i] = k
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+			outs = append(outs, t)
+		}
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	outs := make([]relation.Tuple, len(keys))
-	for i, k := range keys {
-		outs[i] = byKey[k]
-	}
-	return keys, outs
+	return keys, outs, tkeys
 }
 
 // derive publishes this node's next generation: same statics, new kids
@@ -654,7 +660,7 @@ func (n *annNode) derive(kids []*annNode, o *stepOut, met *whereMetrics) *annNod
 
 // joined builds the join output tuple for a (left, right) pair: the left
 // tuple followed by the right side's non-common attributes, matching the
-// build-time construction byte for byte.
+// join's output schema.
 func (n *annNode) joined(lt, rt relation.Tuple) relation.Tuple {
 	out := make(relation.Tuple, 0, n.ls.Len()+len(n.ronly))
 	out = append(out, lt...)

@@ -11,8 +11,9 @@ import (
 )
 
 // maintQueries cover every operator the maintenance rules handle: σ, π,
-// ⋈ (including a natural self-join and a self-join through a renaming),
-// ∪ with and without an alignment permutation, and ρ.
+// ⋈ (including a natural self-join, a self-join through a renaming and a
+// join whose view keeps the join attribute, which collects both sides'
+// locations), ∪ with and without an alignment permutation, and ρ.
 func maintQueries() map[string]algebra.Query {
 	chain := algebra.Pi([]relation.Attribute{"A", "C"},
 		algebra.Sigma(algebra.AttrConst{Attr: "A", Op: algebra.OpNe, Val: relation.String("v0")},
@@ -24,6 +25,8 @@ func maintQueries() map[string]algebra.Query {
 		"spjru":        incrTestQuery(),
 		"selfjoin∪aln": algebra.Un(chain, aligned),
 		"natselfjoin":  algebra.Pi([]relation.Attribute{"B"}, algebra.NatJoin(algebra.R("R1"), algebra.R("R1"))),
+		"joinkey": algebra.NatJoin(algebra.R("R1"),
+			algebra.Delta(map[relation.Attribute]relation.Attribute{"C": "B"}, algebra.R("R2"))),
 	}
 }
 
@@ -119,6 +122,16 @@ func answers(wv *WhereView, locs []relation.Location) string {
 	return b.String()
 }
 
+// checkAgainstRef compares an index's where-sets with the where
+// reference's over db, the paper's propagation rules evaluated on plain
+// maps (where_ref_test.go).
+func checkAgainstRef(t *testing.T, label string, wv *WhereView, q algebra.Query, db *relation.Database) {
+	t.Helper()
+	if got, want := whereFingerprint(wv), refFingerprint(q, db); got != want {
+		t.Fatalf("%s: index diverged from the where reference\n got:\n%s\nwant:\n%s", label, got, want)
+	}
+}
+
 // checkAgainstFresh compares a maintained index's answers with a
 // from-scratch ComputeWhere's, rendered by answers.
 func checkAgainstFresh(t *testing.T, label string, got *WhereView, locs []relation.Location, want string) {
@@ -132,7 +145,9 @@ func checkAgainstFresh(t *testing.T, label string, got *WhereView, locs []relati
 // ApplyDeletion and ApplyInsertion steps — deletes of live and absent
 // tuples, inserts of novel and duplicate tuples, restores of earlier
 // deletes — through every query of maintQueries. After every step the
-// generation must answer exactly like ComputeWhere over the same source.
+// generation must answer exactly like ComputeWhere over the same source,
+// and both it and that fresh index must hold the where reference's sets;
+// so must the index built at the start.
 // The chains are long enough to fold and squash the ann maps and bucket
 // indexes, and every superseded generation is checked again at the end:
 // deriving later generations must not disturb an earlier one.
@@ -147,6 +162,7 @@ func TestMaintenanceMatchesRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkAgainstRef(t, "build", start, q, db)
 			type gen struct {
 				wv   *WhereView
 				locs []relation.Location
@@ -212,6 +228,8 @@ func TestMaintenanceMatchesRecompute(t *testing.T) {
 				locs := knownLocations(fresh, start)
 				want := answers(fresh, locs)
 				checkAgainstFresh(t, fmt.Sprintf("step %d", step), cur, locs, want)
+				checkAgainstRef(t, fmt.Sprintf("step %d", step), cur, q, db)
+				checkAgainstRef(t, fmt.Sprintf("step %d fresh", step), fresh, q, db)
 				history = append(history, gen{wv: cur, locs: locs, want: want})
 			}
 			for step, g := range history {

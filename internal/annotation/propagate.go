@@ -20,7 +20,6 @@
 package annotation
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -208,34 +207,21 @@ func (wv *WhereView) setsOf(k string) []locSet {
 }
 
 // ComputeWhere evaluates q over db with full where-provenance tracking.
-// Polynomial in the total size of all intermediate results.
+// Polynomial in the total size of all intermediate results. The build is
+// an insertion from the empty instance: ApplyInsertion of every tuple of
+// q's base relations, in store order, into q's empty annotated tree — the
+// step maintenance runs. The index starts with fresh counters, so
+// MaintenanceTouched reports maintenance only.
 func ComputeWhere(q algebra.Query, db *relation.Database) (*WhereView, error) {
 	if err := algebra.Validate(q, db); err != nil {
 		return nil, err
 	}
-	in := newInterner()
-	ar, err := annEval(q, db, in)
-	if err != nil {
-		return nil, err
-	}
-	// The view shares its tuples with the root's entries, in evaluation
-	// order.
-	rows := make([]relation.Tuple, 0, ar.rel.Len())
-	ar.rel.Each(func(t relation.Tuple) bool {
-		rows = append(rows, ar.get(t).t)
-		return true
-	})
-	counts := make([]int32, in.size())
-	ar.node.ann.Each(func(_ string, e annEntry) bool {
-		for _, set := range e.sets {
-			for _, id := range set {
-				counts[id]++
-			}
-		}
-		return true
-	})
-	view := relation.Adopt(algebra.DefaultViewName, ar.rel.Schema(), rows)
-	return &WhereView{View: view, root: ar.node, in: in, reach: newReach(counts), met: &whereMetrics{}}, nil
+	root, sch := emptyAnnNode(q, db)
+	empty := &WhereView{View: relation.New(algebra.DefaultViewName, sch).Seal(), root: root,
+		in: newInterner(), reach: &reach{}, met: &whereMetrics{}}
+	wv := *empty.ApplyInsertion(db.SourceTuplesOf(algebra.BaseRelations(q)))
+	wv.met = &whereMetrics{}
+	return &wv, nil
 }
 
 // WhereOf returns the source locations whose annotation propagates to view
@@ -322,8 +308,9 @@ func (wv *WhereView) InternedLocations() int { return wv.in.size() }
 
 // LiveLocations returns the number of source locations this generation's
 // scans hold: one per attribute of every live tuple of each scanned
-// relation. A from-scratch ComputeWhere interns exactly these, so the gap
-// to InternedLocations is what maintenance has accumulated.
+// relation. ComputeWhere interns exactly these, so the gap to
+// InternedLocations is the locations of tuples maintenance has since
+// deleted.
 func (wv *WhereView) LiveLocations() int {
 	seen := make(map[string]bool)
 	n := 0
@@ -341,253 +328,76 @@ func (wv *WhereView) LiveLocations() int {
 	return n
 }
 
-// annRel is an intermediate result of the annotated evaluation: the
-// operator's output relation (driving the parent's iteration during the
-// full computation) and its retained tree node. The relations of inner
-// nodes are transient — only the node survives into the WhereView.
-type annRel struct {
-	rel  *relation.Relation
-	node *annNode
-}
-
-// get resolves one build-time entry of this node (always present for a
-// tuple the operator just produced).
-func (ar *annRel) get(t relation.Tuple) annEntry {
-	e, _ := ar.node.ann.Get(t.Key())
-	return e
-}
-
-func annEval(q algebra.Query, db *relation.Database, in *interner) (*annRel, error) {
+// emptyAnnNode builds q's where-provenance tree over the empty instance:
+// every node's statics — the positions, alignments and join geometry the
+// propagation rules read — with empty entry maps and bucket indexes. It
+// returns the node and its output schema. q must have passed Validate.
+func emptyAnnNode(q algebra.Query, db *relation.Database) (*annNode, relation.Schema) {
+	n := &annNode{ann: overlay.NewMap(map[string]annEntry{})}
+	var kids []relation.Schema
+	for _, c := range algebra.Children(q) {
+		kn, ks := emptyAnnNode(c, db)
+		n.kids = append(n.kids, kn)
+		kids = append(kids, ks)
+	}
+	sch, _ := algebra.SchemaOf(q, db)
 	switch q := q.(type) {
 	case algebra.Scan:
-		base := db.Relation(q.Rel)
-		attrs := base.Schema().Attrs()
-		m := make(map[string]annEntry, base.Len())
-		base.Each(func(t relation.Tuple) bool {
-			k := t.Key()
-			m[k] = annEntry{t: t, sets: in.scanSets(q.Rel, t, k, attrs)}
-			return true
-		})
-		node := &annNode{kind: nodeScan, relName: q.Rel, attrs: attrs, ann: overlay.NewMap(m)}
-		return &annRel{rel: base, node: node}, nil
-
+		n.kind, n.relName, n.attrs = nodeScan, q.Rel, sch.Attrs()
 	case algebra.Select:
-		child, err := annEval(q.Child, db, in)
-		if err != nil {
-			return nil, err
-		}
-		rel := relation.New("σ", child.rel.Schema())
-		m := make(map[string]annEntry)
-		child.rel.Each(func(t relation.Tuple) bool {
-			if q.Cond.Holds(child.rel.Schema(), t) {
-				rel.Insert(t)
-				m[t.Key()] = child.get(t)
-			}
-			return true
-		})
-		node := &annNode{kind: nodeSelect, kids: []*annNode{child.node}, ann: overlay.NewMap(m),
-			cond: q.Cond, csch: child.rel.Schema()}
-		return &annRel{rel: rel, node: node}, nil
-
+		n.kind, n.cond, n.csch = nodeSelect, q.Cond, kids[0]
+	case algebra.Rename:
+		n.kind = nodeRename
 	case algebra.Project:
-		child, err := annEval(q.Child, db, in)
-		if err != nil {
-			return nil, err
+		n.kind, n.positions, n.pre = nodeProject, positionsOf(kids[0], q.Attrs), overlay.NewBuckets(nil)
+	case algebra.Union:
+		n.kind, n.positions = nodeUnion, positionsOf(kids[1], sch.Attrs())
+		n.inv = make([]int, len(n.positions))
+		for i, p := range n.positions {
+			n.inv[p] = i
 		}
-		schema, perr := child.rel.Schema().Project(q.Attrs)
-		if perr != nil {
-			return nil, perr
-		}
-		positions := make([]int, len(q.Attrs))
-		for i, a := range q.Attrs {
-			positions[i], _ = child.rel.Schema().Index(a)
-		}
-		rel := relation.New("π", schema)
-		m := make(map[string]annEntry)
-		pre := make(map[string][]relation.Tuple)
-		child.rel.Each(func(t relation.Tuple) bool {
-			pt := t.Project(positions)
-			rel.Insert(pt)
-			k := pt.Key()
-			e, ok := m[k]
-			if !ok {
-				e = annEntry{t: pt, sets: make([]locSet, len(positions))}
-			}
-			// Projection merges all pre-images: every child tuple with
-			// t'.B = t contributes its sets (rule 2).
-			ce := child.get(t)
-			for i, p := range positions {
-				e.sets[i] = e.sets[i].union(ce.sets[p])
-			}
-			m[k] = e
-			pre[k] = append(pre[k], ce.t)
-			return true
-		})
-		node := &annNode{kind: nodeProject, kids: []*annNode{child.node},
-			ann: overlay.NewMap(m), positions: positions, pre: overlay.NewBuckets(pre)}
-		return &annRel{rel: rel, node: node}, nil
-
 	case algebra.Join:
-		left, err := annEval(q.Left, db, in)
-		if err != nil {
-			return nil, err
-		}
-		right, err := annEval(q.Right, db, in)
-		if err != nil {
-			return nil, err
-		}
-		ls, rs := left.rel.Schema(), right.rel.Schema()
-		outSchema := ls.Join(rs)
-		rel := relation.New("⋈", outSchema)
+		ls, rs := kids[0], kids[1]
 		common := ls.Common(rs)
-		lkey, rkey := make([]int, len(common)), make([]int, len(common))
-		for i, a := range common {
-			lkey[i], _ = ls.Index(a)
-			rkey[i], _ = rs.Index(a)
-		}
-		lbuck := make(map[string][]relation.Tuple)
-		left.rel.Each(func(lt relation.Tuple) bool {
-			k := lt.Project(lkey).Key()
-			//lint:ignore eachretain join buckets alias the immutable annotated snapshot and are only probed, never written through
-			lbuck[k] = append(lbuck[k], lt)
-			return true
-		})
-		rbuck := make(map[string][]relation.Tuple)
-		right.rel.Each(func(rt relation.Tuple) bool {
-			k := rt.Project(rkey).Key()
-			//lint:ignore eachretain join buckets alias the immutable annotated snapshot and are only probed, never written through
-			rbuck[k] = append(rbuck[k], rt)
-			return true
-		})
+		n.kind, n.ls = nodeJoin, ls
+		n.lkey, n.rkey = positionsOf(ls, common), positionsOf(rs, common)
+		n.lbuck, n.rbuck = overlay.NewBuckets(nil), overlay.NewBuckets(nil)
 		// Output position → (left position, right position); -1 if absent
 		// on that side. Common attributes pull from both (rules for R1 and
 		// R2 both apply). rpos/ronly record where each right position lands
 		// in the output (the output is the left tuple plus the right side's
 		// non-common attributes, in right-schema order).
-		mapping := make([]srcPos, outSchema.Len())
-		for i, a := range outSchema.Attrs() {
-			lp, lok := ls.Index(a)
-			rp, rok := rs.Index(a)
+		n.mapping = make([]srcPos, sch.Len())
+		for i, a := range sch.Attrs() {
 			sp := srcPos{l: -1, r: -1}
-			if lok {
+			if lp, ok := ls.Index(a); ok {
 				sp.l = lp
 			}
-			if rok {
+			if rp, ok := rs.Index(a); ok {
 				sp.r = rp
 			}
-			mapping[i] = sp
+			n.mapping[i] = sp
 		}
-		rpos := make([]int, rs.Len())
-		var ronly []int
+		n.rpos = make([]int, rs.Len())
 		for j, a := range rs.Attrs() {
 			if lp, ok := ls.Index(a); ok {
-				rpos[j] = lp
+				n.rpos[j] = lp
 			} else {
-				rpos[j] = ls.Len() + len(ronly)
-				ronly = append(ronly, j)
+				n.rpos[j] = ls.Len() + len(n.ronly)
+				n.ronly = append(n.ronly, j)
 			}
 		}
-		node := &annNode{kind: nodeJoin, kids: []*annNode{left.node, right.node},
-			ls: ls, ronly: ronly, lkey: lkey, rkey: rkey,
-			lbuck: overlay.NewBuckets(lbuck), rbuck: overlay.NewBuckets(rbuck), mapping: mapping, rpos: rpos}
-		m := make(map[string]annEntry)
-		left.rel.Each(func(lt relation.Tuple) bool {
-			k := lt.Project(lkey).Key()
-			lsets := left.get(lt).sets
-			for _, rt := range rbuck[k] {
-				rsets := right.get(rt).sets
-				joined := node.joined(lt, rt)
-				rel.Insert(joined)
-				sets := make([]locSet, len(mapping))
-				for i, sp := range mapping {
-					var s locSet
-					if sp.l >= 0 {
-						s = s.union(lsets[sp.l])
-					}
-					if sp.r >= 0 {
-						s = s.union(rsets[sp.r])
-					}
-					sets[i] = s
-				}
-				m[joined.Key()] = annEntry{t: joined, sets: sets}
-			}
-			return true
-		})
-		node.ann = overlay.NewMap(m)
-		return &annRel{rel: rel, node: node}, nil
-
-	case algebra.Union:
-		left, err := annEval(q.Left, db, in)
-		if err != nil {
-			return nil, err
-		}
-		right, err := annEval(q.Right, db, in)
-		if err != nil {
-			return nil, err
-		}
-		rel := relation.New("∪", left.rel.Schema())
-		m := make(map[string]annEntry)
-		// A left entry is shared as is until a right tuple merges into it;
-		// the alignment is a permutation, so that happens at most once per
-		// key, and the merge copies the sets first.
-		left.rel.Each(func(t relation.Tuple) bool {
-			rel.Insert(t)
-			m[t.Key()] = left.get(t)
-			return true
-		})
-		attrs := left.rel.Schema().Attrs()
-		positions := make([]int, len(attrs))
-		for i, a := range attrs {
-			positions[i], _ = right.rel.Schema().Index(a)
-		}
-		inv := make([]int, len(positions))
-		for i, p := range positions {
-			inv[p] = i
-		}
-		right.rel.Each(func(t relation.Tuple) bool {
-			aligned := t.Project(positions)
-			rel.Insert(aligned)
-			rsets := right.get(t).sets
-			k := aligned.Key()
-			e, ok := m[k]
-			sets := make([]locSet, len(attrs))
-			if ok {
-				copy(sets, e.sets)
-			} else {
-				e.t = aligned
-			}
-			for i, p := range positions {
-				sets[i] = sets[i].union(rsets[p])
-			}
-			m[k] = annEntry{t: e.t, sets: sets}
-			return true
-		})
-		node := &annNode{kind: nodeUnion, kids: []*annNode{left.node, right.node},
-			ann: overlay.NewMap(m), positions: positions, inv: inv}
-		return &annRel{rel: rel, node: node}, nil
-
-	case algebra.Rename:
-		child, err := annEval(q.Child, db, in)
-		if err != nil {
-			return nil, err
-		}
-		schema, rerr := child.rel.Schema().Rename(q.Theta)
-		if rerr != nil {
-			return nil, rerr
-		}
-		rel := relation.New("δ", schema)
-		m := make(map[string]annEntry)
-		child.rel.Each(func(t relation.Tuple) bool {
-			rel.Insert(t)
-			m[t.Key()] = child.get(t)
-			return true
-		})
-		node := &annNode{kind: nodeRename, kids: []*annNode{child.node}, ann: overlay.NewMap(m)}
-		return &annRel{rel: rel, node: node}, nil
-
-	default:
-		return nil, fmt.Errorf("annotation: unknown query node %T", q)
 	}
+	return n, sch
+}
+
+// positionsOf returns the positions of attrs in s.
+func positionsOf(s relation.Schema, attrs []relation.Attribute) []int {
+	out := make([]int, len(attrs))
+	for i, a := range attrs {
+		out[i], _ = s.Index(a)
+	}
+	return out
 }
 
 // ForwardPropagate computes the view locations annotated by a single

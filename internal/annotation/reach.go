@@ -2,10 +2,10 @@ package annotation
 
 // Reach counts: for every interned source location, the number of view
 // locations its annotation reaches — |Affected(src)|, the quantity the
-// placement problem minimizes. ComputeWhere counts them once from the
-// root's where-sets; each maintenance step then adjusts only the ids in
-// the root's died, changed and added entries, so placement reads a
-// candidate's count in O(1) instead of walking the view.
+// placement problem minimizes. Every step, the build's insertion from the
+// empty instance included, adjusts only the ids in the root's died,
+// changed and added entries, so placement reads a candidate's count in
+// O(1) instead of walking the view.
 
 // reachChunk is the number of counters per copy-on-write chunk.
 const reachChunk = 256
@@ -16,16 +16,6 @@ const reachChunk = 256
 // O(#ids/reachChunk + touched chunks · reachChunk), never O(#ids).
 type reach struct {
 	chunks []*[reachChunk]int32
-}
-
-// newReach chunks a dense counter array.
-func newReach(counts []int32) *reach {
-	r := &reach{chunks: make([]*[reachChunk]int32, (len(counts)+reachChunk-1)/reachChunk)}
-	for c := range r.chunks {
-		r.chunks[c] = new([reachChunk]int32)
-		copy(r.chunks[c][:], counts[c*reachChunk:])
-	}
-	return r
 }
 
 // get returns the count of id (0 for an id interned after this

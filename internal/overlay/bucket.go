@@ -58,18 +58,20 @@ func (bv BucketVal) Live() int { return bv.n - bv.dead }
 // callers that need only the live fan-out should use EachLive.
 func (bv BucketVal) Each(yield func(relation.Tuple) bool) bool { return bv.chain.Each(yield) }
 
-// EachLive walks the chain in append order yielding each live tuple
-// exactly once, using alive to recognize stale entries and the live count
-// to stop as soon as every live tuple has been emitted — a probe never
-// walks the stale tail of a churned bucket, and an all-stale bucket costs
-// O(1). Entries before the last live one are still visited (their
-// positions are unknown), so the worst-case walk is the chain prefix
-// holding the live entries, itself bounded at 2× the live fan-out by the
-// half-stale compaction.
+// EachLive walks the chain in append order yielding each live tuple, with
+// its key, exactly once, using alive to recognize stale entries and the
+// live count to stop as soon as every live tuple has been emitted — a
+// probe never walks the stale tail of a churned bucket, and an all-stale
+// bucket costs O(1). Entries before the last live one are still visited
+// (their positions are unknown), so the worst-case walk is the chain
+// prefix holding the live entries, itself bounded at 2× the live fan-out
+// by the half-stale compaction.
 //
 // A key removed and later re-added appears in the chain twice with only
 // the net copy counted live; the seen set makes the walk yield it once.
-func (bv BucketVal) EachLive(alive func(key string) bool, yield func(relation.Tuple) bool) bool {
+// A chain with no removals since it was built holds no such repeats and
+// skips the set.
+func (bv BucketVal) EachLive(alive func(key string) bool, yield func(t relation.Tuple, key string) bool) bool {
 	remaining := bv.Live()
 	if remaining <= 0 {
 		return true
@@ -80,7 +82,7 @@ func (bv BucketVal) EachLive(alive func(key string) bool, yield func(relation.Tu
 		if seen[k] || !alive(k) {
 			return true
 		}
-		if !yield(t) {
+		if !yield(t, k) {
 			remaining = -1
 			return false
 		}
@@ -88,26 +90,15 @@ func (bv BucketVal) EachLive(alive func(key string) bool, yield func(relation.Tu
 		if remaining == 0 {
 			return false
 		}
-		if seen == nil {
-			seen = make(map[string]bool, remaining+1)
+		if bv.dead > 0 {
+			if seen == nil {
+				seen = make(map[string]bool, remaining+1)
+			}
+			seen[k] = true
 		}
-		seen[k] = true
 		return true
 	})
 	return remaining >= 0
-}
-
-// BucketBase hashes a relation on the join key — the flat base of a join
-// node's persistent bucket index.
-func BucketBase(r *relation.Relation, key func(relation.Tuple) string) *Map[BucketVal] {
-	groups := make(map[string][]relation.Tuple)
-	r.Each(func(t relation.Tuple) bool {
-		k := key(t)
-		//lint:ignore eachretain bucket chains adopt aliases into the immutable base relation; Bucket nodes are persistent and never written through
-		groups[k] = append(groups[k], t)
-		return true
-	})
-	return NewBuckets(groups)
 }
 
 // NewBuckets wraps already grouped partner tuples as the flat base of a

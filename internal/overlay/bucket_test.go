@@ -39,7 +39,7 @@ func TestEachLiveYieldsExactlyLive(t *testing.T) {
 		r.InsertStrings("v" + strconv.Itoa(i))
 	}
 	hub := func(relation.Tuple) string { return "hub" }
-	b := BucketBase(r, hub)
+	b := BucketsAdd(NewBuckets(nil), r.Tuples(), hub, nil)
 
 	// Kill v2..v50 (49 of 102: below the half-stale bound, so the chain
 	// keeps the stale entries and only the counts move).
@@ -58,7 +58,7 @@ func TestEachLiveYieldsExactlyLive(t *testing.T) {
 		t.Fatalf("Live() = %d, want 53", bv.Live())
 	}
 	visited := 0
-	bv.EachLive(aliveFn, func(tu relation.Tuple) bool {
+	bv.EachLive(aliveFn, func(tu relation.Tuple, _ string) bool {
 		if !aliveFn(tu.Key()) {
 			t.Fatalf("EachLive yielded stale tuple %v", tu)
 		}
@@ -81,7 +81,7 @@ func TestEachLiveEarlyExitBound(t *testing.T) {
 	for i := 0; i < 201; i++ {
 		r.InsertStrings("v" + strconv.Itoa(i))
 	}
-	b := BucketBase(r, hub)
+	b := BucketsAdd(NewBuckets(nil), r.Tuples(), hub, nil)
 
 	var died []relation.Tuple
 	m, aliveFn := liveSet()
@@ -100,7 +100,7 @@ func TestEachLiveEarlyExitBound(t *testing.T) {
 		t.Fatalf("Live() = %d, want 101", bv.Live())
 	}
 	walked := 0
-	bv.EachLive(func(k string) bool { walked++; return aliveFn(k) }, func(relation.Tuple) bool { return true })
+	bv.EachLive(func(k string) bool { walked++; return aliveFn(k) }, func(relation.Tuple, string) bool { return true })
 	// The live count runs out at the 101st entry; the 100-entry stale tail
 	// is never visited.
 	if walked != 101 {
@@ -116,7 +116,7 @@ func TestEachLiveReAddedKeyYieldsOnce(t *testing.T) {
 	r := relation.New("R", relation.NewSchema("A"))
 	r.InsertStrings("x")
 	r.InsertStrings("y")
-	b := BucketBase(r, hub)
+	b := BucketsAdd(NewBuckets(nil), r.Tuples(), hub, nil)
 
 	x := relation.StringTuple("x")
 	m, aliveFn := liveSet(x.Key(), relation.StringTuple("y").Key())
@@ -140,7 +140,7 @@ func TestEachLiveReAddedKeyYieldsOnce(t *testing.T) {
 		t.Fatalf("Live() = %d, want 5", bv.Live())
 	}
 	seen := map[string]int{}
-	ok := bv.EachLive(aliveFn, func(tu relation.Tuple) bool {
+	ok := bv.EachLive(aliveFn, func(tu relation.Tuple, _ string) bool {
 		seen[tu.Key()]++
 		return true
 	})
@@ -171,7 +171,7 @@ func TestBucketsRemoveDropsEmptyInO1(t *testing.T) {
 		r.InsertStrings("v" + strconv.Itoa(i))
 		died = append(died, relation.StringTuple("v"+strconv.Itoa(i)))
 	}
-	b := BucketBase(r, hub)
+	b := BucketsAdd(NewBuckets(nil), r.Tuples(), hub, nil)
 
 	probes := 0
 	b = BucketsRemove(b, died, hub, func(string) bool { probes++; return false }, nil)

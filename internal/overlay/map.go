@@ -104,12 +104,16 @@ func flatten[V any](s *layered.Store[entry[V], mapBase[V]]) mapBase[V] {
 
 // Derive publishes the version of m with the keys of set (re)bound and the
 // keys of dead removed, folding or squashing when the overlay trips the
-// unsegmented schedule. set and dead must be disjoint and dead is owned by
-// the new version afterwards; passing both empty returns the receiver.
-// The receiver is unchanged. O(|Δ|) plus amortized compaction.
+// unsegmented schedule. set and dead must be disjoint and both are owned
+// by the new version afterwards; passing both empty returns the receiver.
+// An empty, flat receiver adopts set as the new version's base. The
+// receiver is unchanged. O(|Δ|) plus amortized compaction.
 func (m *Map[V]) Derive(set map[string]V, dead map[string]struct{}, met *Metrics) *Map[V] {
 	if len(set) == 0 && len(dead) == 0 {
 		return m
+	}
+	if m.s.Len() == 0 && m.s.Depth() == 0 && len(dead) == 0 {
+		return NewMap(set)
 	}
 	live := m.s.Len()
 	added := make([]entry[V], 0, len(set))

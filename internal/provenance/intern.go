@@ -47,25 +47,33 @@ func (wi *witnessInterner) lookup(k string) (Witness, bool) {
 	return w, ok
 }
 
-// singleton returns the canonical witness {st}.
+// singleton returns the canonical witness {st}. A nil interner builds it
+// without interning.
 func (wi *witnessInterner) singleton(st relation.SourceTuple) Witness {
 	k := st.Key()
-	if w, ok := wi.lookup(k); ok {
-		wi.hits.Add(1)
+	w := Witness{tuples: []relation.SourceTuple{st}, keys: []string{k}, key: k}
+	if wi == nil {
 		return w
 	}
-	return wi.put(k, NewWitness(st))
-}
-
-// union returns the canonical witness w ∪ v, probing by the merged key
-// before building anything.
-func (wi *witnessInterner) union(w, v Witness) Witness {
-	k := mergedKey(w.keys, v.keys)
 	if u, ok := wi.lookup(k); ok {
 		wi.hits.Add(1)
 		return u
 	}
-	return wi.put(k, UnionWitness(w, v))
+	return wi.put(k, w)
+}
+
+// union returns the canonical witness w ∪ v, probing by the merged key
+// before building anything. A nil interner builds it without interning.
+func (wi *witnessInterner) union(w, v Witness) Witness {
+	k := mergedKey(w.keys, v.keys)
+	if wi == nil {
+		return unionWitness(w, v, k)
+	}
+	if u, ok := wi.lookup(k); ok {
+		wi.hits.Add(1)
+		return u
+	}
+	return wi.put(k, unionWitness(w, v, k))
 }
 
 // put stores w under k. Two passes missing on the same key may both
@@ -126,4 +134,27 @@ func mergedKey(a, b []string) string {
 		emit(b[j])
 	}
 	return sb.String()
+}
+
+// unionWitness builds w ∪ v by merging their sorted keys; key must be
+// mergedKey(w.keys, v.keys).
+func unionWitness(w, v Witness, key string) Witness {
+	n := len(w.keys) + len(v.keys)
+	u := Witness{tuples: make([]relation.SourceTuple, 0, n), keys: make([]string, 0, n), key: key}
+	i, j := 0, 0
+	for i < len(w.keys) || j < len(v.keys) {
+		switch {
+		case j == len(v.keys) || i < len(w.keys) && w.keys[i] < v.keys[j]:
+			u.tuples, u.keys = append(u.tuples, w.tuples[i]), append(u.keys, w.keys[i])
+			i++
+		case i == len(w.keys) || v.keys[j] < w.keys[i]:
+			u.tuples, u.keys = append(u.tuples, v.tuples[j]), append(u.keys, v.keys[j])
+			j++
+		default:
+			u.tuples, u.keys = append(u.tuples, w.tuples[i]), append(u.keys, w.keys[i])
+			i++
+			j++
+		}
+	}
+	return u
 }

@@ -51,9 +51,7 @@ func NewWitness(ts ...relation.SourceTuple) Witness {
 }
 
 // UnionWitness returns w ∪ v.
-func UnionWitness(w, v Witness) Witness {
-	return NewWitness(append(append([]relation.SourceTuple(nil), w.tuples...), v.tuples...)...)
-}
+func UnionWitness(w, v Witness) Witness { return unionWitness(w, v, mergedKey(w.keys, v.keys)) }
 
 // Len returns the number of source tuples in the witness.
 func (w Witness) Len() int { return len(w.tuples) }
@@ -106,7 +104,11 @@ func (w Witness) String() string {
 
 // minimizeWitnesses deduplicates and removes non-minimal witnesses
 // (supersets of other witnesses), returning a canonical, key-sorted basis.
+// A list of at most one witness is already one and is returned as is.
 func minimizeWitnesses(ws []Witness) []Witness {
+	if len(ws) <= 1 {
+		return ws
+	}
 	// Dedup first.
 	seen := make(map[string]Witness, len(ws))
 	for _, w := range ws {
@@ -163,14 +165,13 @@ type Result struct {
 
 	// plan is the query this result was computed for and lim the basis cap
 	// it was computed under; both are carried through maintenance so
-	// ApplyInsertion can delta-evaluate (or fall back to a full recompute)
-	// without the caller re-supplying them.
+	// ApplyInsertion can delta-evaluate without the caller re-supplying
+	// them.
 	plan algebra.Query
 	lim  Limit
 	// tree is the witness-annotated operator tree of the evaluation.
-	// Retaining it costs no extra computation — witnessEval builds every
-	// node anyway — and is what lets both write directions maintain each
-	// node by a delta pass instead of a from-scratch recompute.
+	// Compute builds it as an insertion into the empty tree, and both write
+	// directions maintain each node by a delta pass over it.
 	tree *evalNode
 	// tm accumulates maintenance counters over the tree's lifetime; shared
 	// along the generation chain, like the source store's metrics.
@@ -198,16 +199,6 @@ func (r *Result) witnessesAfter(next *overlay.Map[[]Witness], changed []relation
 		cur, _ := next.Get(k)
 		n += len(cur) - len(old)
 	}
-	return n
-}
-
-// countWitnesses totals a basis map, O(|basis|).
-func countWitnesses(basis *overlay.Map[[]Witness]) int {
-	n := 0
-	basis.Each(func(_ string, ws []Witness) bool {
-		n += len(ws)
-		return true
-	})
 	return n
 }
 
@@ -252,7 +243,9 @@ type treeMetrics struct {
 	relM layered.Counters // node-relation overlay activity
 	mapM layered.Counters // witness/bucket map overlay activity
 
-	intern witnessInterner // canonical Witness values, shared along the chain
+	// intern holds canonical Witness values, shared along the chain; nil
+	// during the build, which builds every witness directly.
+	intern *witnessInterner
 }
 
 // TreeStats is a point-in-time summary of a Result's provenance tree: the
@@ -508,7 +501,7 @@ func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del
 	case algebra.Union:
 		kidQ = []algebra.Query{q.Left, q.Right}
 	default:
-		// witnessEval admits no other node type into a tree.
+		// Validate rejects every other node type before a tree is built.
 		panic(fmt.Sprintf("provenance: deleteNodeDelta: unknown query node %T", q))
 	}
 	kids := make([]delState, len(n.kids))
@@ -554,14 +547,14 @@ func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del
 		// stops once the bucket's live count is exhausted.
 		for _, t := range kids[0].touched {
 			bv, _ := n.rbuck.Get(sh.leftKey(t))
-			bv.EachLive(n.kids[1].wit.Has, func(pt relation.Tuple) bool {
+			bv.EachLive(n.kids[1].wit.Has, func(pt relation.Tuple, _ string) bool {
 				add(sh.join(t, pt))
 				return true
 			})
 		}
 		for _, t := range kids[1].touched {
 			bv, _ := n.lbuck.Get(sh.rightKey(t))
-			bv.EachLive(n.kids[0].wit.Has, func(pt relation.Tuple) bool {
+			bv.EachLive(n.kids[0].wit.Has, func(pt relation.Tuple, _ string) bool {
 				add(sh.join(pt, t))
 				return true
 			})
@@ -645,7 +638,8 @@ func deleteNodeDelta(q algebra.Query, n *evalNode, newDB *relation.Database, del
 // tuples genuinely added — tuples already present create no witnesses and
 // must be filtered by the caller. The basis cap the Result was computed
 // under is re-enforced: a grown basis exceeding it fails with ErrLimit and
-// no partial state. Returns a fresh Result; the receiver is unchanged.
+// no partial state. The Result retains the tuples of I, which must not be
+// mutated afterwards. Returns a fresh Result; the receiver is unchanged.
 //
 // propview:deterministic
 func (r *Result) ApplyInsertion(newDB *relation.Database, I []relation.SourceTuple) (*Result, error) {
@@ -676,7 +670,13 @@ func (r *Result) ApplyInsertion(newDB *relation.Database, I []relation.SourceTup
 	if len(dn.novel) > 0 {
 		view = view.InsertVersion(dn.novel, &r.tm.relM)
 	}
-	return &Result{View: view, basis: dn.node.wit, witnesses: r.witnessesAfter(dn.node.wit, dn.delta),
+	// Old witnesses all survive an insertion, so the total grows by the
+	// added ones.
+	witnesses := r.witnesses
+	for _, g := range dn.delta {
+		witnesses += len(g.added)
+	}
+	return &Result{View: view, basis: dn.node.wit, witnesses: witnesses,
 		plan: r.plan, lim: r.lim, tree: dn.node, tm: r.tm}, nil
 }
 
@@ -690,13 +690,19 @@ func (r *Result) ApplyInsertionWorkers(newDB *relation.Database, I []relation.So
 // deltaNode is one operator node's incremental update: the maintained node
 // over S ∪ I (the input node itself when nothing changed), the tuples
 // whose witness sets grew — brand-new tuples included — in derivation
-// order, the newly added minimal witnesses feeding the parent's delta, and
-// the subset of delta actually appended to the node's output relation.
+// order, and the subset of them appended to the node's output relation.
 type deltaNode struct {
 	node  *evalNode
-	delta []relation.Tuple
-	dwit  map[string][]Witness
+	delta []grown
 	novel []relation.Tuple
+}
+
+// grown is one tuple of an insertion delta: the tuple, its key and the
+// minimal witnesses it gained, which feed the parent's derivations.
+type grown struct {
+	t     relation.Tuple
+	k     string
+	added []Witness
 }
 
 // touchesAny reports whether any base relation of q is in the touched set.
@@ -709,50 +715,78 @@ func touchesAny(q algebra.Query, touched map[string]bool) bool {
 	return false
 }
 
-// mergeCandidates folds newly derived witness candidates (acc, keyed by
-// tuple, with cands holding the tuples in derivation order, deduplicated)
-// into a node's basis: the new entry for k is minimize(old[k] ∪ acc[k]) —
-// identical to what a from-scratch evaluation minimizes, since the
-// candidates cover exactly the derivations using I (see ApplyInsertion).
-// Returns the witness-map changes, the grown tuples with their added
-// witnesses, and the tuples new to the node's relation; a candidate pruned
-// by an old subset is dropped here, exactly where a from-scratch
+// candSet collects one node's new derivations: the candidate tuples in
+// derivation order, deduplicated, and the witnesses derived for each.
+type candSet struct {
+	ts   []relation.Tuple
+	keys []string
+	acc  map[string][]Witness
+}
+
+func newCandSet(n int) *candSet { return &candSet{acc: make(map[string][]Witness, n)} }
+
+// add records the witnesses ws derived for tuple t with key k. ws is
+// shared, never written through: its first record is clipped to its
+// length, so a later one appends to a copy.
+func (c *candSet) add(t relation.Tuple, k string, ws []Witness) {
+	prev, ok := c.acc[k]
+	if !ok {
+		c.ts = append(c.ts, t)
+		c.keys = append(c.keys, k)
+		c.acc[k] = ws[:len(ws):len(ws)]
+		return
+	}
+	c.acc[k] = append(prev, ws...)
+}
+
+// mergeCandidates folds a node's new derivations into its basis: the new
+// entry for k is minimize(old[k] ∪ acc[k]) — identical to what a
+// from-scratch evaluation minimizes, since the candidates cover exactly
+// the derivations using I (see ApplyInsertion). Returns the witness-map
+// changes, the grown tuples with their added witnesses, and the tuples
+// new to the node's relation — those without old witnesses; a candidate
+// pruned by an old subset is dropped here, exactly where a from-scratch
 // minimization would drop it. The first candidate, in derivation order,
 // whose merged list trips check fails the merge.
 //
 // propview:deterministic
-func mergeCandidates(old *evalNode, cands []relation.Tuple, acc map[string][]Witness, check func([]Witness) error, tm *treeMetrics) (set map[string][]Witness, delta, novel []relation.Tuple, dwit map[string][]Witness, err error) {
-	set = make(map[string][]Witness, len(cands))
-	dwit = make(map[string][]Witness, len(cands))
-	for _, t := range cands {
+func mergeCandidates(old *evalNode, c *candSet, check func([]Witness) error, tm *treeMetrics) (set map[string][]Witness, delta []grown, novel []relation.Tuple, err error) {
+	set = make(map[string][]Witness, len(c.ts))
+	for i, t := range c.ts {
 		tm.touchedTuples.Add(1)
-		k := t.Key()
+		k := c.keys[i]
 		oldWs, _ := old.wit.Get(k)
-		merged := minimizeWitnesses(append(append([]Witness{}, oldWs...), acc[k]...))
+		merged := c.acc[k]
+		if len(oldWs) > 0 {
+			merged = append(oldWs[:len(oldWs):len(oldWs)], merged...)
+		}
+		merged = minimizeWitnesses(merged)
 		if err := check(merged); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
-		oldKeys := make(map[string]bool, len(oldWs))
-		for _, w := range oldWs {
-			oldKeys[w.Key()] = true
-		}
-		var added []Witness
-		for _, w := range merged {
-			if !oldKeys[w.Key()] {
-				added = append(added, w)
+		added := merged // a tuple without old witnesses gains them all
+		if len(oldWs) > 0 {
+			oldKeys := make(map[string]bool, len(oldWs))
+			for _, w := range oldWs {
+				oldKeys[w.Key()] = true
+			}
+			added = nil
+			for _, w := range merged {
+				if !oldKeys[w.Key()] {
+					added = append(added, w)
+				}
 			}
 		}
 		if len(added) == 0 {
 			continue // every candidate was pruned: no growth at this tuple
 		}
 		set[k] = merged
-		dwit[k] = added
-		delta = append(delta, t)
-		if !old.rel.Contains(t) {
+		delta = append(delta, grown{t: t, k: k, added: added})
+		if len(oldWs) == 0 {
 			novel = append(novel, t)
 		}
 	}
-	return set, delta, novel, dwit, nil
+	return set, delta, novel, nil
 }
 
 // limitCheck builds the per-merge witness-cap enforcement closure.
@@ -767,28 +801,25 @@ func limitCheck(lim Limit) func([]Witness) error {
 
 // passThrough forwards a child's insertion delta through a node that
 // keeps tuples as-is — σ (with its condition) and δ (unconditionally):
-// the child's witness lists are shared wholesale, exactly as the full
-// rebuild shared them, and kept tuples absent from the node's relation
-// are appended. finish is the caller's node assembler.
-func passThrough(old *evalNode, child deltaNode, keep func(relation.Tuple) bool, finish func(map[string][]Witness, []relation.Tuple, []relation.Tuple, map[string][]Witness, []*evalNode) deltaNode, tm *treeMetrics) deltaNode {
-	set := make(map[string][]Witness)
-	dwit := make(map[string][]Witness)
-	var delta, novel []relation.Tuple
-	for _, t := range child.delta {
-		if keep != nil && !keep(t) {
+// the child's witness lists are shared wholesale, and kept tuples absent
+// from the node's relation are appended. finish is the caller's node
+// assembler.
+func passThrough(old *evalNode, child deltaNode, keep func(relation.Tuple) bool, finish func(map[string][]Witness, []grown, []relation.Tuple, []*evalNode) deltaNode, tm *treeMetrics) deltaNode {
+	set := make(map[string][]Witness, len(child.delta))
+	var delta []grown
+	var novel []relation.Tuple
+	for _, g := range child.delta {
+		if keep != nil && !keep(g.t) {
 			continue
 		}
 		tm.touchedTuples.Add(1)
-		k := t.Key()
-		cw, _ := child.node.wit.Get(k)
-		set[k] = cw
-		dwit[k] = child.dwit[k]
-		delta = append(delta, t)
-		if !old.rel.Contains(t) {
-			novel = append(novel, t)
+		set[g.k], _ = child.node.wit.Get(g.k)
+		delta = append(delta, g)
+		if !old.rel.ContainsKey(g.k) {
+			novel = append(novel, g.t)
 		}
 	}
-	return finish(set, delta, novel, dwit, []*evalNode{child.node})
+	return finish(set, delta, novel, []*evalNode{child.node})
 }
 
 // insertNodeDelta delta-evaluates one operator node: children first, then
@@ -810,7 +841,7 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 
 	// finish assembles the node from the merge outcome, sharing storage
 	// (and the whole node, when possible) if nothing changed.
-	finish := func(set map[string][]Witness, delta, novel []relation.Tuple, dwit map[string][]Witness, kids []*evalNode) deltaNode {
+	finish := func(set map[string][]Witness, delta []grown, novel []relation.Tuple, kids []*evalNode) deltaNode {
 		unchangedKids := true
 		for i, k := range kids {
 			if old.kids[i] != k {
@@ -827,14 +858,20 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 			rel = rel.InsertVersion(novel, &tm.relM)
 		}
 		node := &evalNode{rel: rel, wit: old.wit.Derive(set, nil, &tm.mapM), kids: kids, shape: old.shape, lbuck: old.lbuck, rbuck: old.rbuck}
-		return deltaNode{node: node, delta: delta, dwit: dwit, novel: novel}
+		return deltaNode{node: node, delta: delta, novel: novel}
 	}
 
 	switch q := q.(type) {
 	case algebra.Scan:
-		set := make(map[string][]Witness)
-		dwit := make(map[string][]Witness)
-		var delta []relation.Tuple
+		n := 0
+		for _, st := range I {
+			if st.Rel == q.Rel {
+				n++
+			}
+		}
+		set := make(map[string][]Witness, n)
+		var delta []grown
+		var novel []relation.Tuple
 		for _, st := range I {
 			if st.Rel != q.Rel {
 				continue
@@ -848,8 +885,8 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 			}
 			ws := []Witness{tm.intern.singleton(st)}
 			set[k] = ws
-			dwit[k] = ws
-			delta = append(delta, st.Tuple)
+			delta = append(delta, grown{t: st.Tuple, k: k, added: ws})
+			novel = append(novel, st.Tuple)
 		}
 		if len(set) == 0 {
 			tm.sharedNodes.Add(1)
@@ -860,7 +897,7 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 		// The output relation of a scan IS the source relation: adopt the
 		// new generation's, already an O(|Δ|) overlay over the same base.
 		node := &evalNode{rel: newDB.Relation(q.Rel), wit: old.wit.Derive(set, nil, &tm.mapM)}
-		return deltaNode{node: node, delta: delta, dwit: dwit, novel: delta}, nil
+		return deltaNode{node: node, delta: delta, novel: novel}, nil
 
 	case algebra.Select:
 		child, err := insertNodeDelta(q.Child, old.kids[0], newDB, I, lim, touched, tm)
@@ -883,23 +920,16 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 			return deltaNode{}, err
 		}
 		csch := old.kids[0].rel.Schema()
-		var cands []relation.Tuple
-		seen := make(map[string]bool)
-		acc := make(map[string][]Witness)
-		for _, ct := range child.delta {
-			pt := relation.ProjectAttrs(csch, ct, q.Attrs)
-			k := pt.Key()
-			if !seen[k] {
-				seen[k] = true
-				cands = append(cands, pt)
-			}
-			acc[k] = append(acc[k], child.dwit[ct.Key()]...)
+		cs := newCandSet(len(child.delta))
+		for _, g := range child.delta {
+			pt := relation.ProjectAttrs(csch, g.t, q.Attrs)
+			cs.add(pt, pt.Key(), g.added)
 		}
-		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm)
+		set, delta, novel, err := mergeCandidates(old, cs, check, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
-		return finish(set, delta, novel, dwit, []*evalNode{child.node}), nil
+		return finish(set, delta, novel, []*evalNode{child.node}), nil
 
 	case algebra.Union:
 		left, right, err := insertKidsPair(q.Left, q.Right, old, newDB, I, lim, touched, tm)
@@ -908,31 +938,19 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 		}
 		attrs := old.kids[0].rel.Schema().Attrs()
 		rsch := old.kids[1].rel.Schema()
-		var cands []relation.Tuple
-		seen := make(map[string]bool)
-		acc := make(map[string][]Witness)
-		for _, t := range left.delta {
-			k := t.Key()
-			if !seen[k] {
-				seen[k] = true
-				cands = append(cands, t)
-			}
-			acc[k] = append(acc[k], left.dwit[t.Key()]...)
+		cs := newCandSet(len(left.delta) + len(right.delta))
+		for _, g := range left.delta {
+			cs.add(g.t, g.k, g.added)
 		}
-		for _, t := range right.delta {
-			aligned := relation.ProjectAttrs(rsch, t, attrs)
-			k := aligned.Key()
-			if !seen[k] {
-				seen[k] = true
-				cands = append(cands, aligned)
-			}
-			acc[k] = append(acc[k], right.dwit[t.Key()]...)
+		for _, g := range right.delta {
+			aligned := relation.ProjectAttrs(rsch, g.t, attrs)
+			cs.add(aligned, aligned.Key(), g.added)
 		}
-		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm)
+		set, delta, novel, err := mergeCandidates(old, cs, check, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
-		return finish(set, delta, novel, dwit, []*evalNode{left.node, right.node}), nil
+		return finish(set, delta, novel, []*evalNode{left.node, right.node}), nil
 
 	case algebra.Join:
 		left, right, err := insertKidsPair(q.Left, q.Right, old, newDB, I, lim, touched, tm)
@@ -949,59 +967,48 @@ func insertNodeDelta(q algebra.Query, old *evalNode, newDB *relation.Database, I
 		// New combinations = ΔL × R_new  ∪  L_old × ΔR: every pair using at
 		// least one added witness appears exactly once (ΔL×ΔR lands in the
 		// first term; the second pairs only OLD left witnesses with ΔR).
-		var cands []relation.Tuple
-		seen := make(map[string]bool)
-		acc := make(map[string][]Witness)
-		probe := func(delta []relation.Tuple, dwit map[string][]Witness, myKey func(relation.Tuple) string, buck *overlay.Map[overlay.BucketVal], oppWit *overlay.Map[[]Witness], leftSide bool) {
-			for _, t := range delta {
-				myWs := dwit[t.Key()]
-				bv, _ := buck.Get(myKey(t))
-				bv.EachLive(oppWit.Has, func(pt relation.Tuple) bool {
-					pws, _ := oppWit.Get(pt.Key())
-					if len(pws) == 0 {
-						return true // stale bucket entry: the partner is gone
-					}
+		cs := newCandSet(len(left.delta) + len(right.delta))
+		probe := func(delta []grown, myKey func(relation.Tuple) string, buck *overlay.Map[overlay.BucketVal], oppWit *overlay.Map[[]Witness], leftSide bool) {
+			for _, g := range delta {
+				bv, _ := buck.Get(myKey(g.t))
+				bv.EachLive(oppWit.Has, func(pt relation.Tuple, pk string) bool {
+					pws, _ := oppWit.Get(pk)
 					var joined relation.Tuple
-					ws := make([]Witness, 0, len(myWs)*len(pws))
+					ws := make([]Witness, 0, len(g.added)*len(pws))
 					if leftSide {
-						joined = sh.join(t, pt)
-						for _, wl := range myWs {
+						joined = sh.join(g.t, pt)
+						for _, wl := range g.added {
 							for _, wr := range pws {
 								ws = append(ws, tm.intern.union(wl, wr))
 							}
 						}
 					} else {
-						joined = sh.join(pt, t)
+						joined = sh.join(pt, g.t)
 						for _, wl := range pws {
-							for _, wr := range myWs {
+							for _, wr := range g.added {
 								ws = append(ws, tm.intern.union(wl, wr))
 							}
 						}
 					}
-					jk := joined.Key()
-					if !seen[jk] {
-						seen[jk] = true
-						cands = append(cands, joined)
-					}
-					acc[jk] = append(acc[jk], ws...)
+					cs.add(joined, joined.Key(), ws)
 					return true
 				})
 			}
 		}
-		probe(left.delta, left.dwit, sh.leftKey, rbuck, right.node.wit, true)
-		probe(right.delta, right.dwit, sh.rightKey, old.lbuck, old.kids[0].wit, false)
-		set, delta, novel, dwit, err := mergeCandidates(old, cands, acc, check, tm)
+		probe(left.delta, sh.leftKey, rbuck, right.node.wit, true)
+		probe(right.delta, sh.rightKey, old.lbuck, old.kids[0].wit, false)
+		set, delta, novel, err := mergeCandidates(old, cs, check, tm)
 		if err != nil {
 			return deltaNode{}, err
 		}
-		dn := finish(set, delta, novel, dwit, []*evalNode{left.node, right.node})
+		dn := finish(set, delta, novel, []*evalNode{left.node, right.node})
 		if dn.node != old {
 			dn.node.lbuck, dn.node.rbuck = lbuck, rbuck
 		}
 		return dn, nil
 
 	default:
-		// witnessEval admits no other node type into a tree.
+		// Validate rejects every other node type before a tree is built.
 		panic(fmt.Sprintf("provenance: insertNodeDelta: unknown query node %T", q))
 	}
 }
@@ -1040,29 +1047,51 @@ func Compute(q algebra.Query, db *relation.Database) (*Result, error) {
 	return ComputeLimited(q, db, Limit{})
 }
 
-// ComputeLimited is Compute with a cap on the witness basis size.
+// ComputeLimited is Compute with a cap on the witness basis size. The
+// build is an insertion from the empty instance: ApplyInsertion of every
+// tuple of q's base relations, in store order, into q's empty operator
+// tree. The insertion step is the one maintenance runs, so a built Result
+// and a maintained one are the same kind of state. The build interns no
+// witnesses (no lookup could hit), and the Result starts with fresh
+// counters, so TreeStats reports maintenance only.
 func ComputeLimited(q algebra.Query, db *relation.Database, lim Limit) (*Result, error) {
 	if err := algebra.Validate(q, db); err != nil {
 		return nil, err
 	}
-	wr, err := witnessEval(q, db, lim)
+	tree := emptyNode(q, db)
+	empty := &Result{View: relation.New(algebra.DefaultViewName, tree.rel.Schema()).Seal(), basis: tree.wit,
+		plan: q, lim: lim, tree: tree, tm: &treeMetrics{}}
+	built, err := empty.ApplyInsertion(db, db.SourceTuplesOf(algebra.BaseRelations(q)))
 	if err != nil {
 		return nil, err
 	}
-	view := relation.New(algebra.DefaultViewName, wr.rel.Schema())
-	wr.rel.Each(func(t relation.Tuple) bool {
-		view.Insert(t)
-		return true
-	})
-	return &Result{View: view.Seal(), basis: wr.wit, witnesses: countWitnesses(wr.wit), plan: q, lim: lim, tree: wr, tm: &treeMetrics{}}, nil
+	r := *built
+	r.tm = &treeMetrics{intern: &witnessInterner{}}
+	return &r, nil
+}
+
+// emptyNode builds q's operator tree over the empty instance: each node's
+// schema and, on join nodes, its shape and empty bucket indexes. q must
+// have passed Validate.
+func emptyNode(q algebra.Query, db *relation.Database) *evalNode {
+	sch, _ := algebra.SchemaOf(q, db)
+	n := &evalNode{rel: relation.New("", sch).Seal(), wit: overlay.NewMap(map[string][]Witness{})}
+	for _, c := range algebra.Children(q) {
+		n.kids = append(n.kids, emptyNode(c, db))
+	}
+	if _, ok := q.(algebra.Join); ok {
+		n.shape = newJoinShape(n.kids[0].rel.Schema(), n.kids[1].rel.Schema())
+		n.lbuck = overlay.NewBuckets(nil)
+		n.rbuck = overlay.NewBuckets(nil)
+	}
+	return n
 }
 
 // evalNode is one operator of the evaluated plan: its output relation
-// annotated with witness bases, and its children. witnessEval builds the
-// tree bottom-up; Result retains it for incremental maintenance, deriving
-// each node's next generation as overlay versions of rel and wit (plus,
-// on join nodes, the persistent bucket indexes of the child relations on
-// the join attributes).
+// annotated with witness bases, and its children. Result retains the tree
+// for incremental maintenance, deriving each node's next generation as
+// overlay versions of rel and wit (plus, on join nodes, the persistent
+// bucket indexes of the child relations on the join attributes).
 type evalNode struct {
 	rel  *relation.Relation
 	wit  *overlay.Map[[]Witness]
@@ -1103,163 +1132,6 @@ func (sh *joinShape) rightKey(rt relation.Tuple) string {
 
 func (sh *joinShape) join(lt, rt relation.Tuple) relation.Tuple {
 	return append(append(relation.Tuple{}, lt...), relation.ProjectAttrs(sh.rs, rt, sh.rightExtra)...)
-}
-
-func witnessEval(q algebra.Query, db *relation.Database, lim Limit) (*evalNode, error) {
-	check := limitCheck(lim)
-	switch q := q.(type) {
-	case algebra.Scan:
-		base := db.Relation(q.Rel)
-		wit := make(map[string][]Witness, base.Len())
-		base.Each(func(t relation.Tuple) bool {
-			wit[t.Key()] = []Witness{NewWitness(relation.SourceTuple{Rel: q.Rel, Tuple: t})}
-			return true
-		})
-		return &evalNode{rel: base, wit: overlay.NewMap(wit)}, nil
-
-	case algebra.Select:
-		child, err := witnessEval(q.Child, db, lim)
-		if err != nil {
-			return nil, err
-		}
-		rel := relation.New("σ", child.rel.Schema())
-		wit := make(map[string][]Witness)
-		child.rel.Each(func(t relation.Tuple) bool {
-			if q.Cond.Holds(child.rel.Schema(), t) {
-				rel.Insert(t)
-				ws, _ := child.wit.Get(t.Key())
-				wit[t.Key()] = ws
-			}
-			return true
-		})
-		return &evalNode{rel: rel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
-
-	case algebra.Project:
-		child, err := witnessEval(q.Child, db, lim)
-		if err != nil {
-			return nil, err
-		}
-		schema, perr := child.rel.Schema().Project(q.Attrs)
-		if perr != nil {
-			return nil, perr
-		}
-		rel := relation.New("π", schema)
-		acc := make(map[string][]Witness)
-		child.rel.Each(func(t relation.Tuple) bool {
-			pt := relation.ProjectAttrs(child.rel.Schema(), t, q.Attrs)
-			rel.Insert(pt)
-			ws, _ := child.wit.Get(t.Key())
-			acc[pt.Key()] = append(acc[pt.Key()], ws...)
-			return true
-		})
-		wit := make(map[string][]Witness, len(acc))
-		for k, ws := range acc {
-			m := minimizeWitnesses(ws)
-			if err := check(m); err != nil {
-				return nil, err
-			}
-			wit[k] = m
-		}
-		return &evalNode{rel: rel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
-
-	case algebra.Join:
-		left, err := witnessEval(q.Left, db, lim)
-		if err != nil {
-			return nil, err
-		}
-		right, err := witnessEval(q.Right, db, lim)
-		if err != nil {
-			return nil, err
-		}
-		sh := newJoinShape(left.rel.Schema(), right.rel.Schema())
-		out := relation.New("⋈", sh.ls.Join(sh.rs))
-		acc := make(map[string][]Witness)
-		lbuck := overlay.BucketBase(left.rel, sh.leftKey)
-		rbuck := overlay.BucketBase(right.rel, sh.rightKey)
-		left.rel.Each(func(lt relation.Tuple) bool {
-			rbv, _ := rbuck.Get(sh.leftKey(lt))
-			lws, _ := left.wit.Get(lt.Key())
-			rbv.Each(func(rt relation.Tuple) bool {
-				joined := sh.join(lt, rt)
-				out.Insert(joined)
-				jk := joined.Key()
-				rws, _ := right.wit.Get(rt.Key())
-				for _, wl := range lws {
-					for _, wr := range rws {
-						acc[jk] = append(acc[jk], UnionWitness(wl, wr))
-					}
-				}
-				return true
-			})
-			return true
-		})
-		wit := make(map[string][]Witness, len(acc))
-		for k, ws := range acc {
-			m := minimizeWitnesses(ws)
-			if err := check(m); err != nil {
-				return nil, err
-			}
-			wit[k] = m
-		}
-		return &evalNode{rel: out.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{left, right}, shape: sh, lbuck: lbuck, rbuck: rbuck}, nil
-
-	case algebra.Union:
-		left, err := witnessEval(q.Left, db, lim)
-		if err != nil {
-			return nil, err
-		}
-		right, err := witnessEval(q.Right, db, lim)
-		if err != nil {
-			return nil, err
-		}
-		outRel := relation.New("∪", left.rel.Schema())
-		acc := make(map[string][]Witness)
-		left.rel.Each(func(t relation.Tuple) bool {
-			outRel.Insert(t)
-			ws, _ := left.wit.Get(t.Key())
-			acc[t.Key()] = append(acc[t.Key()], ws...)
-			return true
-		})
-		attrs := left.rel.Schema().Attrs()
-		right.rel.Each(func(t relation.Tuple) bool {
-			aligned := relation.ProjectAttrs(right.rel.Schema(), t, attrs)
-			outRel.Insert(aligned)
-			ws, _ := right.wit.Get(t.Key())
-			acc[aligned.Key()] = append(acc[aligned.Key()], ws...)
-			return true
-		})
-		wit := make(map[string][]Witness, len(acc))
-		for k, ws := range acc {
-			m := minimizeWitnesses(ws)
-			if err := check(m); err != nil {
-				return nil, err
-			}
-			wit[k] = m
-		}
-		return &evalNode{rel: outRel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{left, right}}, nil
-
-	case algebra.Rename:
-		child, err := witnessEval(q.Child, db, lim)
-		if err != nil {
-			return nil, err
-		}
-		schema, rerr := child.rel.Schema().Rename(q.Theta)
-		if rerr != nil {
-			return nil, rerr
-		}
-		rel := relation.New("δ", schema)
-		wit := make(map[string][]Witness, child.wit.Size())
-		child.rel.Each(func(t relation.Tuple) bool {
-			rel.Insert(t)
-			ws, _ := child.wit.Get(t.Key())
-			wit[t.Key()] = ws
-			return true
-		})
-		return &evalNode{rel: rel.Seal(), wit: overlay.NewMap(wit), kids: []*evalNode{child}}, nil
-
-	default:
-		return nil, fmt.Errorf("provenance: unknown query node %T", q)
-	}
 }
 
 // VerifyWitness checks the defining property of a witness directly: t must

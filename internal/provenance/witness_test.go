@@ -2,8 +2,12 @@ package provenance
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -212,32 +216,131 @@ func TestLineageOfMissingTuple(t *testing.T) {
 	}
 }
 
-func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
-	db := userGroupDB()
-	q := userFileQuery()
-	res, err := Compute(q, db)
+// naiveQueries cover every operator the witness derivation handles: σ, π,
+// ⋈ (a natural self-join and a self-join through a renaming), ∪ with an
+// alignment permutation, and ρ — plus a union whose one branch's
+// witnesses absorb the other's, so minimization prunes.
+var naiveQueries = []struct {
+	name string
+	q    algebra.Query
+}{
+	{"pj", algebra.Pi([]relation.Attribute{"A", "C"}, algebra.NatJoin(algebra.R("R1"), algebra.R("R2")))},
+	{"absorb", algebra.Un(
+		algebra.Pi([]relation.Attribute{"A"}, algebra.NatJoin(algebra.R("R1"), algebra.R("R2"))),
+		algebra.Pi([]relation.Attribute{"A"}, algebra.R("R1")))},
+	{"natselfjoin", algebra.Pi([]relation.Attribute{"B"}, algebra.NatJoin(algebra.R("R1"), algebra.R("R1")))},
+	{"selfjoin∪aln", algebra.Un(
+		algebra.Pi([]relation.Attribute{"A", "C"},
+			algebra.Sigma(algebra.AttrConst{Attr: "A", Op: algebra.OpNe, Val: relation.String("v0")},
+				algebra.NatJoin(algebra.R("R1"),
+					algebra.Delta(map[relation.Attribute]relation.Attribute{"A": "B", "B": "C"}, algebra.R("R1"))))),
+		algebra.Pi([]relation.Attribute{"C", "A"},
+			algebra.Delta(map[relation.Attribute]relation.Attribute{"X": "C", "Y": "A"}, algebra.R("R3"))))},
+}
+
+// naiveTuple draws a tuple of rel from a three-value domain, so joins and
+// projections merge derivations.
+func naiveTuple(rng *rand.Rand, rel string) relation.SourceTuple {
+	v := func() string { return "v" + strconv.Itoa(rng.Intn(3)) }
+	return relation.SourceTuple{Rel: rel, Tuple: relation.StringTuple(v(), v())}
+}
+
+func naiveDB(rng *rand.Rand) *relation.Database {
+	db := relation.NewDatabase()
+	for _, rs := range []struct{ name, a, b string }{{"R1", "A", "B"}, {"R2", "B", "C"}, {"R3", "X", "Y"}} {
+		r := relation.New(rs.name, relation.NewSchema(rs.a, rs.b))
+		for i := 0; i < 6; i++ {
+			r.Insert(naiveTuple(rng, rs.name).Tuple)
+		}
+		db.MustAdd(r)
+	}
+	return db
+}
+
+// checkAgainstNaive compares res with the independent oracles over db:
+// its rows with algebra.Eval's, and every tuple's basis with
+// WitnessesNaive's subset enumeration.
+func checkAgainstNaive(t *testing.T, label string, q algebra.Query, db *relation.Database, res *Result) {
+	t.Helper()
+	want, err := algebra.Eval(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, vt := range res.View.Tuples() {
+	if !res.View.Equal(want) {
+		t.Fatalf("%s: view %v, algebra.Eval %v", label, res.View.SortedTuples(), want.SortedTuples())
+	}
+	for _, vt := range want.Tuples() {
 		naive, err := WitnessesNaive(q, db, vt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := res.Witnesses(vt)
-		if len(naive) != len(fast) {
-			t.Errorf("tuple %v: naive %d witnesses, fast %d", vt, len(naive), len(fast))
-			continue
+		if got, want := basisKeys(res.Witnesses(vt)), basisKeys(naive); got != want {
+			t.Fatalf("%s: tuple %v: basis %s, naive %s", label, vt, got, want)
 		}
-		fastKeys := make(map[string]bool, len(fast))
-		for _, w := range fast {
-			fastKeys[w.Key()] = true
-		}
-		for _, w := range naive {
-			if !fastKeys[w.Key()] {
-				t.Errorf("tuple %v: naive witness %v missing from fast basis", vt, w)
+	}
+}
+
+// basisKeys renders a witness list canonically: its witnesses, sorted.
+func basisKeys(ws []Witness) string {
+	keys := make([]string, len(ws))
+	for i, w := range ws {
+		keys[i] = w.String()
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
+}
+
+// TestWitnessesNaiveAgreesWithCompute checks Compute, and the maintenance
+// that shares its insertion step, against oracles that share no code with
+// either: algebra.Eval for the rows and WitnessesNaive's subset
+// enumeration for each basis. It covers the paper's example and, for
+// every query of naiveQueries, random small instances — at the build and
+// after every step of a random chain of deletions and insertions.
+func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
+	res, err := Compute(userFileQuery(), userGroupDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstNaive(t, "usergroup", userFileQuery(), userGroupDB(), res)
+
+	for _, nq := range naiveQueries {
+		nq := nq
+		t.Run(nq.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 10; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				db := naiveDB(rng)
+				res, err := Compute(nq.q, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstNaive(t, fmt.Sprintf("seed %d build", seed), nq.q, db, res)
+				for step := 0; step < 10; step++ {
+					if rng.Intn(2) == 0 {
+						var T []relation.SourceTuple
+						for _, st := range db.AllSourceTuples() {
+							if rng.Intn(5) == 0 {
+								T = append(T, st)
+							}
+						}
+						db, res = db.DeleteAll(T), res.ApplyDeletion(T)
+					} else {
+						var I []relation.SourceTuple
+						for k := 1 + rng.Intn(3); k > 0; k-- {
+							if st := naiveTuple(rng, []string{"R1", "R2", "R3"}[rng.Intn(3)]); !db.Contains(st) {
+								I = append(I, st)
+							}
+						}
+						if db, err = db.InsertAll(I); err != nil {
+							t.Fatal(err)
+						}
+						if res, err = res.ApplyInsertion(db, I); err != nil {
+							t.Fatal(err)
+						}
+					}
+					checkAgainstNaive(t, fmt.Sprintf("seed %d step %d", seed, step), nq.q, db, res)
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -384,12 +384,22 @@ func (db *Database) derive(step func(*Relation) (*segStore, bool)) *Database {
 
 // AllSourceTuples enumerates every tuple of every relation in insertion
 // order — the candidate deletion set for exhaustive solvers.
-func (db *Database) AllSourceTuples() []SourceTuple {
-	var out []SourceTuple
-	for _, n := range db.order {
-		for _, t := range db.rels[n].Tuples() {
-			out = append(out, SourceTuple{Rel: n, Tuple: t})
-		}
+func (db *Database) AllSourceTuples() []SourceTuple { return db.SourceTuplesOf(db.order) }
+
+// SourceTuplesOf enumerates every tuple of the named relations, relation
+// by relation in the given order, each in insertion order. The tuples
+// alias the relations' storage and must not be modified.
+func (db *Database) SourceTuplesOf(names []string) []SourceTuple {
+	n := 0
+	for _, name := range names {
+		n += db.rels[name].Len()
+	}
+	out := make([]SourceTuple, 0, n)
+	for _, name := range names {
+		db.rels[name].Each(func(t Tuple) bool {
+			out = append(out, SourceTuple{Rel: name, Tuple: t})
+			return true
+		})
 	}
 	return out
 }

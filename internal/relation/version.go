@@ -133,8 +133,12 @@ func (r *Relation) DeleteVersion(dead map[string]struct{}, c *layered.Counters) 
 // O(|ts|) plus amortized compaction, sharing the receiver's store (a
 // builder receiver is frozen first, in O(|r|)). Callers must pass only
 // tuples r does not contain, without duplicates, and treat both relations
-// as immutable afterwards.
+// as immutable afterwards. An empty receiver with at most one segment
+// adopts ts as the new version's base, without copying (see Adopt).
 func (r *Relation) InsertVersion(ts []Tuple, c *layered.Counters) *Relation {
+	if r.Len() == 0 && r.Segments() <= 1 {
+		return Adopt(r.name, r.schema, ts)
+	}
 	st := r.store()
 	if ns, ok := st.insertAll(ts, true, c, nil); ok {
 		st = ns
