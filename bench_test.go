@@ -1131,6 +1131,51 @@ func benchmarkAnnotateAfterWrite(b *testing.B, genes int) {
 func BenchmarkAnnotate_AfterWrite_ViewSize1k(b *testing.B)  { benchmarkAnnotateAfterWrite(b, 1_000) }
 func BenchmarkAnnotate_AfterWrite_ViewSize16k(b *testing.B) { benchmarkAnnotateAfterWrite(b, 16_000) }
 
+// benchmarkQueryPageAfterWrite measures what a page read costs once the
+// view it pages has changed: each iteration deletes one view tuple and
+// restores it (untimed, as in benchmarkAnnotateAfterWrite), then reads one
+// page of the new generation. The read catches the view's sorted rows up
+// by netting the two writes' view deltas, which cancel, so it keeps the
+// previous generation's sorted rows; ns/op and allocs/op should stay
+// within ~2× across the 16× view-size spread of _ViewSize1k and
+// _ViewSize16k, where a full sort per read grows as n log n with the
+// view. A net delta that does not cancel costs one O(n) copying merge.
+func benchmarkQueryPageAfterWrite(b *testing.B, genes int) {
+	db, q := workload.Curation(rand.New(rand.NewSource(3)), genes, 1)
+	e := engine.New(db)
+	if err := e.Prepare("v", q); err != nil {
+		b.Fatal(err)
+	}
+	view, err := e.Query("v")
+	if err != nil {
+		b.Fatal(err)
+	}
+	targets := view.SortedTuples()[:64]
+	if _, err := e.QueryPage("v", 0, 50); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rep, err := e.Delete("v", targets[i%len(targets)], core.MinimizeSourceDeletions, core.DeleteOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Insert(rep.Result.T); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := e.QueryPage("v", (i*50)%view.Len(), 50); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(view.Len()), "view-tuples")
+}
+
+func BenchmarkQueryPage_AfterWrite_ViewSize1k(b *testing.B)  { benchmarkQueryPageAfterWrite(b, 1_000) }
+func BenchmarkQueryPage_AfterWrite_ViewSize16k(b *testing.B) { benchmarkQueryPageAfterWrite(b, 16_000) }
+
 // buildInstance is the from-scratch build benchmarks' input: the paper's
 // UserGroup/GroupFile access view Π_{user,file}(UserGroup ⋈ GroupFile),
 // whose projection merges several witnesses and where-sets per view

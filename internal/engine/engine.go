@@ -36,7 +36,14 @@
 //     location reach counts, so placement compares its candidates in O(1)
 //     each and walks only the winner's forward image (see Annotate);
 //     ViewStats.WhereReady reports whether an Annotate on the current
-//     generation runs no full computation.
+//     generation runs no full computation;
+//   - paged reads (QueryPage) serve the view's rows in sorted order from
+//     rows sorted once and then caught up the same way: a commit links
+//     the view delta its maintenance pass reported
+//     (provenance.Result.ViewDelta) onto the older sorted rows, and the
+//     generation's first page read merges the net delta in, off the
+//     commit lock; ViewStats.SortedReady reports whether that read runs
+//     no full sort.
 //
 // Concurrency: readers are lock-free on immutable snapshots.
 // Writes — deletions and insertions — flow through a batching/coalescing
@@ -114,15 +121,22 @@ type snapshot struct {
 	whereLog atomic.Pointer[whereLog]
 	whereErr error // guarded-by: whereOnce
 
-	// sorted caches the lexicographically ordered view rows, built lazily
-	// per published snapshot; QueryPage slices it, so a page costs
-	// O(page) instead of the full-view sort GET /query used to pay per
-	// request. Commits replace the snapshot wholesale, which is the
-	// invalidation — except that a commit leaving a view's result
-	// untouched carries the still-valid cache into the new snapshot
-	// (nextSnapshot). An atomic pointer rather than a Once so the carry
-	// can read a live snapshot's cache without racing its builders.
-	sorted atomic.Pointer[[]relation.Tuple] // guarded-by: atomic
+	sortOnce sync.Once
+	// sorted holds the view rows in lexicographic order, the rows
+	// QueryPage slices, so a page costs O(page). It is stored by the
+	// generation's first page read — which catches an older generation's
+	// sorted rows up from sortLog, or sorts the view when no log is
+	// pending — or before publication, when a commit leaving the view's
+	// rows as they were carries its predecessor's rows over. An atomic
+	// pointer, so a commit can read a live snapshot's rows without racing
+	// their builder.
+	// guarded-by: atomic
+	sorted atomic.Pointer[[]relation.Tuple]
+	// sortLog is how sorted rows not built yet will be caught up; nil
+	// means the first page read sorts the view. Cleared once sorted is
+	// stored, so a caught-up generation does not keep its base alive.
+	// guarded-by: atomic
+	sortLog atomic.Pointer[sortLog]
 }
 
 // whereLog is an index of an older generation of the view plus the writes
@@ -144,16 +158,37 @@ type whereWrite struct {
 }
 
 // sortedView returns the snapshot's lexicographically sorted rows,
-// computing them at most once per generation (concurrent first readers
-// may duplicate the sort; the results are identical, mirroring the
-// relation-level flat cache).
+// producing them at most once per generation, off the commit lock: built
+// rows are returned as is (one atomic load); otherwise the first reader
+// merges the pending view deltas into the log's older sorted rows
+// (sortLog.replay), or — with no log — sorts the whole view. Concurrent
+// first readers wait for that one computation.
 func (s *snapshot) sortedView() []relation.Tuple {
 	if p := s.sorted.Load(); p != nil {
 		return *p
 	}
-	rows := s.prov.View.SortedTuples()
-	s.sorted.Store(&rows)
-	return rows
+	s.sortOnce.Do(func() {
+		var rows []relation.Tuple
+		ok := false
+		if lg := s.sortLog.Load(); lg != nil {
+			rows, ok = lg.replay()
+		}
+		if !ok {
+			rows = sortTuples(s.prov.View)
+		}
+		s.sorted.Store(&rows)
+		s.sortLog.Store(nil)
+	})
+	return *s.sorted.Load()
+}
+
+// sortedReady reports whether a page read on this generation runs no full
+// sort: the sorted rows are built, or a base to catch up from is pending.
+func (s *snapshot) sortedReady() bool {
+	// The log first, as in nextSnapshot: a catch-up stores the rows
+	// before it clears the log, so readiness never flickers off.
+	lg := s.sortLog.Load()
+	return s.sorted.Load() != nil || lg != nil
 }
 
 // nextSnapshot wraps a view's maintenance result for the new source
@@ -161,28 +196,41 @@ func (s *snapshot) sortedView() []relation.Tuple {
 // result untouched — ApplyDeletion / ApplyInsertion returned the receiver
 // because the write was disjoint from the view — every cache carries over
 // as is: the sorted page rows and the where index, built or pending. A
-// changed result starts its sorted rows cold, and its where index pending:
-// the old generation's index (or its base) plus the write, replayed on
-// the next Annotate. Once the pending tuples outnumber the base view's
-// rows, replaying would cost about as much as a rebuild, so the base is
-// dropped and the next Annotate computes the index from scratch.
+// changed result carries its sorted rows over when its view rows did not
+// change, and otherwise leaves them pending: the old generation's sorted
+// rows (or its log's base) plus the result's view delta, merged on the
+// next page read. Its where index is pending likewise: the old
+// generation's index (or its base) plus the write, replayed on the next
+// Annotate. Once a log's pending tuples outnumber its base's rows,
+// replaying would cost about as much as starting over, so the base is
+// dropped and the next read sorts the view, or the next Annotate computes
+// the index, from scratch. Runs under the commit lock, so it only links:
+// no sorting, merging or key hashing.
 func nextSnapshot(old *snapshot, newDB *relation.Database, prov *provenance.Result, ins bool, T []relation.SourceTuple) *snapshot {
 	s := &snapshot{db: newDB, prov: prov}
-	// The log is read before the index: a concurrent catch-up of old
-	// stores the index before it clears the log, so one of the two is
+	// Each log is read before its cache: a concurrent catch-up of old
+	// stores the cache before it clears the log, so one of the two is
 	// seen.
+	sl := old.sortLog.Load()
+	sp := old.sorted.Load()
 	lg := old.whereLog.Load()
 	wv := old.where.Load()
 	if prov == old.prov {
-		if p := old.sorted.Load(); p != nil {
-			s.sorted.Store(p)
-		}
+		s.carrySorted(sp, sl)
 		if wv != nil {
 			s.where.Store(wv)
 		} else {
 			s.whereLog.Store(lg)
 		}
 		return s
+	}
+	// A write that left the view's rows as they were carries the sorted
+	// rows over rather than logging an empty delta, so a log's length in
+	// writes stays bounded by its pending rows.
+	if died, added := prov.ViewDelta(); len(died)+len(added) == 0 {
+		s.carrySorted(sp, sl)
+	} else {
+		s.sortLog.Store(sl.extend(sp, died, added))
 	}
 	var next whereLog
 	switch {
@@ -203,6 +251,17 @@ func nextSnapshot(old *snapshot, newDB *relation.Database, prov *provenance.Resu
 	next.last = &whereWrite{prev: next.last, ins: ins, T: T, n: n}
 	s.whereLog.Store(&next)
 	return s
+}
+
+// carrySorted hands a new snapshot whose view rows equal its
+// predecessor's the predecessor's sorted rows if built, else its pending
+// log.
+func (s *snapshot) carrySorted(sp *[]relation.Tuple, sl *sortLog) {
+	if sp != nil {
+		s.sorted.Store(sp)
+	} else {
+		s.sortLog.Store(sl)
+	}
 }
 
 // computeWhere builds a where-provenance index; a package variable so
@@ -519,12 +578,13 @@ func (e *Engine) Describe(name string) (ViewStats, error) {
 	gen := p.gen.Load()
 	e.mu.RUnlock()
 	return ViewStats{
-		Name:       p.name,
-		Query:      p.src,
-		Fragment:   p.frag,
-		ViewSize:   snap.prov.View.Len(),
-		Generation: gen,
-		WhereReady: snap.whereReady(),
+		Name:        p.name,
+		Query:       p.src,
+		Fragment:    p.frag,
+		ViewSize:    snap.prov.View.Len(),
+		Generation:  gen,
+		WhereReady:  snap.whereReady(),
+		SortedReady: snap.sortedReady(),
 	}, nil
 }
 
@@ -564,7 +624,8 @@ type ViewPage struct {
 	// Schema is the view's output schema.
 	Schema relation.Schema
 	// Tuples holds rows [Offset, Offset+Limit) of the sorted view. The
-	// slice aliases the snapshot's sorted cache and must not be modified.
+	// slice aliases the snapshot's sorted rows, which later generations
+	// may share, and must not be modified.
 	Tuples []relation.Tuple
 	// Total is the full view cardinality, so Offset+len(Tuples) < Total
 	// means more pages remain.
@@ -580,12 +641,18 @@ type ViewPage struct {
 
 // QueryPage returns rows [offset, offset+limit) of the lexicographically
 // sorted view — the serving path behind GET /query pagination. The sorted
-// row slice is computed at most once per published snapshot generation
-// (the next commit publishes a fresh snapshot, which is the
-// invalidation), so after the first page of a generation a page costs
-// O(page) slicing instead of the O(n log n) full-view sort the handler
-// used to pay per request. offset and limit must be non-negative; an
-// offset past the end yields an empty page. Counts as one served query.
+// rows are produced at most once per published snapshot generation, by
+// its first page read, and every later page of the generation costs
+// O(page) slicing. That first read catches the previous sorted rows up
+// instead of sorting the view: it nets the view deltas committed since
+// (a delete and its restore cancel), drops the net dead rows and merges
+// in the net added ones in one pass, O(n + k log n) for k delta rows
+// against O(n log n) for a sort. Only the view's first read, and a read
+// after a write log that outgrew its base, sort the whole view; a commit
+// that leaves the view's rows as they were carries its sorted rows over.
+// ViewStats.SortedReady reports whether the next read sorts. offset and
+// limit must be non-negative; an offset past the end yields an empty
+// page. Counts as one served query.
 func (e *Engine) QueryPage(name string, offset, limit int) (ViewPage, error) {
 	p, err := e.lookup(name)
 	if err != nil {
@@ -865,6 +932,12 @@ type ViewStats struct {
 	// first Annotate, and after a write log long enough that a rebuild is
 	// due.
 	WhereReady bool `json:"where_ready"`
+	// SortedReady reports whether a page read on the current generation
+	// runs no full sort of the view: its sorted rows are built, or an
+	// older generation's sorted rows are pending catch-up. False until the
+	// view's first page read, and after a write log long enough that a
+	// fresh sort is due.
+	SortedReady bool `json:"sorted_ready"`
 	// Tree summarizes the view's provenance-tree store: node count and
 	// overlay shape of the current generation plus the lifetime
 	// sharing/compaction counters (provenance.Result.TreeStats). Like
@@ -996,6 +1069,7 @@ func (e *Engine) Stats() Stats {
 			WitnessCount: c.snap.prov.WitnessCount(),
 			Generation:   c.gen,
 			WhereReady:   c.snap.whereReady(),
+			SortedReady:  c.snap.sortedReady(),
 			Tree:         c.snap.prov.TreeStats(),
 		})
 	}

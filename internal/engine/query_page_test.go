@@ -166,7 +166,7 @@ func TestDeleteCommitStaysDeltaBounded(t *testing.T) {
 // disjoint from the write) must NOT discard that view's per-snapshot
 // caches — the sorted page rows keep their backing array and the
 // where-provenance index stays built — while a commit that does touch
-// the view starts its caches cold.
+// the view leaves both pending catch-up from the commit's write.
 func TestUntouchedViewCarriesCachesAcrossCommits(t *testing.T) {
 	db := relation.NewDatabase()
 	r := relation.New("R", relation.NewSchema("A", "B"))
@@ -216,7 +216,7 @@ func TestUntouchedViewCarriesCachesAcrossCommits(t *testing.T) {
 	if info, _ := e.Describe("vs"); !info.WhereReady {
 		t.Fatal("commits disjoint from the view discarded its where index")
 	}
-	// The touched view's cache went cold and re-sorted per its own commits.
+	// The touched view's sorted rows are caught up from its own commits.
 	vr, err := e.QueryPage("vr", 0, 100)
 	if err != nil {
 		t.Fatal(err)

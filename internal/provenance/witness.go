@@ -176,7 +176,18 @@ type Result struct {
 	// tm accumulates maintenance counters over the tree's lifetime; shared
 	// along the generation chain, like the source store's metrics.
 	tm *treeMetrics
+	// died and added are the view rows this generation removed from or
+	// appended to its receiver's view (see ViewDelta); nil on a computed
+	// Result.
+	died, added []relation.Tuple
 }
+
+// ViewDelta returns the view rows the maintenance pass that produced r
+// removed (died) and appended (added), relative to the Result it was
+// applied to: ApplyDeletion fills died and ApplyInsertion added. Both are
+// nil for a Result from Compute and for a pass that left the view's rows
+// as they were. The slices are shared and must not be modified.
+func (r *Result) ViewDelta() (died, added []relation.Tuple) { return r.died, r.added }
 
 // Witnesses returns the minimal witnesses of view tuple t (nil if t is not
 // in the view).
@@ -420,7 +431,7 @@ func (r *Result) ApplyDeletionTo(newDB *relation.Database, T []relation.SourceTu
 		view = view.DeleteVersion(dead, &r.tm.relM)
 	}
 	return &Result{View: view, basis: ds.node.wit, witnesses: r.witnessesAfter(ds.node.wit, ds.touched),
-		plan: r.plan, lim: r.lim, tree: ds.node, tm: r.tm}
+		plan: r.plan, lim: r.lim, tree: ds.node, tm: r.tm, died: ds.died}
 }
 
 // ApplyDeletionWorkers is ApplyDeletionTo; workers is ignored. It is kept
@@ -677,7 +688,7 @@ func (r *Result) ApplyInsertion(newDB *relation.Database, I []relation.SourceTup
 		witnesses += len(g.added)
 	}
 	return &Result{View: view, basis: dn.node.wit, witnesses: witnesses,
-		plan: r.plan, lim: r.lim, tree: dn.node, tm: r.tm}, nil
+		plan: r.plan, lim: r.lim, tree: dn.node, tm: r.tm, added: dn.novel}, nil
 }
 
 // ApplyInsertionWorkers is ApplyInsertion; workers is ignored. It is kept
@@ -1067,6 +1078,7 @@ func ComputeLimited(q algebra.Query, db *relation.Database, lim Limit) (*Result,
 	}
 	r := *built
 	r.tm = &treeMetrics{intern: &witnessInterner{}}
+	r.added = nil
 	return &r, nil
 }
 

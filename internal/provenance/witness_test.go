@@ -295,7 +295,8 @@ func basisKeys(ws []Witness) string {
 // either: algebra.Eval for the rows and WitnessesNaive's subset
 // enumeration for each basis. It covers the paper's example and, for
 // every query of naiveQueries, random small instances — at the build and
-// after every step of a random chain of deletions and insertions.
+// after every step of a random chain of deletions and insertions, where
+// it also checks each step's ViewDelta against the two views.
 func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
 	res, err := Compute(userFileQuery(), userGroupDB())
 	if err != nil {
@@ -314,7 +315,11 @@ func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkAgainstNaive(t, fmt.Sprintf("seed %d build", seed), nq.q, db, res)
+				if died, added := res.ViewDelta(); died != nil || added != nil {
+					t.Fatalf("seed %d: a computed Result reports a view delta", seed)
+				}
 				for step := 0; step < 10; step++ {
+					prev := res
 					if rng.Intn(2) == 0 {
 						var T []relation.SourceTuple
 						for _, st := range db.AllSourceTuples() {
@@ -338,9 +343,41 @@ func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
 						}
 					}
 					checkAgainstNaive(t, fmt.Sprintf("seed %d step %d", seed, step), nq.q, db, res)
+					if res != prev {
+						checkViewDelta(t, fmt.Sprintf("seed %d step %d", seed, step), prev.View, res)
+					}
 				}
 			}
 		})
+	}
+}
+
+// checkViewDelta fails unless res.ViewDelta lists exactly the rows of prev
+// missing from res.View (died) and the rows of res.View missing from prev
+// (added), each once.
+func checkViewDelta(t *testing.T, label string, prev *relation.Relation, res *Result) {
+	t.Helper()
+	died, added := res.ViewDelta()
+	for _, c := range []struct {
+		name      string
+		got       []relation.Tuple
+		from, not *relation.Relation
+	}{{"died", died, prev, res.View}, {"added", added, res.View, prev}} {
+		want := map[string]bool{}
+		for _, tu := range c.from.Tuples() {
+			if !c.not.Contains(tu) {
+				want[tu.Key()] = true
+			}
+		}
+		for _, tu := range c.got {
+			if !want[tu.Key()] {
+				t.Fatalf("%s: %s lists %v, which is not in that set or is listed twice", label, c.name, tu)
+			}
+			delete(want, tu.Key())
+		}
+		if len(want) > 0 {
+			t.Fatalf("%s: %s misses %d rows", label, c.name, len(want))
+		}
 	}
 }
 

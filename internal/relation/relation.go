@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -211,13 +211,14 @@ func (r *Relation) Minus(s *Relation) []Tuple {
 	return out
 }
 
-// SortedTuples returns the tuples in lexicographic order, for deterministic
-// printing and testing.
+// SortedTuples returns a fresh slice of the tuples in lexicographic order
+// (Tuple.Compare): the order of printed output, of tests, and of the
+// served view pages a prepared view caches per generation.
 func (r *Relation) SortedTuples() []Tuple {
 	src := r.Tuples()
 	out := make([]Tuple, len(src))
 	copy(out, src)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, Tuple.Compare)
 	return out
 }
 

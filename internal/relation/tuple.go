@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"cmp"
 	"strings"
 )
 
@@ -46,18 +47,19 @@ func (t Tuple) Key() string {
 // Clone returns an independent copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
-// Less orders tuples lexicographically; used only for deterministic output.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
+// Less orders tuples lexicographically; a shorter tuple sorts before the
+// longer tuples it prefixes.
+func (t Tuple) Less(u Tuple) bool { return t.Compare(u) < 0 }
+
+// Compare returns -1, 0 or +1 according to the order defined by Less.
+func (t Tuple) Compare(u Tuple) int {
+	n := min(len(t), len(u))
 	for i := 0; i < n; i++ {
 		if c := t[i].Compare(u[i]); c != 0 {
-			return c < 0
+			return c
 		}
 	}
-	return len(t) < len(u)
+	return cmp.Compare(len(t), len(u))
 }
 
 // Project extracts the values at the given positions, in order.

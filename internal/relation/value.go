@@ -11,6 +11,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -56,27 +57,22 @@ func (v Value) IntVal() int64 { return v.i }
 func (v Value) Equal(w Value) bool { return v == w }
 
 // Less imposes a total order on values: all strings sort before all
-// integers, strings lexicographically, integers numerically. The order is
-// used only to make printed output and iteration deterministic.
-func (v Value) Less(w Value) bool {
+// integers, strings lexicographically, integers numerically. The order
+// makes printed output and iteration deterministic and orders served
+// view pages.
+func (v Value) Less(w Value) bool { return v.Compare(w) < 0 }
+
+// Compare returns -1, 0 or +1 according to the order defined by Less, in
+// one comparison of the payloads: kinds first, then the strings or the
+// integers.
+func (v Value) Compare(w Value) int {
 	if v.kind != w.kind {
-		return v.kind < w.kind
+		return cmp.Compare(v.kind, w.kind)
 	}
 	if v.kind == KindString {
-		return v.s < w.s
+		return strings.Compare(v.s, w.s)
 	}
-	return v.i < w.i
-}
-
-// Compare returns -1, 0 or +1 according to the order defined by Less.
-func (v Value) Compare(w Value) int {
-	if v == w {
-		return 0
-	}
-	if v.Less(w) {
-		return -1
-	}
-	return 1
+	return cmp.Compare(v.i, w.i)
 }
 
 // String renders the value for humans: bare text for strings, decimal for

@@ -128,3 +128,85 @@ func TestFormatValues(t *testing.T) {
 		t.Errorf("FormatValues=%q", got)
 	}
 }
+
+// refValueLess and refTupleLess are the value and tuple orders written
+// out directly from their definitions: kinds first (strings before
+// integers), then the payloads; tuples position by position, a prefix
+// before its extensions.
+func refValueLess(v, w Value) bool {
+	if v.kind != w.kind {
+		return v.kind < w.kind
+	}
+	if v.kind == KindString {
+		return v.s < w.s
+	}
+	return v.i < w.i
+}
+
+func refTupleLess(t, u Tuple) bool {
+	for i := 0; i < len(t) && i < len(u); i++ {
+		if t[i] != u[i] {
+			return refValueLess(t[i], u[i])
+		}
+	}
+	return len(t) < len(u)
+}
+
+// refCompare turns a strict order into the three-way result Compare must
+// return.
+func refCompare[T any](less func(a, b T) bool, a, b T) int {
+	switch {
+	case less(a, b):
+		return -1
+	case less(b, a):
+		return 1
+	}
+	return 0
+}
+
+// randValue draws from a small alphabet so that equal values, shared
+// prefixes and both kinds turn up often.
+func randValue(r *rand.Rand) Value {
+	if r.Intn(2) == 0 {
+		return Int(int64(r.Intn(7) - 3))
+	}
+	b := make([]byte, r.Intn(3))
+	for i := range b {
+		b[i] = "ab$|"[r.Intn(4)]
+	}
+	return String(string(b))
+}
+
+func randTuple(r *rand.Rand) Tuple {
+	t := make(Tuple, r.Intn(4))
+	for i := range t {
+		t[i] = randValue(r)
+	}
+	return t
+}
+
+// TestCompareAgreesWithLessDefinition checks Value.Compare, Tuple.Compare
+// and both Less methods against the orders' definitions on random
+// mixed-kind values and on random tuples of unequal lengths.
+func TestCompareAgreesWithLessDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		v, w := randValue(r), randValue(r)
+		if got, want := v.Compare(w), refCompare(refValueLess, v, w); got != want {
+			t.Fatalf("Value.Compare(%#v, %#v) = %d, want %d", v, w, got, want)
+		}
+		if got, want := v.Less(w), refValueLess(v, w); got != want {
+			t.Fatalf("Value.Less(%#v, %#v) = %v, want %v", v, w, got, want)
+		}
+		a, b := randTuple(r), randTuple(r)
+		if r.Intn(4) == 0 {
+			b = append(a.Clone(), b...) // a prefixes b
+		}
+		if got, want := a.Compare(b), refCompare(refTupleLess, a, b); got != want {
+			t.Fatalf("Tuple.Compare(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got, want := a.Less(b), refTupleLess(a, b); got != want {
+			t.Fatalf("Tuple.Less(%v, %v) = %v, want %v", a, b, got, want)
+		}
+	}
+}
