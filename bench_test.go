@@ -1032,9 +1032,9 @@ func BenchmarkCommit_Sharded(b *testing.B) {
 // fixed write size while the provenance tree grows: a PJ plan over R ⋈ S
 // whose operator nodes hold ~3×rows tuples, written one tuple per round
 // (insert a fresh R tuple, delta-maintain, then delete it again). With the
-// node overlays a round derives O(|Δ|) generations — tombstone/append
-// overlay versions of each node relation, layered witness-map updates,
-// persistent join-bucket probes — so ns/write stays flat as the tree grows
+// node overlays a round derives O(|Δ|) generations — layered witness-map
+// updates, persistent join-bucket probes, one tombstone/append overlay
+// version of the view — so ns/write stays flat as the tree grows
 // 100×; the old maintenance rebuilt every node's output relation with a
 // full pass over its child per ApplyInsertion (and flushed a deferred
 // deletion backlog with a full-tree rebuild), making the same number
@@ -1071,7 +1071,7 @@ func benchmarkApplyInsertionTreeSize(b *testing.B, rows int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res, err = res.ApplyInsertion(newDB, I); err != nil {
+		if res, err = res.ApplyInsertion(I); err != nil {
 			b.Fatal(err)
 		}
 		res = res.ApplyDeletion(I)

@@ -17,6 +17,17 @@
 // "Equality of similarly named fields" is the propagation reason; explicit
 // equality in selection conditions does NOT transport annotations across
 // attributes, which is why σ_{A=B} does not copy A's annotations to B.
+//
+// The rules are one annotation algebra of the shared delta evaluator
+// (package annotree), the evaluator that also carries the witness bases
+// of package provenance: a row's annotation is one location set per
+// attribute, a scan interns a source tuple's locations, π and ∪ move sets
+// to their output positions, ⋈ merges the sets of common attributes, an
+// insertion unions a candidate's new contributions into its sets, and a
+// deletion recomputes them from the live pre-images. ComputeWhere is an
+// insertion from the empty instance, and the incremental maintenance in
+// incremental.go is the same step. The test-only where reference
+// (where_ref_test.go) evaluates the rules on plain maps, independently.
 package annotation
 
 import (
@@ -24,7 +35,7 @@ import (
 	"sync"
 
 	"repro/internal/algebra"
-	"repro/internal/overlay"
+	"repro/internal/annotree"
 	"repro/internal/relation"
 )
 
@@ -187,9 +198,9 @@ func (in *interner) size() int {
 type WhereView struct {
 	// View is Q(S), named algebra.DefaultViewName.
 	View *relation.Relation
-	// root is the retained annotated operator tree; its ann map keys view
-	// tuple keys to per-position source location sets.
-	root *annNode
+	// root is the retained annotated operator tree; its rows are the
+	// view's, annotated with per-position source location sets.
+	root *annotree.Node[[]locSet]
 	in   *interner
 	// reach holds, per interned location id, the number of view locations
 	// its annotation reaches — the side-effect count placement compares.
@@ -200,10 +211,8 @@ type WhereView struct {
 // setsOf returns the per-position where sets of the view tuple with key k,
 // nil when the tuple is not in the view.
 func (wv *WhereView) setsOf(k string) []locSet {
-	if e, ok := wv.root.ann.Get(k); ok {
-		return e.sets
-	}
-	return nil
+	sets, _ := wv.root.Get(k)
+	return sets
 }
 
 // ComputeWhere evaluates q over db with full where-provenance tracking.
@@ -216,8 +225,8 @@ func ComputeWhere(q algebra.Query, db *relation.Database) (*WhereView, error) {
 	if err := algebra.Validate(q, db); err != nil {
 		return nil, err
 	}
-	root, sch := emptyAnnNode(q, db)
-	empty := &WhereView{View: relation.New(algebra.DefaultViewName, sch).Seal(), root: root,
+	root := annotree.Empty[[]locSet](q, db, true)
+	empty := &WhereView{View: relation.New(algebra.DefaultViewName, root.Schema()).Seal(), root: root,
 		in: newInterner(), reach: &reach{}, met: &whereMetrics{}}
 	wv := *empty.ApplyInsertion(db.SourceTuplesOf(algebra.BaseRelations(q)))
 	wv.met = &whereMetrics{}
@@ -275,10 +284,18 @@ func (wv *WhereView) Affected(src relation.Location) *relation.LocationSet {
 	}
 	attrs := wv.View.Schema().Attrs()
 	var locs []relation.Location
-	for _, e := range wv.root.reachUp(src.Rel, src.Tuple, id) {
-		for pos, set := range e.sets {
+	holds := func(sets []locSet) bool {
+		for _, s := range sets {
+			if s.has(id) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, h := range wv.root.ReachUp(src.Rel, src.Tuple, holds) {
+		for pos, set := range h.A {
 			if set.has(id) {
-				locs = append(locs, relation.Loc(wv.View.Name(), e.t, attrs[pos]))
+				locs = append(locs, relation.Loc(wv.View.Name(), h.T, attrs[pos]))
 			}
 		}
 	}
@@ -314,90 +331,13 @@ func (wv *WhereView) InternedLocations() int { return wv.in.size() }
 func (wv *WhereView) LiveLocations() int {
 	seen := make(map[string]bool)
 	n := 0
-	var walk func(an *annNode)
-	walk = func(an *annNode) {
-		if an.kind == nodeScan && !seen[an.relName] {
-			seen[an.relName] = true
-			n += an.ann.Size() * len(an.attrs)
+	wv.root.Scans(func(rel string, arity, rows int) {
+		if !seen[rel] {
+			seen[rel] = true
+			n += rows * arity
 		}
-		for _, k := range an.kids {
-			walk(k)
-		}
-	}
-	walk(wv.root)
+	})
 	return n
-}
-
-// emptyAnnNode builds q's where-provenance tree over the empty instance:
-// every node's statics — the positions, alignments and join geometry the
-// propagation rules read — with empty entry maps and bucket indexes. It
-// returns the node and its output schema. q must have passed Validate.
-func emptyAnnNode(q algebra.Query, db *relation.Database) (*annNode, relation.Schema) {
-	n := &annNode{ann: overlay.NewMap(map[string]annEntry{})}
-	var kids []relation.Schema
-	for _, c := range algebra.Children(q) {
-		kn, ks := emptyAnnNode(c, db)
-		n.kids = append(n.kids, kn)
-		kids = append(kids, ks)
-	}
-	sch, _ := algebra.SchemaOf(q, db)
-	switch q := q.(type) {
-	case algebra.Scan:
-		n.kind, n.relName, n.attrs = nodeScan, q.Rel, sch.Attrs()
-	case algebra.Select:
-		n.kind, n.cond, n.csch = nodeSelect, q.Cond, kids[0]
-	case algebra.Rename:
-		n.kind = nodeRename
-	case algebra.Project:
-		n.kind, n.positions, n.pre = nodeProject, positionsOf(kids[0], q.Attrs), overlay.NewBuckets(nil)
-	case algebra.Union:
-		n.kind, n.positions = nodeUnion, positionsOf(kids[1], sch.Attrs())
-		n.inv = make([]int, len(n.positions))
-		for i, p := range n.positions {
-			n.inv[p] = i
-		}
-	case algebra.Join:
-		ls, rs := kids[0], kids[1]
-		common := ls.Common(rs)
-		n.kind, n.ls = nodeJoin, ls
-		n.lkey, n.rkey = positionsOf(ls, common), positionsOf(rs, common)
-		n.lbuck, n.rbuck = overlay.NewBuckets(nil), overlay.NewBuckets(nil)
-		// Output position → (left position, right position); -1 if absent
-		// on that side. Common attributes pull from both (rules for R1 and
-		// R2 both apply). rpos/ronly record where each right position lands
-		// in the output (the output is the left tuple plus the right side's
-		// non-common attributes, in right-schema order).
-		n.mapping = make([]srcPos, sch.Len())
-		for i, a := range sch.Attrs() {
-			sp := srcPos{l: -1, r: -1}
-			if lp, ok := ls.Index(a); ok {
-				sp.l = lp
-			}
-			if rp, ok := rs.Index(a); ok {
-				sp.r = rp
-			}
-			n.mapping[i] = sp
-		}
-		n.rpos = make([]int, rs.Len())
-		for j, a := range rs.Attrs() {
-			if lp, ok := ls.Index(a); ok {
-				n.rpos[j] = lp
-			} else {
-				n.rpos[j] = ls.Len() + len(n.ronly)
-				n.ronly = append(n.ronly, j)
-			}
-		}
-	}
-	return n, sch
-}
-
-// positionsOf returns the positions of attrs in s.
-func positionsOf(s relation.Schema, attrs []relation.Attribute) []int {
-	out := make([]int, len(attrs))
-	for i, a := range attrs {
-		out[i], _ = s.Index(a)
-	}
-	return out
 }
 
 // ForwardPropagate computes the view locations annotated by a single

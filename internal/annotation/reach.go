@@ -1,5 +1,7 @@
 package annotation
 
+import "repro/internal/annotree"
+
 // Reach counts: for every interned source location, the number of view
 // locations its annotation reaches — |Affected(src)|, the quantity the
 // placement problem minimizes. Every step, the build's insertion from the
@@ -65,9 +67,9 @@ func (r *reach) derive(adjs []reachAdj) *reach {
 }
 
 // reachDelta lists the counter adjustments of one root step: every id in
-// a died entry loses one per position holding it, every id in an added
-// entry gains one, and a changed entry trades its old sets for its new.
-func reachDelta(d *delta, old func(k string) []locSet) []reachAdj {
+// a died row loses one per position holding it, every id in an added row
+// gains one, and a changed row trades its old sets for its new.
+func reachDelta(rows []annotree.Row[[]locSet], old func(k string) []locSet) []reachAdj {
 	var adjs []reachAdj
 	add := func(sets []locSet, sign int32) {
 		for _, set := range sets {
@@ -76,15 +78,16 @@ func reachDelta(d *delta, old func(k string) []locSet) []reachAdj {
 			}
 		}
 	}
-	for _, e := range d.died {
-		add(e.sets, -1)
-	}
-	for _, e := range d.added {
-		add(e.sets, 1)
-	}
-	for _, e := range d.changed {
-		add(old(e.t.Key()), -1)
-		add(e.sets, 1)
+	for _, r := range rows {
+		switch r.S {
+		case annotree.Died:
+			add(r.A, -1)
+		case annotree.Added:
+			add(r.A, 1)
+		case annotree.Changed:
+			add(old(r.K), -1)
+			add(r.A, 1)
+		}
 	}
 	return adjs
 }

@@ -108,88 +108,46 @@ type snapshot struct {
 	db   *relation.Database // source generation this snapshot reflects
 	prov *provenance.Result // materialized view + witness basis
 
-	whereOnce sync.Once
-	// where is the built index, stored once whereOnce has computed or
-	// caught it up — or before publication, when a commit disjoint from
-	// the view carries its predecessor's index over.
+	// where is the where-provenance index: built by the generation's
+	// first Annotate, which catches an older generation's index up by
+	// replaying the source writes committed since, or computes it from
+	// scratch when none is pending.
+	where catchUp[annotation.WhereView, sourceWrite]
+	// whereErr is the error of a failed index computation, cached like a
+	// result.
 	// guarded-by: atomic
-	where atomic.Pointer[annotation.WhereView]
-	// whereLog is how an index not built yet will be caught up; nil means
-	// the first Annotate computes it from scratch. Cleared once where is
-	// stored, so a caught-up generation does not keep its base alive.
-	// guarded-by: atomic
-	whereLog atomic.Pointer[whereLog]
-	whereErr error // guarded-by: whereOnce
+	whereErr atomic.Pointer[error]
 
-	sortOnce sync.Once
 	// sorted holds the view rows in lexicographic order, the rows
-	// QueryPage slices, so a page costs O(page). It is stored by the
-	// generation's first page read — which catches an older generation's
-	// sorted rows up from sortLog, or sorts the view when no log is
-	// pending — or before publication, when a commit leaving the view's
-	// rows as they were carries its predecessor's rows over. An atomic
-	// pointer, so a commit can read a live snapshot's rows without racing
-	// their builder.
-	// guarded-by: atomic
-	sorted atomic.Pointer[[]relation.Tuple]
-	// sortLog is how sorted rows not built yet will be caught up; nil
-	// means the first page read sorts the view. Cleared once sorted is
-	// stored, so a caught-up generation does not keep its base alive.
-	// guarded-by: atomic
-	sortLog atomic.Pointer[sortLog]
+	// QueryPage slices, so a page costs O(page). The generation's first
+	// page read catches an older generation's sorted rows up by merging in
+	// the view deltas committed since, or sorts the view when none is
+	// pending.
+	sorted catchUp[[]relation.Tuple, viewDelta]
 }
 
-// whereLog is an index of an older generation of the view plus the writes
-// committed since, which replayed in order give this generation's index.
-type whereLog struct {
-	base *annotation.WhereView
-	last *whereWrite
+// sourceWrite is one committed write a where index has yet to replay: a
+// deletion's T or an insertion's novel tuples.
+type sourceWrite struct {
+	ins bool
+	T   []relation.SourceTuple
 }
 
-// whereWrite is one committed write a where index has yet to replay: a
-// deletion's T or an insertion's novel tuples. Writes link newest-first,
-// so a commit extends a snapshot's pending log in O(1).
-type whereWrite struct {
-	prev *whereWrite
-	ins  bool
-	T    []relation.SourceTuple
-	// n is the number of tuples pending up to and including this write.
-	n int
-}
+// whereLen sizes a where-index base for the log's drop rule.
+func whereLen(wv *annotation.WhereView) int { return wv.View.Len() }
 
 // sortedView returns the snapshot's lexicographically sorted rows,
-// producing them at most once per generation, off the commit lock: built
-// rows are returned as is (one atomic load); otherwise the first reader
-// merges the pending view deltas into the log's older sorted rows
-// (sortLog.replay), or — with no log — sorts the whole view. Concurrent
-// first readers wait for that one computation.
+// producing them at most once per generation, off the commit lock.
 func (s *snapshot) sortedView() []relation.Tuple {
-	if p := s.sorted.Load(); p != nil {
-		return *p
-	}
-	s.sortOnce.Do(func() {
-		var rows []relation.Tuple
-		ok := false
-		if lg := s.sortLog.Load(); lg != nil {
-			rows, ok = lg.replay()
-		}
-		if !ok {
-			rows = sortTuples(s.prov.View)
-		}
-		s.sorted.Store(&rows)
-		s.sortLog.Store(nil)
+	return *s.sorted.get(replaySorted, func() (*[]relation.Tuple, bool) {
+		rows := sortTuples(s.prov.View)
+		return &rows, true
 	})
-	return *s.sorted.Load()
 }
 
 // sortedReady reports whether a page read on this generation runs no full
 // sort: the sorted rows are built, or a base to catch up from is pending.
-func (s *snapshot) sortedReady() bool {
-	// The log first, as in nextSnapshot: a catch-up stores the rows
-	// before it clears the log, so readiness never flickers off.
-	lg := s.sortLog.Load()
-	return s.sorted.Load() != nil || lg != nil
-}
+func (s *snapshot) sortedReady() bool { return s.sorted.ready() }
 
 // nextSnapshot wraps a view's maintenance result for the new source
 // generation; ins and T are the committed write. When the write left the
@@ -208,60 +166,21 @@ func (s *snapshot) sortedReady() bool {
 // no sorting, merging or key hashing.
 func nextSnapshot(old *snapshot, newDB *relation.Database, prov *provenance.Result, ins bool, T []relation.SourceTuple) *snapshot {
 	s := &snapshot{db: newDB, prov: prov}
-	// Each log is read before its cache: a concurrent catch-up of old
-	// stores the cache before it clears the log, so one of the two is
-	// seen.
-	sl := old.sortLog.Load()
-	sp := old.sorted.Load()
-	lg := old.whereLog.Load()
-	wv := old.where.Load()
 	if prov == old.prov {
-		s.carrySorted(sp, sl)
-		if wv != nil {
-			s.where.Store(wv)
-		} else {
-			s.whereLog.Store(lg)
-		}
+		s.sorted.carry(&old.sorted)
+		s.where.carry(&old.where)
 		return s
 	}
 	// A write that left the view's rows as they were carries the sorted
 	// rows over rather than logging an empty delta, so a log's length in
 	// writes stays bounded by its pending rows.
 	if died, added := prov.ViewDelta(); len(died)+len(added) == 0 {
-		s.carrySorted(sp, sl)
+		s.sorted.carry(&old.sorted)
 	} else {
-		s.sortLog.Store(sl.extend(sp, died, added))
+		s.sorted.follow(&old.sorted, viewDelta{died: died, added: added}, len(died)+len(added), sortedLen)
 	}
-	var next whereLog
-	switch {
-	case wv != nil:
-		next.base = wv
-	case lg != nil:
-		next = *lg
-	default:
-		return s
-	}
-	n := len(T)
-	if next.last != nil {
-		n += next.last.n
-	}
-	if n > next.base.View.Len() {
-		return s
-	}
-	next.last = &whereWrite{prev: next.last, ins: ins, T: T, n: n}
-	s.whereLog.Store(&next)
+	s.where.follow(&old.where, sourceWrite{ins: ins, T: T}, len(T), whereLen)
 	return s
-}
-
-// carrySorted hands a new snapshot whose view rows equal its
-// predecessor's the predecessor's sorted rows if built, else its pending
-// log.
-func (s *snapshot) carrySorted(sp *[]relation.Tuple, sl *sortLog) {
-	if sp != nil {
-		s.sorted.Store(sp)
-	} else {
-		s.sortLog.Store(sl)
-	}
 }
 
 // computeWhere builds a where-provenance index; a package variable so
@@ -284,30 +203,12 @@ var computeProvenance = provenance.ComputeLimited
 // Annotate against this generation but never blocks Prepare or the write
 // path.
 func (s *snapshot) whereView(plan algebra.Query) (*annotation.WhereView, error) {
-	if wv := s.where.Load(); wv != nil {
-		return wv, nil
-	}
-	s.whereOnce.Do(func() {
-		lg := s.whereLog.Load()
-		if lg == nil {
-			wv, err := computeWhere(plan, s.db)
-			if err != nil {
-				s.whereErr = err
-				return
-			}
-			s.where.Store(wv)
-			return
-		}
-		var writes []*whereWrite
-		for w := lg.last; w != nil; w = w.prev {
-			writes = append(writes, w)
-		}
-		wv := lg.base
-		for i := len(writes) - 1; i >= 0; i-- {
-			if writes[i].ins {
-				wv = wv.ApplyInsertion(writes[i].T)
+	replay := func(wv *annotation.WhereView, ws []sourceWrite) (*annotation.WhereView, bool) {
+		for _, w := range ws {
+			if w.ins {
+				wv = wv.ApplyInsertion(w.T)
 			} else {
-				wv = wv.ApplyDeletion(writes[i].T)
+				wv = wv.ApplyDeletion(w.T)
 			}
 		}
 		if internerBloated(wv) {
@@ -317,13 +218,20 @@ func (s *snapshot) whereView(plan algebra.Query) (*annotation.WhereView, error) 
 				wv = fresh
 			}
 		}
-		s.where.Store(wv)
-		s.whereLog.Store(nil)
-	})
-	if wv := s.where.Load(); wv != nil {
+		return wv, true
+	}
+	build := func() (*annotation.WhereView, bool) {
+		wv, err := computeWhere(plan, s.db)
+		if err != nil {
+			s.whereErr.Store(&err)
+			return nil, false
+		}
+		return wv, true
+	}
+	if wv := s.where.get(replay, build); wv != nil {
 		return wv, nil
 	}
-	return nil, s.whereErr
+	return nil, *s.whereErr.Load()
 }
 
 // internerBloated reports whether a where index's interner holds more than
@@ -339,12 +247,7 @@ func internerBloated(wv *annotation.WhereView) bool {
 // whereReady reports whether an Annotate on this generation runs no full
 // index computation: the index is built, or a base to catch up from is
 // pending.
-func (s *snapshot) whereReady() bool {
-	// The log first, as in nextSnapshot: a catch-up stores the index
-	// before it clears the log, so readiness never flickers off.
-	lg := s.whereLog.Load()
-	return s.where.Load() != nil || lg != nil
-}
+func (s *snapshot) whereReady() bool { return s.where.ready() }
 
 // prepared is one registered view: its plan (fixed at Prepare time) and the
 // current snapshot generation.
@@ -833,10 +736,7 @@ func (e *Engine) apply(T []relation.SourceTuple, reqs int) {
 	next := make([]*snapshot, len(ps))
 	e.fanOut(len(ps), func(i int) {
 		old := ps[i].snap.Load()
-		// ApplyDeletionTo adopts newDB's relation versions at the scan
-		// nodes, so the tree and the store share one version chain per
-		// relation instead of deriving parallel ones.
-		next[i] = nextSnapshot(old, newDB, old.prov.ApplyDeletionTo(newDB, T), false, T)
+		next[i] = nextSnapshot(old, newDB, old.prov.ApplyDeletion(T), false, T)
 		e.nMaint.Add(1)
 	})
 

@@ -432,7 +432,7 @@ func (e *Engine) insertGroup(reqs []*writeReq) error {
 	errs := make([]error, len(ps))
 	e.fanOut(len(ps), func(i int) {
 		old := ps[i].snap.Load()
-		prov, ierr := old.prov.ApplyInsertion(newDB, novel)
+		prov, ierr := old.prov.ApplyInsertion(novel)
 		if ierr != nil {
 			errs[i] = fmt.Errorf("engine: maintaining view %q: %w", ps[i].name, ierr)
 			return

@@ -10,78 +10,42 @@ import (
 // engine tests can count full sorts.
 var sortTuples = (*relation.Relation).SortedTuples
 
-// sortLog is the sorted rows of an older generation of a view plus the
-// view deltas committed since, which merged into them give this
-// generation's sorted rows.
-type sortLog struct {
-	base []relation.Tuple
-	last *sortWrite
-}
+// viewDelta is one committed write's view delta (provenance.Result.
+// ViewDelta): the write the sorted-rows cache logs.
+type viewDelta struct{ died, added []relation.Tuple }
 
-// sortWrite is one committed write's view delta (provenance.Result.
-// ViewDelta) that sorted rows have yet to take in. Writes link
-// newest-first, so a commit extends a snapshot's pending log in O(1).
-type sortWrite struct {
-	prev        *sortWrite
-	died, added []relation.Tuple
-	// n is the number of rows pending up to and including this write.
-	n int
-}
+// sortedLen sizes a sorted-rows base for the log's drop rule.
+func sortedLen(rows *[]relation.Tuple) int { return len(*rows) }
 
-// extend returns the log of a generation whose view rows are those of a
-// generation with sorted rows sp (nil if not built) and pending log lg
-// (nil if none), minus died plus added. It returns nil — the next read
-// sorts from scratch — when there is no base to catch up from, or once
-// the pending rows outnumber the base's. O(1): it only links.
-func (lg *sortLog) extend(sp *[]relation.Tuple, died, added []relation.Tuple) *sortLog {
-	var next sortLog
-	switch {
-	case sp != nil:
-		next.base = *sp
-	case lg != nil:
-		next = *lg
-	default:
-		return nil
-	}
-	n := len(died) + len(added)
-	if next.last != nil {
-		n += next.last.n
-	}
-	if n > len(next.base) {
-		return nil
-	}
-	next.last = &sortWrite{prev: next.last, died: died, added: added, n: n}
-	return &next
-}
-
-// replay returns the log's base with its pending writes taken in. The
-// writes are netted by row first (net), so a row deleted and then
-// restored costs nothing further; a net-empty log yields the base itself,
-// which is immutable and so may be shared, and any other net delta is
-// merged into a fresh copy of the base in one pass (mergeSorted). The
-// base, which older snapshots may share, is never modified. ok is false
-// when the deltas do not fit the base, which maintenance rules out; the
-// caller then sorts from scratch.
-func (lg *sortLog) replay() (rows []relation.Tuple, ok bool) {
-	died, added := lg.net()
+// replaySorted returns the base sorted rows with the pending view deltas
+// taken in. The deltas are netted by row first (netDeltas), so a row
+// deleted and then restored costs nothing further; a net-empty log yields
+// the base itself, which is immutable and so may be shared, and any other
+// net delta is merged into a fresh copy of the base in one pass
+// (mergeSorted). The base, which older snapshots may share, is never
+// modified. ok is false when the deltas do not fit the base, which
+// maintenance rules out; the read then sorts from scratch.
+func replaySorted(base *[]relation.Tuple, ws []viewDelta) (rows *[]relation.Tuple, ok bool) {
+	died, added := netDeltas(ws)
 	if len(died)+len(added) == 0 {
-		return lg.base, true
+		return base, true
 	}
-	return mergeSorted(lg.base, died, added)
+	merged, ok := mergeSorted(*base, died, added)
+	return &merged, ok
 }
 
-// net returns the rows the base holds and this generation does not
-// (died) and the reverse (added), in order of first mention. A row's
-// first mention tells whether the base holds it (it was removed) and its
-// last whether this generation does (it was added); the order never
-// depends on map iteration.
-func (lg *sortLog) net() (died, added []relation.Tuple) {
-	var writes []*sortWrite
-	for w := lg.last; w != nil; w = w.prev {
-		writes = append(writes, w)
-	}
+// netDeltas returns the rows the base holds and the generation after the
+// deltas ws (oldest first) does not (died), and the reverse (added), in
+// order of first mention. A row's first mention tells whether the base
+// holds it (it was removed) and its last whether the generation does (it
+// was added); the order never depends on map iteration.
+func netDeltas(ws []viewDelta) (died, added []relation.Tuple) {
 	type netRow struct{ inBase, inView bool }
-	rows := make(map[string]netRow, lg.last.n)
+	n := 0
+	for _, w := range ws {
+		n += len(w.died) + len(w.added)
+	}
+	rows := make(map[string]netRow, n)
 	var order []relation.Tuple
 	var keys []string
 	mention := func(t relation.Tuple, present bool) {
@@ -95,11 +59,11 @@ func (lg *sortLog) net() (died, added []relation.Tuple) {
 		order = append(order, t)
 		keys = append(keys, k)
 	}
-	for i := len(writes) - 1; i >= 0; i-- {
-		for _, t := range writes[i].died {
+	for _, w := range ws {
+		for _, t := range w.died {
 			mention(t, false)
 		}
-		for _, t := range writes[i].added {
+		for _, t := range w.added {
 			mention(t, true)
 		}
 	}

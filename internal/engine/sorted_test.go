@@ -115,7 +115,7 @@ func TestSortedPagesMatchFreshSort(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := p.snap.Load()
-			lg := snap.sortLog.Load()
+			lg := snap.sorted.log.Load()
 			built := snap.sorted.Load() != nil
 			vs, err := e.Describe(name)
 			if err != nil {
@@ -125,7 +125,7 @@ func TestSortedPagesMatchFreshSort(t *testing.T) {
 				t.Fatalf("%s: SortedReady %v with rows built %v and log pending %v", label, vs.SortedReady, built, lg != nil)
 			}
 			if !built && lg != nil {
-				if died, added := lg.net(); len(died)+len(added) == 0 {
+				if died, added := netDeltas(lg.writes()); len(died)+len(added) == 0 {
 					netEmpty++
 				}
 			}
@@ -363,27 +363,36 @@ func TestConcurrentFirstReadersShareOneCatchUp(t *testing.T) {
 func TestSortLogNetsDeleteRestore(t *testing.T) {
 	row := func(s string) relation.Tuple { return relation.StringTuple(s) }
 	base := []relation.Tuple{row("a"), row("b"), row("c"), row("d"), row("e"), row("f")}
-	lg := (*sortLog)(nil).extend(&base, []relation.Tuple{row("b"), row("a")}, nil)
-	lg = lg.extend(nil, nil, []relation.Tuple{row("b"), row("z"), row("y")})
-	lg = lg.extend(nil, []relation.Tuple{row("y")}, nil)
-	died, added := lg.net()
+	// extend returns a cache whose log is c's plus the view delta.
+	extend := func(c *catchUp[[]relation.Tuple, viewDelta], died, added []relation.Tuple) *catchUp[[]relation.Tuple, viewDelta] {
+		var next catchUp[[]relation.Tuple, viewDelta]
+		next.follow(c, viewDelta{died: died, added: added}, len(died)+len(added), sortedLen)
+		return &next
+	}
+	var built catchUp[[]relation.Tuple, viewDelta]
+	built.built.Store(&base)
+	c := extend(&built, []relation.Tuple{row("b"), row("a")}, nil)
+	c = extend(c, nil, []relation.Tuple{row("b"), row("z"), row("y")})
+	c = extend(c, []relation.Tuple{row("y")}, nil)
+	lg := c.log.Load()
+	died, added := netDeltas(lg.writes())
 	checkRows(t, "net died", died, []relation.Tuple{row("a")})
 	checkRows(t, "net added", added, []relation.Tuple{row("z")})
-	rows, ok := lg.replay()
+	rows, ok := replaySorted(lg.base, lg.writes())
 	if !ok {
 		t.Fatal("replay of a consistent log failed")
 	}
-	checkRows(t, "replayed rows", rows, []relation.Tuple{row("b"), row("c"), row("d"), row("e"), row("f"), row("z")})
+	checkRows(t, "replayed rows", *rows, []relation.Tuple{row("b"), row("c"), row("d"), row("e"), row("f"), row("z")})
 	checkRows(t, "base after replay", base, []relation.Tuple{row("a"), row("b"), row("c"), row("d"), row("e"), row("f")})
 
-	restored := (*sortLog)(nil).extend(&base, []relation.Tuple{row("c")}, nil).extend(nil, nil, []relation.Tuple{row("c")})
-	if died, added := restored.net(); len(died)+len(added) != 0 {
+	restored := extend(extend(&built, []relation.Tuple{row("c")}, nil), nil, []relation.Tuple{row("c")}).log.Load()
+	if died, added := netDeltas(restored.writes()); len(died)+len(added) != 0 {
 		t.Fatalf("delete then restore nets to died %v, added %v", died, added)
 	}
-	if rows, ok := restored.replay(); !ok || &rows[0] != &base[0] {
+	if rows, ok := replaySorted(restored.base, restored.writes()); !ok || &(*rows)[0] != &base[0] {
 		t.Fatal("a net-empty log did not yield its base")
 	}
-	if long := lg.extend(nil, []relation.Tuple{row("c")}, nil); long != nil {
+	if long := extend(c, []relation.Tuple{row("c")}, nil).log.Load(); long != nil {
 		t.Fatalf("log kept %d pending rows over a %d-row base", long.last.n, len(base))
 	}
 }

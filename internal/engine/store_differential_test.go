@@ -180,7 +180,7 @@ func testDifferentialCompactionCycles(t *testing.T, segments int) {
 		// The view's provenance-tree store must have cycled its node
 		// overlays too — every commit above ran through the O(Δ) tree
 		// maintenance, and this workload is long enough to fold both the
-		// node relations and the witness/bucket maps.
+		// view relation and the witness/bucket maps.
 		tree := st.Views[0].Tree
 		if tree.Derives == 0 || tree.RewrittenNodes == 0 || tree.TouchedTuples == 0 {
 			t.Fatalf("seed %d: tree counters did not move: %+v", seed, tree)

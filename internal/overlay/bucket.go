@@ -1,9 +1,9 @@
 package overlay
 
-// Join-bucket chains: the persistent hash indexes the provenance tree
-// keeps on the children of every join node, mapping a join-key to the
-// chain of partner tuples. Moved here from package provenance so the
-// annotation layer's incremental where-index can reuse them.
+// Join-bucket chains: the persistent hash indexes an annotated tree keeps
+// on the children of every join node, mapping a join-key to the chain of
+// partner tuples, and on the child of a projection whose algebra
+// recomputes deletions, mapping an output key to its pre-images.
 
 import "repro/internal/relation"
 

@@ -1,8 +1,7 @@
 // Package overlay provides the persistent, structure-sharing containers
-// shared by the provenance tree's per-node state and the annotation
-// layer's where-provenance index: a string-keyed map over the layered
-// store (internal/layered), and the join-bucket chains used by the
-// incremental maintenance passes. A map compacts on the unsegmented
+// of the annotated operator trees' per-node state (internal/annotree):
+// a string-keyed map over the layered store (internal/layered), and the
+// join-bucket chains used by the incremental maintenance passes. A map compacts on the unsegmented
 // schedule (layered.ForSegments(1)), so deriving the next generation of a
 // node's state costs O(|Δ|) — the base and all earlier layers are shared
 // by pointer — instead of an O(|node|) wholesale copy per write.

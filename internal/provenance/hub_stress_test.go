@@ -59,7 +59,7 @@ func TestHubKeyChurnStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur = restored
-		if res, err = res.ApplyInsertion(cur, T); err != nil {
+		if res, err = res.ApplyInsertion(T); err != nil {
 			t.Fatal(err)
 		}
 
@@ -73,7 +73,7 @@ func TestHubKeyChurnStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			cur = restored
-			if res, err = res.ApplyInsertion(cur, T); err != nil {
+			if res, err = res.ApplyInsertion(T); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -113,16 +113,11 @@ func TestApplyInsertionRestoresDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	T := []relation.SourceTuple{st("UserGroup", "john", "admin"), st("GroupFile", "staff", "f1")}
-	shrunkDB := db.DeleteAll(T)
 	shrunk := res.ApplyDeletion(T)
 	if shrunk.View.Contains(relation.StringTuple("john", "f2")) {
 		t.Fatal("deletion did not take")
 	}
-	restoredDB, err := shrunkDB.InsertAll(T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := shrunk.ApplyInsertion(restoredDB, T)
+	restored, err := shrunk.ApplyInsertion(T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +138,7 @@ func TestApplyInsertionEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := res.ApplyInsertion(db, nil); err != nil || again != res {
+	if again, err := res.ApplyInsertion(nil); err != nil || again != res {
 		t.Errorf("empty insertion: got (%p, %v), want the receiver back", again, err)
 	}
 	if _, err := db.InsertAll([]relation.SourceTuple{st("Nope", "x")}); err == nil {
@@ -165,11 +160,7 @@ func TestApplyInsertionRespectsLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	I := []relation.SourceTuple{st("UserGroup", "john", "devs"), st("GroupFile", "devs", "f1")}
-	newDB, err := db.InsertAll(I)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.ApplyInsertion(newDB, I); !errors.Is(err, ErrLimit) {
+	if _, err := res.ApplyInsertion(I); !errors.Is(err, ErrLimit) {
 		t.Errorf("got %v, want ErrLimit", err)
 	}
 	// Uncapped, the same insertion extends the basis.
@@ -177,7 +168,7 @@ func TestApplyInsertionRespectsLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := free.ApplyInsertion(newDB, I)
+	grown, err := free.ApplyInsertion(I)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +242,7 @@ func TestApplyDeletionDeltaBoundedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := res.ApplyInsertion(newDB, I)
+	grown, err := res.ApplyInsertion(I)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +329,7 @@ func TestApplyInsertionMatchesRecomputeQuick(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, err = res.ApplyInsertion(newDB, novel)
+						res, err = res.ApplyInsertion(novel)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -432,7 +423,7 @@ func TestWhereSourcesWithinLineageQuick(t *testing.T) {
 // TestNodeOverlayCompactionCyclesDifferential drives a long random
 // insert/delete interleaving — far past the old 64-deletion flush
 // boundary — through maintained node overlays, long enough to force the
-// node relations and witness maps through multiple fold AND squash
+// view relation and witness maps through multiple fold AND squash
 // cycles, asserting the maintained state stays byte-identical to a
 // from-scratch recomputation throughout. This is the proof that node
 // overlay compaction is invisible above the tree, the same way the
@@ -474,7 +465,7 @@ func TestNodeOverlayCompactionCyclesDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res, err = res.ApplyInsertion(newDB, I); err != nil {
+				if res, err = res.ApplyInsertion(I); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				db = newDB
@@ -489,7 +480,7 @@ func TestNodeOverlayCompactionCyclesDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res, err = res.ApplyInsertion(newDB, I); err != nil {
+				if res, err = res.ApplyInsertion(I); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				db = newDB
@@ -529,12 +520,11 @@ func TestNodeOverlayCompactionCyclesDifferential(t *testing.T) {
 	}
 }
 
-// TestApplyDeletionToAdoptsStoreVersions pins the single-chain contract:
-// a caller that already derived S \ T (the engine's commit path) hands it
-// to ApplyDeletionTo, and the scan nodes adopt the store's relation
-// versions by pointer instead of deriving a parallel overlay chain over
-// the same base — while the nil-newDB ApplyDeletion keeps deriving
-// private versions with identical content.
+// TestApplyDeletionToAdoptsStoreVersions pins the one deletion entry
+// point: two deletions of T from one Result derive the same state (the
+// first leaves the receiver as it was), and both match a recompute over
+// the store's post-deletion source. No operator node keeps a relation, so
+// there is no store version to adopt.
 func TestApplyDeletionToAdoptsStoreVersions(t *testing.T) {
 	db := userGroupDB()
 	q := algebra.R("UserGroup") // identity plan: the tree root IS the scan node
@@ -545,14 +535,8 @@ func TestApplyDeletionToAdoptsStoreVersions(t *testing.T) {
 	T := []relation.SourceTuple{st("UserGroup", "john", "admin")}
 	newDB := db.DeleteAll(T)
 
-	adopted := res.ApplyDeletionTo(newDB, T)
-	if adopted.tree.rel != newDB.Relation("UserGroup") {
-		t.Fatal("scan node did not adopt the store's post-deletion relation version")
-	}
+	adopted := res.ApplyDeletion(T)
 	private := res.ApplyDeletion(T)
-	if private.tree.rel == newDB.Relation("UserGroup") {
-		t.Fatal("nil-newDB deletion unexpectedly shares the store's version")
-	}
 	if got, want := witnessFingerprint(adopted), witnessFingerprint(private); got != want {
 		t.Fatalf("adopted and private deletions diverged\n got:\n%s\nwant:\n%s", got, want)
 	}

@@ -68,7 +68,7 @@ func TestParallelMaintenanceWidthInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w1, err = w1.ApplyInsertion(newDB, novel); err != nil {
+			if w1, err = w1.ApplyInsertion(novel); err != nil {
 				t.Fatal(err)
 			}
 			db = newDB

@@ -66,7 +66,7 @@ func TestWitnessCountTracksMaintenance(t *testing.T) {
 						}
 					}
 					db = db.DeleteAll(ts)
-					res = res.ApplyDeletionTo(db, ts)
+					res = res.ApplyDeletion(ts)
 				} else {
 					if len(removed) > 0 && r.Intn(2) == 0 {
 						k := 1 + r.Intn(len(removed))
@@ -84,7 +84,7 @@ func TestWitnessCountTracksMaintenance(t *testing.T) {
 					if db, err = db.InsertAll(novel); err != nil {
 						t.Fatal(err)
 					}
-					if res, err = res.ApplyInsertion(db, novel); err != nil {
+					if res, err = res.ApplyInsertion(novel); err != nil {
 						t.Fatal(err)
 					}
 				}

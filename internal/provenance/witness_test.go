@@ -338,7 +338,7 @@ func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
 						if db, err = db.InsertAll(I); err != nil {
 							t.Fatal(err)
 						}
-						if res, err = res.ApplyInsertion(db, I); err != nil {
+						if res, err = res.ApplyInsertion(I); err != nil {
 							t.Fatal(err)
 						}
 					}

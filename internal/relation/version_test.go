@@ -223,7 +223,7 @@ func TestEachStopsEarly(t *testing.T) {
 }
 
 // TestExportedVersionDerivation pins the out-of-store overlay API the
-// provenance node relations ride on: DeleteVersion/InsertVersion share the
+// maintained views ride on: DeleteVersion/InsertVersion share the
 // base storage of a sealed relation, behave byte-identically to a
 // rebuild, and report their compaction activity through layered.Counters
 // on the same thresholds as the Database store.
