@@ -1,5 +1,6 @@
-// Benchmark harness regenerating the paper's evaluation artifacts (see
-// DESIGN.md §3 and EXPERIMENTS.md for the mapping and recorded results):
+// Benchmark harness regenerating the paper's evaluation artifacts (the
+// README's "Paper map" section maps each table, theorem and figure to its
+// code, tests and benchmarks):
 //
 //	Table 1 (§2.1, view side-effect):   BenchmarkTable1_*
 //	Table 2 (§2.2, source side-effect): BenchmarkTable2_*

@@ -1,7 +1,8 @@
-// Command experiments prints the deterministic experiment series behind
-// EXPERIMENTS.md: machine-independent counters (evaluation work, solver
-// candidates, solution sizes, solver-agreement flags) for every table and
-// figure of the paper. Wall-clock companions: go test -bench=. .
+// Command experiments prints the deterministic experiment series listed in
+// the README's "Paper map" section: machine-independent counters
+// (evaluation work, solver candidates, solution sizes, solver-agreement
+// flags) for every table and figure of the paper. Wall-clock companions:
+// go test -bench=. .
 //
 //	experiments            # all series with default sizes
 //	experiments -seed 42   # different instance draws

@@ -3,11 +3,11 @@
 // Analyzer/Pass/Diagnostic/Fact vocabulary — including Requires/ResultOf
 // chaining, object and package facts — enough of it for propviewlint's
 // invariant checkers and their drivers (driver: whole-module source
-// mode with a dependency-ordered worker pool, and the `go vet -vettool`
-// unitchecker protocol). The container this repo builds in has no module
-// proxy access, so depending on x/tools is not an option; the API mirrors
-// it closely enough that swapping the real package in later is a
-// find-and-replace.
+// mode, one package at a time in dependency order, and the
+// `go vet -vettool` unitchecker protocol). The container this repo builds
+// in has no module proxy access, so depending on x/tools is not an
+// option; the API mirrors it closely enough that swapping the real
+// package in later is a find-and-replace.
 //
 // # The invariant vocabulary
 //
@@ -34,10 +34,10 @@
 //     sync/atomic type (the analyzer verifies the type and requires no
 //     lock), and a sibling sync.Once field names the once-initialization
 //     discipline — accesses are legal inside the Once.Do callback.
-//     Functions whose callers hold the lock declare it with
-//     `propview:holds <field>` in their doc comment. Accesses to objects
-//     freshly allocated in the same function (not yet published) are
-//     exempt. Enforced by the lockguard analyzer.
+//     Locks taken or released by a helper the function calls count, via
+//     the concurrency summaries. Accesses to objects freshly allocated in
+//     the same function (not yet published) are exempt. Enforced by the
+//     lockguard analyzer.
 //
 //   - `propview:no-retain` (doc comment of a function or method taking a
 //     callback): values yielded to the callback are only valid for the
@@ -56,56 +56,32 @@
 //     commit/publish path). Reader code must never write it. Enforced by
 //     the genmonotonic analyzer.
 //
-//   - `propview:holds <lock>` (doc comment of a function or method): the
-//     caller holds the named lock — a mutex field of the receiver's
-//     struct, or a package-level mutex — for the duration of the call.
-//     lockguard uses it to seed the held set; holdinfer cross-checks the
-//     annotations against what the concurrency summaries infer, reporting
-//     a missing contract (the function releases, or passes to a callee
-//     needing, a lock it never acquired), a stale one (the named lock is
-//     never unlocked, never nested under, needed by no callee, and guards
-//     no accessed field — or does not exist at all), and a contradicted
-//     one (the function acquires the annotated lock itself, which
-//     self-deadlocks under the contract).
-//
-//   - `propview:fanout` (doc comment of a function or method): the
-//     function runs its func(int) argument once per index in [0, n),
-//     possibly concurrently on several goroutines (parallel.For, the
-//     engine's fanOut). Closures passed to a fanout runner may write
-//     captured state only through per-index slots — an index expression
-//     mentioning the worker's index parameter or a local derived from it
-//     — or while holding a mutex; captured maps are never slots.
-//     Enforced by the parslot analyzer, including mutations reached
-//     through helper calls via the summaries. (Injectivity of a derived
-//     index — distinct workers hitting distinct slots — remains the
-//     author's obligation; the analyzer checks the shape.)
-//
 //   - `propview:deterministic` (doc comment of a function or method):
 //     the function's observable results are a pure function of its
-//     inputs — the width-invariance contract of the fan-out paths (the
-//     segmented store's scatter, the engine's across-view maintenance)
-//     and the maintenance walks they run. Checked by maporder (no returned value whose element order
-//     derives from a range over a map, unless sorted or gathered into
-//     keyed slots first) and gatherorder (slot arrays are gathered
-//     serially in index order, and no clock/RNG root — time.Now,
-//     math/rand — is reachable transitively; callees carrying the marker
-//     are trusted here and checked at their own definition).
+//     inputs — what makes the paper's answers (a chosen deletion, its
+//     side effects, witness lists, an annotation's placement) independent
+//     of the run. It sits on the delta evaluator's step and its helpers
+//     (internal/annotree), the witness-basis maintenance that drives them
+//     (provenance Result.ApplyDeletion and ApplyInsertion), Engine.Views,
+//     and parallel.For and Hash.
+//     Enforced by the maporder analyzer: no returned value whose element
+//     order derives from a range over a map unless sorted or gathered
+//     into keyed slots first, and no clock or RNG root — time.Now,
+//     math/rand, crypto/rand — reachable transitively; callees carrying
+//     the marker are trusted here and checked at their own definition.
+//     JSON encoding is an order-sensitive sink in every function, marked
+//     or not.
 //
-//   - `propview:order-insensitive` (doc comment of a function or
-//     method): callers do not depend on the element order of the
-//     function's results, so map-iteration order may reach them; the
-//     maporder taint is silenced. The marker is exported as a fact, so
-//     cross-package callers inherit the exemption.
+// A worked maporder diagnostic, from a copy of the tree in which
+// annotree.Step returned its delta rows by ranging over the node's new
+// annotation map instead of in candidate order:
 //
-// A worked maporder diagnostic:
+//	internal/annotree/annotree.go:455:2: propview:deterministic function
+//	  Step returns a map-ordered value (ordered by range over map at
+//	  annotree.go:452); sort it or gather into keyed slots (maporder)
 //
-//	incremental.go:305: map-ordered value flows into JSON encoding
-//	  (cands); sort it first or mark the function
-//	  propview:order-insensitive
-//
-// — `cands` was appended under a `for k, v := range candidates` loop, so
-// its element order is the map's randomized iteration order. Sorting the
-// keys and gathering by keyed lookup clears the taint.
+// Building the rows in the candidates' first-appearance order, as Step
+// does, or sorting them clears the taint and the diagnostic.
 //
 // # Concurrency summaries
 //
@@ -120,7 +96,7 @@
 // `pkgpath.name` for a package-level mutex; locks in local variables are
 // instance-scoped and deliberately unclassified. Summaries are exported
 // as gob facts, so both drivers see them across package boundaries, and
-// three analyzers consume them:
+// two analyzers consume them:
 //
 //   - lockorder folds every "A held while acquiring B" edge, local and
 //     imported, into a global acquisition order and reports any cycle as
@@ -135,7 +111,6 @@
 //     launcher receives, or a drain registration — the launched code
 //     signals on a classifiable channel/WaitGroup some function
 //     (anywhere in the fact-visible world) receives from or waits on.
-//   - holdinfer performs the propview:holds cross-check described above.
 //
 // lockguard also consumes the summaries: a callee that acquires or
 // releases a guard's mutex (a lock()/unlock() helper) updates the held
@@ -147,11 +122,15 @@
 // A second analyzer in the same package, ordersummary, computes the
 // determinism-relevant behavior of each function: which results carry
 // map-iteration order, which nondeterminism roots (clock, RNG) the
-// function reaches transitively, and the fanout / deterministic /
-// order-insensitive markers. These are exported as gob facts alongside
-// the concurrency summaries, and the determinism trio — parslot,
-// maporder, gatherorder — reports from them, each under its own name so
-// suppression and budgeting stay per-analyzer.
+// function reaches transitively, and its deterministic marker. These are
+// exported as gob facts alongside the concurrency summaries, and maporder
+// reports from them.
+//
+// What no analyzer checks: closures handed to parallel.For run
+// concurrently and may write captured state only through their own
+// per-index slot. A violation is a data race, and the race detector run
+// at GOMAXPROCS 2 over the fan-out packages is the check (see the
+// parallel package doc).
 //
 // A finding that is intentional is suppressed in place with
 //

@@ -14,7 +14,7 @@ func TestParseBudget(t *testing.T) {
 eachretain 8
 
 lockguard 2
-holdinfer 0
+lockorder 0
 `
 	if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ holdinfer 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"eachretain": 8, "lockguard": 2, "holdinfer": 0}
+	want := map[string]int{"eachretain": 8, "lockguard": 2, "lockorder": 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseBudget = %v, want %v", got, want)
 	}

@@ -1,8 +1,9 @@
 // Package driver runs propviewlint's analyzers. Two modes share the fact
 // store and the suppression filter: Run type-checks from source and walks
-// the dependency graph bottom-up (the standalone binary and the
-// analysistest harness), while unitchecker.go speaks the `go vet -vettool`
-// protocol, one package per process with facts carried in .vetx files.
+// the dependency graph bottom-up, one package at a time (the standalone
+// binary and the analysistest harness), while unitchecker.go speaks the
+// `go vet -vettool` protocol, one package per process with facts carried
+// in .vetx files.
 package driver
 
 import (
@@ -11,10 +12,8 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -48,11 +47,9 @@ const DirectiveAnalyzer = "lintdirective"
 // package path, a stable object path within it (empty for package-level
 // facts), and the fact's concrete type, so the same key works whether the
 // fact was produced live (source mode) or decoded from a dependency's
-// .vetx file (vettool mode). Safe for concurrent use: the standalone
-// driver analyzes independent packages in parallel.
+// .vetx file (vettool mode).
 type Facts struct {
-	mu sync.RWMutex
-	m  map[string]analysis.Fact
+	m map[string]analysis.Fact
 }
 
 // NewFacts returns an empty fact store.
@@ -116,9 +113,7 @@ func (fs *Facts) Get(obj types.Object, fact analysis.Fact) bool {
 	if !ok {
 		return false
 	}
-	fs.mu.RLock()
 	stored, ok := fs.m[k]
-	fs.mu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -130,17 +125,13 @@ func (fs *Facts) Get(obj types.Object, fact analysis.Fact) bool {
 // (they never cross a package boundary).
 func (fs *Facts) Set(obj types.Object, fact analysis.Fact) {
 	if k, ok := factKey(obj, fact); ok {
-		fs.mu.Lock()
 		fs.m[k] = fact
-		fs.mu.Unlock()
 	}
 }
 
 // GetPkg copies the stored package fact for pkgPath into fact.
 func (fs *Facts) GetPkg(pkgPath string, fact analysis.Fact) bool {
-	fs.mu.RLock()
 	stored, ok := fs.m[pkgFactKey(pkgPath, fact)]
-	fs.mu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -150,9 +141,7 @@ func (fs *Facts) GetPkg(pkgPath string, fact analysis.Fact) bool {
 
 // SetPkg records a package-level fact for pkgPath.
 func (fs *Facts) SetPkg(pkgPath string, fact analysis.Fact) {
-	fs.mu.Lock()
 	fs.m[pkgFactKey(pkgPath, fact)] = fact
-	fs.mu.Unlock()
 }
 
 // AllPkg returns the stored package facts of fact's concrete type. When
@@ -165,7 +154,6 @@ func (fs *Facts) SetPkg(pkgPath string, fact analysis.Fact) {
 func (fs *Facts) AllPkg(fact analysis.Fact, visible map[string]bool, exclude string) []analysis.PackageFact {
 	suffix := "\x00\x00" + reflect.TypeOf(fact).String()
 	var out []analysis.PackageFact
-	fs.mu.RLock()
 	for k, stored := range fs.m {
 		path, ok := strings.CutSuffix(k, suffix)
 		if !ok || path == exclude {
@@ -176,7 +164,6 @@ func (fs *Facts) AllPkg(fact analysis.Fact, visible map[string]bool, exclude str
 		}
 		out = append(out, analysis.PackageFact{Path: path, Fact: stored})
 	}
-	fs.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }
@@ -376,42 +363,25 @@ func RunPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*as
 	return findings, nil
 }
 
-// Durations accumulates per-analyzer wall-clock across packages,
-// concurrently updated by the parallel driver.
+// Durations accumulates per-analyzer wall-clock across packages.
 type Durations struct {
-	mu sync.Mutex
-	d  map[string]time.Duration
+	d map[string]time.Duration
 }
 
 // NewDurations returns an empty accumulator.
 func NewDurations() *Durations { return &Durations{d: make(map[string]time.Duration)} }
 
-func (d *Durations) add(name string, dt time.Duration) {
-	d.mu.Lock()
-	d.d[name] += dt
-	d.mu.Unlock()
-}
+func (d *Durations) add(name string, dt time.Duration) { d.d[name] += dt }
 
 // Get returns the accumulated wall-clock for one analyzer.
-func (d *Durations) Get(name string) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.d[name]
-}
+func (d *Durations) Get(name string) time.Duration { return d.d[name] }
 
-// Workers bounds the standalone driver's per-package analysis parallelism;
-// 0 (the default) means GOMAXPROCS. A package is scheduled only once every
-// package it imports has been analyzed, so fact flow is identical to the
-// old sequential bottom-up walk.
-var Workers = 0
-
-// Run analyzes pkgs and their transitive source dependencies in
-// dependency order — packages whose imports are all analyzed run
-// concurrently on a bounded worker pool — and returns every active
-// (unsuppressed) finding sorted by position. Fact visibility per package
-// is its transitive import closure, exactly what the vettool protocol
-// provides. Callers that want suppressed findings too (the -json
-// printers) use RunStats.
+// Run analyzes pkgs and their transitive source dependencies one package
+// at a time in dependency order (every import before its importer), and
+// returns every active (unsuppressed) finding sorted by position. Fact
+// visibility per package is its transitive import closure, exactly what
+// the vettool protocol provides. Callers that want suppressed findings
+// too (the -json printers) use RunStats.
 func Run(analyzers []*analysis.Analyzer, fset *token.FileSet, pkgs []*load.Package) ([]Finding, error) {
 	findings, _, err := RunStats(analyzers, fset, pkgs, nil)
 	if err != nil {
@@ -431,91 +401,33 @@ func Run(analyzers []*analysis.Analyzer, fset *token.FileSet, pkgs []*load.Packa
 // suppressed findings too, flagged via Finding.Suppressed.
 func RunStats(analyzers []*analysis.Analyzer, fset *token.FileSet, pkgs []*load.Package,
 	durations *Durations) ([]Finding, int, error) {
-	type node struct {
-		p          *load.Package
-		visible    map[string]bool // transitive import closure (source pkgs)
-		waiting    int             // unanalyzed imports
-		dependents []*node
-	}
-	nodes := make(map[string]*node)
-	var order []*node // dependency order, for deterministic visibility setup
-	var visit func(p *load.Package) *node
-	visit = func(p *load.Package) *node {
-		if n, ok := nodes[p.Path]; ok {
-			return n
+	fs := NewFacts()
+	visible := make(map[string]map[string]bool) // package -> transitive import closure
+	var findings []Finding
+	var visit func(p *load.Package) error
+	visit = func(p *load.Package) error {
+		if _, ok := visible[p.Path]; ok {
+			return nil
 		}
-		n := &node{p: p, visible: make(map[string]bool)}
-		nodes[p.Path] = n // before recursing: load rejects cycles, this is belt
+		vis := make(map[string]bool)
+		visible[p.Path] = vis // before recursing: load rejects cycles, this is belt
 		for _, dep := range p.Imports {
-			d := visit(dep)
-			d.dependents = append(d.dependents, n)
-			n.waiting++
-			n.visible[dep.Path] = true
-			for path := range d.visible {
-				n.visible[path] = true
+			if err := visit(dep); err != nil {
+				return err
+			}
+			vis[dep.Path] = true
+			for path := range visible[dep.Path] {
+				vis[path] = true
 			}
 		}
-		order = append(order, n)
-		return n
+		fnd, err := RunPackage(analyzers, fset, p.Files, p.Types, p.Info, fs, vis, durations)
+		findings = append(findings, fnd...)
+		return err
 	}
 	for _, p := range pkgs {
-		visit(p)
-	}
-
-	workers := Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-
-	fs := NewFacts()
-	ready := make(chan *node, len(order))
-	for _, n := range order {
-		if n.waiting == 0 {
-			ready <- n
+		if err := visit(p); err != nil {
+			return nil, 0, err
 		}
-	}
-
-	var (
-		mu       sync.Mutex
-		findings []Finding
-		firstErr error
-		done     int
-		wg       sync.WaitGroup
-	)
-	finish := func(n *node, fnd []Finding, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		findings = append(findings, fnd...)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		for _, dep := range n.dependents {
-			dep.waiting--
-			if dep.waiting == 0 {
-				ready <- dep
-			}
-		}
-		done++
-		if done == len(order) {
-			close(ready)
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := range ready {
-				fnd, err := RunPackage(analyzers, fset, n.p.Files, n.p.Types, n.p.Info, fs, n.visible, durations)
-				finish(n, fnd, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, done, firstErr
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -527,7 +439,7 @@ func RunStats(analyzers []*analysis.Analyzer, fset *token.FileSet, pkgs []*load.
 		}
 		return a.Message < b.Message
 	})
-	return findings, done, nil
+	return findings, len(visible), nil
 }
 
 // CountSuppressions tallies //lint:ignore comments per analyzer name

@@ -25,9 +25,6 @@ type StandaloneOptions struct {
 	// diagnostic and suppression counts to (the BENCH_PR.json `analysis`
 	// record; see cmd/benchjson -analysis).
 	StatsPath string
-	// Workers bounds per-package parallelism; 0 means GOMAXPROCS. Mostly
-	// for measuring the parallel driver against -workers=1.
-	Workers int
 	// JSON switches the finding printer to one JSON object per line
 	// (analyzer, file, line, col, message, suppressed). Suppressed findings
 	// are included — flagged, not dropped — so CI can render the full
@@ -98,9 +95,6 @@ func Standalone(patterns []string, analyzers []*analysis.Analyzer, opt Standalon
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		return errExit(err)
-	}
-	if opt.Workers > 0 {
-		Workers = opt.Workers
 	}
 	durations := NewDurations()
 	start := time.Now()

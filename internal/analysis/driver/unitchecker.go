@@ -80,8 +80,6 @@ func Main(analyzers ...*analysis.Analyzer) {
 			opt.BudgetPath = strings.TrimPrefix(arg, "-suppression-budget=")
 		case strings.HasPrefix(arg, "-stats="):
 			opt.StatsPath = strings.TrimPrefix(arg, "-stats=")
-		case strings.HasPrefix(arg, "-workers="):
-			fmt.Sscanf(strings.TrimPrefix(arg, "-workers="), "%d", &opt.Workers)
 		case strings.HasPrefix(arg, "-"):
 			// Tolerate unknown flags passed through by go vet.
 		default:
@@ -111,7 +109,7 @@ func selfID() string {
 }
 
 func usage(progname string, analyzers []*analysis.Analyzer) {
-	fmt.Printf("%s: machine-checks propview's concurrency and aliasing invariants.\n\n", progname)
+	fmt.Printf("%s: machine-checks propview's concurrency, aliasing and determinism invariants.\n\n", progname)
 	fmt.Printf("usage:\n  %s [packages]            standalone over the module's source\n", progname)
 	fmt.Printf("  go vet -vettool=$(which %s) ./...   as a vet tool\n\nanalyzers:\n", progname)
 	for _, a := range analyzers {

@@ -23,13 +23,11 @@ func TestVetxRoundTrip(t *testing.T) {
 		Launches: []summary.Launch{{Pos: "p.go:9", Callee: "T.run", Proof: "channel", JoinClasses: []string{"p.T.done"}}},
 		ChanOps:  []summary.ChanOp{{Class: "p.T.done", Op: "close"}},
 		WgOps:    []summary.WgOp{{Class: "p.T.wg", Op: "wait"}},
-		Mutates:  []int{-1, 1},
 	}}
 	orderFact := &summary.OrderFact{S: summary.OrderSummary{
 		MapOrdered:    []bool{true, false},
 		Nondet:        []string{"time.Now at p.go:12"},
 		Deterministic: true,
-		Fanout:        true,
 	}}
 	pkgFact := &summary.PkgFact{
 		Edges: []summary.Edge{{From: "p.T.mu", To: "p.gate", Path: []string{"p.go:3: nested acquires p.gate"}}},
@@ -69,10 +67,12 @@ func TestVetxRoundTrip(t *testing.T) {
 
 // TestVettoolFactFlow is the end-to-end half: build propviewlint, run it
 // under a real `go vet -vettool` over a two-package scratch module whose
-// client inverts the base package's lock order, and require the
-// cross-package cycle diagnostic. The inversion is only visible if base's
-// summary facts reach the client's separate vet invocation through the
-// gob .vetx files — exactly the boundary this test pins.
+// client inverts the base package's lock order and, under
+// propview:deterministic, calls base helpers that read the clock or return
+// map-ordered keys. The inversion is only visible if base's concurrency
+// facts reach the client's separate vet invocation through the gob .vetx
+// files, and the determinism findings only if base's ordering facts do —
+// exactly the boundary this test pins.
 func TestVettoolFactFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to go vet")
@@ -102,7 +102,10 @@ func TestVettoolFactFlow(t *testing.T) {
 	write("go.mod", "module order\n\ngo 1.21\n")
 	write("base/base.go", `package base
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 var (
 	MuA sync.Mutex
@@ -119,13 +122,16 @@ func UnlockBoth() {
 	MuA.Unlock()
 }
 
-// For runs fn over 0..n-1.
-//
-// propview:fanout
-func For(n int, fn func(int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
+// Stamp reads the wall clock; unmarked, so only its summary records it.
+func Stamp() string { return time.Now().String() }
+
+// Keys returns m's keys in map iteration order.
+func Keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
 	}
+	return out
 }
 `)
 	write("client/client.go", `package client
@@ -139,13 +145,15 @@ func Transfer() {
 	base.MuB.Unlock()
 }
 
-func Gather() []int {
-	var out []int
-	base.For(4, func(i int) {
-		out = append(out, i)
-	})
-	return out
-}
+// Label promises determinism but stamps through base.
+//
+// propview:deterministic
+func Label() string { return base.Stamp() }
+
+// Names promises determinism but returns base's map-ordered keys.
+//
+// propview:deterministic
+func Names(m map[string]int) []string { return base.Keys(m) }
 `)
 
 	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
@@ -156,10 +164,11 @@ func Gather() []int {
 	}
 	text := string(out)
 	// The lock-order cycle needs base's FuncFact/PkgFact in the client's
-	// invocation; the parslot diagnostic needs base's OrderFact (the
-	// propview:fanout marker on For). Both cross only via .vetx files.
+	// invocation; the maporder diagnostics need base's OrderFacts (Stamp's
+	// Nondet root, Keys' MapOrdered result). Both cross only via .vetx files.
 	for _, frag := range []string{"lock-order cycle", "order/base.MuA", "order/base.MuB", "client.go",
-		"writes captured variable out outside a per-index slot"} {
+		"propview:deterministic function Label reaches nondeterminism: time.Now",
+		"propview:deterministic function Names returns a map-ordered value (result of Keys"} {
 		if !strings.Contains(text, frag) {
 			t.Errorf("vet output missing %q:\n%s", frag, text)
 		}

@@ -16,11 +16,10 @@
 //   - the word "atomic": the field's type must come from sync/atomic,
 //     which makes every access safe by construction.
 //
-// Functions whose contract is "caller holds the lock" carry a
-// `propview:holds mu` marker. Accesses through values freshly allocated
-// in the current function are exempt (not yet shared). Function literals
-// start with no locks held (they may run on another goroutine) except
-// Once.Do closures, which hold their Once.
+// Accesses through values freshly allocated in the current function are
+// exempt (not yet shared). Function literals start with no locks held
+// (they may run on another goroutine) except Once.Do closures, which hold
+// their Once.
 //
 // Calls are no longer a blind spot: the walk consumes the concurrency
 // summaries (see internal/analysis/summary), so a callee that returns
@@ -57,12 +56,6 @@ func run(pass *analysis.Pass) (any, error) {
 		st.sums = r
 	}
 	st.validate()
-	holds := make(map[*types.Func][]string)
-	for obj, info := range markers.Funcs(pass) {
-		if len(info.Holds) > 0 {
-			holds[obj] = info.Holds
-		}
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -70,18 +63,6 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			fs := &funcState{st: st, held: make(map[string]level), fresh: make(map[types.Object]bool)}
-			if obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func); obj != nil {
-				if names := holds[obj]; len(names) > 0 {
-					recv := receiverName(fd)
-					for _, name := range names {
-						key := name
-						if recv != "" {
-							key = recv + "." + name
-						}
-						fs.held[key] = write
-					}
-				}
-			}
 			fs.stmt(fd.Body)
 		}
 	}
@@ -641,13 +622,6 @@ func namedFrom(t types.Type, pkgPath, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
-func receiverName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	return fd.Recv.List[0].Names[0].Name
 }
 
 // terminates reports whether a block always leaves the enclosing statement

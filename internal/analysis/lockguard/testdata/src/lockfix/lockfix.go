@@ -48,11 +48,6 @@ func (e *Eng) conditionalLock(b bool) {
 	e.views["a"] = 1 // want `write to e.views without holding e.mu`
 }
 
-// lockedViews reads views with e.mu held by the caller.
-//
-// propview:holds mu
-func (e *Eng) lockedViews() int { return e.views["a"] }
-
 func (e *Eng) goroutineLeak() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

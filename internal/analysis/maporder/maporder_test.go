@@ -12,6 +12,10 @@ func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", maporder.Analyzer, "mapord")
 }
 
+func TestNondeterminismRoots(t *testing.T) {
+	analysistest.Run(t, "testdata", maporder.Analyzer, "nondet")
+}
+
 const sortedKeys = `package keys
 
 import "sort"

@@ -1,6 +1,6 @@
 // Package mapord exercises the iteration-order taint rules: appends under
 // a map range, cross-function flow through ordering facts, sort clearing,
-// JSON sinks, and the two markers.
+// JSON sinks, and the propview:deterministic marker.
 package mapord
 
 import (
@@ -56,18 +56,6 @@ func BadCounterSlots(m map[int]string) []string {
 		j++
 	}
 	return out // want `returns a map-ordered value`
-}
-
-// AnyOrder is marked order-insensitive: its consumers tolerate any
-// element order, so the map-ordered return is fine.
-//
-// propview:order-insensitive
-func AnyOrder(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 // rawKeys is unmarked: no violation here, but its result is flagged

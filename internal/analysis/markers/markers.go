@@ -1,6 +1,6 @@
 // Package markers parses the propviewlint annotation vocabulary out of
 // doc and line comments (see the internal/analysis package doc for what
-// each marker means). All four analyzers share this one parser so the
+// each marker means). Every analyzer shares this one parser so the
 // vocabulary cannot drift between them.
 package markers
 
@@ -23,27 +23,15 @@ type FuncInfo struct {
 	// Publish: the function is a commit/publish path allowed to write
 	// generation fields (propview:publish).
 	Publish bool
-	// Holds lists lock field names the caller guarantees are held
-	// (propview:holds a, b).
-	Holds []string
 	// Deterministic: the function promises output independent of map
-	// iteration order, wall-clock and randomness; gatherorder checks the
+	// iteration order, wall-clock and randomness; maporder checks the
 	// promise transitively (propview:deterministic).
 	Deterministic bool
-	// OrderInsensitive: the function's consumers tolerate any element
-	// order, so map-range-ordered values may flow out of it
-	// (propview:order-insensitive).
-	OrderInsensitive bool
-	// Fanout: closures passed to this function run concurrently, one
-	// invocation per index; parslot holds their captured writes to the
-	// per-index-slot discipline (propview:fanout).
-	Fanout bool
 }
 
 // any reports whether the info carries at least one marker.
 func (info FuncInfo) any() bool {
-	return info.ReadOnly || info.NoRetain || info.Publish || len(info.Holds) > 0 ||
-		info.Deterministic || info.OrderInsensitive || info.Fanout
+	return info.ReadOnly || info.NoRetain || info.Publish || info.Deterministic
 }
 
 // Funcs collects the function markers of the package under analysis.
@@ -69,29 +57,15 @@ func Funcs(pass *analysis.Pass) map[*types.Func]FuncInfo {
 func parseFuncMarkers(doc *ast.CommentGroup) FuncInfo {
 	var info FuncInfo
 	for _, c := range doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		text = strings.TrimSpace(text)
-		switch {
-		case text == "propview:read-only":
+		switch strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) {
+		case "propview:read-only":
 			info.ReadOnly = true
-		case text == "propview:no-retain":
+		case "propview:no-retain":
 			info.NoRetain = true
-		case text == "propview:publish":
+		case "propview:publish":
 			info.Publish = true
-		case text == "propview:deterministic":
+		case "propview:deterministic":
 			info.Deterministic = true
-		case text == "propview:order-insensitive":
-			info.OrderInsensitive = true
-		case text == "propview:fanout":
-			info.Fanout = true
-		default:
-			if rest, ok := strings.CutPrefix(text, "propview:holds "); ok {
-				for _, name := range strings.Split(rest, ",") {
-					if name = strings.TrimSpace(name); name != "" {
-						info.Holds = append(info.Holds, name)
-					}
-				}
-			}
 		}
 	}
 	return info

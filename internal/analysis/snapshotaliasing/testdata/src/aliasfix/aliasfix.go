@@ -19,8 +19,8 @@ func All(r *Rel) []Tuple { return r.Tuples() }
 
 func writes(r *Rel) {
 	ts := r.Tuples()
-	ts[0] = Tuple{1}        // want `write to ts\[0\], which aliases a read-only snapshot`
-	ts[1][0] = 2            // want `write to ts\[1\]\[0\], which aliases a read-only snapshot`
+	ts[0] = Tuple{1}         // want `write to ts\[0\], which aliases a read-only snapshot`
+	ts[1][0] = 2             // want `write to ts\[1\]\[0\], which aliases a read-only snapshot`
 	ts = append(ts, Tuple{}) // want `append to ts, which aliases a read-only snapshot`
 	_ = ts
 }

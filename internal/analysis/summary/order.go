@@ -1,7 +1,8 @@
-// Ordering/effect summaries: the second analyzer of this package. Where
+// Ordering summaries: the second analyzer of this package. Where
 // summary.Analyzer models locks and goroutine lifetimes, Order models
-// DETERMINISM — the properties that make the fan-out paths (the segmented
-// store's scatter, the engine's across-view maintenance) width-invariant:
+// DETERMINISM — the properties that make the paper's answers (the chosen
+// deletion, its side effects, the witness lists, an annotation's
+// placement) pure functions of the query and the instance:
 //
 //   - Which results of a function are ordered by a Go map `range`
 //     (MapOrdered)? Map iteration order varies run to run, so such a value
@@ -10,15 +11,10 @@
 //   - Which nondeterminism sources (wall clock, randomness) does a function
 //     reach, transitively through calls (Nondet)? A function marked
 //     propview:deterministic must reach none.
-//   - Which functions are fan-out points (propview:fanout), whose closure
-//     arguments run concurrently and may only write captured state through
-//     per-index slots?
 //
 // The summaries are exported as gob OrderFacts, so both drivers see them
 // across package boundaries, and the walk doubles as the checking engine
-// for the three thin reporting analyzers parslot, maporder and gatherorder
-// (each reads its slice of OrderResult and reports under its own name, so
-// //lint:ignore and the suppression budget keep per-analyzer granularity).
+// for the maporder analyzer, which reports OrderResult's violations.
 package summary
 
 import (
@@ -33,12 +29,11 @@ import (
 	"repro/internal/analysis/markers"
 )
 
-// Order computes the ordering/effect summaries. Like Analyzer it reports
-// nothing itself; parslot, maporder and gatherorder report its findings.
+// Order computes the ordering summaries. Like Analyzer it reports nothing
+// itself; maporder reports its findings.
 var Order = &analysis.Analyzer{
 	Name:      "ordersummary",
-	Doc:       "computes per-function ordering/effect summaries (map-range-ordered results, nondeterminism sources, fan-out points) for the determinism analyzers",
-	Requires:  []*analysis.Analyzer{Analyzer},
+	Doc:       "computes per-function ordering summaries (map-range-ordered results, nondeterminism sources) for the maporder analyzer",
 	FactTypes: []analysis.Fact{(*OrderFact)(nil)},
 	Run:       runOrder,
 }
@@ -54,15 +49,13 @@ type OrderSummary struct {
 	// marked propview:deterministic — they are checked at their own
 	// definition instead.
 	Nondet []string
-	// Deterministic, OrderInsensitive and Fanout export the function's
-	// markers, so client packages see the contract without the source.
-	Deterministic    bool
-	OrderInsensitive bool
-	Fanout           bool
+	// Deterministic exports the function's propview:deterministic marker,
+	// so client packages see the contract without the source.
+	Deterministic bool
 }
 
 func (s *OrderSummary) empty() bool {
-	if len(s.Nondet) > 0 || s.Deterministic || s.OrderInsensitive || s.Fanout {
+	if len(s.Nondet) > 0 || s.Deterministic {
 		return false
 	}
 	for _, b := range s.MapOrdered {
@@ -78,32 +71,25 @@ type OrderFact struct{ S OrderSummary }
 
 func (*OrderFact) AFact() {}
 
-// Violation is one determinism finding, ready for a thin analyzer to
-// report under its own name.
+// Violation is one determinism finding, ready for maporder to report.
 type Violation struct {
 	Pos     token.Pos
 	Message string
 }
 
-// OrderResult is the in-memory view parslot, maporder and gatherorder read
-// via Pass.ResultOf[summary.Order].
+// OrderResult is the in-memory view maporder reads via
+// Pass.ResultOf[summary.Order].
 type OrderResult struct {
 	// Funcs maps this package's functions to their ordering summaries.
 	Funcs map[*types.Func]*OrderSummary
-	// Parslot: captured-state writes in fan-out workers outside the
-	// per-index-slot discipline.
-	Parslot []Violation
-	// Maporder: map-range-ordered values reaching order-sensitive sinks.
-	Maporder []Violation
-	// Gather: slot arrays gathered in nondeterministic order, and
-	// propview:deterministic functions reaching nondeterminism.
-	Gather []Violation
+	// Violations: map-range-ordered values reaching order-sensitive sinks,
+	// and propview:deterministic functions reaching nondeterminism.
+	Violations []Violation
 }
 
 // orderWork is the per-package fixpoint state.
 type orderWork struct {
 	pass    *analysis.Pass
-	sumRes  *Result // concurrency summaries (Mutates), for the worker checks
 	decls   []*ast.FuncDecl
 	objs    map[*ast.FuncDecl]*types.Func
 	local   map[*types.Func]bool
@@ -124,29 +110,6 @@ func (ow *orderWork) lookupOrder(f *types.Func) *OrderSummary {
 	return nil
 }
 
-// lookupMutates resolves a callee's concurrency summary for its Mutates
-// effect list.
-func (ow *orderWork) lookupMutates(f *types.Func) *FuncSummary {
-	if s, ok := ow.sumRes.Funcs[f]; ok {
-		return s
-	}
-	var ff FuncFact
-	if ow.pass.ImportObjectFact(f, &ff) {
-		return &ff.S
-	}
-	return nil
-}
-
-// isFanout reports whether calling f fans its closure arguments out over
-// concurrent workers (propview:fanout, locally or via fact).
-func (ow *orderWork) isFanout(f *types.Func) bool {
-	if ow.local[f] {
-		return ow.markers[f].Fanout
-	}
-	var of OrderFact
-	return ow.pass.ImportObjectFact(f, &of) && of.S.Fanout
-}
-
 // calleeDeterministic reports whether f carries propview:deterministic.
 func (ow *orderWork) calleeDeterministic(f *types.Func) bool {
 	if ow.local[f] {
@@ -159,7 +122,6 @@ func (ow *orderWork) calleeDeterministic(f *types.Func) bool {
 func runOrder(pass *analysis.Pass) (any, error) {
 	ow := &orderWork{
 		pass:    pass,
-		sumRes:  pass.ResultOf[Analyzer].(*Result),
 		objs:    make(map[*ast.FuncDecl]*types.Func),
 		local:   make(map[*types.Func]bool),
 		markers: markers.Funcs(pass),
@@ -187,7 +149,7 @@ func runOrder(pass *analysis.Pass) (any, error) {
 	for iter := 0; iter <= len(ow.decls)+1; iter++ {
 		next := make(map[*types.Func]*OrderSummary)
 		for _, d := range ow.decls {
-			of := ow.walk(d, nil, nil)
+			of := ow.walk(d, nil)
 			next[ow.objs[d]] = of.sum
 		}
 		ow.sums = next
@@ -198,23 +160,15 @@ func runOrder(pass *analysis.Pass) (any, error) {
 		prev = sig
 	}
 
-	res := &OrderResult{Funcs: ow.sums}
-
-	// Fan-out discovery and the per-worker slot-discipline checks; the
-	// slot arrays and worker extents feed the gather checks below.
-	fanByDecl := make(map[*ast.FuncDecl]*fanInfo)
-	for _, d := range ow.decls {
-		fanByDecl[d] = ow.checkFanouts(d, res)
-	}
-
 	// Reporting walk: same taint engine, now recording sink violations and
 	// checking marked functions against their collected nondeterminism.
+	res := &OrderResult{Funcs: ow.sums}
 	for _, d := range ow.decls {
 		fn := ow.objs[d]
-		of := ow.walk(d, res, fanByDecl[d])
+		of := ow.walk(d, res)
 		if ow.markers[fn].Deterministic {
 			for _, v := range of.nondet {
-				res.Gather = append(res.Gather, Violation{Pos: v.Pos,
+				res.Violations = append(res.Violations, Violation{Pos: v.Pos,
 					Message: fmt.Sprintf("propview:deterministic function %s reaches nondeterminism: %s", fn.Name(), v.Message)})
 			}
 		}
@@ -253,36 +207,9 @@ type taintSrc struct {
 // range, or a range over an already-tainted sequence. Appends inside such
 // a frame inherit its order.
 type rangeFrame struct {
-	src *taintSrc // nil for order-safe loops
-	// isMap: the loop IS a map range, so even its index sequence is
-	// nondeterministic. A range over a tainted slice still visits indexes
-	// 0..n-1 — slot reads there are order-safe; only the values carry
-	// taint.
-	isMap  bool
+	src    *taintSrc    // nil for order-safe loops
 	keyObj types.Object // map-range key variable (keyed writes are exempt)
 	valObj types.Object
-}
-
-// span is a worker literal's extent; gather checks skip positions inside.
-type span struct{ lo, hi token.Pos }
-
-// fanInfo is what the fan-out scan learned about one function: the slot
-// arrays its workers write and the worker literals' extents.
-type fanInfo struct {
-	slots   map[types.Object]bool
-	workers []span
-}
-
-func (fi *fanInfo) insideWorker(p token.Pos) bool {
-	if fi == nil {
-		return false
-	}
-	for _, s := range fi.workers {
-		if p >= s.lo && p < s.hi {
-			return true
-		}
-	}
-	return false
 }
 
 // ordFunc walks one function, tracking order taint in statement order.
@@ -296,11 +223,10 @@ type ordFunc struct {
 	results  []types.Object // named result objects, nil entries when unnamed
 	litDepth int            // >0 inside a func literal: returns are the literal's
 	rep      *OrderResult   // nil during the fixpoint rounds
-	fan      *fanInfo
-	nondet   []Violation // local positions matching sum.Nondet
+	nondet   []Violation    // local positions matching sum.Nondet
 }
 
-func (ow *orderWork) walk(fd *ast.FuncDecl, rep *OrderResult, fan *fanInfo) *ordFunc {
+func (ow *orderWork) walk(fd *ast.FuncDecl, rep *OrderResult) *ordFunc {
 	fn := ow.objs[fd]
 	of := &ordFunc{
 		ow:    ow,
@@ -309,11 +235,8 @@ func (ow *orderWork) walk(fd *ast.FuncDecl, rep *OrderResult, fan *fanInfo) *ord
 		sum:   &OrderSummary{},
 		taint: make(map[types.Object]*taintSrc),
 		rep:   rep,
-		fan:   fan,
 	}
 	of.sum.Deterministic = of.info.Deterministic
-	of.sum.OrderInsensitive = of.info.OrderInsensitive
-	of.sum.Fanout = of.info.Fanout
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Results() != nil {
 		of.sum.MapOrdered = make([]bool, sig.Results().Len())
 	}
@@ -329,10 +252,9 @@ func (ow *orderWork) walk(fd *ast.FuncDecl, rep *OrderResult, fan *fanInfo) *ord
 		}
 	}
 	of.stmts(fd.Body.List)
-	// Marked functions never export map-ordered results: order-insensitive
-	// means callers tolerate any order, deterministic means the return was
-	// (or should have been — see the maporder diagnostic) sorted.
-	if of.info.OrderInsensitive || of.info.Deterministic {
+	// Deterministic functions never export map-ordered results: the return
+	// was (or should have been — see the maporder diagnostic) sorted.
+	if of.info.Deterministic {
 		for i := range of.sum.MapOrdered {
 			of.sum.MapOrdered[i] = false
 		}
@@ -442,7 +364,6 @@ func (of *ordFunc) rangeStmt(s *ast.RangeStmt) {
 	frame := rangeFrame{}
 	if tv, ok := of.ow.pass.TypesInfo.Types[s.X]; ok {
 		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-			frame.isMap = true
 			frame.src = &taintSrc{
 				reason: fmt.Sprintf("ordered by range over map at %s", posStr(of.ow.pass.Fset, s.Range)),
 				pos:    s.Range,
@@ -531,7 +452,7 @@ func (of *ordFunc) assignOne(lhs, rhs ast.Expr) {
 			if tv, ok := info.Types[idx.X]; ok {
 				if _, isSlice := tv.Type.Underlying().(*types.Slice); isSlice &&
 					!mentionsObj(info, idx.Index, frame.keyObj) && !mentionsObj(info, idx.Index, frame.valObj) {
-					if root, _ := lvalueRoot(info, idx.X); root != nil {
+					if root := lvalueRoot(info, idx.X); root != nil {
 						of.setTaint(root, frame.src)
 					}
 				}
@@ -610,8 +531,8 @@ func (of *ordFunc) ret(s *ast.ReturnStmt) {
 		if src == nil {
 			return
 		}
-		if of.rep != nil && of.info.Deterministic && !of.info.OrderInsensitive {
-			of.rep.Maporder = append(of.rep.Maporder, Violation{Pos: s.Pos(),
+		if of.rep != nil && of.info.Deterministic {
+			of.rep.Violations = append(of.rep.Violations, Violation{Pos: s.Pos(),
 				Message: fmt.Sprintf("propview:deterministic function %s returns a map-ordered value (%s); sort it or gather into keyed slots", of.fn.Name(), src.reason)})
 		}
 		if i < len(of.sum.MapOrdered) {
@@ -631,11 +552,9 @@ func (of *ordFunc) ret(s *ast.ReturnStmt) {
 	}
 }
 
-// expr scans an expression for calls (nondeterminism, sorting, sinks),
-// literals, and — in the reporting pass — order-sensitive uses of slot
-// arrays.
+// expr scans an expression for calls (nondeterminism, sorting, sinks) and
+// literals.
 func (of *ordFunc) expr(e ast.Expr) {
-	info := of.ow.pass.TypesInfo
 	switch e := e.(type) {
 	case *ast.CallExpr:
 		of.callExpr(e)
@@ -643,20 +562,6 @@ func (of *ordFunc) expr(e ast.Expr) {
 		of.litDepth++
 		of.stmts(e.Body.List)
 		of.litDepth--
-	case *ast.Ident:
-		// Gather-order check: consuming a slot array under a map range
-		// loses the deterministic index order the fan-out's slot
-		// discipline just bought. (A range over a tainted slice is exempt:
-		// its index sequence is still 0..n-1, and any value-order leak is
-		// maporder's append taint.)
-		if of.rep != nil && of.fan != nil && of.fan.slots != nil {
-			if obj := info.Uses[e]; obj != nil && of.fan.slots[obj] && !of.fan.insideWorker(e.Pos()) {
-				if frame := of.orderedFrame(); frame != nil && frame.isMap {
-					of.rep.Gather = append(of.rep.Gather, Violation{Pos: e.Pos(),
-						Message: fmt.Sprintf("slot array %s gathered under a loop %s; gather serially in index order (for i := range %s)", e.Name, frame.src.reason, e.Name)})
-				}
-			}
-		}
 	case *ast.ParenExpr:
 		of.expr(e.X)
 	case *ast.SelectorExpr:
@@ -699,16 +604,16 @@ func (of *ordFunc) callExpr(call *ast.CallExpr) {
 			// Sorting re-establishes a deterministic order: clear the
 			// argument's taint (sort.Slice(v, less), slices.Sort(v), ...).
 			if len(call.Args) > 0 {
-				if root, _ := lvalueRoot(info, analysis.Unparen(call.Args[0])); root != nil {
+				if root := lvalueRoot(info, analysis.Unparen(call.Args[0])); root != nil {
 					delete(of.taint, root)
 				}
 			}
 		case isJSONEncodeCall(callee):
-			if of.rep != nil && !of.info.OrderInsensitive {
+			if of.rep != nil {
 				for _, a := range call.Args {
 					if src := of.taintOf(a); src != nil {
-						of.rep.Maporder = append(of.rep.Maporder, Violation{Pos: a.Pos(),
-							Message: fmt.Sprintf("map-ordered value flows into JSON encoding (%s); sort it first or mark the function propview:order-insensitive", src.reason)})
+						of.rep.Violations = append(of.rep.Violations, Violation{Pos: a.Pos(),
+							Message: fmt.Sprintf("map-ordered value flows into JSON encoding (%s); sort it first", src.reason)})
 					}
 				}
 			}
@@ -746,440 +651,6 @@ func (of *ordFunc) addNondet(pos token.Pos, root string) {
 	of.nondet = append(of.nondet, Violation{Pos: pos, Message: root})
 }
 
-// ---- fan-out discovery and the worker slot checks -------------------------
-
-// checkFanouts finds calls to propview:fanout functions in fd, checks each
-// resolvable worker closure against the per-index-slot write discipline,
-// and returns the slot arrays and worker extents for the gather checks.
-func (ow *orderWork) checkFanouts(fd *ast.FuncDecl, res *OrderResult) *fanInfo {
-	info := ow.pass.TypesInfo
-	fi := &fanInfo{slots: make(map[types.Object]bool)}
-
-	// Local closure bindings: `work := func(i int) {...}` passed by name.
-	litBinds := make(map[types.Object]*ast.FuncLit)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, l := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				if lit, ok := analysis.Unparen(n.Rhs[i]).(*ast.FuncLit); ok {
-					if id, ok := l.(*ast.Ident); ok {
-						if obj := info.Defs[id]; obj != nil {
-							litBinds[obj] = lit
-						}
-					}
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for i, v := range vs.Values {
-						if lit, ok := analysis.Unparen(v).(*ast.FuncLit); ok && i < len(vs.Names) {
-							if obj := info.Defs[vs.Names[i]]; obj != nil {
-								litBinds[obj] = lit
-							}
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeOf(info, call)
-		if callee == nil || !ow.isFanout(callee) {
-			return true
-		}
-		for _, arg := range call.Args {
-			tv, ok := info.Types[arg]
-			if !ok {
-				continue
-			}
-			if _, isFunc := tv.Type.Underlying().(*types.Signature); !isFunc {
-				continue
-			}
-			lit, _ := analysis.Unparen(arg).(*ast.FuncLit)
-			if lit == nil {
-				if id, ok := analysis.Unparen(arg).(*ast.Ident); ok {
-					lit = litBinds[info.Uses[id]]
-				}
-			}
-			if lit == nil {
-				// A named function or method value: its summary tells us
-				// whether it writes anything a caller can see — in a
-				// fan-out that is a cross-worker race by construction.
-				if wf := calleeOf(info, &ast.CallExpr{Fun: arg}); wf != nil {
-					if s := ow.lookupMutates(wf); s != nil && len(s.Mutates) > 0 {
-						res.Parslot = append(res.Parslot, Violation{Pos: arg.Pos(),
-							Message: fmt.Sprintf("worker %s passed to %s mutates shared state through its parameters or receiver; parallel workers may only write per-index slots", wf.Name(), callee.Name())})
-					}
-				}
-				continue
-			}
-			fi.workers = append(fi.workers, span{lo: lit.Pos(), hi: lit.End()})
-			ww := &workerWalk{ow: ow, res: res, lit: lit, fanName: callee.Name(),
-				slots: fi.slots, derived: make(map[types.Object]bool)}
-			ww.idx = firstIntParam(info, lit)
-			ww.stmts(lit.Body.List)
-		}
-		return true
-	})
-	return fi
-}
-
-// firstIntParam returns the object of the worker's first integer
-// parameter — the per-invocation index that defines its slot.
-func firstIntParam(info *types.Info, lit *ast.FuncLit) types.Object {
-	if lit.Type.Params == nil {
-		return nil
-	}
-	for _, field := range lit.Type.Params.List {
-		for _, id := range field.Names {
-			obj := info.Defs[id]
-			if obj == nil {
-				continue
-			}
-			if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-				return obj
-			}
-		}
-	}
-	return nil
-}
-
-// workerWalk checks one fan-out worker literal: captured state may be
-// written only through per-index slots or under a mutex, directly or
-// through callees (resolved via the Mutates effect summaries).
-type workerWalk struct {
-	ow      *orderWork
-	res     *OrderResult
-	lit     *ast.FuncLit
-	fanName string
-	idx     types.Object // the worker's index parameter, possibly nil
-	slots   map[types.Object]bool
-	// derived tracks worker-locals computed from the index (i :=
-	// affected[j]): writes positioned by them count as slot writes. The
-	// checker proves the position is a function of the worker index;
-	// injectivity of the derivation (affected holding no duplicates) stays
-	// the author's obligation, exactly as with slots[i] itself.
-	derived   map[types.Object]bool
-	lockDepth int
-}
-
-func (ww *workerWalk) held() bool { return ww.lockDepth > 0 }
-
-// outer reports whether obj is declared outside the worker literal —
-// captured (or package-level) state shared across workers.
-func (ww *workerWalk) outer(obj types.Object) bool {
-	return obj.Pos() < ww.lit.Pos() || obj.Pos() >= ww.lit.End()
-}
-
-func (ww *workerWalk) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		ww.stmt(s)
-	}
-}
-
-func (ww *workerWalk) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		ww.stmts(s.List)
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			ww.exprCalls(r)
-		}
-		for i, l := range s.Lhs {
-			ww.checkWrite(l)
-			ww.exprCalls(l)
-			if i < len(s.Rhs) && len(s.Lhs) == len(s.Rhs) {
-				ww.trackDerived(l, s.Rhs[i])
-			}
-		}
-	case *ast.IncDecStmt:
-		// i++ on a derived local keeps it derived: the strided-slot idiom
-		// (i := j*stride; ...; i++) stays a function of the worker index.
-		ww.checkWrite(s.X)
-		ww.exprCalls(s.X)
-	case *ast.ExprStmt:
-		if call, ok := analysis.Unparen(s.X).(*ast.CallExpr); ok {
-			if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if tv, ok := ww.ow.pass.TypesInfo.Types[sel.X]; ok && lockType(tv.Type) {
-					switch sel.Sel.Name {
-					case "Lock", "RLock":
-						ww.lockDepth++
-						return
-					case "Unlock", "RUnlock":
-						ww.lockDepth--
-						return
-					}
-				}
-			}
-		}
-		ww.exprCalls(s.X)
-	case *ast.DeferStmt:
-		// `defer mu.Unlock()` releases at worker exit: the lock stays held
-		// for the rest of the walk, so nothing to do — the matching Lock
-		// already raised the depth. Other deferred calls are scanned.
-		if sel, ok := analysis.Unparen(s.Call.Fun).(*ast.SelectorExpr); ok {
-			if tv, ok := ww.ow.pass.TypesInfo.Types[sel.X]; ok && lockType(tv.Type) {
-				return
-			}
-		}
-		ww.exprCalls(s.Call)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			ww.exprCalls(r)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			ww.stmt(s.Init)
-		}
-		ww.exprCalls(s.Cond)
-		ww.stmt(s.Body)
-		if s.Else != nil {
-			ww.stmt(s.Else)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			ww.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			ww.exprCalls(s.Cond)
-		}
-		if s.Post != nil {
-			ww.stmt(s.Post)
-		}
-		ww.stmt(s.Body)
-	case *ast.RangeStmt:
-		ww.exprCalls(s.X)
-		ww.stmt(s.Body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			ww.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			ww.exprCalls(s.Tag)
-		}
-		ww.stmt(s.Body)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			ww.stmt(s.Init)
-		}
-		ww.stmt(s.Assign)
-		ww.stmt(s.Body)
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			ww.exprCalls(e)
-		}
-		ww.stmts(s.Body)
-	case *ast.SelectStmt:
-		ww.stmt(s.Body)
-	case *ast.CommClause:
-		if s.Comm != nil {
-			ww.stmt(s.Comm)
-		}
-		ww.stmts(s.Body)
-	case *ast.SendStmt:
-		ww.exprCalls(s.Chan)
-		ww.exprCalls(s.Value)
-	case *ast.GoStmt:
-		ww.exprCalls(s.Call)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						ww.exprCalls(v)
-					}
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		ww.stmt(s.Stmt)
-	}
-}
-
-// trackDerived updates the derived set after lhs = rhs: a worker-local
-// assigned an index-derived expression becomes derived, one assigned
-// anything else stops being derived (sequential walk order, so a later
-// rebinding to a constant is seen before writes it positions).
-func (ww *workerWalk) trackDerived(lhs, rhs ast.Expr) {
-	id, ok := analysis.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	info := ww.ow.pass.TypesInfo
-	obj := info.Defs[id]
-	if obj == nil {
-		obj = info.Uses[id]
-	}
-	if obj == nil || ww.outer(obj) {
-		return
-	}
-	if ww.mentionsIdx(rhs) {
-		ww.derived[obj] = true
-	} else {
-		delete(ww.derived, obj)
-	}
-}
-
-// mentionsIdx reports whether e references the worker's index parameter or
-// a local derived from it.
-func (ww *workerWalk) mentionsIdx(e ast.Expr) bool {
-	if ww.idx == nil {
-		return false
-	}
-	info := ww.ow.pass.TypesInfo
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil && (obj == ww.idx || ww.derived[obj]) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// checkWrite enforces the slot discipline on one lvalue.
-func (ww *workerWalk) checkWrite(lhs ast.Expr) {
-	info := ww.ow.pass.TypesInfo
-	if id, ok := analysis.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" {
-		return
-	}
-
-	// Walk the access chain looking for the slot pattern: an index into a
-	// slice or array positioned by the worker's index parameter.
-	isSlot := false
-	var mapWrite *ast.IndexExpr
-	for e := lhs; ; {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-			continue
-		case *ast.StarExpr:
-			e = x.X
-			continue
-		case *ast.SelectorExpr:
-			e = x.X
-			continue
-		case *ast.IndexExpr:
-			if tv, ok := info.Types[x.X]; ok {
-				switch tv.Type.Underlying().(type) {
-				case *types.Slice, *types.Array, *types.Pointer:
-					if ww.mentionsIdx(x.Index) {
-						isSlot = true
-					}
-				case *types.Map:
-					mapWrite = x
-				}
-			}
-			e = x.X
-			continue
-		}
-		break
-	}
-
-	root, _ := lvalueRoot(info, lhs)
-	if root == nil || !ww.outer(root) {
-		return // a worker-local variable: sequential within one invocation
-	}
-	if isSlot {
-		ww.slots[root] = true
-		return
-	}
-	if ww.held() {
-		return
-	}
-	pos := lhs.Pos()
-	if mapWrite != nil {
-		ww.violation(pos, fmt.Sprintf("parallel worker writes captured map %s; maps are not per-index slots — gather into a slice indexed by the worker index, or hold a mutex", types.ExprString(mapWrite.X)))
-		return
-	}
-	ww.violation(pos, fmt.Sprintf("parallel worker passed to %s writes captured variable %s outside a per-index slot; write %s[i] (i the worker index) or hold a mutex", ww.fanName, root.Name(), root.Name()))
-}
-
-// exprCalls scans an expression for calls whose effect summaries mutate
-// captured state, and for nested literals (which run within this worker's
-// invocation and share its capture boundary).
-func (ww *workerWalk) exprCalls(e ast.Expr) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			ww.stmts(n.Body.List)
-			return false
-		case *ast.CallExpr:
-			ww.checkCallEffects(n)
-		}
-		return true
-	})
-}
-
-func (ww *workerWalk) checkCallEffects(call *ast.CallExpr) {
-	if ww.held() {
-		return
-	}
-	info := ww.ow.pass.TypesInfo
-	callee := calleeOf(info, call)
-	if callee == nil {
-		return
-	}
-	s := ww.ow.lookupMutates(callee)
-	if s == nil || len(s.Mutates) == 0 {
-		return
-	}
-	for _, j := range s.Mutates {
-		var arg ast.Expr
-		if j == -1 {
-			if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				arg = sel.X
-			}
-		} else if j >= 0 && j < len(call.Args) {
-			arg = call.Args[j]
-		}
-		if arg == nil {
-			continue
-		}
-		// Mutating &slots[i] (or slots[i].field) through a helper is the
-		// slot discipline by another spelling.
-		if ww.indexedByIdx(arg) {
-			if root, _ := lvalueRoot(info, stripAddr(arg)); root != nil && ww.outer(root) {
-				ww.slots[root] = true
-			}
-			continue
-		}
-		// The frame boundary here is the worker literal, not the enclosing
-		// function: `&x` hands the callee the variable itself, so if x is
-		// captured the mutation lands in shared state even though — for the
-		// purposes of the enclosing function's own summary — it would not
-		// escape the frame.
-		var root types.Object
-		var shared bool
-		if u, ok := analysis.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-			root, _ = lvalueRoot(info, u.X)
-			shared = root != nil
-		} else {
-			root, shared = argMutationRoot(info, arg)
-		}
-		if !shared || root == nil || !ww.outer(root) {
-			continue
-		}
-		ww.violation(arg.Pos(), fmt.Sprintf("call to %s mutates captured %s from a parallel worker passed to %s; mutate only per-index slots or hold a mutex", callee.Name(), root.Name(), ww.fanName))
-	}
-}
-
-func (ww *workerWalk) violation(pos token.Pos, msg string) {
-	ww.res.Parslot = append(ww.res.Parslot, Violation{Pos: pos, Message: msg})
-}
-
 // defOf resolves an identifier's defined object (short declarations,
 // range variables).
 func (of *ordFunc) defOf(id *ast.Ident) types.Object {
@@ -1197,8 +668,7 @@ func (of *ordFunc) objOf(e ast.Expr) types.Object {
 		}
 		return info.Uses[id]
 	}
-	root, _ := lvalueRoot(info, e)
-	return root
+	return lvalueRoot(info, e)
 }
 
 // ---- small classification helpers -----------------------------------------
@@ -1218,26 +688,32 @@ func mentionsObj(info *types.Info, e ast.Expr, obj types.Object) bool {
 	return found
 }
 
-// indexedByIdx reports whether e's access chain contains an index
-// expression positioned by the worker index or a local derived from it
-// (slots[i], &slots[i], slots[i].err, ...).
-func (ww *workerWalk) indexedByIdx(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if idx, ok := n.(*ast.IndexExpr); ok && ww.mentionsIdx(idx.Index) {
-			found = true
+// lvalueRoot unwraps an access chain (`x.f[i].g`, `*p`, `(x)`) to its root
+// object: the variable at its base, or a qualified package-level var; nil
+// when the chain does not start at a variable (a call result, a literal).
+func lvalueRoot(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && !v.IsField() {
+				return v // qualified package-level var
+			}
+			e = x.X
+		case *ast.Ident:
+			if obj := info.Uses[x]; obj != nil {
+				return obj
+			}
+			return info.Defs[x]
+		default:
+			return nil
 		}
-		return !found
-	})
-	return found
-}
-
-func stripAddr(e ast.Expr) ast.Expr {
-	e = analysis.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		return analysis.Unparen(u.X)
 	}
-	return e
 }
 
 func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
@@ -1281,8 +757,8 @@ func isJSONEncodeCall(f *types.Func) bool {
 
 // nondetRoot classifies direct nondeterminism sources: wall clock and
 // randomness. Map iteration is handled by the taint walk (it is only
-// nondeterministic as an ORDER), and scheduling nondeterminism is parslot's
-// domain.
+// nondeterministic as an ORDER); scheduling nondeterminism is left to the
+// race detector.
 func nondetRoot(f *types.Func) string {
 	pkg := f.Pkg()
 	if pkg == nil {

@@ -4,8 +4,8 @@
 // goroutines it launches, and which channel/WaitGroup join edges it
 // participates in. The summaries are exported as gob facts, so both drivers
 // — the standalone loader and the `go vet -vettool` unitchecker — see them
-// across package boundaries; the lockorder, goroutinelife and holdinfer
-// analyzers, and the summary-aware half of lockguard, are layered on top.
+// across package boundaries; the lockorder and goroutinelife analyzers, and
+// the summary-aware half of lockguard, are layered on top.
 //
 // # The model
 //
@@ -108,35 +108,17 @@ type FuncSummary struct {
 	// Releases lists locks the function unlocks without acquiring — it
 	// releases them on behalf of the caller.
 	Releases []HeldLock
-	// NeedsHeld lists locks inferred to be required on entry (from
-	// Releases and from propagated callee needs); holdinfer compares them
-	// against propview:holds annotations.
-	NeedsHeld []HeldLock
-	// UsedEntry lists propview:holds classes the body demonstrably relies
-	// on: it unlocks them, acquires other locks under them, or passes them
-	// to callees that need them. A holds annotation whose class never
-	// appears here (and guards no accessed field) is stale.
-	UsedEntry []string
 	// Launches lists the function's go statements.
 	Launches []Launch
 	// ChanOps and WgOps record join-protocol events on classifiable
 	// channels and WaitGroups, including those of callees.
 	ChanOps []ChanOp
 	WgOps   []WgOp
-	// Mutates lists the parameter indices the function writes through
-	// without synchronization — a caller-visible effect: stores through a
-	// pointer/slice/map parameter (directly or via callees), with -1 for
-	// the receiver. Writes under a held lock and atomic operations are
-	// excluded, so a mutex- or atomics-protected helper stays effect-free.
-	// parslot uses this to catch captured-state mutation smuggled into a
-	// parallel worker through a helper call.
-	Mutates []int
 }
 
 func (s *FuncSummary) empty() bool {
 	return len(s.Acquires) == 0 && len(s.NetHeld) == 0 && len(s.Releases) == 0 &&
-		len(s.NeedsHeld) == 0 && len(s.UsedEntry) == 0 && len(s.Launches) == 0 &&
-		len(s.ChanOps) == 0 && len(s.WgOps) == 0 && len(s.Mutates) == 0
+		len(s.Launches) == 0 && len(s.ChanOps) == 0 && len(s.WgOps) == 0
 }
 
 // FuncFact exports a function's summary across package boundaries.

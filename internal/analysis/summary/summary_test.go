@@ -48,9 +48,9 @@ func (t *T) launch() {
 `
 
 // TestSummaryContents pins down the summary model on a probe package: a
-// lock-and-return helper has NetHeld, its inverse has Releases and
-// NeedsHeld, a caller composing the two acquires both locks with a
-// nesting edge, and a go statement gets a waitgroup proof.
+// lock-and-return helper has NetHeld, its inverse has Releases, a caller
+// composing the two acquires both locks with a nesting edge, and a go
+// statement gets a waitgroup proof.
 func TestSummaryContents(t *testing.T) {
 	var res *summary.Result
 	probe := &analysis.Analyzer{
@@ -81,9 +81,6 @@ func TestSummaryContents(t *testing.T) {
 	unlockIt := sums["unlockIt"]
 	if len(unlockIt.Releases) != 1 || unlockIt.Releases[0].Class != "probe.T.mu" {
 		t.Errorf("unlockIt.Releases = %+v, want probe.T.mu", unlockIt.Releases)
-	}
-	if len(unlockIt.NeedsHeld) != 1 || unlockIt.NeedsHeld[0].Class != "probe.T.mu" {
-		t.Errorf("unlockIt.NeedsHeld = %+v, want probe.T.mu", unlockIt.NeedsHeld)
 	}
 
 	nested := sums["nested"]

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/markers"
 )
 
 // maxPath bounds the human-readable acquisition paths carried in facts.
@@ -32,7 +31,6 @@ type work struct {
 	decls    []*ast.FuncDecl
 	objs     map[*ast.FuncDecl]*types.Func
 	local    map[*types.Func]bool
-	holds    map[*types.Func]markers.FuncInfo
 	sums     map[*types.Func]*FuncSummary // previous round (read)
 	next     map[*types.Func]*FuncSummary // current round (write)
 	edges    []LocalEdge
@@ -45,7 +43,6 @@ func newWork(pass *analysis.Pass) *work {
 		pass:  pass,
 		objs:  make(map[*ast.FuncDecl]*types.Func),
 		local: make(map[*types.Func]bool),
-		holds: make(map[*types.Func]markers.FuncInfo),
 		sums:  make(map[*types.Func]*FuncSummary),
 	}
 	for _, f := range pass.Files {
@@ -61,11 +58,6 @@ func newWork(pass *analysis.Pass) *work {
 			w.decls = append(w.decls, fd)
 			w.objs[fd] = obj
 			w.local[obj] = true
-		}
-	}
-	for obj, info := range markers.Funcs(pass) {
-		if len(info.Holds) > 0 {
-			w.holds[obj] = info
 		}
 	}
 	return w
@@ -118,32 +110,9 @@ func (w *work) walkFunc(fd *ast.FuncDecl) {
 		root:     fd.Body,
 		held:     make(map[string]heldLock),
 		deferred: make(map[string]bool),
-		entry:    make(map[string]bool),
 	}
 	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 		fw.recv = w.pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
-	}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			if len(field.Names) == 0 {
-				fw.params = append(fw.params, nil) // unnamed: keep indices aligned
-				continue
-			}
-			for _, id := range field.Names {
-				fw.params = append(fw.params, w.pass.TypesInfo.Defs[id])
-			}
-		}
-	}
-	if info, ok := w.holds[obj]; ok {
-		for _, name := range info.Holds {
-			class := w.holdClass(obj, name)
-			if class == "" {
-				continue
-			}
-			fw.held[class] = heldLock{class: class, level: "write", must: true, field: name,
-				at: fmt.Sprintf("%s: %s requires %s held (propview:holds)", posStr(w.pass.Fset, fd.Pos()), fw.name, class)}
-			fw.entry[class] = true
-		}
 	}
 	fw.stmts(fd.Body.List)
 
@@ -154,59 +123,21 @@ func (w *work) walkFunc(fd *ast.FuncDecl) {
 	sort.Strings(classes)
 	for _, c := range classes {
 		h := fw.held[c]
-		if h.must && !fw.deferred[c] && !fw.entry[c] {
+		if h.must && !fw.deferred[c] {
 			fw.sum.NetHeld = append(fw.sum.NetHeld, HeldLock{Class: h.class, Field: h.field, Level: h.level})
 		}
 	}
 	w.next[obj] = fw.sum
 }
 
-// holdClass resolves a propview:holds name against the receiver's type (a
-// field lock) or the package scope (a package-level lock); "" when the
-// name matches no lock-typed declaration, so a phantom annotation never
-// seeds the held set.
-func (w *work) holdClass(obj *types.Func, name string) string {
-	sig, _ := obj.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		named, ok := derefNamed(sig.Recv().Type())
-		if !ok || named.Obj().Pkg() == nil {
-			return ""
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			return ""
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Name() == name && lockType(f.Type()) {
-				return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + name
-			}
-		}
-		return ""
-	}
-	if v, ok := w.pass.Pkg.Scope().Lookup(name).(*types.Var); ok && lockType(v.Type()) {
-		return v.Pkg().Path() + "." + v.Name()
-	}
-	return ""
-}
-
-// ResolveHoldClass resolves a propview:holds name for obj to its lock
-// class the same way the summary walk seeds its entry held set; "" when
-// the name matches neither a receiver field nor a package-level var.
-func ResolveHoldClass(pass *analysis.Pass, obj *types.Func, name string) string {
-	w := &work{pass: pass}
-	return w.holdClass(obj, name)
-}
-
 type funcWalker struct {
 	w        *work
 	name     string
-	recv     types.Object   // receiver var, or nil
-	params   []types.Object // declared parameters, in signature order
+	recv     types.Object // receiver var, or nil
 	root     *ast.BlockStmt
 	sum      *FuncSummary
 	held     map[string]heldLock
 	deferred map[string]bool // classes released by a deferred unlock
-	entry    map[string]bool // classes held on entry (propview:holds)
 }
 
 // ---- statement walk -------------------------------------------------------
@@ -228,11 +159,9 @@ func (fw *funcWalker) stmt(s ast.Stmt) {
 			fw.expr(r, false)
 		}
 		for _, l := range s.Lhs {
-			fw.mutateLhs(l)
 			fw.expr(l, false)
 		}
 	case *ast.IncDecStmt:
-		fw.mutateLhs(s.X)
 		fw.expr(s.X, false)
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
@@ -451,7 +380,6 @@ func (fw *funcWalker) anonSum(lit *ast.FuncLit) *FuncSummary {
 		sum:      &FuncSummary{},
 		held:     make(map[string]heldLock),
 		deferred: make(map[string]bool),
-		entry:    make(map[string]bool),
 	}
 	inner.stmts(lit.Body.List)
 	return inner.sum
@@ -516,19 +444,12 @@ func (fw *funcWalker) lockOp(sel *ast.SelectorExpr) {
 		step := fmt.Sprintf("%s: %s acquires %s", pos, fw.name, class)
 		for _, h := range sortedHeld(fw.held) {
 			fw.w.edge(h, class, []string{step}, sel.Pos())
-			fw.markEntryUsed(h.class)
 		}
 		fw.held[class] = heldLock{class: class, level: level, must: true, field: field, at: step}
 		fw.addAcquire(class, []string{step})
 	case "Unlock", "RUnlock":
-		if h, ok := fw.held[class]; ok {
-			fw.markEntryUsed(class)
+		if _, ok := fw.held[class]; ok {
 			delete(fw.held, class)
-			if fw.entry[class] {
-				// Releasing a caller-held lock IS the function's contract:
-				// export it so callers inherit the entry requirement.
-				fw.addRelease(HeldLock{Class: class, Field: field, Level: h.level})
-			}
 			return
 		}
 		level := "write"
@@ -593,12 +514,8 @@ func (fw *funcWalker) deferRelease(sel *ast.SelectorExpr) {
 	if class == "" {
 		return
 	}
-	if h, ok := fw.held[class]; ok {
-		fw.markEntryUsed(class)
+	if _, ok := fw.held[class]; ok {
 		fw.deferred[class] = true
-		if fw.entry[class] {
-			fw.addRelease(HeldLock{Class: class, Field: field, Level: h.level})
-		}
 		return
 	}
 	level := "write"
@@ -644,14 +561,12 @@ func (fw *funcWalker) splice(call *ast.CallExpr, callee *types.Func) {
 	if calleeSum == nil {
 		return
 	}
-	fw.spliceMutates(call, calleeSum)
 	callStep := fmt.Sprintf("%s: %s calls %s", posStr(fw.w.pass.Fset, call.Pos()), fw.name, callee.Name())
 
 	for _, acq := range calleeSum.Acquires {
 		path := append([]string{callStep}, acq.Path...)
 		for _, h := range sortedHeld(fw.held) {
 			fw.w.edge(h, acq.Class, path, call.Pos())
-			fw.markEntryUsed(h.class)
 		}
 		fw.addAcquire(acq.Class, path)
 	}
@@ -663,17 +578,9 @@ func (fw *funcWalker) splice(call *ast.CallExpr, callee *types.Func) {
 	}
 	for _, rel := range calleeSum.Releases {
 		if _, ok := fw.held[rel.Class]; ok {
-			fw.markEntryUsed(rel.Class)
 			delete(fw.held, rel.Class)
 		} else {
 			fw.addRelease(HeldLock{Class: rel.Class, Field: fw.rebase(call, callee, rel.Field), Level: rel.Level})
-		}
-	}
-	for _, need := range calleeSum.NeedsHeld {
-		if _, ok := fw.held[need.Class]; !ok {
-			fw.addNeed(HeldLock{Class: need.Class, Field: fw.rebase(call, callee, need.Field), Level: need.Level})
-		} else {
-			fw.markEntryUsed(need.Class)
 		}
 	}
 	fw.mergeOps(calleeSum)
@@ -832,140 +739,6 @@ func (fw *funcWalker) wgOp(e ast.Expr, op string) {
 	}
 }
 
-// ---- effect (mutation) tracking -------------------------------------------
-
-// mutateLhs records a caller-visible unsynchronized store: the lvalue roots
-// at a parameter or the receiver and its access chain crosses a reference
-// (pointer deref, slice/map index, or selector through a pointer), so the
-// write lands in memory the caller can observe. Writes while any lock is
-// held count as synchronized and are skipped — whether the lock is the
-// RIGHT one is lockguard's question, not the effect summary's.
-func (fw *funcWalker) mutateLhs(e ast.Expr) {
-	if len(fw.held) > 0 {
-		return
-	}
-	if root, escapes := lvalueRoot(fw.w.pass.TypesInfo, e); escapes {
-		fw.mutateObj(root)
-	}
-}
-
-func (fw *funcWalker) mutateObj(root types.Object) {
-	if root == nil {
-		return
-	}
-	if fw.recv != nil && root == fw.recv {
-		fw.addMutates(-1)
-		return
-	}
-	for i, p := range fw.params {
-		if p != nil && root == p {
-			fw.addMutates(i)
-			return
-		}
-	}
-}
-
-func (fw *funcWalker) addMutates(i int) {
-	for _, m := range fw.sum.Mutates {
-		if m == i {
-			return
-		}
-	}
-	fw.sum.Mutates = append(fw.sum.Mutates, i)
-}
-
-// spliceMutates propagates a callee's mutation effects to this function's
-// summary: callee writes through argument j (receiver for -1), and that
-// argument reaches back to one of our parameters or our receiver, so the
-// effect is ours too. Mutations of locals stay confined and vanish here.
-func (fw *funcWalker) spliceMutates(call *ast.CallExpr, calleeSum *FuncSummary) {
-	if len(fw.held) > 0 || len(calleeSum.Mutates) == 0 {
-		return
-	}
-	for _, j := range calleeSum.Mutates {
-		var arg ast.Expr
-		if j == -1 {
-			if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				arg = sel.X
-			}
-		} else if j >= 0 && j < len(call.Args) {
-			arg = call.Args[j]
-		}
-		if arg == nil {
-			continue
-		}
-		if root, escapes := argMutationRoot(fw.w.pass.TypesInfo, arg); escapes {
-			fw.mutateObj(root)
-		}
-	}
-}
-
-// lvalueRoot unwraps an lvalue to its root object and reports whether the
-// access chain crosses a reference — a pointer dereference, a slice or map
-// index, or a selector through a pointer — meaning a store through the
-// chain is visible beyond the root variable itself. A bare identifier
-// never escapes: `p = v` rebinds the local copy.
-func lvalueRoot(info *types.Info, e ast.Expr) (types.Object, bool) {
-	escapes := false
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			escapes = true
-			e = x.X
-		case *ast.IndexExpr:
-			if tv, ok := info.Types[x.X]; ok {
-				switch tv.Type.Underlying().(type) {
-				case *types.Slice, *types.Map, *types.Pointer:
-					escapes = true
-				}
-			}
-			e = x.X
-		case *ast.SelectorExpr:
-			if obj := info.Uses[x.Sel]; obj != nil {
-				if v, ok := obj.(*types.Var); ok && !v.IsField() {
-					return v, escapes // qualified package-level var
-				}
-			}
-			if tv, ok := info.Types[x.X]; ok {
-				if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-					escapes = true
-				}
-			}
-			e = x.X
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				obj = info.Defs[x]
-			}
-			return obj, escapes
-		default:
-			return nil, false
-		}
-	}
-}
-
-// argMutationRoot resolves the root of an argument a callee writes
-// through. `&x` mutates the lvalue x (the lvalue rule applies); a
-// reference-typed argument shares its pointee with the caller, so a bare
-// `p` of pointer/slice/map type escapes as-is; a value-typed expression
-// (an implicitly addressed method receiver) falls back to the lvalue rule.
-func argMutationRoot(info *types.Info, e ast.Expr) (types.Object, bool) {
-	e = analysis.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		return lvalueRoot(info, u.X)
-	}
-	root, chainEscapes := lvalueRoot(info, e)
-	if tv, ok := info.Types[e]; ok {
-		switch tv.Type.Underlying().(type) {
-		case *types.Pointer, *types.Slice, *types.Map, *types.Chan:
-			return root, true
-		}
-	}
-	return root, chainEscapes
-}
-
 // ---- summary accumulation (deduplicated, walk order) ----------------------
 
 func (fw *funcWalker) addAcquire(class string, path []string) {
@@ -981,34 +754,12 @@ func (fw *funcWalker) addAcquire(class string, path []string) {
 }
 
 func (fw *funcWalker) addRelease(h HeldLock) {
-	fw.addNeed(h)
 	for _, r := range fw.sum.Releases {
 		if r.Class == h.Class {
 			return
 		}
 	}
 	fw.sum.Releases = append(fw.sum.Releases, h)
-}
-
-func (fw *funcWalker) addNeed(h HeldLock) {
-	for _, n := range fw.sum.NeedsHeld {
-		if n.Class == h.Class {
-			return
-		}
-	}
-	fw.sum.NeedsHeld = append(fw.sum.NeedsHeld, h)
-}
-
-func (fw *funcWalker) markEntryUsed(class string) {
-	if !fw.entry[class] {
-		return
-	}
-	for _, c := range fw.sum.UsedEntry {
-		if c == class {
-			return
-		}
-	}
-	fw.sum.UsedEntry = append(fw.sum.UsedEntry, class)
 }
 
 func (fw *funcWalker) addChanOp(class, op string) {
@@ -1109,7 +860,7 @@ func sortedHeld(held map[string]heldLock) []heldLock {
 
 // CalleeOf resolves the statically-known callee of a call expression, or
 // nil (builtin, conversion, or dynamic call). Shared by the summary
-// consumers (lockguard, holdinfer).
+// consumers.
 func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return calleeOf(info, call)
 }

@@ -462,6 +462,4 @@ func (e *Engine) insertGroup(reqs []*writeReq) error {
 
 // fanOut runs fn(0..n-1), one prepared view per index, on up to
 // e.opt.Workers goroutines and waits for all of them.
-//
-// propview:fanout
 func (e *Engine) fanOut(n int, fn func(i int)) { parallel.For(n, e.opt.Workers, fn) }

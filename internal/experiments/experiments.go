@@ -1,9 +1,10 @@
 // Package experiments runs the deterministic, machine-independent
-// experiment series behind EXPERIMENTS.md: instead of wall-clock times it
-// reports certified quantities — work counters from the instrumented
-// evaluator, solver candidate counts, solution sizes and agreement flags —
-// so the complexity shapes of the paper's tables reproduce exactly on any
-// machine. The wall-clock companions live in bench_test.go.
+// experiment series listed in the README's "Paper map" section: instead
+// of wall-clock times it reports certified quantities — work counters
+// from the instrumented evaluator, solver candidate counts, solution sizes
+// and agreement flags — so the complexity shapes of the paper's tables
+// reproduce exactly on any machine. The wall-clock companions live in
+// bench_test.go.
 package experiments
 
 import (

@@ -12,7 +12,12 @@
 // Determinism contract: For runs fn over a fixed index range with results
 // landing in caller-owned per-index slots, so the outcome is independent
 // of width and schedule; only the execution interleaving varies. Callers
-// that need ordered output gather the slots serially afterwards.
+// that need ordered output gather the slots serially afterwards. The slot
+// discipline is checked dynamically: a closure that writes shared state
+// outside its own slot is a data race, which CI's
+// `go test -race -cpu 2 ./internal/parallel ./internal/relation
+// ./internal/engine` step catches (at -cpu 2, GOMAXPROCS-wide callers get
+// a second worker on any runner).
 package parallel
 
 import (
@@ -42,7 +47,6 @@ func Hash(key string) uint32 {
 // outlives the call). A width of 1 or less runs the plain inline loop, in
 // index order, at no cost over serial code.
 //
-// propview:fanout
 // propview:deterministic
 func For(n, width int, fn func(int)) {
 	if width > n {
