@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/annotation"
@@ -825,7 +824,7 @@ func benchmarkEngineParallelDelete(b *testing.B, nViews int) {
 	var totalDeletes int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := engine.New(db, engine.Options{MaxBatchSize: 16, MaxCoalesceWait: 200 * time.Microsecond})
+		e := engine.New(db, engine.Options{MaxBatchSize: 16})
 		if err := e.Prepare("v", q); err != nil {
 			b.Fatal(err)
 		}

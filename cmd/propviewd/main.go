@@ -16,15 +16,14 @@
 //	POST /annotate {"view": "access", "tuple": ["john", "f1"], "attr": "file"}
 //	GET  /stats
 //
-// Writes — deletions AND source-side insertions — flow through the
-// engine's batching/coalescing pipeline; the -write-workers, -max-batch
-// and -coalesce-wait flags tune it. An async write (202 Accepted) commits
-// from a bounded queue (-async-queue) whose backpressure is a 429; an
-// oversized request body is a 413.
+// Writes — deletions AND source-side insertions — enter the engine's
+// bounded write queue (-write-queue; -write-workers and -max-batch tune
+// the commit). A synchronous write answers after its commit, an async one
+// (202 Accepted) once queued; async writes commit in admission order. A
+// full queue is a 429 for an async write and a 503 for a synchronous one.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops accepting
-// requests, drains every 202-accepted async job to completion, and only
-// then exits — a queued job is a promise, not best-effort.
+// requests, commits every queued write — a 202 is a promise — and exits.
 package main
 
 import (
@@ -50,8 +49,7 @@ func main() {
 	addr := fs.String("addr", ":8080", "listen address")
 	writeWorkers := fs.Int("write-workers", 0, "how many prepared views a commit maintains concurrently (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 0, "max targets coalesced into one group solve (0 = default 32, 1 disables coalescing)")
-	coalesceWait := fs.Duration("coalesce-wait", 0, "how long a write batch waits for more arrivals before committing (0 = commit immediately; batching then comes from contention)")
-	asyncQueue := fs.Int("async-queue", 64, "bounded queue for async /delete commits (0 disables async mode)")
+	writeQueue := fs.Int("write-queue", 64, "max writes, sync and async, waiting for a commit (0 = default 64); past it async writes get 429, sync ones 503")
 	segments := fs.Int("segments", 0, "store each relation as this many hash-partitioned segments so commits derive and compact in parallel (0 and 1 both mean the one-segment store)")
 	var prepares prepareFlags
 	fs.Var(&prepares, "prepare", "view to prepare at boot, as name=QUERY (repeatable)")
@@ -75,10 +73,10 @@ func main() {
 		log.Fatalf("propviewd: %v", err)
 	}
 	e := engine.New(db, engine.Options{
-		Workers:         *writeWorkers,
-		MaxBatchSize:    *maxBatch,
-		MaxCoalesceWait: *coalesceWait,
-		Segments:        *segments,
+		Workers:      *writeWorkers,
+		MaxBatchSize: *maxBatch,
+		MaxQueue:     *writeQueue,
+		Segments:     *segments,
 	})
 	if *segments > 1 {
 		log.Printf("source store sharded into %d segments per relation", *segments)
@@ -90,7 +88,7 @@ func main() {
 		log.Printf("prepared view %q: %s", p.name, p.query)
 	}
 	log.Printf("propviewd serving %d relation(s) on %s", len(db.Names()), *addr)
-	s := newServer(e, *asyncQueue)
+	s := newServer(e)
 	srv := &http.Server{
 		Addr:         *addr,
 		Handler:      s,
@@ -111,11 +109,11 @@ func main() {
 	stop() // a second signal kills the process the default way
 
 	// Graceful drain: finish in-flight requests, then commit every queued
-	// async job. Both phases share one generous bound — NP-hard solves can
-	// run long — after which remaining jobs are abandoned WITH a log line
+	// write. Both phases share one generous bound — NP-hard solves can
+	// run long — after which remaining writes are abandoned WITH a log line
 	// saying how many, instead of hanging until the supervisor's SIGKILL.
 	// A second signal also kills the process the default way immediately.
-	log.Printf("propviewd: shutting down: draining requests and async queue")
+	log.Printf("propviewd: shutting down: draining requests and the write queue")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -123,14 +121,15 @@ func main() {
 	}
 	drained := make(chan struct{})
 	go func() {
-		s.Close()
+		e.Close() // refuses later writes, commits every queued one
 		close(drained)
 	}()
 	select {
 	case <-drained:
-		log.Printf("propviewd: async queue drained; exiting")
+		log.Printf("propviewd: write queue drained; exiting")
 	case <-shutCtx.Done():
-		log.Printf("propviewd: drain timed out; abandoning %d queued async job(s)", len(s.jobs))
+		depth, _ := e.Queue()
+		log.Printf("propviewd: drain timed out; abandoning %d queued write(s)", depth)
 	}
 }
 

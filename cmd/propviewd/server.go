@@ -17,26 +17,12 @@ import (
 	"repro/internal/relation"
 )
 
-// newServer wires the JSON endpoints onto an engine and, when asyncQueue
-// is positive, starts the background committer draining the bounded async
-// write queue (/delete and /insert jobs). Split from main so the handler
-// tests drive it through httptest. The returned server is an http.Handler;
-// Close drains the queue to completion for a graceful shutdown.
-func newServer(e *engine.Engine, asyncQueue int) *server {
-	s := newServerState(e, asyncQueue)
-	if s.jobs != nil {
-		go s.runAsyncCommits()
-	}
-	return s
-}
-
-// newServerState builds the server without starting the async committer,
-// so tests can fill the queue deterministically and drain it by hand.
-func newServerState(e *engine.Engine, asyncQueue int) *server {
-	s := &server{engine: e, drained: make(chan struct{})}
-	if asyncQueue > 0 {
-		s.jobs = make(chan asyncJob, asyncQueue)
-	}
+// newServer wires the JSON endpoints onto an engine. Split from main so
+// the handler tests drive it through httptest. The returned server is an
+// http.Handler; closing the engine drains its write queue for a graceful
+// shutdown.
+func newServer(e *engine.Engine) *server {
+	s := &server{engine: e}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/prepare", s.handlePrepare)
 	mux.HandleFunc("/query", s.handleQuery)
@@ -52,23 +38,9 @@ type server struct {
 	engine *engine.Engine
 	mux    *http.ServeMux
 
-	// jobs is the bounded async commit queue (nil when async mode is
-	// disabled). Accepted jobs are already validated: the view or relation
-	// existed and the tuples parsed against its schema at enqueue time.
-	jobs chan asyncJob
-
-	// closeMu/closing guard the queue against sends after Close: enqueuers
-	// hold the read side around the send, Close holds the write side while
-	// it marks the queue closed — so no 202 is ever acknowledged for a job
-	// the drain misses.
-	closeMu   sync.RWMutex
-	closing   bool // guarded-by: closeMu
-	closeOnce sync.Once
-	drained   chan struct{} // closed when the committer has drained the queue
-
-	asyncAccepted  atomic.Int64 // jobs enqueued (202)
+	asyncAccepted  atomic.Int64 // jobs admitted to the write queue (202)
 	asyncRejected  atomic.Int64 // jobs refused on a full queue (429)
-	asyncCompleted atomic.Int64 // jobs committed by the background worker
+	asyncCompleted atomic.Int64 // jobs committed
 	asyncFailed    atomic.Int64 // jobs whose commit failed (e.g. target vanished)
 
 	// errMu guards recentErrs, a ring of the most recent async commit
@@ -80,77 +52,6 @@ type server struct {
 
 // ServeHTTP makes the server mountable directly into http.Server.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Close gracefully shuts the async pipeline down: no new jobs are
-// admitted (enqueues answer 503), and the call blocks until the background
-// committer has drained every previously accepted job — a 202 is a
-// promise, and before this existed every queued job died silently with the
-// process. Only meaningful on servers built by newServer (which starts the
-// committer); idempotent.
-func (s *server) Close() {
-	if s.jobs == nil {
-		return
-	}
-	s.closeOnce.Do(func() {
-		s.closeMu.Lock()
-		s.closing = true
-		close(s.jobs)
-		s.closeMu.Unlock()
-	})
-	<-s.drained
-}
-
-// asyncJob is one validated async write awaiting commit: a delete against
-// a prepared view, or a source-side insert.
-type asyncJob struct {
-	op string // "delete" or "insert"
-
-	view    string // delete: target view
-	targets []relation.Tuple
-	obj     core.Objective
-	opts    core.DeleteOptions
-	group   bool
-
-	rel     string                 // insert: target relation (for logs/errors)
-	inserts []relation.SourceTuple // insert: source tuples
-}
-
-// target names what the job writes to, for logs and the error ring.
-func (j asyncJob) target() string {
-	if j.op == "insert" {
-		return j.rel
-	}
-	return j.view
-}
-
-// runAsyncCommits drains the queue until Close. Commits submitted here
-// flow through the engine's coalescing pipeline like any synchronous
-// writer, so queued writes batch with concurrent traffic.
-func (s *server) runAsyncCommits() {
-	defer close(s.drained)
-	for job := range s.jobs {
-		s.runJob(job)
-	}
-}
-
-func (s *server) runJob(job asyncJob) {
-	var err error
-	switch {
-	case job.op == "insert":
-		_, err = s.engine.Insert(job.inserts)
-	case job.group:
-		_, err = s.engine.DeleteGroup(job.view, job.targets, job.obj, job.opts)
-	default:
-		_, err = s.engine.Delete(job.view, job.targets[0], job.obj, job.opts)
-	}
-	if err != nil {
-		s.asyncFailed.Add(1)
-		s.recordAsyncError(job, err)
-		log.Printf("propviewd: async %s on %q: %v", job.op, job.target(), err)
-		return
-	}
-	s.asyncCompleted.Add(1)
-}
 
 // maxRecentErrors bounds the async failure ring.
 const maxRecentErrors = 16
@@ -164,14 +65,24 @@ type asyncErrorJSON struct {
 	Error string `json:"error"`
 }
 
-func (s *server) recordAsyncError(job asyncJob, err error) {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	if len(s.recentErrs) == maxRecentErrors {
-		copy(s.recentErrs, s.recentErrs[1:])
-		s.recentErrs = s.recentErrs[:maxRecentErrors-1]
+// asyncDone is the engine callback of an accepted async job: it counts
+// the outcome and records a failure in the ring.
+func (s *server) asyncDone(job asyncErrorJSON) func(error) {
+	return func(err error) {
+		if err == nil {
+			s.asyncCompleted.Add(1)
+			return
+		}
+		s.asyncFailed.Add(1)
+		job.Error = err.Error()
+		s.errMu.Lock()
+		s.recentErrs = append(s.recentErrs, job)
+		if len(s.recentErrs) > maxRecentErrors {
+			s.recentErrs = s.recentErrs[1:]
+		}
+		s.errMu.Unlock()
+		log.Printf("propviewd: async %s: %v", job.Op, err)
 	}
-	s.recentErrs = append(s.recentErrs, asyncErrorJSON{Op: job.op, View: job.view, Rel: job.rel, Error: err.Error()})
 }
 
 // lastAsyncErrors snapshots the failure ring, newest last.
@@ -191,7 +102,9 @@ var errBodyTooLarge = errors.New("request body too large")
 
 // statusOf maps domain errors onto HTTP statuses: unknown names and absent
 // tuples are 404, a conflicting prepare is 409, an oversized body is 413,
-// everything else a caller sent us is 400.
+// a full write queue or a closed engine is 503, everything else a caller
+// sent us is 400. (An async write finding the queue full is a 429 instead;
+// see submitAsync.)
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrUnknownView),
@@ -203,6 +116,8 @@ func statusOf(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, errBodyTooLarge):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, engine.ErrOverloaded), errors.Is(err, engine.ErrClosed):
+		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
 	}
@@ -263,6 +178,29 @@ func parseTuple(vals []string, arity int) (relation.Tuple, error) {
 		t[i] = relation.ParseValue(s, true)
 	}
 	return t, nil
+}
+
+// parseTuples parses a request's "tuple" or its "tuples" (not both)
+// against arity; group reports that it was "tuples". what names the
+// operation for the missing-tuple error.
+func parseTuples(one []string, many [][]string, arity int, what string) (ts []relation.Tuple, group bool, err error) {
+	switch {
+	case len(one) > 0 && len(many) > 0:
+		return nil, false, fmt.Errorf("give either tuple or tuples, not both")
+	case len(one) > 0:
+		many = [][]string{one}
+	case len(many) > 0:
+		group = true
+	default:
+		return nil, false, fmt.Errorf("missing tuple (or tuples) to %s", what)
+	}
+	ts = make([]relation.Tuple, len(many))
+	for i, vals := range many {
+		if ts[i], err = parseTuple(vals, arity); err != nil {
+			return nil, false, err
+		}
+	}
+	return ts, group, nil
 }
 
 func renderTuple(t relation.Tuple) []string {
@@ -417,9 +355,9 @@ type deleteRequest struct {
 	Tuples    [][]string `json:"tuples,omitempty"` // batched targets
 	Objective string     `json:"objective,omitempty"`
 	Greedy    bool       `json:"greedy,omitempty"`
-	// Async commits the delete off the request path: the job enters a
-	// bounded queue (202 Accepted) and a background committer applies it
-	// through the engine's coalescing pipeline. A full queue answers 429.
+	// Async answers once the engine has admitted the delete to its write
+	// queue (202 Accepted) instead of after the commit. A full queue
+	// answers 429.
 	Async bool `json:"async,omitempty"`
 }
 
@@ -463,7 +401,6 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	arity := schema.Len()
 
 	var obj core.Objective
 	switch req.Objective {
@@ -477,37 +414,15 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := core.DeleteOptions{Greedy: req.Greedy}
-	var (
-		targets []relation.Tuple
-		group   bool
-	)
-	switch {
-	case len(req.Tuple) > 0 && len(req.Tuples) > 0:
-		writeErr(w, fmt.Errorf("give either tuple or tuples, not both"))
-		return
-	case len(req.Tuple) > 0:
-		target, perr := parseTuple(req.Tuple, arity)
-		if perr != nil {
-			writeErr(w, perr)
-			return
-		}
-		targets = []relation.Tuple{target}
-	case len(req.Tuples) > 0:
-		group = true
-		targets = make([]relation.Tuple, len(req.Tuples))
-		for i, vals := range req.Tuples {
-			if targets[i], err = parseTuple(vals, arity); err != nil {
-				writeErr(w, err)
-				return
-			}
-		}
-	default:
-		writeErr(w, fmt.Errorf("missing tuple (or tuples) to delete"))
+	targets, group, err := parseTuples(req.Tuple, req.Tuples, schema.Len(), "delete")
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 
 	if req.Async {
-		s.enqueueAsync(w, asyncJob{op: "delete", view: req.View, targets: targets, obj: obj, opts: opts, group: group})
+		s.submitAsync(w, engine.Write{View: req.View, Targets: targets, Group: group, Objective: obj, Options: opts},
+			asyncErrorJSON{Op: "delete", View: req.View})
 		return
 	}
 
@@ -552,38 +467,31 @@ type asyncAcceptedResponse struct {
 	QueueCap   int    `json:"queue_cap"`
 }
 
-// enqueueAsync admits a validated job to the bounded commit queue, or
-// pushes back: a full queue is the client's signal to retry later or fall
-// back to a synchronous write; a draining (shutting-down) server refuses
-// with 503.
-func (s *server) enqueueAsync(w http.ResponseWriter, job asyncJob) {
-	if s.jobs == nil {
-		writeErr(w, fmt.Errorf("async writes are disabled on this server"))
-		return
-	}
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closing {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-			Error: "server is draining; retry against another instance or synchronously",
-		})
-		return
-	}
-	select {
-	case s.jobs <- job:
-		s.asyncAccepted.Add(1)
-		writeJSON(w, http.StatusAccepted, asyncAcceptedResponse{
-			Op:         job.op,
-			View:       job.view,
-			Rel:        job.rel,
-			Queued:     true,
-			QueueDepth: len(s.jobs),
-			QueueCap:   cap(s.jobs),
-		})
-	default:
+// submitAsync admits a validated write to the engine's write queue, or
+// pushes back: a full queue (429) is the client's signal to retry later or
+// fall back to a synchronous write; a closed (shutting-down) engine
+// refuses with 503. job names the write for the response and, should the
+// commit fail, for the error ring.
+func (s *server) submitAsync(w http.ResponseWriter, write engine.Write, job asyncErrorJSON) {
+	err := s.engine.Submit(write, s.asyncDone(job))
+	switch {
+	case errors.Is(err, engine.ErrOverloaded):
 		s.asyncRejected.Add(1)
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{
-			Error: "async write queue full; retry later or write synchronously",
+			Error: "write queue full; retry later or write synchronously",
+		})
+	case err != nil:
+		writeErr(w, err)
+	default:
+		s.asyncAccepted.Add(1)
+		depth, capacity := s.engine.Queue()
+		writeJSON(w, http.StatusAccepted, asyncAcceptedResponse{
+			Op:         job.Op,
+			View:       job.View,
+			Rel:        job.Rel,
+			Queued:     true,
+			QueueDepth: depth,
+			QueueCap:   capacity,
 		})
 	}
 }
@@ -597,8 +505,8 @@ type insertRequest struct {
 	Rel    string     `json:"rel"`
 	Tuple  []string   `json:"tuple,omitempty"`  // single tuple
 	Tuples [][]string `json:"tuples,omitempty"` // batched tuples
-	// Async commits the insert off the request path through the same
-	// bounded queue as async deletes (202 Accepted / 429 on a full queue).
+	// Async answers once the insert is admitted to the same write queue
+	// as async deletes (202 Accepted / 429 on a full queue).
 	Async bool `json:"async,omitempty"`
 }
 
@@ -630,33 +538,18 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	arity := schema.Len()
-
-	var rows [][]string
-	switch {
-	case len(req.Tuple) > 0 && len(req.Tuples) > 0:
-		writeErr(w, fmt.Errorf("give either tuple or tuples, not both"))
-		return
-	case len(req.Tuple) > 0:
-		rows = [][]string{req.Tuple}
-	case len(req.Tuples) > 0:
-		rows = req.Tuples
-	default:
-		writeErr(w, fmt.Errorf("missing tuple (or tuples) to insert"))
+	rows, _, err := parseTuples(req.Tuple, req.Tuples, schema.Len(), "insert")
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	tuples := make([]relation.SourceTuple, len(rows))
-	for i, vals := range rows {
-		t, perr := parseTuple(vals, arity)
-		if perr != nil {
-			writeErr(w, perr)
-			return
-		}
+	for i, t := range rows {
 		tuples[i] = relation.SourceTuple{Rel: req.Rel, Tuple: t}
 	}
 
 	if req.Async {
-		s.enqueueAsync(w, asyncJob{op: "insert", rel: req.Rel, inserts: tuples})
+		s.submitAsync(w, engine.Write{Insert: tuples}, asyncErrorJSON{Op: "insert", Rel: req.Rel})
 		return
 	}
 
@@ -744,7 +637,9 @@ func (s *server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 
 // --- /stats ---
 
-// asyncStats reports the async commit queue alongside the engine counters.
+// asyncStats reports the async writes and the engine's write queue
+// alongside the engine counters. Enabled is always true; it stays for
+// clients that read it.
 type asyncStats struct {
 	Enabled    bool  `json:"enabled"`
 	QueueCap   int   `json:"queue_cap"`
@@ -770,18 +665,15 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	resp := statsResponse{Stats: s.engine.Stats()}
-	if s.jobs != nil {
-		resp.Async = asyncStats{
-			Enabled:    true,
-			QueueCap:   cap(s.jobs),
-			QueueDepth: len(s.jobs),
-			Accepted:   s.asyncAccepted.Load(),
-			Completed:  s.asyncCompleted.Load(),
-			Failed:     s.asyncFailed.Load(),
-			Rejected:   s.asyncRejected.Load(),
-			LastErrors: s.lastAsyncErrors(),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	depth, capacity := s.engine.Queue()
+	writeJSON(w, http.StatusOK, statsResponse{Stats: s.engine.Stats(), Async: asyncStats{
+		Enabled:    true,
+		QueueCap:   capacity,
+		QueueDepth: depth,
+		Accepted:   s.asyncAccepted.Load(),
+		Completed:  s.asyncCompleted.Load(),
+		Failed:     s.asyncFailed.Load(),
+		Rejected:   s.asyncRejected.Load(),
+		LastErrors: s.lastAsyncErrors(),
+	}})
 }

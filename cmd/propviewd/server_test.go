@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,7 +40,7 @@ func newTestServer(t *testing.T, prepare bool) http.Handler {
 			t.Fatal(err)
 		}
 	}
-	return newServer(e, 64)
+	return newServer(e)
 }
 
 // do issues one request, asserts the response declares JSON, and decodes
@@ -366,41 +368,53 @@ func TestOversizedBody(t *testing.T) {
 	}
 }
 
-// drainAsync synchronously commits everything currently queued — the
-// tests' stand-in for the background committer (which newServerState does
-// not start). Test-only: it would race a running committer on s.jobs.
-func (s *server) drainAsync() {
-	for {
-		select {
-		case job := <-s.jobs:
-			s.runJob(job)
-		default:
-			return
-		}
-	}
-}
-
-// newAsyncTestServer exposes the server state so tests can drive the async
-// queue deterministically (the background committer is NOT started).
-func newAsyncTestServer(t *testing.T, queue int) (*server, http.Handler) {
+// newAsyncTestServer builds a server over an engine whose write queue
+// holds queue writes.
+func newAsyncTestServer(t *testing.T, queue int) (*server, *engine.Engine) {
 	t.Helper()
 	db, err := relation.ReadDatabaseString(testDB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(db)
+	e := engine.New(db, engine.Options{MaxQueue: queue})
 	if err := e.PrepareText("access", testQuery); err != nil {
 		t.Fatal(err)
 	}
-	s := newServerState(e, queue)
-	return s, s
+	return newServer(e), e
 }
 
-// An async delete is validated, accepted with 202, committed by the
-// (here: manual) drain, and visible in the view and the stats afterwards.
+// stall parks the engine's committer until release is called, so writes
+// sent meanwhile stay queued. It submits a plug: a delete of a tuple not in
+// the view, which commits nothing and moves no counter, and whose callback
+// blocks.
+func stall(t *testing.T, e *engine.Engine) (release func()) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	plug := engine.Write{View: "access", Targets: []relation.Tuple{relation.StringTuple("plug", "plug")}}
+	if err := e.Submit(plug, func(error) { close(entered); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// asyncStatsOf reads the /stats "async" block.
+func asyncStatsOf(t *testing.T, h http.Handler) map[string]any {
+	t.Helper()
+	_, resp := do(t, h, http.MethodGet, "/stats", "")
+	return resp["async"].(map[string]any)
+}
+
+// An async delete is validated, accepted with 202 while it waits in the
+// write queue, committed once the committer reaches it, and visible in the
+// view and the stats afterwards.
 func TestAsyncDelete(t *testing.T) {
-	s, h := newAsyncTestServer(t, 4)
-	code, resp := do(t, h, http.MethodPost, "/delete", `{"view": "access", "tuple": ["john", "f2"], "async": true}`)
+	s, e := newAsyncTestServer(t, 4)
+	release := stall(t, e)
+	code, resp := do(t, s, http.MethodPost, "/delete", `{"view": "access", "tuple": ["john", "f2"], "async": true}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("async delete: status %d (%v), want 202", code, resp)
 	}
@@ -408,11 +422,12 @@ func TestAsyncDelete(t *testing.T) {
 		t.Fatalf("unexpected accepted response: %v", resp)
 	}
 	// Not committed yet: the view still serves the tuple.
-	if _, resp := do(t, h, http.MethodGet, "/query?view=access", ""); len(resp["tuples"].([]any)) != 4 {
-		t.Fatal("async delete committed before the queue drained")
+	if _, resp := do(t, s, http.MethodGet, "/query?view=access", ""); len(resp["tuples"].([]any)) != 4 {
+		t.Fatal("async delete committed while the committer was parked")
 	}
-	s.drainAsync()
-	code, resp = do(t, h, http.MethodGet, "/query?view=access", "")
+	release()
+	s.engine.Close()
+	code, resp = do(t, s, http.MethodGet, "/query?view=access", "")
 	if code != http.StatusOK {
 		t.Fatalf("query after drain: %d", code)
 	}
@@ -422,7 +437,7 @@ func TestAsyncDelete(t *testing.T) {
 			t.Fatal("async-deleted tuple still served after drain")
 		}
 	}
-	_, resp = do(t, h, http.MethodGet, "/stats", "")
+	_, resp = do(t, s, http.MethodGet, "/stats", "")
 	async := resp["async"].(map[string]any)
 	if async["enabled"] != true || async["accepted"].(float64) != 1 || async["completed"].(float64) != 1 || async["failed"].(float64) != 0 {
 		t.Fatalf("async stats %v", async)
@@ -435,7 +450,8 @@ func TestAsyncDelete(t *testing.T) {
 // Async requests are validated before they are queued: bad ones are
 // rejected synchronously and never occupy queue slots.
 func TestAsyncDeleteValidatesBeforeEnqueue(t *testing.T) {
-	s, h := newAsyncTestServer(t, 4)
+	s, e := newAsyncTestServer(t, 4)
+	stall(t, e)
 	cases := []struct {
 		body string
 		want int
@@ -445,77 +461,61 @@ func TestAsyncDeleteValidatesBeforeEnqueue(t *testing.T) {
 		{`{"view": "access", "tuple": ["john", "f2"], "objective": "fastest", "async": true}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if code, resp := do(t, h, http.MethodPost, "/delete", tc.body); code != tc.want {
+		if code, resp := do(t, s, http.MethodPost, "/delete", tc.body); code != tc.want {
 			t.Errorf("%s: status %d (%v), want %d", tc.body, code, resp, tc.want)
 		}
 	}
-	if n := len(s.jobs); n != 0 {
+	if n, _ := e.Queue(); n != 0 {
 		t.Fatalf("%d invalid jobs reached the queue", n)
 	}
 }
 
-// A full async queue pushes back with 429 instead of buffering without
-// bound; a group (tuples) async delete takes one slot like a single.
+// A full write queue pushes back instead of buffering without bound: 429
+// for an async write, 503 for a synchronous one. A group (tuples) async
+// delete takes one slot like a single.
 func TestAsyncDeleteBackpressure(t *testing.T) {
-	s, h := newAsyncTestServer(t, 2)
+	s, e := newAsyncTestServer(t, 2)
+	release := stall(t, e)
 	ok := []string{
 		`{"view": "access", "tuple": ["john", "f2"], "async": true}`,
 		`{"view": "access", "tuples": [["john","f1"],["mary","f1"]], "objective": "source", "async": true}`,
 	}
 	for _, body := range ok {
-		if code, resp := do(t, h, http.MethodPost, "/delete", body); code != http.StatusAccepted {
+		if code, resp := do(t, s, http.MethodPost, "/delete", body); code != http.StatusAccepted {
 			t.Fatalf("fill: status %d (%v), want 202", code, resp)
 		}
 	}
-	code, resp := do(t, h, http.MethodPost, "/delete", `{"view": "access", "tuple": ["mary", "f2"], "async": true}`)
+	code, resp := do(t, s, http.MethodPost, "/delete", `{"view": "access", "tuple": ["mary", "f2"], "async": true}`)
 	if code != http.StatusTooManyRequests {
-		t.Fatalf("overflow: status %d (%v), want 429", code, resp)
+		t.Fatalf("async overflow: status %d (%v), want 429", code, resp)
 	}
 	if msg, _ := resp["error"].(string); !strings.Contains(msg, "queue full") {
 		t.Fatalf("429 error %q does not name the full queue", msg)
 	}
-	_, resp = do(t, h, http.MethodGet, "/stats", "")
-	async := resp["async"].(map[string]any)
-	if async["rejected"].(float64) != 1 || async["accepted"].(float64) != 2 || async["queue_depth"].(float64) != 2 {
+	code, resp = do(t, s, http.MethodPost, "/insert", `{"rel": "UserGroup", "tuple": ["sue", "staff"]}`)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("sync overflow: status %d (%v), want 503", code, resp)
+	}
+	async := asyncStatsOf(t, s)
+	if async["rejected"].(float64) != 1 || async["accepted"].(float64) != 2 || async["queue_depth"].(float64) != 2 || async["queue_cap"].(float64) != 2 {
 		t.Fatalf("async stats after backpressure: %v", async)
 	}
 	// Draining frees the queue and commits both jobs (the group one may
 	// legitimately fail if an earlier delete removed its targets — here it
 	// cannot, the targets are disjoint view tuples).
-	s.drainAsync()
-	_, resp = do(t, h, http.MethodGet, "/stats", "")
-	async = resp["async"].(map[string]any)
+	release()
+	s.engine.Close()
+	async = asyncStatsOf(t, s)
 	if async["completed"].(float64) != 2 || async["queue_depth"].(float64) != 0 {
 		t.Fatalf("async stats after drain: %v", async)
 	}
 }
 
-// With the queue disabled, async requests are refused outright.
-func TestAsyncDeleteDisabled(t *testing.T) {
-	_, h := newAsyncTestServer(t, 0)
-	code, resp := do(t, h, http.MethodPost, "/delete", `{"view": "access", "tuple": ["john", "f2"], "async": true}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("disabled async: status %d (%v), want 400", code, resp)
-	}
-	// And stats report it disabled.
-	_, resp = do(t, h, http.MethodGet, "/stats", "")
-	if async := resp["async"].(map[string]any); async["enabled"] != false {
-		t.Fatalf("async stats %v, want disabled", async)
-	}
-}
-
-// The background committer really does drain the queue end to end.
+// The engine's committer really does commit an async write end to end,
+// without Close.
 func TestAsyncDeleteBackgroundCommit(t *testing.T) {
-	db, err := relation.ReadDatabaseString(testDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engine.New(db)
-	if err := e.PrepareText("access", testQuery); err != nil {
-		t.Fatal(err)
-	}
-	h := newServer(e, 8)
-	if code, _ := do(t, h, http.MethodPost, "/delete", `{"view": "access", "tuple": ["john", "f2"], "async": true}`); code != http.StatusAccepted {
+	s, e := newAsyncTestServer(t, 8)
+	if code, _ := do(t, s, http.MethodPost, "/delete", `{"view": "access", "tuple": ["john", "f2"], "async": true}`); code != http.StatusAccepted {
 		t.Fatalf("async delete not accepted: %d", code)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -567,22 +567,24 @@ func TestInsertRestoreUndo(t *testing.T) {
 // An async insert is accepted with 202, committed by the drain, and
 // visible in the view and the stats afterwards.
 func TestAsyncInsert(t *testing.T) {
-	s, h := newAsyncTestServer(t, 4)
-	code, resp := do(t, h, http.MethodPost, "/insert", `{"rel": "UserGroup", "tuple": ["sue", "staff"], "async": true}`)
+	s, e := newAsyncTestServer(t, 4)
+	release := stall(t, e)
+	code, resp := do(t, s, http.MethodPost, "/insert", `{"rel": "UserGroup", "tuple": ["sue", "staff"], "async": true}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("async insert: status %d (%v), want 202", code, resp)
 	}
-	if resp["op"] != "insert" || resp["queued"] != true {
+	if resp["op"] != "insert" || resp["rel"] != "UserGroup" || resp["queued"] != true {
 		t.Fatalf("unexpected accepted response: %v", resp)
 	}
-	if _, resp := do(t, h, http.MethodGet, "/query?view=access", ""); len(resp["tuples"].([]any)) != 4 {
-		t.Fatal("async insert committed before the queue drained")
+	if _, resp := do(t, s, http.MethodGet, "/query?view=access", ""); len(resp["tuples"].([]any)) != 4 {
+		t.Fatal("async insert committed while the committer was parked")
 	}
-	s.drainAsync()
-	if _, resp := do(t, h, http.MethodGet, "/query?view=access", ""); len(resp["tuples"].([]any)) != 5 {
+	release()
+	s.engine.Close()
+	if _, resp := do(t, s, http.MethodGet, "/query?view=access", ""); len(resp["tuples"].([]any)) != 5 {
 		t.Fatalf("view after drain: %v", resp["tuples"])
 	}
-	_, resp = do(t, h, http.MethodGet, "/stats", "")
+	_, resp = do(t, s, http.MethodGet, "/stats", "")
 	async := resp["async"].(map[string]any)
 	if async["completed"].(float64) != 1 || async["failed"].(float64) != 0 {
 		t.Fatalf("async stats %v", async)
@@ -595,16 +597,15 @@ func TestAsyncInsert(t *testing.T) {
 // A failed async commit is not just a counter: it lands in the last_errors
 // ring under /stats "async".
 func TestAsyncLastErrors(t *testing.T) {
-	s, h := newAsyncTestServer(t, 4)
+	s, _ := newAsyncTestServer(t, 4)
 	// A ghost tuple passes enqueue-time validation (arity is right) and
 	// fails at commit time with not-in-view.
-	code, _ := do(t, h, http.MethodPost, "/delete", `{"view": "access", "tuple": ["ghost", "f9"], "async": true}`)
+	code, _ := do(t, s, http.MethodPost, "/delete", `{"view": "access", "tuple": ["ghost", "f9"], "async": true}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("ghost delete not accepted: %d", code)
 	}
-	s.drainAsync()
-	_, resp := do(t, h, http.MethodGet, "/stats", "")
-	async := resp["async"].(map[string]any)
+	s.engine.Close()
+	async := asyncStatsOf(t, s)
 	if async["failed"].(float64) != 1 {
 		t.Fatalf("async stats %v, want failed=1", async)
 	}
@@ -619,25 +620,58 @@ func TestAsyncLastErrors(t *testing.T) {
 	// The ring is bounded: flood it and check the cap and ordering (newest
 	// kept).
 	for i := 0; i < maxRecentErrors+5; i++ {
-		s.runJob(asyncJob{op: "delete", view: "access", targets: []relation.Tuple{relation.StringTuple("ghost", "f9")}})
+		s.asyncDone(asyncErrorJSON{Op: "delete", View: "access"})(fmt.Errorf("failure %d", i))
 	}
-	if got := len(s.lastAsyncErrors()); got != maxRecentErrors {
-		t.Fatalf("ring holds %d errors, want cap %d", got, maxRecentErrors)
+	got := s.lastAsyncErrors()
+	if len(got) != maxRecentErrors {
+		t.Fatalf("ring holds %d errors, want cap %d", len(got), maxRecentErrors)
+	}
+	if last := got[len(got)-1].Error; last != fmt.Sprintf("failure %d", maxRecentErrors+4) {
+		t.Fatalf("newest ring entry %q", last)
 	}
 }
 
-// Close drains every accepted async job to completion before returning —
-// the graceful-shutdown path — and later enqueues are refused with 503.
+// A panic while committing an async job fails that job into last_errors;
+// the server keeps answering, and later writes still commit.
+func TestAsyncPanicLandsInLastErrors(t *testing.T) {
+	s, e := newAsyncTestServer(t, 8)
+	if err := e.PrepareText("files", "project(file; GroupFile)"); err != nil {
+		t.Fatal(err)
+	}
+	engine.CommitHook = func(view string) {
+		if view == "files" {
+			panic("injected solver bug")
+		}
+	}
+	defer func() { engine.CommitHook = nil }()
+	if code, resp := do(t, s, http.MethodPost, "/delete", `{"view": "files", "tuple": ["f2"], "async": true}`); code != http.StatusAccepted {
+		t.Fatalf("async delete: status %d (%v), want 202", code, resp)
+	}
+	if code, resp := do(t, s, http.MethodPost, "/delete", `{"view": "access", "tuple": ["john", "f2"]}`); code != http.StatusOK {
+		t.Fatalf("sync delete after a panicked job: status %d (%v), want 200", code, resp)
+	}
+	// The job committed before the sync delete, but whichever goroutine
+	// committed it may still be running its callback.
+	async := asyncStatsOf(t, s)
+	for deadline := time.Now().Add(5 * time.Second); async["failed"].(float64) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		async = asyncStatsOf(t, s)
+	}
+	errs := async["last_errors"].([]any)
+	if async["failed"].(float64) != 1 || len(errs) != 1 {
+		t.Fatalf("async stats %v, want the panicked job recorded", async)
+	}
+	if e0 := errs[0].(map[string]any); e0["view"] != "files" || !strings.Contains(e0["error"].(string), "panicked") {
+		t.Fatalf("last_errors entry %v", e0)
+	}
+	if code, _ := do(t, s, http.MethodGet, "/query?view=files", ""); code != http.StatusOK {
+		t.Fatalf("query after a panicked job: %d", code)
+	}
+}
+
+// Close commits every accepted async job before returning — the graceful
+// shutdown path — and later writes, async or not, are refused with 503.
 func TestCloseDrainsAsyncQueue(t *testing.T) {
-	db, err := relation.ReadDatabaseString(testDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engine.New(db)
-	if err := e.PrepareText("access", testQuery); err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(e, 8) // background committer running
+	s, e := newAsyncTestServer(t, 8)
 	bodies := []string{
 		`{"view": "access", "tuple": ["john", "f2"], "async": true}`,
 		`{"view": "access", "tuple": ["mary", "f2"], "async": true}`,
@@ -649,11 +683,11 @@ func TestCloseDrainsAsyncQueue(t *testing.T) {
 			t.Fatalf("enqueue %d: status %d (%v)", i, code, resp)
 		}
 	}
-	s.Close() // must block until all three jobs committed
+	s.engine.Close() // must block until all three jobs committed
 	if got := s.asyncCompleted.Load() + s.asyncFailed.Load(); got != 3 {
 		t.Fatalf("after Close: %d jobs settled, want 3 (a 202 is a promise)", got)
 	}
-	if len(s.jobs) != 0 {
+	if n, _ := e.Queue(); n != 0 {
 		t.Fatal("Close returned with jobs still queued")
 	}
 	// The committed state is really there.
@@ -664,12 +698,16 @@ func TestCloseDrainsAsyncQueue(t *testing.T) {
 	if view.Contains(relation.StringTuple("john", "f2")) || view.Contains(relation.StringTuple("mary", "f2")) {
 		t.Fatal("queued deletes lost on Close")
 	}
-	// A draining server refuses new async work instead of dropping it.
-	code, resp := do(t, s, http.MethodPost, "/delete", `{"view": "access", "tuple": ["mary", "f1"], "async": true}`)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("enqueue after Close: status %d (%v), want 503", code, resp)
+	// A draining server refuses new writes instead of dropping them.
+	for _, body := range []string{
+		`{"view": "access", "tuple": ["mary", "f1"], "async": true}`,
+		`{"view": "access", "tuple": ["mary", "f1"]}`,
+	} {
+		if code, resp := do(t, s, http.MethodPost, "/delete", body); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s after Close: status %d (%v), want 503", body, code, resp)
+		}
 	}
-	s.Close() // idempotent
+	s.engine.Close() // idempotent
 }
 
 // TestServerSession drives a realistic session across endpoints against one

@@ -53,11 +53,17 @@ type vetConfig struct {
 // -json works in both modes: one JSON object per finding line, suppressed
 // findings included and flagged.
 func Main(analyzers ...*analysis.Analyzer) {
-	analyzers = Expand(analyzers)
-	progname := filepath.Base(os.Args[0])
-	var patterns []string
+	os.Exit(run(filepath.Base(os.Args[0]), os.Args[1:], Expand(analyzers)))
+}
+
+// run is Main with its arguments and exit code explicit. Flags it does not
+// know are tolerated only in vettool mode, where go vet passes its own
+// through ahead of the .cfg; in standalone mode they are an error (exit
+// 2), so a misspelled -suppression-budget cannot silently skip the budget.
+func run(progname string, args []string, analyzers []*analysis.Analyzer) int {
+	var patterns, unknown []string
 	var opt StandaloneOptions
-	for _, arg := range os.Args[1:] {
+	for _, arg := range args {
 		switch {
 		case arg == "-V=full" || arg == "-V":
 			// The go command's tool-ID handshake: with "devel" in the
@@ -65,15 +71,15 @@ func Main(analyzers ...*analysis.Analyzer) {
 			// buildID=<content-id>, which it uses to invalidate vet
 			// caches when the tool binary changes.
 			fmt.Printf("%s version devel buildID=%s\n", progname, selfID())
-			return
+			return 0
 		case arg == "-flags":
 			fmt.Println("[]") // no tool-specific flags to offer go vet
-			return
+			return 0
 		case arg == "-help" || arg == "--help" || arg == "-h":
 			usage(progname, analyzers)
-			return
+			return 0
 		case strings.HasSuffix(arg, ".cfg"):
-			os.Exit(unit(arg, analyzers, opt.JSON))
+			return unit(arg, analyzers, opt.JSON)
 		case arg == "-json":
 			opt.JSON = true
 		case strings.HasPrefix(arg, "-suppression-budget="):
@@ -81,12 +87,16 @@ func Main(analyzers ...*analysis.Analyzer) {
 		case strings.HasPrefix(arg, "-stats="):
 			opt.StatsPath = strings.TrimPrefix(arg, "-stats=")
 		case strings.HasPrefix(arg, "-"):
-			// Tolerate unknown flags passed through by go vet.
+			unknown = append(unknown, arg) // go vet's own, if a .cfg follows
 		default:
 			patterns = append(patterns, arg)
 		}
 	}
-	os.Exit(Standalone(patterns, analyzers, opt))
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unknown flag(s) %s (run %s -help)\n", progname, strings.Join(unknown, " "), progname)
+		return 2
+	}
+	return Standalone(patterns, analyzers, opt)
 }
 
 // selfID hashes the running executable so cmd/go's vet cache keys on the

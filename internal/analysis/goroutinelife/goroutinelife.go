@@ -14,8 +14,9 @@
 //     its callees) signals on a classifiable channel or WaitGroup — a
 //     struct field or package-level var — that some other function
 //     receives from or waits on, possibly in another package. This is the
-//     graceful-shutdown pattern: `go s.runAsyncCommits()` closes s.drained
-//     when it returns, and Close blocks on <-s.drained.
+//     graceful-shutdown pattern: the engine's `go e.drain(nil)` calls
+//     e.committer.Done when it returns, and Engine.Close blocks in
+//     e.committer.Wait.
 //
 // The first two are read off the launch site; the third comes from the
 // concurrency summaries, which is what makes join evidence spanning

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -353,11 +352,12 @@ w, c1
 
 	for _, obj := range []core.Objective{core.MinimizeSourceDeletions, core.MinimizeViewSideEffects} {
 		// Coalescing engine: the batch admits exactly the full request mix,
-		// and the generous wait guarantees all four requests meet in one
-		// commit (the batch fills, waking the leader early).
-		coalesced := mkEngine(Options{MaxBatchSize: targets, MaxCoalesceWait: 10 * time.Second, Workers: 4})
+		// and holding the commit lock until all four requests are queued
+		// guarantees they meet in one commit.
+		coalesced := mkEngine(Options{MaxBatchSize: targets, Workers: 4})
 		var wg sync.WaitGroup
 		errs := make([]error, reqs)
+		coalesced.wmu.Lock()
 		for i, tg := range singles {
 			wg.Add(1)
 			go func(i int, tg relation.Tuple) {
@@ -370,6 +370,7 @@ w, c1
 			defer wg.Done()
 			_, errs[reqs-1] = coalesced.DeleteGroup("id", groupTargets, obj, core.DeleteOptions{})
 		}()
+		releaseWhenQueued(t, coalesced, reqs)
 		wg.Wait()
 		for i, err := range errs {
 			if err != nil {

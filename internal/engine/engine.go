@@ -46,12 +46,13 @@
 //     no full sort.
 //
 // Concurrency: readers are lock-free on immutable snapshots.
-// Writes — deletions and insertions — flow through a batching/coalescing
-// pipeline (pipeline.go): concurrent Delete/DeleteGroup calls against the
-// same view coalesce into a single cached-basis group solve, concurrent
-// Insert calls coalesce into a single source extension, commits are
-// serialized by a commit lock, and each commit's per-view incremental
-// maintenance fans out across a bounded worker pool — so write latency
+// Writes — deletions and insertions — enter one bounded FIFO queue whose
+// head batch is committed by whoever holds the commit lock: a waiting
+// caller or, for Submitted writes, a committer goroutine (pipeline.go).
+// Queued Delete/DeleteGroup requests against the same view coalesce into
+// a single cached-basis group solve, queued Insert requests into a single
+// source extension, and each commit's per-view incremental maintenance
+// fans out across a bounded worker pool — so write latency
 // does not scale with the number of prepared views, and throughput under
 // write contention does not degrade to one solve per request. Prepare
 // computes off the commit lock against a captured source generation and
@@ -59,9 +60,9 @@
 // concurrent writes. The engine owns a private frozen snapshot of the
 // source database and never mutates a published generation, so concurrent
 // Query/Annotate readers and Delete/Insert writers are race-free by
-// construction (see race_test.go). Options tunes the pipeline (worker count, batch cap,
-// coalesce wait); the zero value keeps uncontended latency identical to a
-// serial engine.
+// construction (see race_test.go). Options tunes the pipeline (worker
+// count, batch cap, queue bound); the zero value keeps uncontended latency
+// identical to a serial engine.
 //
 // Storage: source generations live in the persistent, structure-sharing
 // versioned store (internal/relation, segment.go). A commit derives the
@@ -256,6 +257,7 @@ type prepared struct {
 	src  string        // canonical textual form of the original query
 	plan algebra.Query // normalized + join-optimized
 	frag string
+	rels []string // the source relations the plan reads
 	cls  struct {
 		view, source, ann algebra.Class
 	}
@@ -265,8 +267,6 @@ type prepared struct {
 	// guarded-by: atomic
 	// propview:generation
 	gen atomic.Int64
-
-	batcher batcher // coalescing point for this view's deletion writers
 }
 
 // Engine serves prepared views over a private copy of a source database.
@@ -283,7 +283,12 @@ type Engine struct {
 	// propview:generation
 	sgen atomic.Int64
 
-	insBatcher batcher // coalescing point for Insert writers (engine-wide)
+	// The write queue (pipeline.go); qmu is taken under wmu, not around it.
+	qmu        sync.Mutex
+	queue      []*writeReq    // guarded-by: qmu (admitted, not yet batched)
+	committing bool           // guarded-by: qmu (the committer goroutine runs)
+	closed     bool           // guarded-by: qmu (Close was called)
+	committer  sync.WaitGroup // the committer goroutine and waiting callers, for Close
 
 	// Request counters (atomic; Stats assembles them).
 	nPrepares     atomic.Int64
@@ -364,7 +369,7 @@ func (e *Engine) PrepareLimited(name string, q algebra.Query, lim provenance.Lim
 		if err != nil {
 			return nil, nil, err
 		}
-		p := &prepared{name: name, src: src, plan: plan, frag: algebra.Fragment(q)}
+		p := &prepared{name: name, src: src, plan: plan, frag: algebra.Fragment(q), rels: algebra.BaseRelations(plan)}
 		p.cls.view = algebra.Classify(q, algebra.ProblemViewSideEffect)
 		p.cls.source = algebra.Classify(q, algebra.ProblemSourceSideEffect)
 		p.cls.ann = algebra.Classify(q, algebra.ProblemAnnotationPlacement)
@@ -614,53 +619,27 @@ func (e *Engine) Witnesses(name string, t relation.Tuple) ([]provenance.Witness,
 // basis; the chosen deletions are then applied to the engine's source and
 // every prepared view's materialized state is maintained incrementally.
 //
-// Concurrent Delete/DeleteGroup calls against the same view with the same
-// objective and options may coalesce into a single group solve (see
-// pipeline.go); coalesced callers all receive the same report, which then
-// describes the combined batch and must be treated as read-only.
+// Delete waits for its commit. Requests queued back to back against the
+// same view with the same objective and options coalesce into a single
+// group solve (see pipeline.go); coalesced callers all receive the same
+// read-only report of the combined batch. A full write queue refuses with
+// ErrOverloaded, a closed engine with ErrClosed.
 //
 // Of the options, MaxCandidates and Greedy apply; opts.MaxWitnesses has no
 // effect here because the basis is fixed when the view is prepared — cap
 // it with PrepareLimited instead.
 func (e *Engine) Delete(name string, target relation.Tuple, obj core.Objective, opts core.DeleteOptions) (*core.DeleteReport, error) {
-	return e.delete(name, []relation.Tuple{target}, obj, opts, false)
+	r := e.await(Write{View: name, Targets: []relation.Tuple{target}, Objective: obj, Options: opts})
+	return r.report, r.err
 }
 
 // DeleteGroup removes a whole batch of view tuples in one request: one
 // basis pass and one hitting-set solve cover every target, and the
 // incremental maintenance runs once for the combined deletion set. Like
-// Delete, concurrent calls may coalesce into one larger group solve.
+// Delete, queued calls may coalesce into one larger group solve.
 func (e *Engine) DeleteGroup(name string, targets []relation.Tuple, obj core.Objective, opts core.DeleteOptions) (*core.DeleteReport, error) {
-	return e.delete(name, targets, obj, opts, true)
-}
-
-// delete routes a request through the write pipeline (pipeline.go): it
-// joins or opens the view's pending batch, and either leads the batch
-// through its commit or waits for the leader to finish. MaxWitnesses is
-// not forwarded: the basis was capped (or not) at Prepare time and only
-// shrinks under maintenance.
-//
-// Requests coalesced into the same batch share ONE group solve over the
-// union of their targets; every participant receives the same (read-only)
-// report describing the combined outcome.
-func (e *Engine) delete(name string, targets []relation.Tuple, obj core.Objective, opts core.DeleteOptions, group bool) (*core.DeleteReport, error) {
-	p, err := e.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("engine: empty target set")
-	}
-
-	req := &writeReq{kind: writeDelete, targets: targets, group: group}
-	key := batchKey{kind: writeDelete, obj: obj, greedy: opts.Greedy, maxCandidates: opts.MaxCandidates}
-	b, leader := p.batcher.join(req, key, e.opt.MaxBatchSize)
-	if leader {
-		e.runBatch(&p.batcher, b, func(b *batch) { e.commitDelete(p, b) })
-	} else {
-		<-b.done
-	}
-	return req.report, req.err
+	r := e.await(Write{View: name, Targets: targets, Group: true, Objective: obj, Options: opts})
+	return r.report, r.err
 }
 
 // Insert adds source tuples to the engine's database and incrementally
@@ -672,8 +651,8 @@ func (e *Engine) delete(name string, targets []relation.Tuple, obj core.Objectiv
 // insertion is the undo the deletion-only engine lacked.
 //
 // Tuples already present are idempotent no-ops, reported in the report's
-// Duplicates count. Inserts flow through the same coalescing pipeline as
-// deletes: concurrent Insert calls may share one commit (one source
+// Duplicates count. Inserts flow through the same write queue as
+// deletes: inserts queued back to back may share one commit (one source
 // extension, one delta-maintenance sweep), all receiving the same combined
 // read-only report, and per-view generations advance once per request that
 // contributed a novel tuple — exactly as if the requests ran one at a
@@ -684,30 +663,8 @@ func (e *Engine) Insert(tuples []relation.SourceTuple) (*InsertReport, error) {
 	if len(tuples) == 0 {
 		return nil, fmt.Errorf("engine: empty insert set")
 	}
-	// Validate against the schema catalog up front: the relation set and
-	// schemas are fixed at engine construction, so this cannot race with
-	// commits.
-	e.mu.RLock()
-	db := e.db
-	e.mu.RUnlock()
-	for _, st := range tuples {
-		r := db.Relation(st.Rel)
-		if r == nil {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, st.Rel)
-		}
-		if len(st.Tuple) != r.Schema().Len() {
-			return nil, fmt.Errorf("engine: inserting arity-%d tuple into %s%s", len(st.Tuple), st.Rel, r.Schema())
-		}
-	}
-
-	req := &writeReq{kind: writeInsert, tuples: tuples}
-	b, leader := e.insBatcher.join(req, batchKey{kind: writeInsert}, e.opt.MaxBatchSize)
-	if leader {
-		e.runBatch(&e.insBatcher, b, e.commitInsert)
-	} else {
-		<-b.done
-	}
-	return req.ins, req.err
+	r := e.await(Write{Insert: tuples})
+	return r.ins, r.err
 }
 
 // apply publishes a new source generation with T removed and incrementally

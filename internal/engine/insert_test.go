@@ -208,15 +208,14 @@ func TestCoalescedInsertFailureAttribution(t *testing.T) {
 	if err := e.PrepareLimited("v", mustParse(t, srcQuery), provenance.Limit{MaxWitnesses: 2}); err != nil {
 		t.Fatal(err)
 	}
-	innocent := &writeReq{kind: writeInsert, tuples: []relation.SourceTuple{
+	innocent := &writeReq{key: batchKey{}, tuples: []relation.SourceTuple{
 		{Rel: "UserGroup", Tuple: relation.StringTuple("sue", "staff")},
 	}}
-	poison := &writeReq{kind: writeInsert, tuples: []relation.SourceTuple{
+	poison := &writeReq{key: batchKey{}, tuples: []relation.SourceTuple{
 		{Rel: "UserGroup", Tuple: relation.StringTuple("john", "devs")},
 		{Rel: "GroupFile", Tuple: relation.StringTuple("devs", "f1")}, // 3rd route to (john,f1): cap is 2
 	}}
-	b := &batch{key: batchKey{kind: writeInsert}, reqs: []*writeReq{innocent, poison}, size: 3,
-		full: make(chan struct{}), done: make(chan struct{})}
+	b := &batch{key: batchKey{}, reqs: []*writeReq{innocent, poison}}
 	e.wmu.Lock()
 	e.commitInsert(b)
 	e.wmu.Unlock()
@@ -242,12 +241,13 @@ func TestCoalescedInsertFailureAttribution(t *testing.T) {
 	}
 }
 
-// Concurrent Insert requests coalesce into one commit: one source
+// Concurrent Insert requests queued behind a busy commit lock coalesce
+// into one commit: one source
 // extension, one delta-maintenance sweep, a shared report, and per-request
 // generation advancement.
 func TestConcurrentInsertsCoalesce(t *testing.T) {
 	const k = 4
-	e := pipelineEngine(t, Options{MaxBatchSize: k, MaxCoalesceWait: 5 * time.Second, Workers: 2})
+	e := pipelineEngine(t, Options{MaxBatchSize: k, Workers: 2})
 	tuples := []relation.SourceTuple{
 		{Rel: "R", Tuple: relation.StringTuple("n1", "x")},
 		{Rel: "R", Tuple: relation.StringTuple("n2", "y")},
@@ -257,6 +257,7 @@ func TestConcurrentInsertsCoalesce(t *testing.T) {
 	var wg sync.WaitGroup
 	reports := make([]*InsertReport, k)
 	errs := make([]error, k)
+	e.wmu.Lock()
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -264,6 +265,7 @@ func TestConcurrentInsertsCoalesce(t *testing.T) {
 			reports[i], errs[i] = e.Insert(tuples[i : i+1])
 		}(i)
 	}
+	releaseWhenQueued(t, e, k)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

@@ -1,51 +1,48 @@
-// The write pipeline: concurrent write requests coalesce into batches that
-// commit under one lock. Delete/DeleteGroup requests against the same view
-// coalesce into one cached-basis group solve; concurrent Insert requests
-// coalesce into one source extension with one delta-maintenance sweep; and
-// the per-view incremental maintenance of every commit fans out across a
-// bounded worker pool. Both kinds flow through the same batcher/batch
-// machinery and the same commit lock, so an arbitrary interleaving of
-// deletions and insertions is just a sequence of serialized batch commits
-// (differential_test.go proves the sequence equivalent to applying the
-// requests one at a time).
+// The write pipeline is group commit (DeWitt et al., "Implementation
+// Techniques for Main Memory Database Systems", SIGMOD 1984): every write
+// — a Delete, DeleteGroup or Insert its caller waits on, or a write handed
+// to Submit — enters one bounded FIFO queue, and whoever holds the commit
+// lock commits the batch at its head, so writes that queue during a commit
+// share the next batch without a timer. A waiting caller commits batches
+// on its own goroutine until its own write has committed, so an
+// uncontended write pays no hand-off; a Submitted write starts a committer
+// goroutine if none runs, which exits when the queue is empty. Batches
+// commit in queue order (differential_test.go proves the sequence
+// equivalent to applying the requests one at a time), and queue order is
+// admission order but for one case: a waiting caller's write that shares
+// no source relation with any queued write, all of them other waiting
+// callers', goes to the head (overtakes). The writes it passes are still
+// in flight, so committing it first is as correct a serialization, they
+// leave the same source either way, and a cheap write need not wait out an
+// unrelated solve.
 //
 // Life of a delete request:
 //
-//  1. join — the request enters the view's pending batch if one is open
-//     and compatible (same objective and solver options, combined target
-//     count within MaxBatchSize); otherwise it opens a new batch and
-//     becomes its leader.
-//  2. collect — the leader waits up to MaxCoalesceWait (or until the batch
-//     is full) for followers, then blocks on the engine's commit lock.
-//     Contention is the natural coalescing window: while an earlier batch
-//     is committing, later requests pile into the pending batch for free,
-//     so throughput under load no longer degrades to one solve per
-//     request even with MaxCoalesceWait = 0.
-//  3. commit — holding the commit lock, the leader freezes the batch,
-//     validates each request's targets against the current snapshot
-//     (requests with vanished targets fail individually; they never poison
-//     the batch), runs ONE group solve over the union of surviving
-//     targets (deletion.*GroupBasis), and applies the chosen source
-//     deletions with one maintenance sweep: every prepared view's
-//     ApplyDeletion runs on the worker pool, since each view's snapshot is
-//     independent of the others.
-//  4. publish — the new source generation and every view's new snapshot
-//     are published atomically; each view's generation counter advances by
-//     the number of coalesced requests, so for requests with distinct
-//     targets the generation counts are identical to applying the requests
-//     one at a time (see differential_test.go). Requests that target the
-//     SAME tuple and coalesce all succeed — they were concurrent and the
-//     tuple was present at the commit's snapshot — whereas a strict serial
-//     order would fail all but the first with ErrNotInView; coalescing
-//     linearizes such requests as simultaneous.
+//  1. admit — Delete validates the view and targets and queues the
+//     request; a full queue (MaxQueue) refuses with ErrOverloaded, a
+//     closed engine with ErrClosed.
+//  2. batch — holding the commit lock, a committer takes the head of the
+//     queue and every request directly behind it against the same view
+//     with the same objective and solver options, within MaxBatchSize
+//     targets (an oversized head runs alone).
+//  3. commit — commitDelete fails each request whose targets vanished
+//     individually, runs ONE group solve over the union of the surviving
+//     targets (deletion.*GroupBasis), and maintains every prepared view
+//     once, on the worker pool. A panic fails only this batch's requests.
+//  4. publish — the new source generation and every view's snapshot are
+//     published atomically; each view's generation advances by the number
+//     of coalesced requests, as if they ran one at a time. Coalesced
+//     requests on the SAME tuple all succeed, linearized as simultaneous,
+//     where a serial order would fail all but the first.
+//  5. answer — after releasing the lock, the committer wakes the batch's
+//     waiting callers and runs its Submit callbacks.
 package engine
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/deletion"
@@ -64,11 +61,9 @@ type Options struct {
 	// one group solve. A single DeleteGroup larger than the cap is still
 	// admitted, alone. Default: 32. Set to 1 to disable coalescing.
 	MaxBatchSize int
-	// MaxCoalesceWait is how long a batch leader waits for followers
-	// before committing. Zero (the default) means no artificial wait:
-	// batching then arises only from contention on the commit lock, which
-	// keeps uncontended latency unchanged.
-	MaxCoalesceWait time.Duration
+	// MaxQueue bounds the writes admitted but not yet taken into a batch;
+	// one more fails at once with ErrOverloaded. Default: 64.
+	MaxQueue int
 	// Segments is the number of hash-partitioned segments each source
 	// relation is stored as (relation.Database.Sharded). Every segment
 	// keeps its own overlay and fold/squash schedule, so commit-time
@@ -88,50 +83,58 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatchSize <= 0 {
 		o.MaxBatchSize = 32
 	}
-	if o.MaxCoalesceWait < 0 {
-		o.MaxCoalesceWait = 0
+	if o.MaxQueue <= 0 {
+		o.MaxQueue = 64
 	}
 	return o
 }
 
-// writeKind distinguishes the two write request types in the pipeline.
-type writeKind uint8
-
-const (
-	writeDelete writeKind = iota
-	writeInsert
+var (
+	// ErrOverloaded is returned (wrapped) when a write finds the write
+	// queue full (Options.MaxQueue). Nothing was admitted; retry later.
+	ErrOverloaded = fmt.Errorf("engine: write queue full")
+	// ErrClosed is returned when a write arrives after Close.
+	ErrClosed = fmt.Errorf("engine: closed to writes")
 )
 
-// batchKey is the compatibility class of a write request: only requests of
-// the same kind may share a batch, and deletions additionally must solve
-// for the same objective with the same solver options to share a group
-// solve. (Insertions have no solver knobs, so all concurrent inserts are
-// compatible.)
+// CommitHook, when non-nil, runs under the commit lock before each delete
+// batch commits, with its view name: a seam for tests to inject a panic
+// in place of a solver bug. Set it only while no engine is committing.
+var CommitHook func(view string)
+
+// batchKey is the compatibility class of a write request: deletions share
+// a batch when they target the same view with the same objective and
+// solver options; insertions all share the zero key.
 type batchKey struct {
-	kind          writeKind
+	view          *prepared // a deletion's view; nil for an insertion
 	obj           core.Objective
 	greedy        bool
 	maxCandidates int
 }
 
-// writeReq is one caller's write inside a batch: a Delete/DeleteGroup
-// (targets/group, answered in report) or an Insert (tuples, answered in
-// ins). The leader fills the answer and err before closing the batch's
-// done channel.
+// writeReq is one caller's write: a Delete/DeleteGroup (targets/group,
+// answered in report) or an Insert (tuples, answered in ins).
 type writeReq struct {
-	kind    writeKind
+	key     batchKey
 	targets []relation.Tuple       // delete: view tuples to remove
 	group   bool                   // delete: DeleteGroup vs Delete
 	tuples  []relation.SourceTuple // insert: source tuples to add
+	rels    []string               // the source relations the write reads or writes
 
 	report *core.DeleteReport
 	ins    *InsertReport
 	err    error
+
+	done   chan struct{} // a waiting caller's wake-up; nil for Submit
+	notify func(error)   // the Submit callback, if any
+
+	queued    bool // under qmu: admitted and not yet taken into a batch
+	overtaken bool // under qmu: a later write went ahead of it
 }
 
 // size is the request's contribution to its batch's coalescing cap.
 func (r *writeReq) size() int {
-	if r.kind == writeInsert {
+	if r.key.view == nil {
 		return len(r.tuples)
 	}
 	return len(r.targets)
@@ -142,86 +145,208 @@ func (r *writeReq) size() int {
 type batch struct {
 	key  batchKey
 	reqs []*writeReq
-	size int           // total targets across reqs
-	full chan struct{} // closed when size reaches MaxBatchSize
-	done chan struct{} // closed after the leader commits
 }
 
-// batcher is a coalescing point — one per view for deletions, one per
-// engine for insertions. Pending batches are keyed by compatibility class,
-// so a mixed stream (e.g. alternating objectives) keeps one open batch per
-// class instead of each incompatible arrival orphaning the previous batch
-// and degrading coalescing to size 1.
-type batcher struct {
-	mu      sync.Mutex
-	pending map[batchKey]*batch // guarded-by: mu (open batches accepting joiners)
+// Write is one write for Submit: a deletion of Targets from the prepared
+// view View — minimizing Objective, as DeleteGroup when Group is set — or,
+// when Insert is non-empty, an insertion of those source tuples. Of
+// Options, MaxCandidates and Greedy apply (see Delete).
+type Write struct {
+	View      string
+	Targets   []relation.Tuple
+	Group     bool
+	Objective core.Objective
+	Options   core.DeleteOptions
+	Insert    []relation.SourceTuple
 }
 
-// join adds req to the open batch of its compatibility class, or opens a
-// new batch with req as leader. Returns the batch and whether the caller
-// leads it.
-func (bt *batcher) join(req *writeReq, key batchKey, maxSize int) (*batch, bool) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	if b := bt.pending[key]; b != nil && b.size+req.size() <= maxSize {
-		b.reqs = append(b.reqs, req)
-		b.size += req.size()
-		if b.size >= maxSize {
-			close(b.full)
-			delete(bt.pending, key) // full: stop admitting joiners
+// Submit validates w and admits it to the write queue without waiting. A
+// nil error means the write is admitted: it commits in admission order,
+// and done (nil is allowed) then runs with what Delete, DeleteGroup or
+// Insert would have returned as error — on the goroutine that committed
+// the write, so it must return promptly. A write that fails validation,
+// finds the queue full (ErrOverloaded) or comes after Close (ErrClosed) is
+// refused, and done never runs.
+func (e *Engine) Submit(w Write, done func(error)) error {
+	r, err := e.request(w)
+	if err != nil {
+		return err
+	}
+	r.notify = done
+	return e.enqueue(r)
+}
+
+// await admits w and commits until it has committed. The returned request
+// carries the outcome; a refused write carries the refusal in err.
+func (e *Engine) await(w Write) *writeReq {
+	r, err := e.request(w)
+	if err == nil {
+		r.done = make(chan struct{})
+		if err = e.enqueue(r); err == nil {
+			e.drain(r)
+			<-r.done
+			return r
 		}
-		return b, false
 	}
-	b := &batch{
-		key:  key,
-		reqs: []*writeReq{req},
-		size: req.size(),
-		full: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	if b.size >= maxSize {
-		// An oversized (or cap-1) request runs alone; don't register it so
-		// nothing piles onto a batch that will never admit a joiner.
-		close(b.full)
-		return b, true
-	}
-	// A same-key batch at capacity was deleted above; a same-key batch
-	// below capacity was joined. So the slot is free here.
-	if bt.pending == nil {
-		bt.pending = make(map[batchKey]*batch)
-	}
-	bt.pending[key] = b
-	return b, true
+	return &writeReq{err: err}
 }
 
-// freeze closes the batch to new joiners; membership is final afterwards.
-func (bt *batcher) freeze(b *batch) {
-	bt.mu.Lock()
-	if bt.pending[b.key] == b {
-		delete(bt.pending, b.key)
-	}
-	bt.mu.Unlock()
-}
-
-// runBatch is the leader's path: collect followers, take the commit lock,
-// freeze and commit (the kind-specific commit function does the work). The
-// unlock and the done broadcast are deferred so a panicking solver cannot
-// wedge the engine (commit lock held forever) or strand followers on
-// b.done; followers of a panicked batch fail with an error while the panic
-// itself propagates on the leader's goroutine.
-func (e *Engine) runBatch(bt *batcher, b *batch, commit func(*batch)) {
-	if e.opt.MaxCoalesceWait > 0 {
-		timer := time.NewTimer(e.opt.MaxCoalesceWait)
-		select {
-		case <-b.full:
-		case <-timer.C:
+// request validates w and builds its queue entry, on the caller's
+// goroutine, so a malformed write never takes a queue slot. MaxWitnesses
+// is not carried: the basis was capped (or not) at Prepare time.
+func (e *Engine) request(w Write) (*writeReq, error) {
+	if len(w.Insert) == 0 {
+		p, err := e.lookup(w.View)
+		if err != nil {
+			return nil, err
 		}
-		timer.Stop()
+		if len(w.Targets) == 0 {
+			return nil, fmt.Errorf("engine: empty target set")
+		}
+		key := batchKey{view: p, obj: w.Objective, greedy: w.Options.Greedy, maxCandidates: w.Options.MaxCandidates}
+		return &writeReq{key: key, targets: w.Targets, group: w.Group, rels: p.rels}, nil
 	}
-	e.wmu.Lock()
-	defer close(b.done)
-	defer e.wmu.Unlock()
-	bt.freeze(b)
+	if w.View != "" || len(w.Targets) > 0 {
+		return nil, fmt.Errorf("engine: a write deletes view tuples or inserts source tuples, not both")
+	}
+	// The relation set and schemas are fixed at engine construction, so
+	// this cannot race with commits.
+	db := e.database()
+	var rels []string
+	for _, st := range w.Insert {
+		r := db.Relation(st.Rel)
+		if r == nil {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, st.Rel)
+		}
+		if len(st.Tuple) != r.Schema().Len() {
+			return nil, fmt.Errorf("engine: inserting arity-%d tuple into %s%s", len(st.Tuple), st.Rel, r.Schema())
+		}
+		if !slices.Contains(rels, st.Rel) {
+			rels = append(rels, st.Rel)
+		}
+	}
+	return &writeReq{tuples: w.Insert, rels: rels}, nil
+}
+
+// enqueue admits r: at the tail, or at the head when overtakes allows. A
+// waiting caller then drains itself; a Submitted write starts the
+// committer goroutine if none runs.
+func (e *Engine) enqueue(r *writeReq) error {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	if e.closed {
+		return ErrClosed
+	}
+	if len(e.queue) >= e.opt.MaxQueue {
+		return fmt.Errorf("%w: %d writes waiting", ErrOverloaded, len(e.queue))
+	}
+	r.queued = true
+	if r.done != nil && overtakes(e.queue, r) {
+		e.queue = slices.Insert(e.queue, 0, r)
+	} else {
+		e.queue = append(e.queue, r)
+	}
+	switch {
+	case r.done != nil:
+		e.committer.Add(1) // the caller's drain
+	case !e.committing:
+		e.committing = true
+		e.committer.Add(1)
+		go e.drain(nil)
+	}
+	return nil
+}
+
+// overtakes reports whether a waiting caller's write r may go to the head
+// of queue — every queued write is another waiting caller's, shares no
+// source relation with r, and was never passed before, which bounds how
+// long a write can be held back — and if so marks them passed. Callers
+// hold qmu.
+func overtakes(queue []*writeReq, r *writeReq) bool {
+	if len(queue) == 0 {
+		return false
+	}
+	for _, q := range queue {
+		if q.done == nil || q.overtaken {
+			return false
+		}
+		for _, rel := range q.rels {
+			if slices.Contains(r.rels, rel) {
+				return false
+			}
+		}
+	}
+	for _, q := range queue {
+		q.overtaken = true
+	}
+	return true
+}
+
+// drain commits the queue batch by batch: for a waiting caller until its
+// own write until has committed, for the committer goroutine (until ==
+// nil) until the queue is empty. Each batch commits under the commit lock
+// and is answered after its release.
+func (e *Engine) drain(until *writeReq) {
+	defer e.committer.Done()
+	for {
+		e.wmu.Lock()
+		b := e.nextBatch(until)
+		if b != nil {
+			e.commit(b)
+		}
+		e.wmu.Unlock()
+		if b == nil {
+			return
+		}
+		for _, r := range b.reqs {
+			if r.done != nil {
+				close(r.done)
+			} else if r.notify != nil {
+				r.notify(r.err)
+			}
+		}
+		// Stop right after the batch holding until: taking the lock again
+		// only to find it gone would cost the caller its turn at the lock.
+		if until != nil && slices.Contains(b.reqs, until) {
+			return
+		}
+	}
+}
+
+// nextBatch removes the batch at the head of the queue: the head request
+// and every request directly behind it with the same key, while the
+// combined size stays within MaxBatchSize. It returns nil once until has
+// left the queue, and on an empty queue, which stops the committer
+// goroutine. Callers hold wmu, so writes that queued while the commit lock
+// was busy coalesce here.
+func (e *Engine) nextBatch(until *writeReq) *batch {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	if until != nil && !until.queued {
+		return nil
+	}
+	if len(e.queue) == 0 {
+		e.committing = false
+		return nil
+	}
+	head := e.queue[0]
+	n, size := 1, head.size()
+	for n < len(e.queue) && e.queue[n].key == head.key && size+e.queue[n].size() <= e.opt.MaxBatchSize {
+		size += e.queue[n].size()
+		n++
+	}
+	b := &batch{key: head.key, reqs: slices.Clone(e.queue[:n])}
+	for _, r := range b.reqs {
+		r.queued = false
+	}
+	e.queue = slices.Delete(e.queue, 0, n)
+	return b
+}
+
+// commit runs one batch through its kind's commit function. A panic — a
+// solver or maintenance bug — fails the batch's unanswered requests
+// instead of the process. Callers hold wmu.
+func (e *Engine) commit(b *batch) {
 	defer func() {
 		if r := recover(); r != nil {
 			for _, req := range b.reqs {
@@ -229,10 +354,35 @@ func (e *Engine) runBatch(bt *batcher, b *batch, commit func(*batch)) {
 					req.err = fmt.Errorf("engine: write batch panicked: %v", r)
 				}
 			}
-			panic(r)
 		}
 	}()
-	commit(b)
+	if b.key.view == nil {
+		e.commitInsert(b)
+		return
+	}
+	if CommitHook != nil {
+		CommitHook(b.key.view.name)
+	}
+	e.commitDelete(b.key.view, b)
+}
+
+// Queue reports the write queue's depth — admitted writes not yet taken
+// into a batch — and its capacity, Options.MaxQueue.
+func (e *Engine) Queue() (depth, capacity int) {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	return len(e.queue), e.opt.MaxQueue
+}
+
+// Close refuses every later write with ErrClosed and waits until every
+// write admitted before it has committed and been answered. Reads keep
+// working. Close is idempotent and optional: the committer goroutine
+// exits whenever the queue drains, so a dropped engine leaks nothing.
+func (e *Engine) Close() {
+	e.qmu.Lock()
+	e.closed = true
+	e.qmu.Unlock()
+	e.committer.Wait()
 }
 
 // validateTargets reports the first target absent from view, mirroring

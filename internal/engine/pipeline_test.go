@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -46,137 +48,360 @@ func pipelineEngine(t *testing.T, opts ...Options) *Engine {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Workers < 1 || o.MaxBatchSize != 32 || o.MaxCoalesceWait != 0 {
+	if o.Workers < 1 || o.MaxBatchSize != 32 || o.MaxQueue != 64 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
-	o = Options{Workers: 3, MaxBatchSize: 5, MaxCoalesceWait: -time.Second}.withDefaults()
-	if o.Workers != 3 || o.MaxBatchSize != 5 || o.MaxCoalesceWait != 0 {
+	o = Options{Workers: 3, MaxBatchSize: 5, MaxQueue: 2}.withDefaults()
+	if o.Workers != 3 || o.MaxBatchSize != 5 || o.MaxQueue != 2 {
 		t.Fatalf("explicit options clobbered: %+v", o)
 	}
 }
 
-// join must coalesce compatible requests, split incompatible ones, and
-// close a batch once it fills.
-func TestBatcherJoin(t *testing.T) {
-	var bt batcher
-	key := batchKey{obj: core.MinimizeSourceDeletions}
-	r1 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r1", "x")}}
-	b1, leader := bt.join(r1, key, 3)
-	if !leader {
-		t.Fatal("first request must lead its batch")
-	}
-	// Compatible second request joins.
-	r2 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r2", "x")}}
-	if b2, leader := bt.join(r2, key, 3); leader || b2 != b1 {
-		t.Fatal("compatible request did not join the pending batch")
-	}
-	// A third same-key request fills the batch to its cap.
-	r3 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r3", "y")}}
-	b3, leader := bt.join(r3, key, 3)
-	if leader || b3 != b1 {
-		t.Fatal("same-key request should have joined the pending batch")
-	}
-	if b1.size != 3 {
-		t.Fatalf("batch size %d, want 3", b1.size)
-	}
-	// Cap reached exactly: full is signalled and joining stops.
-	select {
-	case <-b1.full:
-	default:
-		t.Fatal("batch at cap did not signal full")
-	}
-	bt.mu.Lock()
-	open := bt.pending[key]
-	bt.mu.Unlock()
-	if open != nil {
-		t.Fatal("full batch still accepting joiners")
+// releaseWhenQueued waits until n writes are queued, then releases the
+// commit lock, which the caller took before queueing them: whoever commits
+// next, blocked on the lock meanwhile, finds all n in the queue. Tests use
+// it where requests must share (or deliberately not share) a batch.
+func releaseWhenQueued(t testing.TB, e *Engine, n int) {
+	t.Helper()
+	defer e.wmu.Unlock()
+	waitQueued(t, e, n)
+}
+
+// waitQueued waits until n writes are queued.
+func waitQueued(t testing.TB, e *Engine, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		depth, _ := e.Queue()
+		if depth >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d writes queued", depth, n)
+		}
 	}
 }
 
-func TestBatcherJoinFullClosesBatch(t *testing.T) {
-	var bt batcher
-	key := batchKey{obj: core.MinimizeSourceDeletions}
-	r1 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r1", "x")}}
-	b, _ := bt.join(r1, key, 2)
-	r2 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r2", "x")}}
-	bt.join(r2, key, 2)
-	select {
-	case <-b.full:
-	default:
-		t.Fatal("batch at cap did not signal full")
-	}
-	// An incompatible key opens a fresh batch.
-	other := batchKey{obj: core.MinimizeViewSideEffects}
-	r3 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r3", "y")}}
-	b3, leader := bt.join(r3, other, 2)
-	if !leader || b3 == b {
-		t.Fatal("incompatible request must lead a new batch")
+// submitted collects Submit outcomes in completion order.
+type submitted struct {
+	mu   sync.Mutex
+	errs map[string]error
+	seq  []string
+}
+
+// submit submits w under label and records its outcome when it commits.
+func (s *submitted) submit(t *testing.T, e *Engine, label string, w Write) {
+	t.Helper()
+	err := e.Submit(w, func(err error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.errs == nil {
+			s.errs = map[string]error{}
+		}
+		s.errs[label] = err
+		s.seq = append(s.seq, label)
+	})
+	if err != nil {
+		t.Fatalf("submit %s: %v", label, err)
 	}
 }
 
-// Pending batches are per compatibility class: a mixed stream keeps one
-// open batch per key, and an incompatible arrival neither joins nor
-// orphans another class's batch.
-func TestBatcherPendingPerKey(t *testing.T) {
-	var bt batcher
-	srcKey := batchKey{obj: core.MinimizeSourceDeletions}
-	viewKey := batchKey{obj: core.MinimizeViewSideEffects}
+func del(view string, obj core.Objective, targets ...relation.Tuple) Write {
+	return Write{View: view, Targets: targets, Group: len(targets) > 1, Objective: obj}
+}
 
-	r1 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r1", "x")}}
-	bSrc, leader := bt.join(r1, srcKey, 8)
-	if !leader {
-		t.Fatal("first source-objective request must lead")
+// The committer batches by adjacency: it takes the run of compatible
+// requests at the head of the queue, within the cap, and a request of
+// another class (view, objective or kind) ends the run rather than being
+// skipped over. An oversized group runs alone.
+func TestQueueBatchesRunsOfCompatibleRequests(t *testing.T) {
+	src, view := core.MinimizeSourceDeletions, core.MinimizeViewSideEffects
+	tup := relation.StringTuple
+	cases := []struct {
+		name    string
+		writes  []Write
+		batches int64
+	}{
+		{"one class coalesces", []Write{del("id", src, tup("r1", "x")), del("id", src, tup("r2", "x")), del("id", src, tup("r3", "y"))}, 1},
+		{"cap splits the run", []Write{del("id", src, tup("r1", "x")), del("id", src, tup("r2", "x")), del("id", src, tup("r3", "y")), del("id", src, tup("r4", "y")), del("id", src, tup("r5", "z"))}, 2},
+		{"another objective ends the run", []Write{del("id", src, tup("r1", "x")), del("id", view, tup("r2", "x")), del("id", src, tup("r3", "y"))}, 3},
+		{"another view ends the run", []Write{del("id", src, tup("r1", "x")), del("b", src, tup("x")), del("id", src, tup("r3", "y"))}, 3},
+		{"an insert ends the run", []Write{del("id", src, tup("r1", "x")), {Insert: []relation.SourceTuple{{Rel: "R", Tuple: tup("n1", "q")}}}, del("id", src, tup("r3", "y"))}, 3},
+		{"oversized group runs alone", []Write{del("id", src, tup("r1", "x"), tup("r2", "x"), tup("r3", "y"), tup("r4", "y"), tup("r5", "z")), del("id", src, tup("r6", "z"))}, 2},
 	}
-	r2 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r2", "x")}}
-	bView, leader := bt.join(r2, viewKey, 8)
-	if !leader || bView == bSrc {
-		t.Fatal("first view-objective request must lead its own batch")
-	}
-	// Both classes stay open: later same-key arrivals still coalesce.
-	r3 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r3", "y")}}
-	if b, leader := bt.join(r3, srcKey, 8); leader || b != bSrc {
-		t.Fatal("source-objective request did not rejoin its class's open batch")
-	}
-	r4 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r4", "y")}}
-	if b, leader := bt.join(r4, viewKey, 8); leader || b != bView {
-		t.Fatal("view-objective request did not rejoin its class's open batch")
-	}
-	// Freezing one class leaves the other open.
-	bt.freeze(bSrc)
-	r5 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r5", "z")}}
-	if _, leader := bt.join(r5, srcKey, 8); !leader {
-		t.Fatal("frozen class must start a new batch")
-	}
-	r6 := &writeReq{targets: []relation.Tuple{relation.StringTuple("r6", "z")}}
-	if b, leader := bt.join(r6, viewKey, 8); leader || b != bView {
-		t.Fatal("freezing one class closed another")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := pipelineEngine(t, Options{MaxBatchSize: 4})
+			if err := e.PrepareText("b", "project(b; S)"); err != nil {
+				t.Fatal(err)
+			}
+			var got submitted
+			e.wmu.Lock()
+			for i, w := range tc.writes {
+				got.submit(t, e, fmt.Sprint(i), w)
+			}
+			releaseWhenQueued(t, e, len(tc.writes))
+			e.Close()
+			for label, err := range got.errs {
+				if err != nil {
+					t.Errorf("write %s: %v", label, err)
+				}
+			}
+			if st := e.Stats(); st.CommitBatches != tc.batches {
+				t.Fatalf("%d batches, want %d", st.CommitBatches, tc.batches)
+			}
+			var want []string
+			for i := range tc.writes {
+				want = append(want, fmt.Sprint(i))
+			}
+			if fmt.Sprint(got.seq) != fmt.Sprint(want) {
+				t.Fatalf("answered in order %v, want admission order %v", got.seq, want)
+			}
+		})
 	}
 }
 
-// An oversized group request is admitted alone and never becomes a
-// coalescing point.
-func TestBatcherOversizedGroupRunsAlone(t *testing.T) {
-	var bt batcher
-	key := batchKey{obj: core.MinimizeSourceDeletions}
-	big := &writeReq{targets: []relation.Tuple{
-		relation.StringTuple("r1", "x"),
-		relation.StringTuple("r2", "x"),
-		relation.StringTuple("r3", "y"),
-	}, group: true}
-	b, leader := bt.join(big, key, 2)
-	if !leader {
-		t.Fatal("oversized group must lead")
+// A delete, the insert that restores what it deleted, and a second delete
+// of the restored target, submitted back to back, commit in that order and
+// all succeed. A committer that grouped requests by class instead of by
+// adjacency would run the two deletes together ahead of the insert, and
+// the second delete would find its target gone.
+func TestQueueCommitsInAdmissionOrder(t *testing.T) {
+	e := pipelineEngine(t)
+	target := relation.StringTuple("r1", "x")
+	restore := []relation.SourceTuple{{Rel: "R", Tuple: target}}
+	var got submitted
+	// All three wait in the queue together, so the committer could reorder
+	// them if it grouped by class.
+	e.wmu.Lock()
+	got.submit(t, e, "delete", del("id", core.MinimizeSourceDeletions, target))
+	got.submit(t, e, "restore", Write{Insert: restore})
+	got.submit(t, e, "delete again", del("id", core.MinimizeSourceDeletions, target))
+	releaseWhenQueued(t, e, 3)
+	e.Close()
+	if strings.Join(got.seq, ",") != "delete,restore,delete again" {
+		t.Fatalf("answered in order %v", got.seq)
 	}
-	bt.mu.Lock()
-	nPending := len(bt.pending)
-	bt.mu.Unlock()
-	if nPending != 0 {
-		t.Fatal("oversized batch left open for joiners")
+	for label, err := range got.errs {
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
 	}
-	select {
-	case <-b.full:
-	default:
-		t.Fatal("oversized batch should be born full")
+	if view, _ := e.Query("id"); view.Contains(target) || view.Len() != 5 {
+		t.Fatalf("view after delete, restore, delete: %v", view)
+	}
+	if st := e.Stats(); st.Deletes != 2 || st.Inserts != 1 || st.CommitBatches != 3 {
+		t.Fatalf("counters %+v, want 2 deletes and 1 insert in 3 commits", st)
+	}
+}
+
+// A waiting caller's write that shares no source relation with any queued
+// write goes to the head of the queue, ahead of writes it commutes with —
+// but only ahead of other waiting callers' writes, and only past each
+// write once. Writes sharing a relation, and Submitted writes, keep their
+// admission order. Each report's Generation is its commit's position,
+// since every commit advances every view by one per request.
+func TestQueueOvertaking(t *testing.T) {
+	db, err := relation.ReadDatabaseString(pipelineDB + "\nrelation T(x)\nt1\nt2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := core.MinimizeSourceDeletions
+	cases := []struct {
+		name   string
+		async  bool // the first write is Submitted, not waited on
+		writes []Write
+		order  []int // the writes in commit order
+	}{
+		{"commuting write goes first", false, []Write{del("r", src, relation.StringTuple("r1", "x")), del("s", src, relation.StringTuple("x", "c1"))}, []int{1, 0}},
+		{"each write is passed once", false, []Write{del("r", src, relation.StringTuple("r1", "x")), del("s", src, relation.StringTuple("x", "c1")), del("t", src, relation.StringTuple("t1"))}, []int{1, 0, 2}},
+		{"a shared relation keeps the order", false, []Write{del("r", src, relation.StringTuple("r1", "x")), del("ra", src, relation.StringTuple("r3"))}, []int{0, 1}},
+		{"a Submitted write is never passed", true, []Write{del("r", src, relation.StringTuple("r1", "x")), del("s", src, relation.StringTuple("x", "c1"))}, []int{0, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(db)
+			for name, q := range map[string]string{"r": "project(a, b; R)", "ra": "project(a; R)", "s": "project(b, c; S)", "t": "project(x; T)"} {
+				if err := e.PrepareText(name, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gens := make([]int64, len(tc.writes))
+			var wg sync.WaitGroup
+			e.wmu.Lock()
+			for i, w := range tc.writes {
+				if i == 0 && tc.async {
+					if err := e.Submit(w, nil); err != nil {
+						t.Fatal(err)
+					}
+					gens[0] = -1
+				} else {
+					wg.Add(1)
+					go func(i int, w Write) {
+						defer wg.Done()
+						rep, err := e.Delete(w.View, w.Targets[0], w.Objective, w.Options)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						gens[i] = rep.Generation
+					}(i, w)
+				}
+				waitQueued(t, e, i+1)
+			}
+			e.wmu.Unlock()
+			wg.Wait()
+			e.Close()
+			if tc.async {
+				gens[0] = 3 - gens[1] // of two positions, the one the other write left
+			}
+			for pos, i := range tc.order {
+				if gens[i] != int64(pos+1) {
+					t.Fatalf("commit positions %v, want writes committed in order %v", gens, tc.order)
+				}
+			}
+		})
+	}
+}
+
+// A panicking batch fails only its own requests, with a "panicked" error;
+// the commit lock is free afterwards, and the batches queued behind it
+// still commit.
+func TestQueuePanicFailsOnlyItsBatch(t *testing.T) {
+	e := pipelineEngine(t)
+	if err := e.PrepareText("b", "project(b; S)"); err != nil {
+		t.Fatal(err)
+	}
+	CommitHook = func(view string) {
+		if view == "b" {
+			panic("injected solver bug")
+		}
+	}
+	defer func() { CommitHook = nil }()
+	var got submitted
+	e.wmu.Lock()
+	got.submit(t, e, "before", del("id", core.MinimizeSourceDeletions, relation.StringTuple("r1", "x")))
+	got.submit(t, e, "boom 1", del("b", core.MinimizeSourceDeletions, relation.StringTuple("x")))
+	got.submit(t, e, "boom 2", del("b", core.MinimizeSourceDeletions, relation.StringTuple("y")))
+	got.submit(t, e, "after", del("id", core.MinimizeSourceDeletions, relation.StringTuple("r3", "y")))
+	releaseWhenQueued(t, e, 4)
+	e.Close()
+	for _, label := range []string{"boom 1", "boom 2"} {
+		if err := got.errs[label]; err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: error %v, want a panicked error", label, err)
+		}
+	}
+	for _, label := range []string{"before", "after"} {
+		if err := got.errs[label]; err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+	}
+	if !e.wmu.TryLock() {
+		t.Fatal("commit lock still held after a panicked batch")
+	}
+	e.wmu.Unlock()
+	if view, _ := e.Query("b"); view.Len() != 3 {
+		t.Fatalf("panicked batch reached view b: %v", view)
+	}
+	if st := e.Stats(); st.Deletes != 2 || st.CommitBatches != 2 {
+		t.Fatalf("counters %+v, want the two batches around the panic", st)
+	}
+}
+
+// A full queue refuses with ErrOverloaded and admits nothing; Close lets
+// the queued writes commit, and refuses later ones with ErrClosed.
+func TestQueueOverloadedAndClose(t *testing.T) {
+	e := pipelineEngine(t, Options{MaxQueue: 2, MaxBatchSize: 1})
+	var got submitted
+	e.wmu.Lock()
+	got.submit(t, e, "a", del("id", core.MinimizeSourceDeletions, relation.StringTuple("r1", "x")))
+	got.submit(t, e, "b", del("id", core.MinimizeSourceDeletions, relation.StringTuple("r2", "x")))
+	_, err := e.Delete("id", relation.StringTuple("r3", "y"), core.MinimizeSourceDeletions, core.DeleteOptions{})
+	if !errors.Is(err, ErrOverloaded) {
+		t.Errorf("write into a full queue: %v, want ErrOverloaded", err)
+	}
+	if err := e.Submit(Write{Insert: []relation.SourceTuple{{Rel: "R", Tuple: relation.StringTuple("n", "x")}}}, nil); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("submit into a full queue: %v, want ErrOverloaded", err)
+	}
+	if depth, capacity := e.Queue(); depth != 2 || capacity != 2 {
+		t.Errorf("Queue() = %d, %d; want 2, 2", depth, capacity)
+	}
+	e.wmu.Unlock()
+	e.Close()
+	if len(got.seq) != 2 || got.errs["a"] != nil || got.errs["b"] != nil {
+		t.Fatalf("queued writes after Close: %v %v", got.seq, got.errs)
+	}
+	if _, err := e.Insert([]relation.SourceTuple{{Rel: "R", Tuple: relation.StringTuple("n", "x")}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write after Close: %v, want ErrClosed", err)
+	}
+	if view, err := e.Query("id"); err != nil || view.Len() != 4 {
+		t.Fatalf("reads after Close: %v, %v", view, err)
+	}
+	e.Close() // idempotent
+}
+
+// New starts no goroutine, and the committer exits once the queue drains:
+// after a burst of concurrent writes the goroutine count returns to its
+// baseline.
+func TestQueueGoroutineLifetime(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := pipelineEngine(t)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("New and Prepare left %d goroutines running, want %d", n, base)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tg := relation.StringTuple(fmt.Sprintf("n%d", i), "x")
+			if _, err := e.Insert([]relation.SourceTuple{{Rel: "R", Tuple: tg}}); err != nil {
+				t.Error(err)
+			}
+			if _, err := e.Delete("id", tg, core.MinimizeSourceDeletions, core.DeleteOptions{}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines waits for the goroutine count to fall back to want: a
+// committer that answered its last request may not have returned yet.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := runtime.NumGoroutine()
+		if n <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want %d", n, want)
+		}
+	}
+}
+
+// An engine that served writes and is dropped without Close is collected:
+// no parked committer pins it.
+func TestQueueEngineCollectedWithoutClose(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e := pipelineEngine(t)
+		if _, err := e.Delete("id", relation.StringTuple("r1", "x"), core.MinimizeSourceDeletions, core.DeleteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(e, func(*Engine) { close(collected) })
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("engine never collected: something still references it")
+		}
 	}
 }
 
@@ -190,13 +415,7 @@ func TestCommitAttribution(t *testing.T) {
 	}
 	valid := &writeReq{targets: []relation.Tuple{relation.StringTuple("r1", "x")}}
 	ghost := &writeReq{targets: []relation.Tuple{relation.StringTuple("ghost", "q")}}
-	b := &batch{
-		key:  batchKey{obj: core.MinimizeSourceDeletions},
-		reqs: []*writeReq{valid, ghost},
-		size: 2,
-		full: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	b := &batch{key: batchKey{view: p, obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{valid, ghost}}
 	e.wmu.Lock()
 	e.commitDelete(p, b)
 	e.wmu.Unlock()
@@ -236,8 +455,7 @@ func TestCoalescedOverlappingTargetsBothSucceed(t *testing.T) {
 	tg := relation.StringTuple("r1", "x")
 	r1 := &writeReq{targets: []relation.Tuple{tg}}
 	r2 := &writeReq{targets: []relation.Tuple{tg}}
-	b := &batch{key: batchKey{obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{r1, r2}, size: 2,
-		full: make(chan struct{}), done: make(chan struct{})}
+	b := &batch{key: batchKey{view: p, obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{r1, r2}}
 	e.wmu.Lock()
 	e.commitDelete(p, b)
 	e.wmu.Unlock()
@@ -294,8 +512,7 @@ func TestCoalescedDuplicateAcrossRequests(t *testing.T) {
 	tg := relation.StringTuple("r3", "y")
 	r1 := &writeReq{targets: []relation.Tuple{tg, relation.StringTuple("r1", "x")}, group: true}
 	r2 := &writeReq{targets: []relation.Tuple{tg}}
-	b := &batch{key: batchKey{obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{r1, r2}, size: 3,
-		full: make(chan struct{}), done: make(chan struct{})}
+	b := &batch{key: batchKey{view: p, obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{r1, r2}}
 	e.wmu.Lock()
 	e.commitDelete(p, b)
 	e.wmu.Unlock()
@@ -320,39 +537,6 @@ func TestCoalescedDuplicateAcrossRequests(t *testing.T) {
 	}
 }
 
-// A panicking commit must not wedge the engine: the commit lock is
-// released, the batch's done channel is closed, followers get an error,
-// and the panic still propagates on the leader's goroutine.
-func TestRunBatchPanicReleasesLock(t *testing.T) {
-	e := pipelineEngine(t)
-	// A prepared view with no snapshot makes commit dereference nil —
-	// standing in for any solver/maintenance panic.
-	broken := &prepared{name: "broken"}
-	req := &writeReq{targets: []relation.Tuple{relation.StringTuple("r1", "x")}}
-	b := &batch{key: batchKey{obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{req}, size: 1,
-		full: make(chan struct{}), done: make(chan struct{})}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected the panic to propagate to the leader")
-			}
-		}()
-		e.runBatch(&broken.batcher, b, func(b *batch) { e.commitDelete(broken, b) })
-	}()
-	select {
-	case <-b.done:
-	default:
-		t.Fatal("done channel not closed after a panicked commit")
-	}
-	if req.err == nil || !strings.Contains(req.err.Error(), "panicked") {
-		t.Fatalf("batch member's error after panic: %v", req.err)
-	}
-	// The commit lock is free again: a normal delete still serves.
-	if _, err := e.Delete("id", relation.StringTuple("r1", "x"), core.MinimizeSourceDeletions, core.DeleteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A batch whose every request is stale commits nothing and publishes no
 // generation.
 func TestCommitAllStale(t *testing.T) {
@@ -363,8 +547,7 @@ func TestCommitAllStale(t *testing.T) {
 	}
 	g1 := &writeReq{targets: []relation.Tuple{relation.StringTuple("nope", "1")}}
 	g2 := &writeReq{targets: []relation.Tuple{relation.StringTuple("nope", "2")}}
-	b := &batch{key: batchKey{obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{g1, g2}, size: 2,
-		full: make(chan struct{}), done: make(chan struct{})}
+	b := &batch{key: batchKey{view: p, obj: core.MinimizeSourceDeletions}, reqs: []*writeReq{g1, g2}}
 	e.wmu.Lock()
 	e.commitDelete(p, b)
 	e.wmu.Unlock()
@@ -379,11 +562,11 @@ func TestCommitAllStale(t *testing.T) {
 	}
 }
 
-// Concurrent deletes with a coalescing window must commit as one batch,
-// every caller sharing the combined report.
+// Concurrent deletes queued while the commit lock is busy must commit as
+// one batch, every caller sharing the combined report.
 func TestConcurrentDeletesCoalesce(t *testing.T) {
 	const k = 4
-	e := pipelineEngine(t, Options{MaxBatchSize: k, MaxCoalesceWait: 5 * time.Second, Workers: 2})
+	e := pipelineEngine(t, Options{MaxBatchSize: k, Workers: 2})
 	targets := []relation.Tuple{
 		relation.StringTuple("r1", "x"),
 		relation.StringTuple("r2", "x"),
@@ -393,6 +576,7 @@ func TestConcurrentDeletesCoalesce(t *testing.T) {
 	var wg sync.WaitGroup
 	reports := make([]*core.DeleteReport, k)
 	errs := make([]error, k)
+	e.wmu.Lock()
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -400,6 +584,7 @@ func TestConcurrentDeletesCoalesce(t *testing.T) {
 			reports[i], errs[i] = e.Delete("id", targets[i], core.MinimizeSourceDeletions, core.DeleteOptions{})
 		}(i)
 	}
+	releaseWhenQueued(t, e, k)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

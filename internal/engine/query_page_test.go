@@ -108,7 +108,7 @@ func TestQueryPageSortedCachePerSnapshot(t *testing.T) {
 // per delete and, past a 64-deletion backlog, rebuilt EVERY tree node
 // inside ApplyDeletion — which runs on the engine's commit path, under
 // the commit lock — so one unlucky delete (the threshold crossing)
-// stalled the batcher for a full O(|tree|) pass. With the node overlays
+// stalled every writer for a full O(|tree|) pass. With the node overlays
 // every delete propagates eagerly in O(|Δ|). The test drives a long
 // single-delete stream well past the old threshold through a large
 // prepared view and asserts the total maintenance work stays far under

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/annotation"
@@ -165,7 +164,7 @@ func TestConcurrentServing(t *testing.T) {
 
 // TestConcurrentCoalescedServing stresses the coalescing write pipeline
 // under -race: many writers hammer the same view with single and group
-// deletes (coalescing enabled with a small wait so batches really form),
+// deletes (batches form from requests queued behind a busy commit),
 // readers poll the materialized view, witnesses and stats throughout, and
 // two late Prepares land mid-stream. The detector is the primary
 // assertion; afterwards every view — including the late ones — must equal
@@ -175,7 +174,7 @@ func TestConcurrentServing(t *testing.T) {
 func TestConcurrentCoalescedServing(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	db, q := workload.UserGroupFile(r, 24, 8, 18, 2, 2)
-	e := New(db, Options{MaxBatchSize: 8, MaxCoalesceWait: 2 * time.Millisecond, Workers: 4})
+	e := New(db, Options{MaxBatchSize: 8, Workers: 4})
 	if err := e.Prepare("v", q); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/relation"
@@ -65,7 +64,7 @@ func sortEngine(t *testing.T, r *rand.Rand) *Engine {
 		note.InsertStrings(fmt.Sprintf("n%d", i), fmt.Sprintf("t%d", i%9))
 	}
 	db.MustAdd(note)
-	e := New(db, Options{MaxCoalesceWait: 5 * time.Millisecond})
+	e := New(db)
 	if err := e.Prepare("access", q); err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +220,7 @@ func TestSortedPagesMatchFreshSort(t *testing.T) {
 			case 4: // concurrent restores, which may coalesce into one commit
 				n := min(3, len(graveyard))
 				var wg sync.WaitGroup
+				e.wmu.Lock()
 				for _, T := range graveyard[len(graveyard)-n:] {
 					wg.Add(1)
 					go func(T []relation.SourceTuple) {
@@ -230,6 +230,7 @@ func TestSortedPagesMatchFreshSort(t *testing.T) {
 						}
 					}(T)
 				}
+				releaseWhenQueued(t, e, n)
 				wg.Wait()
 				graveyard = graveyard[:len(graveyard)-n]
 			case 5: // concurrent deletes on one view, which may coalesce
@@ -242,6 +243,7 @@ func TestSortedPagesMatchFreshSort(t *testing.T) {
 				}
 				var mu sync.Mutex
 				var wg sync.WaitGroup
+				e.wmu.Lock()
 				for _, i := range r.Perm(view.Len())[:2] {
 					wg.Add(1)
 					go func(target relation.Tuple) {
@@ -256,6 +258,7 @@ func TestSortedPagesMatchFreshSort(t *testing.T) {
 						mu.Unlock()
 					}(view.Tuple(i))
 				}
+				releaseWhenQueued(t, e, 2)
 				wg.Wait()
 			}
 			if t.Failed() {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/annotation"
 	"repro/internal/core"
@@ -29,7 +28,7 @@ import (
 func TestStatsDescribeUnderBatchedWrites(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	db, q := workload.UserGroupFile(r, 20, 8, 15, 2, 2)
-	e := New(db, Options{MaxBatchSize: 6, MaxCoalesceWait: time.Millisecond, Workers: 3})
+	e := New(db, Options{MaxBatchSize: 6, Workers: 3})
 	if err := e.Prepare("v", q); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/annotation"
@@ -103,7 +102,7 @@ func whereReady(t *testing.T, e *Engine) bool {
 // every generation after the first Annotate.
 func TestWhereIndexReuseAcrossDeletes(t *testing.T) {
 	calls := countWhere(t)
-	e := reuseEngine(t, Options{MaxCoalesceWait: 100 * time.Millisecond})
+	e := reuseEngine(t, Options{})
 	if *calls != 0 {
 		t.Fatalf("Prepare ran computeWhere %d times, want 0 (the index is built lazily)", *calls)
 	}
@@ -147,6 +146,7 @@ func TestWhereIndexReuseAcrossDeletes(t *testing.T) {
 		group.Result.T[0],
 	}
 	errs := make([]error, len(fresh))
+	e.wmu.Lock()
 	for i := range fresh {
 		wg.Add(1)
 		go func(i int) {
@@ -154,6 +154,7 @@ func TestWhereIndexReuseAcrossDeletes(t *testing.T) {
 			_, errs[i] = e.Insert([]relation.SourceTuple{fresh[i]})
 		}(i)
 	}
+	releaseWhenQueued(t, e, len(fresh))
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -44,8 +44,11 @@ func Hash(key string) uint32 {
 // segment folding while its neighbors derive a one-key layer) balances
 // itself. The calling goroutine is one of the workers, and For Waits for
 // the spawned ones before returning (the join proof: no goroutine
-// outlives the call). A width of 1 or less runs the plain inline loop, in
-// index order, at no cost over serial code.
+// outlives the call). A panic in fn stops only its own worker; once every
+// worker has stopped, For re-raises the first panic on the calling
+// goroutine, so a recover there — the engine's committer has one —
+// catches it wherever it happened. A width of 1 or less runs the plain
+// inline loop, in index order, at no cost over serial code.
 //
 // propview:deterministic
 func For(n, width int, fn func(int)) {
@@ -58,27 +61,40 @@ func For(n, width int, fn func(int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		fault any // the first panic of any worker
+	)
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if fault == nil {
+					fault = r
+				}
+				mu.Unlock()
+			}
+		}()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	wg.Add(width - 1)
 	for w := 1; w < width; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= n {
-			break
-		}
-		fn(i)
-	}
+	work()
 	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
 }

@@ -39,6 +39,29 @@ func TestForInlinesOnSingleProc(t *testing.T) {
 	}
 }
 
+// A panic on a spawned worker reaches the caller's recover, after every
+// worker has stopped, instead of killing the process.
+func TestForReraisesWorkerPanicOnCaller(t *testing.T) {
+	var ran atomic.Int64
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the worker's panic", r)
+			}
+		}()
+		For(64, 4, func(i int) {
+			ran.Add(1)
+			if i == 40 {
+				panic("boom")
+			}
+		})
+		t.Fatal("For returned normally after a panic")
+	}()
+	if n := ran.Load(); n != 64 {
+		t.Fatalf("%d of 64 indexes ran; the other workers must finish", n)
+	}
+}
+
 func TestForBoundsConcurrencyToWidth(t *testing.T) {
 	// Width 3 is the caller plus two spawned workers: fn may never run on
 	// more than three goroutines at once, however many indexes there are.

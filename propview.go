@@ -162,17 +162,19 @@ var (
 // both deletions (Engine.Delete/DeleteGroup) and source-side insertions
 // (Engine.Insert — including restoring exactly the tuples a previous
 // delete removed) are maintained incrementally; readers and writers are
-// safe to run concurrently. Writes flow through a batching/coalescing
-// pipeline: concurrent deletes against the same view share one group
-// solve, concurrent inserts share one source extension, and a commit's
-// per-view maintenance fans out across a bounded worker pool —
-// EngineOptions tunes the worker count, the batch cap and the coalesce
-// wait.
+// safe to run concurrently. Writes enter one bounded queue that commits
+// batch by batch in order (Engine.Close drains it): deletes queued back to
+// back against the same view share one group solve, queued inserts share
+// one source extension, and a commit's per-view maintenance fans out
+// across a bounded worker pool —
+// EngineOptions tunes the worker count, the batch cap and the write
+// queue bound.
 type (
 	// Engine serves prepared views with cached provenance.
 	Engine = engine.Engine
 	// EngineOptions tunes the engine's write pipeline (worker count, max
-	// batch size, max coalesce wait); the zero value means defaults.
+	// batch size, write queue bound, store segments); the zero value means
+	// defaults.
 	EngineOptions = engine.Options
 	// EngineStats summarizes an engine's cached state and traffic.
 	EngineStats = engine.Stats
@@ -219,6 +221,11 @@ var (
 	ErrPrepareConflict = engine.ErrConflict
 	// ErrWitnessLimit reports a WitnessLimit exceeded (wrapped).
 	ErrWitnessLimit = provenance.ErrLimit
+	// ErrOverloaded reports a write refused by a full write queue
+	// (wrapped; EngineOptions.MaxQueue).
+	ErrOverloaded = engine.ErrOverloaded
+	// ErrEngineClosed reports a write that arrived after Engine.Close.
+	ErrEngineClosed = engine.ErrClosed
 )
 
 // Higher-level types.
