@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -158,6 +159,118 @@ func TestQueueBatchesRunsOfCompatibleRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// queueBatches queues reqs on an idle engine with batch cap max and
+// returns the batches nextBatch cuts from them, in commit order.
+func queueBatches(t *testing.T, max int, reqs ...*writeReq) [][]*writeReq {
+	t.Helper()
+	e := pipelineEngine(t, Options{MaxBatchSize: max})
+	e.qmu.Lock()
+	for _, r := range reqs {
+		r.queued = true
+		e.queue = append(e.queue, r)
+	}
+	e.qmu.Unlock()
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	var out [][]*writeReq
+	for b := e.nextBatch(nil); b != nil; b = e.nextBatch(nil) {
+		for _, r := range b.reqs {
+			if r.key != b.key || r.queued {
+				t.Fatalf("request %v in a batch of another class, or still queued", r.targets)
+			}
+		}
+		out = append(out, b.reqs)
+	}
+	if depth, _ := e.Queue(); depth != 0 {
+		t.Fatalf("%d requests left queued", depth)
+	}
+	return out
+}
+
+// batchKeys returns the keys of two deletion classes on one view.
+func batchKeys(t *testing.T) (src, view batchKey) {
+	t.Helper()
+	p, err := pipelineEngine(t).lookup("id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batchKey{view: p, obj: core.MinimizeSourceDeletions}, batchKey{view: p, obj: core.MinimizeViewSideEffects}
+}
+
+func delReq(key batchKey, group bool, targets ...relation.Tuple) *writeReq {
+	return &writeReq{key: key, targets: targets, group: group}
+}
+
+// wantBatches fails unless got holds exactly the batches want, request by
+// request.
+func wantBatches(t *testing.T, got [][]*writeReq, want ...[]*writeReq) {
+	t.Helper()
+	ok := len(got) == len(want)
+	for i := 0; ok && i < len(got); i++ {
+		ok = slices.Equal(got[i], want[i])
+	}
+	if !ok {
+		t.Fatalf("batches %v, want %v", batchTargets(got), batchTargets(want))
+	}
+}
+
+func batchTargets(bs [][]*writeReq) [][][]relation.Tuple {
+	var out [][][]relation.Tuple
+	for _, b := range bs {
+		var ts [][]relation.Tuple
+		for _, r := range b {
+			ts = append(ts, r.targets)
+		}
+		out = append(out, ts)
+	}
+	return out
+}
+
+// Compatible requests at the head of the queue join one batch, up to the
+// cap exactly.
+func TestBatcherJoin(t *testing.T) {
+	src, _ := batchKeys(t)
+	r1 := delReq(src, false, relation.StringTuple("r1", "x"))
+	r2 := delReq(src, false, relation.StringTuple("r2", "x"))
+	r3 := delReq(src, false, relation.StringTuple("r3", "y"))
+	wantBatches(t, queueBatches(t, 3, r1, r2, r3), []*writeReq{r1, r2, r3})
+}
+
+// A batch at its cap takes no more joiners, and a request of another class
+// opens a batch of its own.
+func TestBatcherJoinFullClosesBatch(t *testing.T) {
+	src, view := batchKeys(t)
+	r1 := delReq(src, false, relation.StringTuple("r1", "x"))
+	r2 := delReq(src, false, relation.StringTuple("r2", "x"))
+	r3 := delReq(src, false, relation.StringTuple("r3", "y"))
+	r4 := delReq(view, false, relation.StringTuple("r4", "y"))
+	wantBatches(t, queueBatches(t, 2, r1, r2, r3, r4), []*writeReq{r1, r2}, []*writeReq{r3}, []*writeReq{r4})
+}
+
+// Batches are per compatibility class and follow admission order: a mixed
+// stream splits at every class change, so an incompatible request neither
+// joins nor drops another class's requests, and no request is reordered
+// past one of another class.
+func TestBatcherPendingPerKey(t *testing.T) {
+	src, view := batchKeys(t)
+	r1 := delReq(src, false, relation.StringTuple("r1", "x"))
+	r2 := delReq(view, false, relation.StringTuple("r2", "x"))
+	r3 := delReq(view, false, relation.StringTuple("r3", "y"))
+	r4 := delReq(src, false, relation.StringTuple("r4", "y"))
+	r5 := delReq(src, false, relation.StringTuple("r5", "z"))
+	wantBatches(t, queueBatches(t, 8, r1, r2, r3, r4, r5), []*writeReq{r1}, []*writeReq{r2, r3}, []*writeReq{r4, r5})
+}
+
+// A group request larger than the cap commits alone: it neither joins the
+// batch ahead of it nor lets a later request join its own.
+func TestBatcherOversizedGroupRunsAlone(t *testing.T) {
+	src, _ := batchKeys(t)
+	small := delReq(src, false, relation.StringTuple("r1", "x"))
+	big := delReq(src, true, relation.StringTuple("r2", "x"), relation.StringTuple("r3", "y"), relation.StringTuple("r4", "y"))
+	after := delReq(src, false, relation.StringTuple("r5", "z"))
+	wantBatches(t, queueBatches(t, 2, small, big, after), []*writeReq{small}, []*writeReq{big}, []*writeReq{after})
 }
 
 // A delete, the insert that restores what it deleted, and a second delete
