@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
@@ -119,5 +121,33 @@ func TestAllAndRender(t *testing.T) {
 		if !strings.Contains(out, s.XLabel) || len(s.Points) == 0 {
 			t.Errorf("series %q renders badly:\n%s", s.Name, out)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestAllGolden pins every series of All(1) as rendered.
+func TestAllGolden(t *testing.T) {
+	series, err := All(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, s := range series {
+		b.WriteString(s.Render())
+	}
+	const path = "testdata/all.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("%s differs from All(1) (rerun with -update to rewrite it):\n%s", path, b.String())
 	}
 }
