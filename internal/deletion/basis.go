@@ -41,6 +41,9 @@ func ViewExactGroupBasis(res *provenance.Result, targets []relation.Tuple, opt V
 	out := &ViewExactResult{Exhausted: true}
 	bestScore := -1
 	consider := func(hs []relation.SourceTuple) bool {
+		if opt.MaxCandidates > 0 && out.Candidates == opt.MaxCandidates {
+			return false // a candidate beyond the cap: the search is cut short
+		}
 		out.Candidates++
 		effects := sideEffectsFromBasisGroup(res, keySet(hs), isTarget)
 		if bestScore < 0 || len(effects) < bestScore {
@@ -48,10 +51,7 @@ func ViewExactGroupBasis(res *provenance.Result, targets []relation.Tuple, opt V
 			cp := append([]relation.SourceTuple(nil), hs...)
 			out.Result = *finishResult(cp, effects)
 		}
-		if bestScore == 0 {
-			return false
-		}
-		return opt.MaxCandidates == 0 || out.Candidates < opt.MaxCandidates
+		return bestScore != 0
 	}
 	if !enumerateMinimalHittingSets(allWitnesses, consider) {
 		out.Exhausted = bestScore == 0

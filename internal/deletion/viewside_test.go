@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/algebra"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
@@ -352,5 +353,26 @@ func TestViewSJAgreesWithExactQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// (john, f1) has exactly four minimal hitting sets: a cap below four cuts
+// the search short, a cap of four or more lets it finish.
+func TestViewExactCandidateCapExhausted(t *testing.T) {
+	res, err := provenance.Compute(userFileQuery(), userGroupDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		maxCandidates, candidates int
+		exhausted                 bool
+	}{{3, 3, false}, {4, 4, true}, {5, 4, true}} {
+		r, err := ViewExactGroupBasis(res, []relation.Tuple{relation.StringTuple("john", "f1")}, ViewOptions{MaxCandidates: c.maxCandidates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Candidates != c.candidates || r.Exhausted != c.exhausted {
+			t.Errorf("cap %d: Candidates=%d Exhausted=%v, want %d and %v", c.maxCandidates, r.Candidates, r.Exhausted, c.candidates, c.exhausted)
+		}
 	}
 }
