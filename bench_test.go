@@ -39,6 +39,18 @@ import (
 	"repro/internal/workload"
 )
 
+// basisOf builds the witness basis of q over db: the input of every
+// deletion solver but the chain min cut, so the one-shot benches below
+// build it inside the timed loop.
+func basisOf(tb testing.TB, q algebra.Query, db *relation.Database) *provenance.Result {
+	tb.Helper()
+	res, err := provenance.Compute(q, db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // --- Table 1: view side-effect problem ---
 
 // P row: SPU queries, scaling data size. Expect polynomial growth.
@@ -53,7 +65,7 @@ func BenchmarkTable1_SPU_Poly(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := deletion.ViewSPU(q, db, target); err != nil {
+				if _, err := deletion.PolyBasis(basisOf(b, q, db), target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +85,7 @@ func BenchmarkTable1_SJ_Poly(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := deletion.ViewSJ(q, db, target); err != nil {
+				if _, err := deletion.PolyBasis(basisOf(b, q, db), target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -101,7 +113,7 @@ func BenchmarkTable1_PJ_Exact(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				in := ins[i%len(ins)]
-				if _, _, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{}); err != nil {
+				if _, err := deletion.ViewExactGroupBasis(basisOf(b, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -126,7 +138,7 @@ func BenchmarkTable1_JU_Exact(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				in := ins[i%len(ins)]
-				if _, _, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{}); err != nil {
+				if _, err := deletion.ViewExactGroupBasis(basisOf(b, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -147,7 +159,7 @@ func BenchmarkTable2_SPU_Poly(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := deletion.SourceSPU(q, db, target); err != nil {
+				if _, err := deletion.PolyBasis(basisOf(b, q, db), target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,7 +178,7 @@ func BenchmarkTable2_SJ_Poly(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := deletion.SourceSJ(q, db, target); err != nil {
+				if _, err := deletion.PolyBasis(basisOf(b, q, db), target); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -188,7 +200,7 @@ func BenchmarkTable2_PJ_Exact(b *testing.B) {
 			var dels int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := deletion.SourceExact(q, db, target, 0)
+				res, err := deletion.SourceExactGroupBasis(basisOf(b, q, db), []relation.Tuple{target})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -222,11 +234,11 @@ func BenchmarkTable2_GreedyVsExact(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exact, err := deletion.SourceExact(in.Query, in.DB, in.Target, 0)
+		exact, err := deletion.SourceExactGroupBasis(basisOf(b, in.Query, in.DB), []relation.Tuple{in.Target})
 		if err != nil {
 			b.Fatal(err)
 		}
-		greedy, err := deletion.SourceGreedy(in.Query, in.DB, in.Target, 0)
+		greedy, err := deletion.SourceGreedyGroupBasis(basisOf(b, in.Query, in.DB), []relation.Tuple{in.Target})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +282,7 @@ func BenchmarkChainJoin_GenericExact(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := deletion.SourceExact(q, db, target, 0); err != nil {
+				if _, err := deletion.SourceExactGroupBasis(basisOf(b, q, db), []relation.Tuple{target}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,11 +371,11 @@ func BenchmarkFigure1_Reduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		free, _, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+		dec, err := deletion.ViewExactGroupBasis(basisOf(b, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !free {
+		if !dec.SideEffectFree() {
 			b.Fatal("paper instance is satisfiable; deletion must be free")
 		}
 	}
@@ -377,11 +389,11 @@ func BenchmarkFigure2_Reduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		free, _, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+		dec, err := deletion.ViewExactGroupBasis(basisOf(b, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !free {
+		if !dec.SideEffectFree() {
 			b.Fatal("paper instance is satisfiable; deletion must be free")
 		}
 	}
@@ -407,7 +419,7 @@ func BenchmarkFigure3_Reduction(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := deletion.SourceExact(in.Query, in.DB, in.Target, 0)
+				res, err := deletion.SourceExactGroupBasis(basisOf(b, in.Query, in.DB), []relation.Tuple{in.Target})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -473,7 +485,7 @@ func BenchmarkBaseline_ViewExactSameInstances(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := deletion.ViewExact(q, db, target, deletion.ViewOptions{}); err != nil {
+				if _, err := deletion.ViewExactGroupBasis(basisOf(b, q, db), []relation.Tuple{target}, deletion.ViewOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -556,14 +568,14 @@ func BenchmarkAblation_ViewHeuristic(b *testing.B) {
 	if !ok {
 		b.Skip("empty view")
 	}
-	exact, err := deletion.ViewExact(q, db, target, deletion.ViewOptions{})
+	exact, err := deletion.ViewExactGroupBasis(basisOf(b, q, db), []relation.Tuple{target}, deletion.ViewOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("heuristic", func(b *testing.B) {
 		var extra int
 		for i := 0; i < b.N; i++ {
-			h, err := deletion.ViewHeuristic(q, db, target, 0)
+			h, err := deletion.ViewHeuristicBasis(basisOf(b, q, db), target)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -573,7 +585,7 @@ func BenchmarkAblation_ViewHeuristic(b *testing.B) {
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := deletion.ViewExact(q, db, target, deletion.ViewOptions{}); err != nil {
+			if _, err := deletion.ViewExactGroupBasis(basisOf(b, q, db), []relation.Tuple{target}, deletion.ViewOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -624,7 +636,7 @@ func BenchmarkGroupDeletion(b *testing.B) {
 	targets := view.Tuples()[:4]
 	b.Run("group", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := deletion.SourceExactGroup(q, db, targets, 0); err != nil {
+			if _, err := deletion.SourceExactGroupBasis(basisOf(b, q, db), targets); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -632,7 +644,7 @@ func BenchmarkGroupDeletion(b *testing.B) {
 	b.Run("per-tuple", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, t := range targets {
-				if _, err := deletion.SourceExact(q, db, t, 0); err != nil {
+				if _, err := deletion.SourceExactGroupBasis(basisOf(b, q, db), []relation.Tuple{t}); err != nil {
 					b.Fatal(err)
 				}
 			}

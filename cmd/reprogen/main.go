@@ -14,7 +14,9 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/deletion"
+	"repro/internal/provenance"
 	"repro/internal/reduction"
+	"repro/internal/relation"
 	"repro/internal/sat"
 	"repro/internal/setcover"
 )
@@ -73,6 +75,16 @@ func workSeries() bool {
 	return true
 }
 
+// viewExact runs the exact view side-effect search for target on a fresh
+// witness basis of q over db.
+func viewExact(q algebra.Query, db *relation.Database, target relation.Tuple) (*deletion.ViewExactResult, error) {
+	basis, err := provenance.Compute(q, db)
+	if err != nil {
+		return nil, err
+	}
+	return deletion.ViewExactGroupBasis(basis, []relation.Tuple{target}, deletion.ViewOptions{})
+}
+
 func figure1() bool {
 	in := reduction.Figure1()
 	fmt.Println("=== Figure 1: reduction of Theorem 2.1 (monotone 3SAT → PJ view deletion) ===")
@@ -83,11 +95,12 @@ func figure1() bool {
 	fmt.Println(view.WithName("Π_{A,C}(R1 ⋈ R2)").Table())
 	fmt.Printf("goal: delete %v side-effect-free\n", in.Target)
 
-	free, res, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+	res, err := viewExact(in.Query, in.DB, in.Target)
 	if err != nil {
 		fmt.Println("ERROR:", err)
 		return false
 	}
+	free := res.SideEffectFree()
 	want := sat.Satisfiable(in.Formula)
 	fmt.Printf("side-effect-free deletion exists: %v; formula satisfiable: %v", free, want)
 	if free == want {
@@ -112,11 +125,12 @@ func figure2() bool {
 	fmt.Println(view.WithName("Q (union of joins)").Table())
 	fmt.Printf("goal: delete %v side-effect-free\n", in.Target)
 
-	free, _, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+	res, err := viewExact(in.Query, in.DB, in.Target)
 	if err != nil {
 		fmt.Println("ERROR:", err)
 		return false
 	}
+	free := res.SideEffectFree()
 	want := sat.Satisfiable(in.Formula)
 	fmt.Printf("side-effect-free deletion exists: %v; formula satisfiable: %v", free, want)
 	if free == want {
@@ -138,7 +152,12 @@ func figure3() bool {
 	}
 	fmt.Printf("query: %s, goal: minimum deletions removing (c)\n", algebra.Format(in.Query))
 
-	res, err := deletion.SourceExact(in.Query, in.DB, in.Target, 0)
+	basis, err := provenance.Compute(in.Query, in.DB)
+	if err != nil {
+		fmt.Println("ERROR:", err)
+		return false
+	}
+	res, err := deletion.SourceExactGroupBasis(basis, []relation.Tuple{in.Target})
 	if err != nil {
 		fmt.Println("ERROR:", err)
 		return false

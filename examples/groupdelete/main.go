@@ -13,6 +13,7 @@ import (
 	propview "repro"
 	"repro/internal/algebra"
 	"repro/internal/deletion"
+	"repro/internal/provenance"
 	"repro/internal/workload"
 )
 
@@ -36,8 +37,12 @@ func main() {
 	}
 	fmt.Printf("view has %d pairs; u3 holds %d of them\n\n", view.Len(), len(targets))
 
-	// Group source-minimal deletion.
-	g, err := deletion.SourceExactGroup(q, db, targets, 0)
+	// Group source-minimal deletion, on the view's witness basis.
+	basis, err := provenance.Compute(q, db)
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := deletion.SourceExactGroupBasis(basis, targets)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +56,7 @@ func main() {
 	naiveTotal := 0
 	seen := map[string]bool{}
 	for _, t := range targets {
-		res, err := deletion.SourceExact(q, db, t, 0)
+		res, err := deletion.SourceExactGroupBasis(basis, []propview.Tuple{t})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -113,7 +113,7 @@ func TestIntegrationThreeObjectives(t *testing.T) {
 	if len(srep.Result.T) > len(vrep.Result.T) {
 		t.Errorf("source-minimal %d > view-minimal %d deletions", len(srep.Result.T), len(vrep.Result.T))
 	}
-	group, err := deletion.SourceExactGroup(q, db, []relation.Tuple{t1, t2}, 0)
+	group, err := deletion.SourceExactGroupBasis(basisOf(t, q, db), []relation.Tuple{t1, t2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,15 +190,15 @@ func TestIntegrationUnsatInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, _, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+	dec, err := deletion.ViewExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free != sat.Satisfiable(f) {
-		t.Errorf("decision=%v satisfiable=%v", free, sat.Satisfiable(f))
+	if dec.SideEffectFree() != sat.Satisfiable(f) {
+		t.Errorf("decision=%v satisfiable=%v", dec.SideEffectFree(), sat.Satisfiable(f))
 	}
 	// Regardless of satisfiability, some deletion always exists.
-	res, err := deletion.SourceExact(in.Query, in.DB, in.Target, 0)
+	res, err := deletion.SourceExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,14 @@
 //	source side-effect NP-hard   NP-hard   P     P (SJ)
 //	annotation         NP-hard   P (SJU)   P     P
 //
-// For NP-hard inputs the router falls back to exact solvers (worst-case
-// exponential, with caps) or, for source minimization, an optional greedy
-// H_n-approximation.
+// A deletion builds the view's witness basis at most once and routes on
+// it: the polynomial cases — SPU, SJ, and views whose every tuple has one
+// witness — go to deletion.PolyBasis, and the NP-hard ones to SolveBasis,
+// which the prepared-view engine (internal/engine) calls on its maintained
+// basis too: exact solvers (worst-case exponential, with caps) or, for
+// source minimization, an optional greedy H_n-approximation. Chain joins
+// minimizing source deletions take Theorem 2.6's min cut and build no
+// basis.
 package core
 
 import (
@@ -22,6 +27,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/annotation"
 	"repro/internal/deletion"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
@@ -46,7 +52,8 @@ func (o Objective) String() string {
 
 // DeleteOptions tunes the solvers used on NP-hard inputs.
 type DeleteOptions struct {
-	// MaxWitnesses caps the witness basis per view tuple (0 = unlimited).
+	// MaxWitnesses caps the witness basis per view tuple on the NP-hard
+	// routes (0 = unlimited); the SPU and SJ bases are built uncapped.
 	MaxWitnesses int
 	// MaxCandidates caps the view-side exact search (0 = unlimited).
 	MaxCandidates int
@@ -81,12 +88,16 @@ type DeleteReport struct {
 // tuples, minimizing the requested objective. The algorithm is chosen by
 // the dichotomy:
 //
-//   - SPU queries use the unique-solution algorithms of Theorems 2.3/2.8;
-//   - SJ queries use the single-witness algorithms of Theorems 2.4/2.9;
 //   - chain-join PJ queries minimizing source deletions use the min-cut
-//     algorithm of Theorem 2.6;
-//   - everything else uses the exact witness-based solvers (or greedy for
-//     the source objective when opts.Greedy is set).
+//     algorithm of Theorem 2.6, which needs no witness basis;
+//   - every other route builds the witness basis once: SPU queries (whose
+//     witnesses are singletons, Theorems 2.3/2.8), SJ queries (one witness
+//     per tuple, Theorems 2.4/2.9) and, for the view objective, queries
+//     whose every view tuple has one witness (joins on keys, the §2.1.1
+//     remark) use deletion.PolyBasis; everything else uses SolveBasis.
+//
+// opts.MaxWitnesses caps the basis on the NP-hard routes only; the SPU and
+// SJ bases are polynomial and built uncapped.
 func Delete(q algebra.Query, db *relation.Database, target relation.Tuple, obj Objective, opts DeleteOptions) (*DeleteReport, error) {
 	ops := algebra.OperatorsOf(q)
 	var problem algebra.Problem
@@ -102,81 +113,81 @@ func Delete(q algebra.Query, db *relation.Database, target relation.Tuple, obj O
 
 	isSPU := !ops.HasAny(algebra.OpJoin | algebra.OpRename)
 	isSJ := !ops.HasAny(algebra.OpProject | algebra.OpUnion | algebra.OpRename)
-
+	lim := provenance.Limit{}
+	if !isSPU && !isSJ {
+		if obj == MinimizeSourceDeletions {
+			if _, err := deletion.DetectChain(q, db); err == nil {
+				res, err := deletion.SourceChainMinCut(q, db, target)
+				if err != nil {
+					return nil, err
+				}
+				report.Algorithm = "chain-join min cut (Thm 2.6)"
+				report.Result = res
+				report.Exact = true
+				return report, nil
+			}
+		}
+		lim.MaxWitnesses = opts.MaxWitnesses
+	}
+	res, err := provenance.ComputeLimited(q, db, lim)
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case isSPU:
-		res, err := deletion.ViewSPU(q, db, target)
-		if err != nil {
-			return nil, err
-		}
 		report.Algorithm = "SPU unique solution (Thm 2.3/2.8)"
-		report.Result = res
-		report.Exact = true
-
 	case isSJ:
-		res, err := deletion.ViewSJ(q, db, target)
-		if err != nil {
-			return nil, err
-		}
 		report.Algorithm = "SJ single witness (Thm 2.4/2.9)"
-		report.Result = res
-		report.Exact = true
-
-	case obj == MinimizeSourceDeletions:
-		if _, err := deletion.DetectChain(q, db); err == nil {
-			res, cerr := deletion.SourceChainMinCut(q, db, target)
-			if cerr != nil {
-				return nil, cerr
-			}
-			report.Algorithm = "chain-join min cut (Thm 2.6)"
-			report.Result = res
-			report.Exact = true
-			break
-		}
-		if opts.Greedy {
-			res, err := deletion.SourceGreedy(q, db, target, opts.MaxWitnesses)
-			if err != nil {
-				return nil, err
-			}
-			report.Algorithm = "greedy hitting set (H_n-approx)"
-			report.Result = &res.Result
-			report.Exact = false
-		} else {
-			res, err := deletion.SourceExact(q, db, target, opts.MaxWitnesses)
-			if err != nil {
-				return nil, err
-			}
-			report.Algorithm = "exact minimum hitting set"
-			report.Result = &res.Result
-			report.Exact = true
-		}
-
-	default: // view objective, NP-hard class
-		// The §2.1.1 remark: PJ queries joining on keys have unique
-		// witnesses and the side-effect decision is polynomial. Try that
-		// fast path before the exponential search.
-		if keyed, kerr := deletion.KeyJoinCheck(q, db); kerr == nil && keyed {
-			res, uerr := deletion.ViewUniqueWitness(q, db, target)
-			if uerr != nil {
-				return nil, uerr // only ErrNotInView once uniqueness holds
-			}
-			report.Algorithm = "unique-witness key join (§2.1.1 remark)"
-			report.Result = res
-			report.Exact = true
-			break
-		}
-		res, err := deletion.ViewExact(q, db, target, deletion.ViewOptions{
-			MaxWitnesses:  opts.MaxWitnesses,
-			MaxCandidates: opts.MaxCandidates,
-		})
-		if err != nil {
+	case obj == MinimizeViewSideEffects && res.WitnessCount() == res.View.Len():
+		report.Algorithm = "unique-witness key join (§2.1.1 remark)"
+	default:
+		if err := SolveBasis(report, res, []relation.Tuple{target}, obj, opts); err != nil {
 			return nil, err
+		}
+		return report, nil
+	}
+	report.Result, err = deletion.PolyBasis(res, target)
+	if err != nil {
+		return nil, err
+	}
+	report.Exact = true
+	return report, nil
+}
+
+// SolveBasis fills report's Algorithm, Result and Exact from the witness
+// basis solver that obj and opts select for the NP-hard classes: the exact
+// minimal-hitting-set search for the view objective (exact unless
+// opts.MaxCandidates cut it short), and for the source objective the exact
+// minimum hitting set or, with opts.Greedy, the greedy H_n-approximation.
+// One solve covers every target.
+func SolveBasis(report *DeleteReport, res *provenance.Result, targets []relation.Tuple, obj Objective, opts DeleteOptions) error {
+	switch {
+	case obj == MinimizeViewSideEffects:
+		r, err := deletion.ViewExactGroupBasis(res, targets, deletion.ViewOptions{MaxCandidates: opts.MaxCandidates})
+		if err != nil {
+			return err
 		}
 		report.Algorithm = "exact minimal-hitting-set search"
-		report.Result = &res.Result
-		report.Exact = res.Exhausted
+		report.Result = &r.Result
+		report.Exact = r.Exhausted
+	case opts.Greedy:
+		r, err := deletion.SourceGreedyGroupBasis(res, targets)
+		if err != nil {
+			return err
+		}
+		report.Algorithm = "greedy hitting set (H_n-approx)"
+		report.Result = &r.Result
+		report.Exact = false
+	default:
+		r, err := deletion.SourceExactGroupBasis(res, targets)
+		if err != nil {
+			return err
+		}
+		report.Algorithm = "exact minimum hitting set"
+		report.Result = &r.Result
+		report.Exact = true
 	}
-	return report, nil
+	return nil
 }
 
 // AnnotateReport is the outcome of a routed annotation placement request.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -32,6 +34,37 @@ func TestDeleteRoutesSPU(t *testing.T) {
 	}
 	if !rep.Exact {
 		t.Error("SPU route is exact")
+	}
+}
+
+// MaxWitnesses caps the basis on the NP-hard routes only: an SPU target
+// with more singleton witnesses than the cap still gets its unique
+// solution, while a PJ target over the cap fails.
+func TestDeleteWitnessCapSkipsSPU(t *testing.T) {
+	db := relation.NewDatabase()
+	ug := relation.New("UserGroup", relation.NewSchema("user", "group"))
+	ug.InsertStrings("john", "staff")
+	ug.InsertStrings("john", "admin")
+	ug.InsertStrings("mary", "admin")
+	db.MustAdd(ug)
+	gf := relation.New("GroupFile", relation.NewSchema("group", "file"))
+	gf.InsertStrings("staff", "f1")
+	gf.InsertStrings("admin", "f1")
+	db.MustAdd(gf)
+	capped := DeleteOptions{MaxWitnesses: 1}
+
+	spu := algebra.Pi([]relation.Attribute{"group"}, algebra.R("UserGroup"))
+	rep, err := Delete(spu, db, relation.StringTuple("admin"), MinimizeViewSideEffects, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rep.Algorithm, "SPU") || !rep.Exact || len(rep.Result.T) != 2 {
+		t.Errorf("SPU under a cap of 1: %q exact=%v T=%v, want both admin rows", rep.Algorithm, rep.Exact, rep.Result.T)
+	}
+
+	pj := algebra.Pi([]relation.Attribute{"user", "file"}, algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile")))
+	if _, err := Delete(pj, db, relation.StringTuple("john", "f1"), MinimizeViewSideEffects, capped); !errors.Is(err, provenance.ErrLimit) {
+		t.Errorf("PJ target with two witnesses under a cap of 1: err %v, want ErrLimit", err)
 	}
 }
 

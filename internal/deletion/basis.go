@@ -5,102 +5,87 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/relation"
-	"repro/internal/setcover"
 )
 
-// Basis-driven entry points: the same solvers as ViewExact, SourceExact and
-// the group variants, but taking a precomputed *provenance.Result instead of
-// recomputing the witness basis from (q, db). Side-effects are derived from
-// the basis as well (a view tuple dies iff every witness is hit), so no call
-// here re-evaluates the query. The prepared-view engine (internal/engine)
-// maintains its basis incrementally across deletions and answers every
-// request through these.
-
-// ViewExactBasis solves the view side-effect problem exactly on a
-// precomputed witness basis, enumerating the minimal hitting sets of the
-// target's witnesses and scoring each by the view tuples it destroys.
-func ViewExactBasis(res *provenance.Result, target relation.Tuple, opt ViewOptions) (*ViewExactResult, error) {
-	return ViewExactGroupBasis(res, []relation.Tuple{target}, opt)
-}
-
-// ViewExactGroupBasis is ViewExactGroup on a precomputed basis: one
-// enumeration over the union of all targets' witnesses, amortizing a single
-// basis pass across the whole batch.
-func ViewExactGroupBasis(res *provenance.Result, targets []relation.Tuple, opt ViewOptions) (*ViewExactResult, error) {
-	targets, err := GroupTargets(res.View, targets)
-	if err != nil {
-		return nil, err
-	}
-	isTarget := make(map[string]bool, len(targets))
-	var allWitnesses []provenance.Witness
+// GroupTargets dedups and validates a target list against the view.
+func GroupTargets(view *relation.Relation, targets []relation.Tuple) ([]relation.Tuple, error) {
+	seen := make(map[string]bool, len(targets))
+	var out []relation.Tuple
 	for _, t := range targets {
-		isTarget[t.Key()] = true
-		allWitnesses = append(allWitnesses, res.Witnesses(t)...)
-	}
-
-	out := &ViewExactResult{Exhausted: true}
-	bestScore := -1
-	consider := func(hs []relation.SourceTuple) bool {
-		if opt.MaxCandidates > 0 && out.Candidates == opt.MaxCandidates {
-			return false // a candidate beyond the cap: the search is cut short
+		if !view.Contains(t) {
+			return nil, fmt.Errorf("%w: %v", ErrNotInView, t)
 		}
-		out.Candidates++
-		effects := sideEffectsFromBasisGroup(res, keySet(hs), isTarget)
-		if bestScore < 0 || len(effects) < bestScore {
-			bestScore = len(effects)
-			cp := append([]relation.SourceTuple(nil), hs...)
-			out.Result = *finishResult(cp, effects)
+		if !seen[t.Key()] {
+			seen[t.Key()] = true
+			out = append(out, t)
 		}
-		return bestScore != 0
 	}
-	if !enumerateMinimalHittingSets(allWitnesses, consider) {
-		out.Exhausted = bestScore == 0
-	}
-	if bestScore < 0 {
-		return nil, fmt.Errorf("deletion: no hitting set for group of %d targets", len(targets))
+	if len(out) == 0 {
+		return nil, fmt.Errorf("deletion: empty target set")
 	}
 	return out, nil
 }
 
-// SourceExactGroupBasis is SourceExactGroup on a precomputed basis.
-func SourceExactGroupBasis(res *provenance.Result, targets []relation.Tuple) (*SourceExactResult, error) {
-	return sourceBasis(res, targets, exactHittingSetIndices)
-}
-
-// SourceGreedyGroupBasis is the greedy-approximate batched source deletion
-// on a precomputed basis.
-func SourceGreedyGroupBasis(res *provenance.Result, targets []relation.Tuple) (*SourceExactResult, error) {
-	return sourceBasis(res, targets, greedyHittingSetIndices)
-}
-
-// sourceBasis hits every witness of every target with the given hitting-set
-// solver and reads side-effects off the basis.
-func sourceBasis(res *provenance.Result, targets []relation.Tuple, solve func(*setcover.Instance) ([]int, error)) (*SourceExactResult, error) {
+// groupWitnesses validates targets against res's view and returns their
+// key set and the concatenation of their witness bases: a group deletion
+// must hit every witness of every target (Cui–Widom translate batches of
+// view deletions the same way).
+func groupWitnesses(res *provenance.Result, targets []relation.Tuple) (map[string]bool, []provenance.Witness, error) {
 	targets, err := GroupTargets(res.View, targets)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	isTarget := make(map[string]bool, len(targets))
-	var allWitnesses []provenance.Witness
+	var ws []provenance.Witness
 	for _, t := range targets {
 		isTarget[t.Key()] = true
-		allWitnesses = append(allWitnesses, res.Witnesses(t)...)
+		ws = append(ws, res.Witnesses(t)...)
 	}
-	in, elems, err := witnessesToInstance(allWitnesses)
-	if err != nil {
-		return nil, err
+	return isTarget, ws, nil
+}
+
+// PolyBasis solves both deletion problems exactly, in polynomial time, when
+// the target's witnesses have one of the two shapes behind the paper's
+// polynomial cases:
+//
+//   - every witness is a single source tuple, as for SPU queries
+//     (Theorems 2.3/2.8): the only minimal deletion is all of them;
+//   - the target has one witness, as for SJ queries and joins on keys
+//     (Theorems 2.4/2.9, §2.1.1 remark): every minimal deletion is one
+//     component, and the component that destroys the fewest other view
+//     tuples (the first in witness order on a tie) is optimal for both
+//     objectives.
+//
+// It returns ErrNotPoly for any other basis.
+func PolyBasis(res *provenance.Result, target relation.Tuple) (*Result, error) {
+	ws := res.Witnesses(target)
+	if len(ws) == 0 {
+		return nil, fmt.Errorf("%w: %v", ErrNotInView, target)
 	}
-	chosen, err := solve(in)
-	if err != nil {
-		return nil, fmt.Errorf("deletion: %w", err)
+	isTarget := map[string]bool{target.Key(): true}
+	singletons := make([]relation.SourceTuple, 0, len(ws))
+	for _, w := range ws {
+		if w.Len() != 1 {
+			break
+		}
+		singletons = append(singletons, w.Tuples()[0])
 	}
-	T := make([]relation.SourceTuple, len(chosen))
-	for i, e := range chosen {
-		T[i] = elems[e]
+	if len(singletons) == len(ws) {
+		return finishResult(singletons, deadRows(res, keySet(singletons), isTarget)), nil
 	}
-	effects := sideEffectsFromBasisGroup(res, keySet(T), isTarget)
-	return &SourceExactResult{
-		Result:    *finishResult(T, effects),
-		Witnesses: len(allWitnesses),
-	}, nil
+	if len(ws) != 1 {
+		return nil, fmt.Errorf("%w: %v has %d witnesses", ErrNotPoly, target, len(ws))
+	}
+	var best *Result
+	for _, comp := range ws[0].Tuples() {
+		T := []relation.SourceTuple{comp}
+		dead := deadRows(res, keySet(T), isTarget)
+		if best == nil || len(dead) < len(best.SideEffects) {
+			best = &Result{T: T, SideEffects: dead}
+		}
+		if len(dead) == 0 {
+			break
+		}
+	}
+	return finishResult(best.T, best.SideEffects), nil
 }

@@ -203,12 +203,9 @@ func SourceChainMinCut(q algebra.Query, db *relation.Database, target relation.T
 			T = append(T, vertices[v].st)
 		}
 	}
-	effects, gone, err := SideEffectsOf(q, db, T, target)
+	effects, _, err := SideEffectsOf(q, db, T, target)
 	if err != nil {
 		return nil, err
-	}
-	if !gone {
-		return nil, fmt.Errorf("deletion: min cut %v failed to remove target %v", T, target)
 	}
 	return finishResult(T, effects), nil
 }

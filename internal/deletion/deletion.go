@@ -7,12 +7,22 @@
 //   - the source side-effect problem (§2.2): remove the view tuple with as
 //     few source deletions as possible.
 //
-// For the polynomial classes the package provides the algorithms of
-// Theorems 2.3, 2.4, 2.8 and 2.9, plus the chain-join min-cut algorithm of
-// Theorem 2.6. For the NP-hard classes (PJ, JU) it provides exact solvers
-// built on the witness basis and a greedy O(log n) approximation matching
-// the set-cover structure of Theorems 2.5 and 2.7, and the Cui–Widom
-// lineage-enumeration baseline the paper compares against.
+// Every solver but one takes the view's witness basis (*provenance.Result),
+// because every result of the paper is a property of a view tuple's
+// witnesses: PolyBasis solves the polynomial cases, where the target's
+// witnesses are all singletons (SPU, Theorems 2.3/2.8) or the target has
+// one witness (SJ and key joins, Theorems 2.4/2.9 and the §2.1.1 remark);
+// ViewExactGroupBasis, SourceExactGroupBasis and SourceGreedyGroupBasis
+// solve the NP-hard classes (PJ, JU) as hitting-set problems over the
+// witnesses, the greedy one within the O(log n) factor of Theorems 2.5 and
+// 2.7; ViewHeuristicBasis is a polynomial fallback without a guarantee.
+// Side effects are read off the basis: a view tuple dies iff every one of
+// its witnesses meets the deleted set.
+//
+// SourceChainMinCut (Theorem 2.6) works on the query and the instance,
+// because a chain join's basis can be exponential while its minimum cut is
+// polynomial; CuiWidom, the lineage-enumeration baseline the paper compares
+// against, and the SideEffectsOf oracle re-evaluate the query.
 package deletion
 
 import (
@@ -44,21 +54,14 @@ func (r *Result) String() string {
 // ErrNotInView is returned when the target tuple is not in Q(S).
 var ErrNotInView = fmt.Errorf("deletion: target tuple not in view")
 
-// ErrClass is returned by class-specific algorithms when the query is
-// outside their fragment.
-type ErrClass struct {
-	Want string
-	Got  algebra.Ops
-}
-
-func (e *ErrClass) Error() string {
-	return fmt.Sprintf("deletion: algorithm requires a %s query, got %s", e.Want, e.Got)
-}
+// ErrNotPoly is returned by PolyBasis when the target's witnesses are
+// neither all singletons nor a single witness.
+var ErrNotPoly = fmt.Errorf("deletion: target's witnesses are neither all singletons nor unique")
 
 // SideEffectsOf computes, by direct re-evaluation, the view tuples other
 // than target that are lost when T is deleted from db. It also reports
 // whether the target itself was removed. This is the ground-truth checker
-// used by tests and by solvers that do not track witnesses.
+// used by tests and by SourceChainMinCut, which builds no witness basis.
 func SideEffectsOf(q algebra.Query, db *relation.Database, T []relation.SourceTuple, target relation.Tuple) (effects []relation.Tuple, targetGone bool, err error) {
 	before, err := algebra.Eval(q, db)
 	if err != nil {
@@ -94,8 +97,8 @@ func finishResult(T []relation.SourceTuple, effects []relation.Tuple) *Result {
 func destroyedBy(witnesses []provenance.Witness, hit map[string]bool) bool {
 	for _, w := range witnesses {
 		intersects := false
-		for _, st := range w.Tuples() {
-			if hit[st.Key()] {
+		for _, k := range w.Keys() {
+			if hit[k] {
 				intersects = true
 				break
 			}
@@ -107,24 +110,13 @@ func destroyedBy(witnesses []provenance.Witness, hit map[string]bool) bool {
 	return true
 }
 
-// sideEffectsFromBasis computes the view side-effects of deleting delSet
-// using the witness basis of every view tuple: a view tuple dies iff every
-// one of its witnesses is hit. Equivalent to SideEffectsOf but without
-// re-evaluating the query.
-func sideEffectsFromBasis(res *provenance.Result, delSet map[string]bool, target relation.Tuple) []relation.Tuple {
-	return sideEffectsFromBasisGroup(res, delSet, map[string]bool{target.Key(): true})
-}
-
-// sideEffectsFromBasisGroup is sideEffectsFromBasis for a set of targets:
-// a view tuple dies iff every one of its witnesses is hit, and tuples in
-// the target set are not side-effects.
-func sideEffectsFromBasisGroup(res *provenance.Result, delSet, isTarget map[string]bool) []relation.Tuple {
+// deadRows returns the view tuples outside isTarget that deleting the
+// tuples in deleted (a key set) destroys: those whose every witness is hit.
+// Equivalent to SideEffectsOf but without re-evaluating the query.
+func deadRows(res *provenance.Result, deleted, isTarget map[string]bool) []relation.Tuple {
 	var out []relation.Tuple
 	for _, vt := range res.View.Tuples() {
-		if isTarget[vt.Key()] {
-			continue
-		}
-		if destroyedBy(res.Witnesses(vt), delSet) {
+		if destroyedBy(res.Witnesses(vt), deleted) && !isTarget[vt.Key()] {
 			out = append(out, vt)
 		}
 	}

@@ -27,13 +27,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestErrClassMessage(t *testing.T) {
-	e := &ErrClass{Want: "SPU", Got: algebra.OpJoin}
-	if e.Error() == "" {
-		t.Error("empty error message")
-	}
-}
-
 // Property: side-effects computed from the witness basis equal those from
 // direct re-evaluation, for random deletions on random PJ instances. This
 // ties the two side-effect oracles together — the exact solvers rely on
@@ -73,7 +66,7 @@ func TestBasisSideEffectsMatchEvaluationQuick(t *testing.T) {
 				T = append(T, st)
 			}
 		}
-		fromBasis := sideEffectsFromBasis(res, keySet(T), target)
+		fromBasis := deadRows(res, keySet(T), map[string]bool{target.Key(): true})
 		fromEval, _, err := SideEffectsOf(q, db, T, target)
 		if err != nil {
 			return false
@@ -138,6 +131,16 @@ func TestEnumerateMinimalHittingSetsEarlyStop(t *testing.T) {
 	if count != 2 {
 		t.Errorf("visited %d candidates, want 2", count)
 	}
+}
+
+// basisOf builds the witness basis of q over db, the solvers' input.
+func basisOf(t *testing.T, q algebra.Query, db *relation.Database) *provenance.Result {
+	t.Helper()
+	res, err := provenance.Compute(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func st(rel string, vals ...string) relation.SourceTuple {

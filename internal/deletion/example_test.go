@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/deletion"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
@@ -26,11 +27,12 @@ func exampleDB() *relation.Database {
 // Deleting (john, f2) from Π_{user,file}(UserGroup ⋈ GroupFile): the
 // exact solver finds the side-effect-free choice — drop john's admin
 // membership; (john, f1) survives via staff.
-func ExampleViewExact() {
+func ExampleViewExactGroupBasis() {
 	db := exampleDB()
 	q := algebra.Pi([]relation.Attribute{"user", "file"},
 		algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile")))
-	res, _ := deletion.ViewExact(q, db, relation.StringTuple("john", "f2"), deletion.ViewOptions{})
+	basis, _ := provenance.Compute(q, db)
+	res, _ := deletion.ViewExactGroupBasis(basis, []relation.Tuple{relation.StringTuple("john", "f2")}, deletion.ViewOptions{})
 	fmt.Println("delete:", res.T[0])
 	fmt.Println("side-effect-free:", res.SideEffectFree())
 	// Output:
@@ -40,11 +42,12 @@ func ExampleViewExact() {
 
 // (john, f1) has two independent derivations, so the minimum source
 // deletion needs two tuples — one per witness.
-func ExampleSourceExact() {
+func ExampleSourceExactGroupBasis() {
 	db := exampleDB()
 	q := algebra.Pi([]relation.Attribute{"user", "file"},
 		algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile")))
-	res, _ := deletion.SourceExact(q, db, relation.StringTuple("john", "f1"), 0)
+	basis, _ := provenance.Compute(q, db)
+	res, _ := deletion.SourceExactGroupBasis(basis, []relation.Tuple{relation.StringTuple("john", "f1")})
 	fmt.Println("witnesses:", res.Witnesses)
 	fmt.Println("deletions:", len(res.T))
 	// Output:

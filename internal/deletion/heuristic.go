@@ -1,12 +1,13 @@
 package deletion
 
 import (
-	"repro/internal/algebra"
+	"fmt"
+
 	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
-// ViewHeuristic is a best-effort polynomial heuristic for the view
+// ViewHeuristicBasis is a best-effort polynomial heuristic for the view
 // side-effect problem on NP-hard inputs: it builds a hitting set of the
 // target's witnesses greedily, at each step choosing the source tuple that
 // hits the most remaining witnesses while (tie-break) destroying the
@@ -14,17 +15,14 @@ import (
 //
 // No quality guarantee is possible — the paper shows even deciding
 // side-effect-freeness is NP-hard, so the problem is inapproximable — but
-// the heuristic is a practical fallback when ViewExact's search space
-// explodes, and the ablation bench quantifies the quality gap.
-func ViewHeuristic(q algebra.Query, db *relation.Database, target relation.Tuple, maxWitnesses int) (*Result, error) {
-	res, err := provenance.ComputeLimited(q, db, provenance.Limit{MaxWitnesses: maxWitnesses})
-	if err != nil {
-		return nil, err
-	}
+// the heuristic is a practical fallback when ViewExactGroupBasis's search
+// space explodes, and the ablation bench quantifies the quality gap.
+func ViewHeuristicBasis(res *provenance.Result, target relation.Tuple) (*Result, error) {
 	ws := res.Witnesses(target)
 	if len(ws) == 0 {
-		return nil, ErrNotInView
+		return nil, fmt.Errorf("%w: %v", ErrNotInView, target)
 	}
+	isTarget := map[string]bool{target.Key(): true}
 	remaining := make([]provenance.Witness, len(ws))
 	copy(remaining, ws)
 	chosen := make(map[string]relation.SourceTuple)
@@ -48,7 +46,12 @@ func ViewHeuristic(q algebra.Query, db *relation.Database, target relation.Tuple
 			if hits < bestHits {
 				continue
 			}
-			damage := marginalDamage(res, chosen, byKey[k], target)
+			hit := make(map[string]bool, len(chosen)+1)
+			for c := range chosen {
+				hit[c] = true
+			}
+			hit[k] = true
+			damage := len(deadRows(res, hit, isTarget))
 			if hits > bestHits ||
 				(hits == bestHits && (damage < bestDamage || (damage == bestDamage && k < bestKey))) {
 				bestKey, bestHits, bestDamage = k, hits, damage
@@ -69,72 +72,5 @@ func ViewHeuristic(q algebra.Query, db *relation.Database, target relation.Tuple
 	for _, st := range chosen {
 		T = append(T, st)
 	}
-	effects := sideEffectsFromBasis(res, keySet(T), target)
-	return finishResult(T, effects), nil
-}
-
-// marginalDamage counts the view tuples (other than the target) destroyed
-// by chosen ∪ {cand} using the witness basis.
-func marginalDamage(res *provenance.Result, chosen map[string]relation.SourceTuple, cand relation.SourceTuple, target relation.Tuple) int {
-	hit := make(map[string]bool, len(chosen)+1)
-	for k := range chosen {
-		hit[k] = true
-	}
-	hit[cand.Key()] = true
-	n := 0
-	for _, vt := range res.View.Tuples() {
-		if vt.Equal(target) {
-			continue
-		}
-		if destroyedBy(res.Witnesses(vt), hit) {
-			n++
-		}
-	}
-	return n
-}
-
-// SourceGreedyGroup approximates the minimum source deletion removing a
-// whole set of view tuples: greedy hitting set over their combined
-// witness bases.
-func SourceGreedyGroup(q algebra.Query, db *relation.Database, targets []relation.Tuple, maxWitnesses int) (*SourceExactResult, error) {
-	res, err := provenance.ComputeLimited(q, db, provenance.Limit{MaxWitnesses: maxWitnesses})
-	if err != nil {
-		return nil, err
-	}
-	targets, err = GroupTargets(res.View, targets)
-	if err != nil {
-		return nil, err
-	}
-	var allWitnesses []provenance.Witness
-	isTarget := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		isTarget[t.Key()] = true
-		allWitnesses = append(allWitnesses, res.Witnesses(t)...)
-	}
-	in, elems, err := witnessesToInstance(allWitnesses)
-	if err != nil {
-		return nil, err
-	}
-	chosen, err := greedyHittingSetIndices(in)
-	if err != nil {
-		return nil, err
-	}
-	T := make([]relation.SourceTuple, len(chosen))
-	for i, e := range chosen {
-		T[i] = elems[e]
-	}
-	delSet := keySet(T)
-	var effects []relation.Tuple
-	for _, vt := range res.View.Tuples() {
-		if isTarget[vt.Key()] {
-			continue
-		}
-		if destroyedBy(res.Witnesses(vt), delSet) {
-			effects = append(effects, vt)
-		}
-	}
-	return &SourceExactResult{
-		Result:    *finishResult(T, effects),
-		Witnesses: len(allWitnesses),
-	}, nil
+	return finishResult(T, deadRows(res, keySet(T), isTarget)), nil
 }

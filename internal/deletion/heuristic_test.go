@@ -15,7 +15,7 @@ func TestViewHeuristicRemovesTarget(t *testing.T) {
 	db := userGroupDB()
 	q := userFileQuery()
 	target := relation.StringTuple("john", "f1")
-	res, err := ViewHeuristic(q, db, target, 0)
+	res, err := ViewHeuristicBasis(basisOf(t, q, db), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestViewHeuristicFindsFreeDeletion(t *testing.T) {
 	q := userFileQuery()
 	// (john,f2) has the single witness; its UG component is a free pick,
 	// and the damage tie-break should find it.
-	res, err := ViewHeuristic(q, db, relation.StringTuple("john", "f2"), 0)
+	res, err := ViewHeuristicBasis(basisOf(t, q, db), relation.StringTuple("john", "f2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestViewHeuristicFindsFreeDeletion(t *testing.T) {
 
 func TestViewHeuristicMissingTarget(t *testing.T) {
 	db := userGroupDB()
-	if _, err := ViewHeuristic(userFileQuery(), db, relation.StringTuple("no", "pe"), 0); !errors.Is(err, ErrNotInView) {
+	if _, err := ViewHeuristicBasis(basisOf(t, userFileQuery(), db), relation.StringTuple("no", "pe")); !errors.Is(err, ErrNotInView) {
 		t.Errorf("expected ErrNotInView, got %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestViewHeuristicValidQuick(t *testing.T) {
 			return true
 		}
 		target := view.Tuples()[r.Intn(view.Len())]
-		h, err := ViewHeuristic(q, db, target, 0)
+		h, err := ViewHeuristicBasis(basisOf(t, q, db), target)
 		if err != nil {
 			return false
 		}
@@ -85,7 +85,7 @@ func TestViewHeuristicValidQuick(t *testing.T) {
 			t.Logf("heuristic failed to delete %v", target)
 			return false
 		}
-		exact, err := ViewExact(q, db, target, ViewOptions{})
+		exact, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target}, ViewOptions{})
 		if err != nil {
 			return false
 		}
@@ -107,7 +107,7 @@ func TestSourceGreedyGroup(t *testing.T) {
 		relation.StringTuple("john", "f1"),
 		relation.StringTuple("john", "f2"),
 	}
-	g, err := SourceGreedyGroup(q, db, targets, 0)
+	g, err := SourceGreedyGroupBasis(basisOf(t, q, db), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSourceGreedyGroup(t *testing.T) {
 			t.Errorf("greedy group left %v alive", target)
 		}
 	}
-	exact, err := SourceExactGroup(q, db, targets, 0)
+	exact, err := SourceExactGroupBasis(basisOf(t, q, db), targets)
 	if err != nil {
 		t.Fatal(err)
 	}

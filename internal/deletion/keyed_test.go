@@ -8,6 +8,58 @@ import (
 	"repro/internal/relation"
 )
 
+// JoinsOnKeys verifies syntactically that a normalized PJ query joins on
+// keys: for every Join node, the shared attributes contain a key of at
+// least one operand (checked against the current instance). This is the
+// foreign-key shape of the paper's remark; it implies unique witnesses.
+func JoinsOnKeys(q algebra.Query, db *relation.Database) (bool, error) {
+	n := algebra.Normalize(q)
+	var check func(algebra.Query) (bool, error)
+	check = func(q algebra.Query) (bool, error) {
+		switch q := q.(type) {
+		case algebra.Join:
+			lok, err := check(q.Left)
+			if err != nil || !lok {
+				return false, err
+			}
+			rok, err := check(q.Right)
+			if err != nil || !rok {
+				return false, err
+			}
+			ls, err := algebra.SchemaOf(q.Left, db)
+			if err != nil {
+				return false, err
+			}
+			rs, err := algebra.SchemaOf(q.Right, db)
+			if err != nil {
+				return false, err
+			}
+			common := ls.Common(rs)
+			if len(common) == 0 {
+				return false, nil // cross product: never key-joined
+			}
+			lrel, err := algebra.EvalNamed(q.Left, db, "side")
+			if err != nil {
+				return false, err
+			}
+			rrel, err := algebra.EvalNamed(q.Right, db, "side")
+			if err != nil {
+				return false, err
+			}
+			return lrel.IsKey(common) || rrel.IsKey(common), nil
+		default:
+			for _, c := range algebra.Children(q) {
+				ok, err := check(c)
+				if err != nil || !ok {
+					return ok, err
+				}
+			}
+			return true, nil
+		}
+	}
+	return check(n)
+}
+
 // keyedDB: Emp(emp, dept) joining Dept(dept, mgr) where dept is a key of
 // Dept — the foreign-key shape of the §2.1.1 remark.
 func keyedDB() *relation.Database {
@@ -105,16 +157,17 @@ func TestJoinsOnKeys(t *testing.T) {
 	}
 }
 
+// The unique-witness precondition of PolyBasis's one-witness case holds
+// for the whole view iff the basis has one witness per view tuple, the O(1)
+// test core.Delete routes key joins on.
 func TestKeyJoinCheck(t *testing.T) {
-	db := keyedDB()
-	ok, err := KeyJoinCheck(keyedQuery(), db)
-	if err != nil || !ok {
-		t.Errorf("key join has unique witnesses: ok=%v err=%v", ok, err)
+	keyed := basisOf(t, keyedQuery(), keyedDB())
+	if keyed.WitnessCount() != keyed.View.Len() {
+		t.Errorf("key join has unique witnesses: %d witnesses over %d rows", keyed.WitnessCount(), keyed.View.Len())
 	}
-	ug := userGroupDB()
-	ok, err = KeyJoinCheck(userFileQuery(), ug)
-	if err != nil || ok {
-		t.Errorf("(john,f1) has two witnesses; check must fail: ok=%v err=%v", ok, err)
+	ug := basisOf(t, userFileQuery(), userGroupDB())
+	if ug.WitnessCount() == ug.View.Len() {
+		t.Errorf("(john,f1) has two witnesses; check must fail")
 	}
 }
 
@@ -123,7 +176,7 @@ func TestViewUniqueWitness(t *testing.T) {
 	q := keyedQuery()
 	// (carol, noa): its Dept component (d2, noa) feeds only carol; its
 	// Emp component likewise — side-effect-free either way.
-	res, err := ViewUniqueWitness(q, db, relation.StringTuple("carol", "noa"))
+	res, err := PolyBasis(basisOf(t, q, db), relation.StringTuple("carol", "noa"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +184,7 @@ func TestViewUniqueWitness(t *testing.T) {
 		t.Errorf("expected free deletion, got %v", res.SideEffects)
 	}
 	// (ann, mia): Dept(d1,mia) also feeds bob; Emp(ann,d1) feeds only ann.
-	res, err = ViewUniqueWitness(q, db, relation.StringTuple("ann", "mia"))
+	res, err = PolyBasis(basisOf(t, q, db), relation.StringTuple("ann", "mia"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +192,7 @@ func TestViewUniqueWitness(t *testing.T) {
 		t.Errorf("should delete the Emp row for a free deletion: %v (effects %v)", res.T, res.SideEffects)
 	}
 	// Agreement with the general exact solver.
-	exact, err := ViewExact(q, db, relation.StringTuple("ann", "mia"), ViewOptions{})
+	exact, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("ann", "mia")}, ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +203,15 @@ func TestViewUniqueWitness(t *testing.T) {
 
 func TestViewUniqueWitnessRejectsNonKey(t *testing.T) {
 	ug := userGroupDB()
-	_, err := ViewUniqueWitness(userFileQuery(), ug, relation.StringTuple("john", "f1"))
-	if !errors.Is(err, ErrNotKeyJoin) {
-		t.Errorf("expected ErrNotKeyJoin, got %v", err)
+	_, err := PolyBasis(basisOf(t, userFileQuery(), ug), relation.StringTuple("john", "f1"))
+	if !errors.Is(err, ErrNotPoly) {
+		t.Errorf("expected ErrNotPoly, got %v", err)
 	}
 }
 
 func TestViewUniqueWitnessMissingTarget(t *testing.T) {
 	db := keyedDB()
-	_, err := ViewUniqueWitness(keyedQuery(), db, relation.StringTuple("no", "pe"))
+	_, err := PolyBasis(basisOf(t, keyedQuery(), db), relation.StringTuple("no", "pe"))
 	if !errors.Is(err, ErrNotInView) {
 		t.Errorf("expected ErrNotInView, got %v", err)
 	}

@@ -15,7 +15,7 @@ func TestViewExactGroup(t *testing.T) {
 		relation.StringTuple("john", "f1"),
 		relation.StringTuple("john", "f2"),
 	}
-	res, err := ViewExactGroup(q, db, targets, ViewOptions{})
+	res, err := ViewExactGroupBasis(basisOf(t, q, db), targets, ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestViewExactGroup(t *testing.T) {
 func TestViewExactGroupDedupsTargets(t *testing.T) {
 	db := userGroupDB()
 	q := userFileQuery()
-	res, err := ViewExactGroup(q, db, []relation.Tuple{
+	res, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{
 		relation.StringTuple("john", "f2"),
 		relation.StringTuple("john", "f2"),
 	}, ViewOptions{})
@@ -54,11 +54,11 @@ func TestViewExactGroupDedupsTargets(t *testing.T) {
 func TestGroupMissingTarget(t *testing.T) {
 	db := userGroupDB()
 	q := userFileQuery()
-	_, err := ViewExactGroup(q, db, []relation.Tuple{relation.StringTuple("no", "pe")}, ViewOptions{})
+	_, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("no", "pe")}, ViewOptions{})
 	if !errors.Is(err, ErrNotInView) {
 		t.Errorf("expected ErrNotInView, got %v", err)
 	}
-	_, err = SourceExactGroup(q, db, []relation.Tuple{relation.StringTuple("no", "pe")}, 0)
+	_, err = SourceExactGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("no", "pe")})
 	if !errors.Is(err, ErrNotInView) {
 		t.Errorf("expected ErrNotInView, got %v", err)
 	}
@@ -71,7 +71,7 @@ func TestSourceExactGroup(t *testing.T) {
 		relation.StringTuple("john", "f1"),
 		relation.StringTuple("john", "f2"),
 	}
-	res, err := SourceExactGroup(q, db, targets, 0)
+	res, err := SourceExactGroupBasis(basisOf(t, q, db), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestGroupDegeneratesToSingle(t *testing.T) {
 	q := userFileQuery()
 	target := relation.StringTuple("john", "f1")
 
-	g, err := SourceExactGroup(q, db, []relation.Tuple{target}, 0)
+	g, err := SourceExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := SourceExact(q, db, target, 0)
+	s, err := SourceExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestGroupDegeneratesToSingle(t *testing.T) {
 		t.Errorf("group=%d single=%d", len(g.T), len(s.T))
 	}
 
-	gv, err := ViewExactGroup(q, db, []relation.Tuple{target}, ViewOptions{})
+	gv, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target}, ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := ViewExact(q, db, target, ViewOptions{})
+	sv, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target}, ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestGroupWholeView(t *testing.T) {
 	db := userGroupDB()
 	q := userFileQuery()
 	view := algebra.MustEval(q, db)
-	res, err := ViewExactGroup(q, db, view.Tuples(), ViewOptions{})
+	res, err := ViewExactGroupBasis(basisOf(t, q, db), view.Tuples(), ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,89 +3,60 @@ package deletion
 import (
 	"fmt"
 
-	"repro/internal/algebra"
 	"repro/internal/provenance"
 	"repro/internal/relation"
 	"repro/internal/setcover"
 )
 
-// SourceSPU implements Theorem 2.8: for SPU queries there is a unique set
-// of source tuples whose deletion removes the target — every tuple that
-// selects and projects onto it — so it is trivially minimum. Linear time.
-func SourceSPU(q algebra.Query, db *relation.Database, target relation.Tuple) (*Result, error) {
-	// Identical tuple set to the view-side problem; Theorems 2.3 and 2.8
-	// share the argument.
-	return ViewSPU(q, db, target)
-}
-
-// SourceSJ implements Theorem 2.9: for SJ queries deleting any single
-// component t.R of the target's unique witness removes it, so the minimum
-// source deletion has size one. We pick the component with the fewest view
-// side-effects among the size-1 options (the theorem allows any).
-func SourceSJ(q algebra.Query, db *relation.Database, target relation.Tuple) (*Result, error) {
-	// The SJ view-side algorithm already scans exactly the size-1
-	// candidates, so its answer is also a minimum source deletion.
-	return ViewSJ(q, db, target)
-}
-
 // SourceExactResult extends Result with the optimum certificate.
 type SourceExactResult struct {
 	Result
-	// Witnesses is the number of witnesses of the target that had to be
+	// Witnesses is the number of witnesses of the targets that had to be
 	// hit.
 	Witnesses int
 }
 
-// SourceExact solves the source side-effect problem exactly for any
-// monotone query: the minimum source deletion is precisely a minimum
-// hitting set of the target's witness basis, solved by branch and bound.
-// Worst-case exponential (Theorems 2.5/2.7: set-cover hard).
-func SourceExact(q algebra.Query, db *relation.Database, target relation.Tuple, maxWitnesses int) (*SourceExactResult, error) {
-	in, elems, ws, err := hittingSetInstance(q, db, target, maxWitnesses)
-	if err != nil {
-		return nil, err
-	}
-	chosen, err := setcover.ExactHittingSet(in)
-	if err != nil {
-		return nil, fmt.Errorf("deletion: %v", err)
-	}
-	return packSourceResult(q, db, target, chosen, elems, ws)
+// SourceExactGroupBasis solves the source side-effect problem exactly for
+// any monotone query and any set of targets: the minimum source deletion
+// is precisely a minimum hitting set of the targets' combined witnesses,
+// solved by branch and bound. Worst-case exponential (Theorems 2.5/2.7:
+// set-cover hard).
+func SourceExactGroupBasis(res *provenance.Result, targets []relation.Tuple) (*SourceExactResult, error) {
+	return sourceBasis(res, targets, setcover.ExactHittingSet)
 }
 
-// SourceGreedy approximates the source side-effect problem with the greedy
-// hitting-set algorithm, guaranteeing a deletion of size at most
+// SourceGreedyGroupBasis approximates the source side-effect problem with
+// the greedy hitting-set algorithm, guaranteeing a deletion of size at most
 // H(#witnesses) times the optimum — the approximation the paper's
 // set-cover connection (Theorems 2.5, 2.7 and the Feige threshold) shows
 // is essentially best possible for the NP-hard classes.
-func SourceGreedy(q algebra.Query, db *relation.Database, target relation.Tuple, maxWitnesses int) (*SourceExactResult, error) {
-	in, elems, ws, err := hittingSetInstance(q, db, target, maxWitnesses)
+func SourceGreedyGroupBasis(res *provenance.Result, targets []relation.Tuple) (*SourceExactResult, error) {
+	return sourceBasis(res, targets, setcover.GreedyHittingSet)
+}
+
+// sourceBasis hits every witness of every target with the given hitting-set
+// solver and reads side-effects off the basis.
+func sourceBasis(res *provenance.Result, targets []relation.Tuple, solve func(*setcover.Instance) ([]int, error)) (*SourceExactResult, error) {
+	isTarget, ws, err := groupWitnesses(res, targets)
 	if err != nil {
 		return nil, err
 	}
-	chosen, err := setcover.GreedyHittingSet(in)
-	if err != nil {
-		return nil, fmt.Errorf("deletion: %v", err)
-	}
-	return packSourceResult(q, db, target, chosen, elems, ws)
-}
-
-// hittingSetInstance builds the set system whose hitting sets are exactly
-// the source deletions removing the target: universe = lineage of the
-// target, sets = its witnesses.
-func hittingSetInstance(q algebra.Query, db *relation.Database, target relation.Tuple, maxWitnesses int) (*setcover.Instance, []relation.SourceTuple, []provenance.Witness, error) {
-	res, err := provenance.ComputeLimited(q, db, provenance.Limit{MaxWitnesses: maxWitnesses})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ws := res.Witnesses(target)
-	if len(ws) == 0 {
-		return nil, nil, nil, ErrNotInView
-	}
 	in, elems, err := witnessesToInstance(ws)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return in, elems, ws, nil
+	chosen, err := solve(in)
+	if err != nil {
+		return nil, fmt.Errorf("deletion: %w", err)
+	}
+	T := make([]relation.SourceTuple, len(chosen))
+	for i, e := range chosen {
+		T[i] = elems[e]
+	}
+	return &SourceExactResult{
+		Result:    *finishResult(T, deadRows(res, keySet(T), isTarget)),
+		Witnesses: len(ws),
+	}, nil
 }
 
 // witnessesToInstance converts a witness list into a hitting-set instance:
@@ -111,33 +82,4 @@ func witnessesToInstance(ws []provenance.Witness) (*setcover.Instance, []relatio
 		return nil, nil, err
 	}
 	return in, elems, nil
-}
-
-// exactHittingSetIndices is a thin wrapper naming the solver for the group
-// deletion code path.
-func exactHittingSetIndices(in *setcover.Instance) ([]int, error) {
-	return setcover.ExactHittingSet(in)
-}
-
-// greedyHittingSetIndices names the greedy solver for the group path.
-func greedyHittingSetIndices(in *setcover.Instance) ([]int, error) {
-	return setcover.GreedyHittingSet(in)
-}
-
-func packSourceResult(q algebra.Query, db *relation.Database, target relation.Tuple, chosen []int, elems []relation.SourceTuple, ws []provenance.Witness) (*SourceExactResult, error) {
-	T := make([]relation.SourceTuple, len(chosen))
-	for i, e := range chosen {
-		T[i] = elems[e]
-	}
-	effects, gone, err := SideEffectsOf(q, db, T, target)
-	if err != nil {
-		return nil, err
-	}
-	if !gone {
-		return nil, fmt.Errorf("deletion: hitting set %v failed to remove target %v", T, target)
-	}
-	return &SourceExactResult{
-		Result:    *finishResult(T, effects),
-		Witnesses: len(ws),
-	}, nil
 }

@@ -14,7 +14,7 @@ import (
 func TestSourceSPU(t *testing.T) {
 	db := userGroupDB()
 	q := algebra.Pi([]relation.Attribute{"group"}, algebra.R("UserGroup"))
-	res, err := SourceSPU(q, db, relation.StringTuple("admin"))
+	res, err := PolyBasis(basisOf(t, q, db), relation.StringTuple("admin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestSourceSPU(t *testing.T) {
 func TestSourceSJDeletesOneTuple(t *testing.T) {
 	db := userGroupDB()
 	q := algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile"))
-	res, err := SourceSJ(q, db, relation.StringTuple("john", "staff", "f1"))
+	res, err := PolyBasis(basisOf(t, q, db), relation.StringTuple("john", "staff", "f1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSourceExactUserFile(t *testing.T) {
 	// (john,f1) has two witnesses (staff and admin paths); the minimum
 	// hitting set has size... witnesses: {UG(j,s),GF(s,f1)} and
 	// {UG(j,a),GF(a,f1)}: disjoint, so 2 deletions minimum.
-	res, err := SourceExact(q, db, relation.StringTuple("john", "f1"), 0)
+	res, err := SourceExactGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("john", "f1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSourceExactUserFile(t *testing.T) {
 		t.Errorf("witness count=%d want 2", res.Witnesses)
 	}
 	// (john,f2) has a single witness: 1 deletion suffices.
-	res, err = SourceExact(q, db, relation.StringTuple("john", "f2"), 0)
+	res, err = SourceExactGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("john", "f2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSourceExactUserFile(t *testing.T) {
 func TestSourceGreedyValid(t *testing.T) {
 	db := userGroupDB()
 	q := userFileQuery()
-	res, err := SourceGreedy(q, db, relation.StringTuple("john", "f1"), 0)
+	res, err := SourceGreedyGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("john", "f1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSourceGreedyValid(t *testing.T) {
 
 func TestSourceExactMissingTarget(t *testing.T) {
 	db := userGroupDB()
-	if _, err := SourceExact(userFileQuery(), db, relation.StringTuple("no", "pe"), 0); !errors.Is(err, ErrNotInView) {
+	if _, err := SourceExactGroupBasis(basisOf(t, userFileQuery(), db), []relation.Tuple{relation.StringTuple("no", "pe")}); !errors.Is(err, ErrNotInView) {
 		t.Errorf("expected ErrNotInView, got %v", err)
 	}
 }
@@ -111,8 +111,8 @@ func bruteForceSourceOptimum(q algebra.Query, db *relation.Database, target rela
 	return best
 }
 
-// Property: SourceExact is optimal and SourceGreedy feasible on random
-// small PJ instances; greedy never beats exact.
+// Property: SourceExactGroupBasis is optimal and SourceGreedyGroupBasis
+// feasible on random small PJ instances; greedy never beats exact.
 func TestSourceExactOptimalQuick(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 50,
@@ -140,7 +140,7 @@ func TestSourceExactOptimalQuick(t *testing.T) {
 			return true
 		}
 		target := view.Tuples()[r.Intn(view.Len())]
-		exact, err := SourceExact(q, db, target, 0)
+		exact, err := SourceExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -150,7 +150,7 @@ func TestSourceExactOptimalQuick(t *testing.T) {
 			t.Logf("exact=%d brute=%d", len(exact.T), want)
 			return false
 		}
-		greedy, err := SourceGreedy(q, db, target, 0)
+		greedy, err := SourceGreedyGroupBasis(basisOf(t, q, db), []relation.Tuple{target})
 		if err != nil {
 			t.Log(err)
 			return false

@@ -3,90 +3,12 @@ package deletion
 import (
 	"fmt"
 
-	"repro/internal/algebra"
 	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
-// ViewSPU implements Theorem 2.3: for SPU queries the deletion problem has
-// a unique minimal solution — delete every source tuple that satisfies a
-// branch's selection and projects onto the target — and that solution is
-// always side-effect-free. Linear passes over the source relations.
-func ViewSPU(q algebra.Query, db *relation.Database, target relation.Tuple) (*Result, error) {
-	ops := algebra.OperatorsOf(q)
-	if ops.HasAny(algebra.OpJoin | algebra.OpRename) {
-		return nil, &ErrClass{Want: "SPU", Got: ops}
-	}
-	// For SPU queries the lineage of the target is exactly the set of
-	// tuples that individually (re)produce it, so all must go.
-	lin, err := provenance.LineageOf(q, db, target)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotInView, err)
-	}
-	T := lin.Tuples()
-	effects, gone, err := SideEffectsOf(q, db, T, target)
-	if err != nil {
-		return nil, err
-	}
-	if !gone {
-		return nil, fmt.Errorf("deletion: ViewSPU failed to remove target %v", target)
-	}
-	return finishResult(T, effects), nil
-}
-
-// ViewSJ implements Theorem 2.4: for SJ queries every output tuple has a
-// single witness with one component per joined relation; deleting the
-// component with the fewest co-occurrences in other output tuples is
-// optimal, and a side-effect-free deletion exists iff some component
-// appears in no other output tuple. Polynomial time.
-func ViewSJ(q algebra.Query, db *relation.Database, target relation.Tuple) (*Result, error) {
-	ops := algebra.OperatorsOf(q)
-	if ops.HasAny(algebra.OpProject | algebra.OpUnion) {
-		return nil, &ErrClass{Want: "SJ", Got: ops}
-	}
-	res, err := provenance.Compute(q, db)
-	if err != nil {
-		return nil, err
-	}
-	ws := res.Witnesses(target)
-	if len(ws) == 0 {
-		return nil, ErrNotInView
-	}
-	if len(ws) != 1 {
-		return nil, fmt.Errorf("deletion: SJ query has %d witnesses for %v, want 1", len(ws), target)
-	}
-	// For each component t.Ri, the side-effect of deleting it is the set
-	// of other output tuples whose witness contains it.
-	best := -1
-	var bestComp relation.SourceTuple
-	var bestEffects []relation.Tuple
-	for _, comp := range ws[0].Tuples() {
-		var effects []relation.Tuple
-		for _, vt := range res.View.Tuples() {
-			if vt.Equal(target) {
-				continue
-			}
-			vws := res.Witnesses(vt)
-			if len(vws) > 0 && vws[0].Contains(comp) {
-				effects = append(effects, vt)
-			}
-		}
-		if best < 0 || len(effects) < best {
-			best = len(effects)
-			bestComp = comp
-			bestEffects = effects
-		}
-		if best == 0 {
-			break
-		}
-	}
-	return finishResult([]relation.SourceTuple{bestComp}, bestEffects), nil
-}
-
 // ViewOptions tunes the exact solver for the NP-hard classes.
 type ViewOptions struct {
-	// MaxWitnesses caps the per-tuple witness basis (0 = unlimited).
-	MaxWitnesses int
 	// MaxCandidates caps the number of minimal hitting sets explored
 	// (0 = unlimited). When the cap is hit the result is the best found
 	// so far and Result is still valid, but optimality is not guaranteed;
@@ -104,28 +26,40 @@ type ViewExactResult struct {
 	Exhausted bool
 }
 
-// ViewExact solves the view side-effect problem exactly for any monotone
-// query, by enumerating the minimal hitting sets of the target's witness
-// basis and scoring each by the view tuples it destroys. Monotonicity
+// ViewExactGroupBasis solves the view side-effect problem exactly for any
+// monotone query and any set of targets: it enumerates the minimal hitting
+// sets of the targets' combined witnesses and scores each by the non-target
+// view tuples it destroys, keeping the first strict minimum. Monotonicity
 // makes the optimum a minimal hitting set (deleting more source tuples
 // never removes fewer view tuples), so the enumeration is complete.
-// Worst-case exponential — Theorem 2.1/2.2 show this is unavoidable.
-func ViewExact(q algebra.Query, db *relation.Database, target relation.Tuple, opt ViewOptions) (*ViewExactResult, error) {
-	res, err := provenance.ComputeLimited(q, db, provenance.Limit{MaxWitnesses: opt.MaxWitnesses})
+// Worst-case exponential — Theorems 2.1/2.2 show this is unavoidable.
+func ViewExactGroupBasis(res *provenance.Result, targets []relation.Tuple, opt ViewOptions) (*ViewExactResult, error) {
+	isTarget, ws, err := groupWitnesses(res, targets)
 	if err != nil {
 		return nil, err
 	}
-	return ViewExactBasis(res, target, opt)
-}
-
-// HasSideEffectFreeDeletion decides the §2.1 decision problem: is there a
-// source deletion removing the target and nothing else from the view?
-func HasSideEffectFreeDeletion(q algebra.Query, db *relation.Database, target relation.Tuple, opt ViewOptions) (bool, *ViewExactResult, error) {
-	r, err := ViewExact(q, db, target, opt)
-	if err != nil {
-		return false, nil, err
+	out := &ViewExactResult{Exhausted: true}
+	bestScore := -1
+	consider := func(hs []relation.SourceTuple) bool {
+		if opt.MaxCandidates > 0 && out.Candidates == opt.MaxCandidates {
+			return false // a candidate beyond the cap: the search is cut short
+		}
+		out.Candidates++
+		effects := deadRows(res, keySet(hs), isTarget)
+		if bestScore < 0 || len(effects) < bestScore {
+			bestScore = len(effects)
+			cp := append([]relation.SourceTuple(nil), hs...)
+			out.Result = *finishResult(cp, effects)
+		}
+		return bestScore != 0
 	}
-	return r.SideEffectFree(), r, nil
+	if !enumerateMinimalHittingSets(ws, consider) {
+		out.Exhausted = bestScore == 0
+	}
+	if bestScore < 0 {
+		return nil, fmt.Errorf("deletion: no hitting set for group of %d targets", len(isTarget))
+	}
+	return out, nil
 }
 
 // enumerateMinimalHittingSets visits every minimal hitting set of the

@@ -59,7 +59,7 @@ func TestViewSPU(t *testing.T) {
 		algebra.Pi([]relation.Attribute{"group"}, algebra.R("UserGroup")),
 		algebra.Pi([]relation.Attribute{"group"}, algebra.R("GroupFile")),
 	)
-	res, err := ViewSPU(q, db, relation.StringTuple("admin"))
+	res, err := PolyBasis(basisOf(t, q, db), relation.StringTuple("admin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +80,16 @@ func TestViewSPU(t *testing.T) {
 
 func TestViewSPURejectsJoin(t *testing.T) {
 	db := userGroupDB()
-	var ce *ErrClass
-	_, err := ViewSPU(userFileQuery(), db, relation.StringTuple("john", "f1"))
-	if !errors.As(err, &ce) {
-		t.Errorf("expected ErrClass, got %v", err)
+	_, err := PolyBasis(basisOf(t, userFileQuery(), db), relation.StringTuple("john", "f1"))
+	if !errors.Is(err, ErrNotPoly) {
+		t.Errorf("expected ErrNotPoly, got %v", err)
 	}
 }
 
 func TestViewSPUMissingTuple(t *testing.T) {
 	db := userGroupDB()
 	q := algebra.Pi([]relation.Attribute{"group"}, algebra.R("UserGroup"))
-	if _, err := ViewSPU(q, db, relation.StringTuple("nope")); !errors.Is(err, ErrNotInView) {
+	if _, err := PolyBasis(basisOf(t, q, db), relation.StringTuple("nope")); !errors.Is(err, ErrNotInView) {
 		t.Errorf("expected ErrNotInView, got %v", err)
 	}
 }
@@ -101,7 +100,7 @@ func TestViewSJ(t *testing.T) {
 	// (mary, admin, f2): components UG(mary,admin) and GF(admin,f2).
 	// UG(mary,admin) also witnesses (mary,admin,f1); GF(admin,f2) also
 	// witnesses (john,admin,f2). Either way 1 side-effect; no free lunch.
-	res, err := ViewSJ(q, db, relation.StringTuple("mary", "admin", "f2"))
+	res, err := PolyBasis(basisOf(t, q, db), relation.StringTuple("mary", "admin", "f2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestViewSJSideEffectFree(t *testing.T) {
 	db.Relation("UserGroup").InsertStrings("zoe", "guests")
 	db.Relation("GroupFile").InsertStrings("guests", "f9")
 	q := algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile"))
-	res, err := ViewSJ(q, db, relation.StringTuple("zoe", "guests", "f9"))
+	res, err := PolyBasis(basisOf(t, q, db), relation.StringTuple("zoe", "guests", "f9"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +129,8 @@ func TestViewSJSideEffectFree(t *testing.T) {
 
 func TestViewSJRejectsProject(t *testing.T) {
 	db := userGroupDB()
-	var ce *ErrClass
-	if _, err := ViewSJ(userFileQuery(), db, relation.StringTuple("john", "f1")); !errors.As(err, &ce) {
-		t.Errorf("expected ErrClass, got %v", err)
+	if _, err := PolyBasis(basisOf(t, userFileQuery(), db), relation.StringTuple("john", "f1")); !errors.Is(err, ErrNotPoly) {
+		t.Errorf("expected ErrNotPoly, got %v", err)
 	}
 }
 
@@ -143,7 +141,7 @@ func TestViewExactUserFile(t *testing.T) {
 	// Deleting GF(admin,f2) also kills (mary,f2); deleting UG(john,admin)
 	// also kills (john,f1)? No — (john,f1) also derives via staff, so it
 	// survives! Deleting UG(john,admin) is side-effect-free.
-	res, err := ViewExact(q, db, relation.StringTuple("john", "f2"), ViewOptions{})
+	res, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("john", "f2")}, ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +173,7 @@ func TestViewExactUnavoidableSideEffect(t *testing.T) {
 	q := algebra.Pi([]relation.Attribute{"A", "C"}, algebra.NatJoin(algebra.R("R"), algebra.R("S")))
 	// Deleting (a,c1) forces either R(a,x) (killing (a,c2)) or S(x,c1)
 	// (side-effect-free!). S(x,c1) only feeds (a,c1).
-	res, err := ViewExact(q, db, relation.StringTuple("a", "c1"), ViewOptions{})
+	res, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{relation.StringTuple("a", "c1")}, ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,32 +193,28 @@ func TestViewExactUnavoidableSideEffect(t *testing.T) {
 	db2.MustAdd(s2)
 	// View: (a,c1),(a,c2),(b,c1),(b,c2). Deleting (a,c1): R(a,x) kills
 	// (a,c2) too; S(x,c1) kills (b,c1) too. Min side-effects = 1.
-	res, err = ViewExact(q, db2, relation.StringTuple("a", "c1"), ViewOptions{})
+	res, err = ViewExactGroupBasis(basisOf(t, q, db2), []relation.Tuple{relation.StringTuple("a", "c1")}, ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.SideEffects) != 1 {
 		t.Errorf("side-effects=%v want exactly 1", res.SideEffects)
 	}
-	free, _, err := HasSideEffectFreeDeletion(q, db2, relation.StringTuple("a", "c1"), ViewOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free {
+	if res.SideEffectFree() {
 		t.Error("no side-effect-free deletion exists here")
 	}
 }
 
 func TestViewExactMissingTarget(t *testing.T) {
 	db := userGroupDB()
-	if _, err := ViewExact(userFileQuery(), db, relation.StringTuple("no", "pe"), ViewOptions{}); !errors.Is(err, ErrNotInView) {
+	if _, err := ViewExactGroupBasis(basisOf(t, userFileQuery(), db), []relation.Tuple{relation.StringTuple("no", "pe")}, ViewOptions{}); !errors.Is(err, ErrNotInView) {
 		t.Errorf("expected ErrNotInView, got %v", err)
 	}
 }
 
 func TestViewExactCandidateCap(t *testing.T) {
 	db := userGroupDB()
-	res, err := ViewExact(userFileQuery(), db, relation.StringTuple("john", "f1"), ViewOptions{MaxCandidates: 1})
+	res, err := ViewExactGroupBasis(basisOf(t, userFileQuery(), db), []relation.Tuple{relation.StringTuple("john", "f1")}, ViewOptions{MaxCandidates: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +246,8 @@ func bruteForceViewOptimum(q algebra.Query, db *relation.Database, target relati
 	return best, best >= 0
 }
 
-// Property: ViewExact matches brute force on random small PJ instances.
+// Property: ViewExactGroupBasis matches brute force on random small PJ
+// instances.
 func TestViewExactOptimalQuick(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 60,
@@ -280,7 +275,7 @@ func TestViewExactOptimalQuick(t *testing.T) {
 			return true
 		}
 		target := view.Tuples()[r.Intn(view.Len())]
-		res, err := ViewExact(q, db, target, ViewOptions{})
+		res, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target}, ViewOptions{})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -307,8 +302,8 @@ func TestViewExactOptimalQuick(t *testing.T) {
 	}
 }
 
-// Property: for SJ queries the dedicated algorithm agrees with the generic
-// exact solver.
+// Property: for SJ queries PolyBasis's one-witness case agrees with the
+// generic exact solver.
 func TestViewSJAgreesWithExactQuick(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 80,
@@ -335,12 +330,12 @@ func TestViewSJAgreesWithExactQuick(t *testing.T) {
 			return true
 		}
 		target := view.Tuples()[r.Intn(view.Len())]
-		sj, err := ViewSJ(q, db, target)
+		sj, err := PolyBasis(basisOf(t, q, db), target)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		exact, err := ViewExact(q, db, target, ViewOptions{})
+		exact, err := ViewExactGroupBasis(basisOf(t, q, db), []relation.Tuple{target}, ViewOptions{})
 		if err != nil {
 			t.Log(err)
 			return false

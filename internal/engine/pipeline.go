@@ -27,7 +27,7 @@
 //     targets (an oversized head runs alone).
 //  3. commit — commitDelete fails each request whose targets vanished
 //     individually, runs ONE group solve over the union of the surviving
-//     targets (deletion.*GroupBasis), and maintains every prepared view
+//     targets (core.SolveBasis), and maintains every prepared view
 //     once, on the worker pool. A panic fails only this batch's requests.
 //  4. publish — the new source generation and every view's snapshot are
 //     published atomically; each view's generation advances by the number
@@ -415,47 +415,18 @@ func (e *Engine) commitDelete(p *prepared, b *batch) {
 		return
 	}
 
-	report := &core.DeleteReport{Fragment: p.frag}
-	vopt := deletion.ViewOptions{MaxCandidates: b.key.maxCandidates}
-	var solveErr error
-	switch {
-	case b.key.obj == core.MinimizeViewSideEffects:
+	report := &core.DeleteReport{Fragment: p.frag, Class: p.cls.source}
+	if b.key.obj == core.MinimizeViewSideEffects {
 		report.Class = p.cls.view
-		r, err := deletion.ViewExactGroupBasis(snap.prov, merged, vopt)
-		if err != nil {
-			solveErr = err
-			break
-		}
-		report.Algorithm = "cached-basis exact hitting-set search"
-		report.Result = &r.Result
-		report.Exact = r.Exhausted
-	case b.key.greedy:
-		report.Class = p.cls.source
-		r, err := deletion.SourceGreedyGroupBasis(snap.prov, merged)
-		if err != nil {
-			solveErr = err
-			break
-		}
-		report.Algorithm = "cached-basis greedy hitting set (H_n-approx)"
-		report.Result = &r.Result
-		report.Exact = false
-	default:
-		report.Class = p.cls.source
-		r, err := deletion.SourceExactGroupBasis(snap.prov, merged)
-		if err != nil {
-			solveErr = err
-			break
-		}
-		report.Algorithm = "cached-basis exact minimum hitting set"
-		report.Result = &r.Result
-		report.Exact = true
 	}
-	if solveErr != nil {
+	opts := core.DeleteOptions{MaxCandidates: b.key.maxCandidates, Greedy: b.key.greedy}
+	if err := core.SolveBasis(report, snap.prov, merged, b.key.obj, opts); err != nil {
 		for _, r := range live {
-			r.err = solveErr
+			r.err = err
 		}
 		return
 	}
+	report.Algorithm = "cached-basis " + report.Algorithm
 	if len(live) > 1 {
 		report.Algorithm += " (batched, coalesced)"
 	} else if live[0].group {

@@ -15,7 +15,9 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/annotation"
 	"repro/internal/deletion"
+	"repro/internal/provenance"
 	"repro/internal/reduction"
+	"repro/internal/relation"
 	"repro/internal/sat"
 	"repro/internal/setcover"
 	"repro/internal/workload"
@@ -111,22 +113,22 @@ func Table1HardSeries(seed int64, varSizes []int, perSize int) (*Series, error) 
 			if err != nil {
 				return nil, err
 			}
-			free, res, err := deletion.HasSideEffectFreeDeletion(pj.Query, pj.DB, pj.Target, deletion.ViewOptions{})
+			res, err := viewExact(pj.Query, pj.DB, pj.Target)
 			if err != nil {
 				return nil, err
 			}
-			agree = agree && free == want
+			agree = agree && res.SideEffectFree() == want
 			pjC += float64(res.Candidates)
 
 			ju, err := reduction.EncodeViewJU(f)
 			if err != nil {
 				return nil, err
 			}
-			free, res, err = deletion.HasSideEffectFreeDeletion(ju.Query, ju.DB, ju.Target, deletion.ViewOptions{})
+			res, err = viewExact(ju.Query, ju.DB, ju.Target)
 			if err != nil {
 				return nil, err
 			}
-			agree = agree && free == want
+			agree = agree && res.SideEffectFree() == want
 			juC += float64(res.Candidates)
 		}
 		a := 0.0
@@ -140,6 +142,16 @@ func Table1HardSeries(seed int64, varSizes []int, perSize int) (*Series, error) 
 		})
 	}
 	return s, nil
+}
+
+// viewExact runs the exact view side-effect search for target on a fresh
+// witness basis of q over db.
+func viewExact(q algebra.Query, db *relation.Database, target relation.Tuple) (*deletion.ViewExactResult, error) {
+	basis, err := provenance.Compute(q, db)
+	if err != nil {
+		return nil, err
+	}
+	return deletion.ViewExactGroupBasis(basis, []relation.Tuple{target}, deletion.ViewOptions{})
 }
 
 // Table2ApproxSeries measures the §2.2 approximation landscape on Theorem
@@ -169,11 +181,16 @@ func Table2ApproxSeries(seed int64, universes []int, perSize int) (*Series, erro
 			if err != nil {
 				return nil, err
 			}
-			exact, err := deletion.SourceExact(in.Query, in.DB, in.Target, 0)
+			basis, err := provenance.Compute(in.Query, in.DB)
 			if err != nil {
 				return nil, err
 			}
-			greedy, err := deletion.SourceGreedy(in.Query, in.DB, in.Target, 0)
+			targets := []relation.Tuple{in.Target}
+			exact, err := deletion.SourceExactGroupBasis(basis, targets)
+			if err != nil {
+				return nil, err
+			}
+			greedy, err := deletion.SourceGreedyGroupBasis(basis, targets)
 			if err != nil {
 				return nil, err
 			}
@@ -245,7 +262,11 @@ func ChainSeries(seed int64, lengths []int, rows int) (*Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		exact, err := deletion.SourceExact(q, db, target, 0)
+		basis, err := provenance.Compute(q, db)
+		if err != nil {
+			return nil, err
+		}
+		exact, err := deletion.SourceExactGroupBasis(basis, []relation.Tuple{target})
 		if err != nil {
 			return nil, err
 		}

@@ -68,6 +68,10 @@ func (w Witness) Len() int { return len(w.tuples) }
 // the slice.
 func (w Witness) Tuples() []relation.SourceTuple { return w.tuples }
 
+// Keys returns the keys (relation.SourceTuple.Key) of the source tuples,
+// in the order of Tuples. Callers must not modify the slice.
+func (w Witness) Keys() []string { return w.keys }
+
 // Key returns the canonical string identity of the witness. O(1) for
 // witnesses built by this package's constructors.
 func (w Witness) Key() string {

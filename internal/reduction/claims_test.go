@@ -41,7 +41,7 @@ func TestTheorem21ViewInventory(t *testing.T) {
 // removes the target touches one of the two per variable.
 func TestTheorem21VariableTouching(t *testing.T) {
 	in := Figure1()
-	res, err := deletion.ViewExact(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+	res, err := deletion.ViewExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTheorem22OutputCount(t *testing.T) {
 // Ri or tuple F from relation R'i" for every variable.
 func TestTheorem22VariableTouching(t *testing.T) {
 	in := Figure2()
-	res, err := deletion.ViewExact(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+	res, err := deletion.ViewExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

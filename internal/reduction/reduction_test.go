@@ -9,6 +9,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/annotation"
 	"repro/internal/deletion"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 	"repro/internal/sat"
 	"repro/internal/setcover"
@@ -18,6 +19,17 @@ import (
 
 // TestFigure1Contents checks the encoded relations against Figure 1 of the
 // paper, row for row.
+
+// basisOf builds the witness basis of q over db, the deletion solvers'
+// input.
+func basisOf(t *testing.T, q algebra.Query, db *relation.Database) *provenance.Result {
+	t.Helper()
+	res, err := provenance.Compute(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 func TestFigure1Contents(t *testing.T) {
 	in := Figure1()
 	r1 := in.DB.Relation("R1")
@@ -106,11 +118,12 @@ func TestViewPJEquivalenceQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		free, res, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+		res, err := deletion.ViewExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{})
 		if err != nil {
 			t.Log(err)
 			return false
 		}
+		free := res.SideEffectFree()
 		want := sat.Satisfiable(f)
 		if free != want {
 			t.Logf("side-effect-free=%v satisfiable=%v for %v", free, want, f)
@@ -183,11 +196,12 @@ func TestViewJUEquivalenceQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		free, res, err := deletion.HasSideEffectFreeDeletion(in.Query, in.DB, in.Target, deletion.ViewOptions{})
+		res, err := deletion.ViewExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target}, deletion.ViewOptions{})
 		if err != nil {
 			t.Log(err)
 			return false
 		}
+		free := res.SideEffectFree()
 		want := sat.Satisfiable(f)
 		if free != want {
 			t.Logf("side-effect-free=%v satisfiable=%v for %v", free, want, f)
@@ -277,7 +291,7 @@ func TestSourcePJEquivalenceQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		res, err := deletion.SourceExact(in.Query, in.DB, in.Target, 0)
+		res, err := deletion.SourceExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -368,7 +382,7 @@ func TestSourceJUEquivalenceQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		res, err := deletion.SourceExact(in.Query, in.DB, in.Target, 0)
+		res, err := deletion.SourceExactGroupBasis(basisOf(t, in.Query, in.DB), []relation.Tuple{in.Target})
 		if err != nil {
 			t.Log(err)
 			return false
