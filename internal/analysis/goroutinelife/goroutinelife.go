@@ -10,13 +10,15 @@
 //   - Channel hand-off: the literal sends on or closes a channel the
 //     launching function receives from (the propviewd serve-error and
 //     shutdown-timeout shapes).
-//   - Drain registration: the launched code (a named function, or through
-//     its callees) signals on a classifiable channel or WaitGroup — a
-//     struct field or package-level var — that some other function
-//     receives from or waits on, possibly in another package. This is the
-//     graceful-shutdown pattern: the engine's `go e.drain(nil)` calls
-//     e.committer.Done when it returns, and Engine.Close blocks in
-//     e.committer.Wait.
+//   - Drain registration: the launched function signals as it returns — a
+//     deferred close, send or Done — on a classifiable channel or
+//     WaitGroup (a struct field or package-level var) that some other
+//     function receives from or waits on, possibly in another package.
+//     This is the graceful-shutdown pattern: the engine's `go e.drain(nil)`
+//     defers e.committer.Done, and Engine.Close blocks in
+//     e.committer.Wait. A signal in the body, such as drain's close of
+//     each committed request's done channel, proves nothing about when
+//     the goroutine ends, so it does not count.
 //
 // The first two are read off the launch site; the third comes from the
 // concurrency summaries, which is what makes join evidence spanning

@@ -81,3 +81,31 @@ func newLeaky() *leaky {
 func (l *leaky) run() {
 	defer close(l.done)
 }
+
+// pool's worker closes each request's done channel, which await receives,
+// but that per-item signal does not prove the worker has returned; its
+// exit signal, pool.wg.Done, is waited on by nothing.
+type request struct {
+	done chan struct{}
+}
+
+type pool struct {
+	wg    sync.WaitGroup
+	queue []*request
+}
+
+func (p *pool) start() {
+	p.wg.Add(1)
+	go p.serve() // want "goroutine running pool.serve launched in pool.start has no provable join"
+}
+
+func (p *pool) serve() {
+	defer p.wg.Done()
+	for _, r := range p.queue {
+		close(r.done)
+	}
+}
+
+func await(r *request) {
+	<-r.done
+}

@@ -77,9 +77,9 @@ type Launch struct {
 	// close inside, receive in the launcher), or "" when the site alone
 	// proves nothing.
 	Proof string
-	// JoinClasses lists the chan/WaitGroup classes the launched code
-	// signals on (send, close, or Done); goroutinelife matches them against
-	// receivers elsewhere — the graceful-shutdown drain pattern.
+	// JoinClasses lists the chan/WaitGroup classes the launched function
+	// signals on as it returns (ExitSignals); goroutinelife matches them
+	// against receivers elsewhere — the graceful-shutdown drain pattern.
 	JoinClasses []string
 }
 
@@ -114,11 +114,16 @@ type FuncSummary struct {
 	// channels and WaitGroups, including those of callees.
 	ChanOps []ChanOp
 	WgOps   []WgOp
+	// ExitSignals lists the chan/WaitGroup classes the function signals
+	// on as it returns: a deferred close, send or Done, directly or in a
+	// deferred call. Unlike a signal in its body (one per item of a loop,
+	// say), a receiver of one of these has seen the function end.
+	ExitSignals []string
 }
 
 func (s *FuncSummary) empty() bool {
 	return len(s.Acquires) == 0 && len(s.NetHeld) == 0 && len(s.Releases) == 0 &&
-		len(s.Launches) == 0 && len(s.ChanOps) == 0 && len(s.WgOps) == 0
+		len(s.Launches) == 0 && len(s.ChanOps) == 0 && len(s.WgOps) == 0 && len(s.ExitSignals) == 0
 }
 
 // FuncFact exports a function's summary across package boundaries.

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -470,7 +471,7 @@ func (fw *funcWalker) deferCall(call *ast.CallExpr) {
 
 	if id, ok := fun.(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			fw.chanOp(call.Args[0], "close")
+			fw.addExitSignal(fw.chanOp(call.Args[0], "close"))
 			return
 		}
 	}
@@ -483,7 +484,10 @@ func (fw *funcWalker) deferCall(call *ast.CallExpr) {
 				return
 			}
 			if isWgMethod(sel.Sel.Name) && wgType(tv.Type) {
-				fw.wgOp(sel.X, strings.ToLower(sel.Sel.Name))
+				class := fw.wgOp(sel.X, strings.ToLower(sel.Sel.Name))
+				if sel.Sel.Name == "Done" {
+					fw.addExitSignal(class)
+				}
 				return
 			}
 		}
@@ -502,6 +506,16 @@ func (fw *funcWalker) deferCall(call *ast.CallExpr) {
 				}
 			}
 			fw.mergeOps(calleeSum)
+			for _, c := range calleeSum.ChanOps {
+				if c.Op == "send" || c.Op == "close" {
+					fw.addExitSignal(c.Class)
+				}
+			}
+			for _, g := range calleeSum.WgOps {
+				if g.Op == "done" {
+					fw.addExitSignal(g.Class)
+				}
+			}
 		}
 	}
 	for _, a := range call.Args {
@@ -525,7 +539,7 @@ func (fw *funcWalker) deferRelease(sel *ast.SelectorExpr) {
 	fw.addRelease(HeldLock{Class: class, Field: field, Level: level})
 }
 
-// deferLit scans a deferred func literal for unlocks and channel signals
+// deferLit scans a deferred func literal for unlocks and exit signals
 // (the common `defer func() { mu.Unlock(); close(done) }()` shapes).
 func (fw *funcWalker) deferLit(lit *ast.FuncLit) {
 	info := fw.w.pass.TypesInfo
@@ -537,7 +551,7 @@ func (fw *funcWalker) deferLit(lit *ast.FuncLit) {
 			fun := analysis.Unparen(n.Fun)
 			if id, ok := fun.(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					fw.chanOp(n.Args[0], "close")
+					fw.addExitSignal(fw.chanOp(n.Args[0], "close"))
 				}
 			}
 			if sel, ok := fun.(*ast.SelectorExpr); ok {
@@ -545,9 +559,12 @@ func (fw *funcWalker) deferLit(lit *ast.FuncLit) {
 					(sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock") {
 					fw.deferRelease(sel)
 				}
+				if tv, ok := info.Types[sel.X]; ok && wgType(tv.Type) && sel.Sel.Name == "Done" {
+					fw.addExitSignal(fw.wgOp(sel.X, "done"))
+				}
 			}
 		case *ast.SendStmt:
-			fw.chanOp(n.Chan, "send")
+			fw.addExitSignal(fw.chanOp(n.Chan, "send"))
 		}
 		return true
 	})
@@ -627,16 +644,14 @@ func (fw *funcWalker) goStmt(s *ast.GoStmt) {
 	call := s.Call
 	info := fw.w.pass.TypesInfo
 	l := Launch{Pos: posStr(fw.w.pass.Fset, s.Pos())}
-	joins := make(map[string]bool)
 
 	if lit, ok := analysis.Unparen(call.Fun).(*ast.FuncLit); ok {
-		litSum := fw.anonSum(lit)
-		collectSignals(litSum, joins)
+		l.JoinClasses = fw.anonSum(lit).ExitSignals
 		l.Proof = fw.joinProof(lit)
 	} else if callee := calleeOf(info, call); callee != nil {
 		l.Callee = displayName(callee)
 		if calleeSum := fw.w.lookup(callee); calleeSum != nil {
-			collectSignals(calleeSum, joins)
+			l.JoinClasses = calleeSum.ExitSignals
 		}
 		fw.expr(call.Fun, false)
 	} else {
@@ -646,27 +661,10 @@ func (fw *funcWalker) goStmt(s *ast.GoStmt) {
 		fw.expr(a, false)
 	}
 
-	for c := range joins {
-		l.JoinClasses = append(l.JoinClasses, c)
-	}
+	l.JoinClasses = append([]string(nil), l.JoinClasses...)
 	sort.Strings(l.JoinClasses)
 	fw.sum.Launches = append(fw.sum.Launches, l)
 	fw.w.launches = append(fw.w.launches, LocalLaunch{Launch: l, Pos: s.Pos(), FuncName: fw.name})
-}
-
-// collectSignals gathers the join classes launched code signals on: channel
-// sends/closes and WaitGroup Dones.
-func collectSignals(sum *FuncSummary, into map[string]bool) {
-	for _, c := range sum.ChanOps {
-		if c.Op == "send" || c.Op == "close" {
-			into[c.Class] = true
-		}
-	}
-	for _, g := range sum.WgOps {
-		if g.Op == "done" {
-			into[g.Class] = true
-		}
-	}
 }
 
 // joinProof looks for launch-site join evidence: the literal signals on a
@@ -727,16 +725,22 @@ func (fw *funcWalker) joinProof(lit *ast.FuncLit) string {
 
 // ---- channel / waitgroup events -------------------------------------------
 
-func (fw *funcWalker) chanOp(e ast.Expr, op string) {
-	if class, _ := fw.classOf(e); class != "" {
+// chanOp records op on e's class and returns the class, "" for a local.
+func (fw *funcWalker) chanOp(e ast.Expr, op string) string {
+	class, _ := fw.classOf(e)
+	if class != "" {
 		fw.addChanOp(class, op)
 	}
+	return class
 }
 
-func (fw *funcWalker) wgOp(e ast.Expr, op string) {
-	if class, _ := fw.classOf(e); class != "" {
+// wgOp records op on e's class and returns the class, "" for a local.
+func (fw *funcWalker) wgOp(e ast.Expr, op string) string {
+	class, _ := fw.classOf(e)
+	if class != "" {
 		fw.addWgOp(class, op)
 	}
+	return class
 }
 
 // ---- summary accumulation (deduplicated, walk order) ----------------------
@@ -769,6 +773,13 @@ func (fw *funcWalker) addChanOp(class, op string) {
 		}
 	}
 	fw.sum.ChanOps = append(fw.sum.ChanOps, ChanOp{Class: class, Op: op})
+}
+
+func (fw *funcWalker) addExitSignal(class string) {
+	if class == "" || slices.Contains(fw.sum.ExitSignals, class) {
+		return
+	}
+	fw.sum.ExitSignals = append(fw.sum.ExitSignals, class)
 }
 
 func (fw *funcWalker) addWgOp(class, op string) {
