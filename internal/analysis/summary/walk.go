@@ -661,7 +661,7 @@ func (fw *funcWalker) goStmt(s *ast.GoStmt) {
 		fw.expr(a, false)
 	}
 
-	l.JoinClasses = append([]string(nil), l.JoinClasses...)
+	l.JoinClasses = append([]string(nil), l.JoinClasses...) // sorted below; the summary keeps walk order
 	sort.Strings(l.JoinClasses)
 	fw.sum.Launches = append(fw.sum.Launches, l)
 	fw.w.launches = append(fw.w.launches, LocalLaunch{Launch: l, Pos: s.Pos(), FuncName: fw.name})

@@ -8,11 +8,11 @@ import (
 	"repro/internal/relation"
 )
 
-// JoinsOnKeys verifies syntactically that a normalized PJ query joins on
+// joinsOnKeys verifies syntactically that a normalized PJ query joins on
 // keys: for every Join node, the shared attributes contain a key of at
 // least one operand (checked against the current instance). This is the
 // foreign-key shape of the paper's remark; it implies unique witnesses.
-func JoinsOnKeys(q algebra.Query, db *relation.Database) (bool, error) {
+func joinsOnKeys(q algebra.Query, db *relation.Database) (bool, error) {
 	n := algebra.Normalize(q)
 	var check func(algebra.Query) (bool, error)
 	check = func(q algebra.Query) (bool, error) {
@@ -133,13 +133,16 @@ func TestKeyDeclaration(t *testing.T) {
 
 func TestJoinsOnKeys(t *testing.T) {
 	db := keyedDB()
-	ok, err := JoinsOnKeys(keyedQuery(), db)
+	ok, err := joinsOnKeys(keyedQuery(), db)
 	if err != nil || !ok {
 		t.Errorf("Emp ⋈ Dept joins on Dept's key: ok=%v err=%v", ok, err)
 	}
+	if res := basisOf(t, keyedQuery(), db); res.WitnessCount() != res.View.Len() {
+		t.Errorf("a key join must give every view tuple one witness: %d witnesses, %d rows", res.WitnessCount(), res.View.Len())
+	}
 	// The UserGroup query is NOT a key join: groups repeat on both sides.
 	ug := userGroupDB()
-	ok, err = JoinsOnKeys(userFileQuery(), ug)
+	ok, err = joinsOnKeys(userFileQuery(), ug)
 	if err != nil || ok {
 		t.Errorf("UserGroup join misclassified as key join: ok=%v err=%v", ok, err)
 	}
@@ -151,7 +154,7 @@ func TestJoinsOnKeys(t *testing.T) {
 	bRel := relation.New("B", relation.NewSchema("Y"))
 	bRel.InsertStrings("2")
 	db2.MustAdd(bRel)
-	ok, err = JoinsOnKeys(algebra.NatJoin(algebra.R("A"), algebra.R("B")), db2)
+	ok, err = joinsOnKeys(algebra.NatJoin(algebra.R("A"), algebra.R("B")), db2)
 	if err != nil || ok {
 		t.Errorf("cross product misclassified: ok=%v err=%v", ok, err)
 	}

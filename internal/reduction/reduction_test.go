@@ -15,11 +15,6 @@ import (
 	"repro/internal/setcover"
 )
 
-// --- Figure 1 / Theorem 2.1 ---
-
-// TestFigure1Contents checks the encoded relations against Figure 1 of the
-// paper, row for row.
-
 // basisOf builds the witness basis of q over db, the deletion solvers'
 // input.
 func basisOf(t *testing.T, q algebra.Query, db *relation.Database) *provenance.Result {
@@ -30,6 +25,11 @@ func basisOf(t *testing.T, q algebra.Query, db *relation.Database) *provenance.R
 	}
 	return res
 }
+
+// --- Figure 1 / Theorem 2.1 ---
+
+// TestFigure1Contents checks the encoded relations against Figure 1 of the
+// paper, row for row.
 func TestFigure1Contents(t *testing.T) {
 	in := Figure1()
 	r1 := in.DB.Relation("R1")
