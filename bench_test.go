@@ -824,11 +824,10 @@ func BenchmarkEngine_GroupDelete(b *testing.B) {
 // time on the write pipeline as the number of prepared views grows: four
 // concurrent writers delete distinct tuples of the hot view while 0, 7 or
 // 63 sibling views must also be maintained on every commit. Concurrent
-// requests coalesce into shared group solves and each commit's per-view
-// maintenance fans out across the worker pool, so the reported ns/delete
-// should stay roughly flat from 1 to 64 views instead of growing linearly
-// with the view count (the pre-pipeline engine ran every view's
-// maintenance serially inside each writer's critical section).
+// requests coalesce into shared group solves, so each commit's per-view
+// maintenance is paid once per batch rather than once per request; the
+// reported ns/delete grows with the view count by one maintenance pass
+// per view per batch.
 func benchmarkEngineParallelDelete(b *testing.B, nViews int) {
 	db, q := engineWorkload()
 	const writers = 4
@@ -986,30 +985,27 @@ func benchmarkCommitSourceSize(b *testing.B, ballast int) {
 func BenchmarkCommit_SourceSize1k(b *testing.B)   { benchmarkCommitSourceSize(b, 1_000) }
 func BenchmarkCommit_SourceSize100k(b *testing.B) { benchmarkCommitSourceSize(b, 100_000) }
 
-// shardedBenchSeed builds the 1M-tuple relation once per process; the
-// benchmark re-shards it per run (cheap next to the churn loop).
-var shardedBenchSeed struct {
+// bulkBenchSeed builds the 1M-tuple relation once per process; the
+// benchmark freezes it per run (cheap next to the churn loop).
+var bulkBenchSeed struct {
 	once sync.Once
 	db   *relation.Database
 	all  []relation.SourceTuple
 }
 
-// BenchmarkCommit_Sharded measures raw commit throughput on the sharded
-// store: each iteration deletes an 8k-tuple batch from a 1M-tuple relation
-// and re-inserts it — two Database-level commits whose overlay derivation,
-// presence probes, and segment folds scatter across the 64 segments'
-// workers. parallelFor sizes its pool from GOMAXPROCS at call time, so a
-// -cpu 1,2,4,8 sweep measures commit-throughput scaling directly: compare
-// the ns/commit across the suffixed records (the PR-4
-// BenchmarkCommit_SourceSize* records pinned the same commit path
-// unsegmented, where the whole derive ran on one goroutine).
-func BenchmarkCommit_Sharded(b *testing.B) {
+// BenchmarkCommit_Bulk measures raw commit throughput on a bulk write:
+// each iteration deletes an 8,192-tuple batch from a 1M-tuple relation
+// and re-inserts it — two Database-level commits whose overlay
+// derivation, presence probes and folds run on the one frozen store.
+// CI runs it at -cpu 1 and -cpu 2: the store has no parallel parts, so a
+// second core should not change ns/commit, and a parallel store would
+// have to beat these numbers.
+func BenchmarkCommit_Bulk(b *testing.B) {
 	const (
-		tuples   = 1_000_000
-		segments = 64
-		batch    = 8192
+		tuples = 1_000_000
+		batch  = 8192
 	)
-	s := &shardedBenchSeed
+	s := &bulkBenchSeed
 	s.once.Do(func() {
 		s.db = relation.NewDatabase()
 		r := relation.New("R", relation.NewSchema("A", "B"))
@@ -1019,7 +1015,7 @@ func BenchmarkCommit_Sharded(b *testing.B) {
 		s.db.MustAdd(r)
 		s.all = s.db.AllSourceTuples()
 	})
-	db := s.db.Sharded(segments)
+	db := s.db.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1037,7 +1033,6 @@ func BenchmarkCommit_Sharded(b *testing.B) {
 		b.Fatalf("store size drifted to %d", db.Size())
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2), "ns/commit")
-	b.ReportMetric(float64(segments), "segments")
 }
 
 // benchmarkApplyInsertionTreeSize measures view-side maintenance cost at a

@@ -17,10 +17,10 @@
 //	GET  /stats
 //
 // Writes — deletions AND source-side insertions — enter the engine's
-// bounded write queue (-write-queue; -write-workers and -max-batch tune
-// the commit). A synchronous write answers after its commit, an async one
-// (202 Accepted) once queued; async writes commit in admission order. A
-// full queue is a 429 for an async write and a 503 for a synchronous one.
+// bounded write queue (-write-queue; -max-batch tunes the commit). A
+// synchronous write answers after its commit, an async one (202 Accepted)
+// once queued; async writes commit in admission order. A full queue is a
+// 429 for an async write and a 503 for a synchronous one.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops accepting
 // requests, commits every queued write — a 202 is a promise — and exits.
@@ -47,21 +47,14 @@ func main() {
 	fs := flag.NewFlagSet("propviewd", flag.ExitOnError)
 	dbPath := fs.String("db", "", "path to the text database file (required)")
 	addr := fs.String("addr", ":8080", "listen address")
-	writeWorkers := fs.Int("write-workers", 0, "how many prepared views a commit maintains concurrently (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 0, "max targets coalesced into one group solve (0 = default 32, 1 disables coalescing)")
 	writeQueue := fs.Int("write-queue", 64, "max writes, sync and async, waiting for a commit (0 = default 64); past it async writes get 429, sync ones 503")
-	segments := fs.Int("segments", 0, "store each relation as this many hash-partitioned segments so commits derive and compact in parallel (0 and 1 both mean the one-segment store)")
 	var prepares prepareFlags
 	fs.Var(&prepares, "prepare", "view to prepare at boot, as name=QUERY (repeatable)")
 	fs.Parse(os.Args[1:])
 	if *dbPath == "" {
 		fs.Usage()
 		fmt.Fprintln(os.Stderr, "propviewd: -db is required")
-		os.Exit(2)
-	}
-	if *segments < 0 {
-		fs.Usage()
-		fmt.Fprintln(os.Stderr, "propviewd: -segments must be >= 0")
 		os.Exit(2)
 	}
 	raw, err := os.ReadFile(*dbPath)
@@ -72,15 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("propviewd: %v", err)
 	}
-	e := engine.New(db, engine.Options{
-		Workers:      *writeWorkers,
-		MaxBatchSize: *maxBatch,
-		MaxQueue:     *writeQueue,
-		Segments:     *segments,
-	})
-	if *segments > 1 {
-		log.Printf("source store sharded into %d segments per relation", *segments)
-	}
+	e := engine.New(db, engine.Options{MaxBatchSize: *maxBatch, MaxQueue: *writeQueue})
 	for _, p := range prepares {
 		if err := e.PrepareText(p.name, p.query); err != nil {
 			log.Fatalf("propviewd: prepare %s: %v", p.name, err)

@@ -45,7 +45,7 @@
 //     — so the callback must not let a yielded value escape (no append to
 //     an outer slice, no assignment to an outer variable or field, no
 //     channel send) without an explicit copy. Relation.Each and the
-//     segment-store k-way merge carry this contract. Enforced by the
+//     frozen-store walk behind it carry this contract. Enforced by the
 //     eachretain analyzer.
 //
 //   - `propview:generation` (comment on a field): the field is a monotone
@@ -62,8 +62,8 @@
 //     side effects, witness lists, an annotation's placement) independent
 //     of the run. It sits on the delta evaluator's step and its helpers
 //     (internal/annotree), the witness-basis maintenance that drives them
-//     (provenance Result.ApplyDeletion and ApplyInsertion), Engine.Views,
-//     and parallel.For and Hash.
+//     (provenance Result.ApplyDeletion and ApplyInsertion) and
+//     Engine.Views.
 //     Enforced by the maporder analyzer: no returned value whose element
 //     order derives from a range over a map unless sorted or gathered
 //     into keyed slots first, and no clock or RNG root — time.Now,
@@ -125,12 +125,6 @@
 // function reaches transitively, and its deterministic marker. These are
 // exported as gob facts alongside the concurrency summaries, and maporder
 // reports from them.
-//
-// What no analyzer checks: closures handed to parallel.For run
-// concurrently and may write captured state only through their own
-// per-index slot. A violation is a data race, and the race detector run
-// at GOMAXPROCS 2 over the fan-out packages is the check (see the
-// parallel package doc).
 //
 // A finding that is intentional is suppressed in place with
 //

@@ -1,6 +1,6 @@
 // Package eachretain checks the cursor-reuse contract of the iteration
 // API: a callback passed to a `propview:no-retain` function
-// (Relation.Each and the overlay/segment cursors behind it) receives
+// (Relation.Each and the frozen-store walk behind it) receives
 // values whose backing storage the iterator may reuse or that alias
 // internal state, so the callback must not let a yielded value escape
 // the call — no appending it to an outer slice, no assigning it to an

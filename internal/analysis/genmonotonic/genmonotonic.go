@@ -1,6 +1,6 @@
 // Package genmonotonic checks that generation counters only move forward
 // and only from commit paths. A field annotated `propview:generation`
-// (Engine.sgen, prepared.gen, Database.version, segStore.nextSeq) is the
+// (Engine.sgen, prepared.gen, Database.version) is the
 // repo's ordering spine: readers compare generations to decide staleness,
 // so a counter that jumps backwards or is bumped outside the publish path
 // breaks snapshot validation silently.
@@ -113,7 +113,7 @@ func (st *state) genDerived(e ast.Expr, taint map[types.Object]bool) bool {
 }
 
 // localTaints collects locals bound to generation-derived values (e.g.
-// `seq := st.nextSeq`), one sequential pass in source order; a local that
+// `v := db.version`), one sequential pass in source order; a local that
 // carries a generation may itself initialize a generation field.
 func (st *state) localTaints(fd *ast.FuncDecl) map[types.Object]bool {
 	taint := make(map[types.Object]bool)

@@ -5,8 +5,7 @@
 // Three proofs are accepted, in the order they are tried:
 //
 //   - WaitGroup balance: the launched literal calls Done on a WaitGroup the
-//     launching function Waits on (the parallel.For / fan-out
-//     worker shape).
+//     launching function Waits on (the bounded worker-pool shape).
 //   - Channel hand-off: the literal sends on or closes a channel the
 //     launching function receives from (the propviewd serve-error and
 //     shutdown-timeout shapes).

@@ -99,6 +99,18 @@ type DeleteReport struct {
 // opts.MaxWitnesses caps the basis on the NP-hard routes only; the SPU and
 // SJ bases are polynomial and built uncapped.
 func Delete(q algebra.Query, db *relation.Database, target relation.Tuple, obj Objective, opts DeleteOptions) (*DeleteReport, error) {
+	return deleteWith(q, db, target, obj, opts, nil)
+}
+
+// computeBasis builds a view's witness basis; a package variable so tests
+// can count the builds.
+var computeBasis = provenance.ComputeLimited
+
+// deleteWith is Delete. A route that needs the uncapped witness basis
+// takes it from uncapped when that is non-nil, instead of building its
+// own; a capped route always builds its own, so ErrLimit behaves as in
+// Delete.
+func deleteWith(q algebra.Query, db *relation.Database, target relation.Tuple, obj Objective, opts DeleteOptions, uncapped func() (*provenance.Result, error)) (*DeleteReport, error) {
 	ops := algebra.OperatorsOf(q)
 	var problem algebra.Problem
 	if obj == MinimizeViewSideEffects {
@@ -129,7 +141,13 @@ func Delete(q algebra.Query, db *relation.Database, target relation.Tuple, obj O
 		}
 		lim.MaxWitnesses = opts.MaxWitnesses
 	}
-	res, err := provenance.ComputeLimited(q, db, lim)
+	var res *provenance.Result
+	var err error
+	if lim.MaxWitnesses == 0 && uncapped != nil {
+		res, err = uncapped()
+	} else {
+		res, err = computeBasis(q, db, lim)
+	}
 	if err != nil {
 		return nil, err
 	}

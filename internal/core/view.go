@@ -56,14 +56,24 @@ func (v *View) Eval() (*relation.Relation, error) {
 // Witnesses returns the minimal witnesses of a view tuple, computing the
 // basis on first use.
 func (v *View) Witnesses(t relation.Tuple) ([]provenance.Witness, error) {
+	res, err := v.basis()
+	if err != nil {
+		return nil, err
+	}
+	return res.Witnesses(t), nil
+}
+
+// basis returns the view's uncapped witness basis, computing it on first
+// use.
+func (v *View) basis() (*provenance.Result, error) {
 	if v.wit == nil {
-		res, err := provenance.Compute(v.q, v.db)
+		res, err := computeBasis(v.q, v.db, provenance.Limit{})
 		if err != nil {
 			return nil, err
 		}
 		v.wit = res
 	}
-	return v.wit.Witnesses(t), nil
+	return v.wit, nil
 }
 
 // WhereProvenance returns the source locations propagating to a view cell.
@@ -79,9 +89,12 @@ func (v *View) WhereProvenance(t relation.Tuple, attr relation.Attribute) ([]rel
 }
 
 // Delete routes a deletion request and, when apply is true, applies the
-// resulting source deletions to the database and invalidates caches.
+// resulting source deletions to the database and invalidates caches. A
+// route that needs the uncapped witness basis (SPU, SJ, or any route with
+// opts.MaxWitnesses 0) uses the cached one, building and caching it on
+// first use; a capped route builds its own, as Delete does.
 func (v *View) Delete(target relation.Tuple, obj Objective, opts DeleteOptions, apply bool) (*DeleteReport, error) {
-	rep, err := Delete(v.q, v.db, target, obj, opts)
+	rep, err := deleteWith(v.q, v.db, target, obj, opts, v.basis)
 	if err != nil {
 		return nil, err
 	}

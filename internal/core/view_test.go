@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
@@ -94,6 +96,45 @@ func TestViewDeleteWithoutApply(t *testing.T) {
 	}
 	if ok, _ := v.Contains(target); !ok {
 		t.Error("without apply the view must be unchanged")
+	}
+}
+
+// TestViewDeleteReusesCachedBasis: after Witnesses, a Delete whose route
+// takes the uncapped basis builds none of its own and reports what the
+// one-shot Delete reports; a capped route still builds its own basis.
+func TestViewDeleteReusesCachedBasis(t *testing.T) {
+	orig := computeBasis
+	defer func() { computeBasis = orig }()
+	builds := 0
+	computeBasis = func(q algebra.Query, db *relation.Database, lim provenance.Limit) (*provenance.Result, error) {
+		builds++
+		return orig(q, db, lim)
+	}
+	v := viewFixture(t)
+	target := relation.StringTuple("john", "f1")
+	if _, err := v.Witnesses(target); err != nil {
+		t.Fatal(err)
+	}
+	got, err := v.Delete(target, MinimizeViewSideEffects, DeleteOptions{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 {
+		t.Fatalf("Witnesses then Delete built the basis %d times, want 1", builds)
+	}
+	want, err := Delete(v.Query(), v.Database(), target, MinimizeViewSideEffects, DeleteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("View.Delete = %+v, Delete = %+v", got, want)
+	}
+	builds = 0
+	if _, err := v.Delete(target, MinimizeViewSideEffects, DeleteOptions{MaxWitnesses: 8}, false); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 {
+		t.Fatalf("a capped Delete built %d bases, want its own one", builds)
 	}
 }
 

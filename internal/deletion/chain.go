@@ -203,7 +203,7 @@ func SourceChainMinCut(q algebra.Query, db *relation.Database, target relation.T
 			T = append(T, vertices[v].st)
 		}
 	}
-	effects, _, err := SideEffectsOf(q, db, T, target)
+	effects, _, err := sideEffectsFrom(view, q, db, T, target)
 	if err != nil {
 		return nil, err
 	}

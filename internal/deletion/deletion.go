@@ -67,6 +67,11 @@ func SideEffectsOf(q algebra.Query, db *relation.Database, T []relation.SourceTu
 	if err != nil {
 		return nil, false, err
 	}
+	return sideEffectsFrom(before, q, db, T, target)
+}
+
+// sideEffectsFrom is SideEffectsOf given before, the view q(db).
+func sideEffectsFrom(before *relation.Relation, q algebra.Query, db *relation.Database, T []relation.SourceTuple, target relation.Tuple) (effects []relation.Tuple, targetGone bool, err error) {
 	after, err := algebra.Eval(q, db.DeleteAll(T))
 	if err != nil {
 		return nil, false, err

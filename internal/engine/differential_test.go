@@ -297,7 +297,7 @@ func TestDifferentialMixedInsertDelete(t *testing.T) {
 // singleton solves provably choose the same source deletions, making
 // byte-level comparison of the downstream state meaningful. The sibling
 // views (a join and a lossy projection with multi-witness tuples) exercise
-// the fan-out maintenance on non-trivial bases.
+// the per-view maintenance on non-trivial bases.
 func TestDifferentialCoalescedBatchIdentity(t *testing.T) {
 	const batchDB = `
 relation R(a, b)
@@ -354,7 +354,7 @@ w, c1
 		// Coalescing engine: the batch admits exactly the full request mix,
 		// and holding the commit lock until all four requests are queued
 		// guarantees they meet in one commit.
-		coalesced := mkEngine(Options{MaxBatchSize: targets, Workers: 4})
+		coalesced := mkEngine(Options{MaxBatchSize: targets})
 		var wg sync.WaitGroup
 		errs := make([]error, reqs)
 		coalesced.wmu.Lock()
@@ -383,7 +383,7 @@ w, c1
 		}
 
 		// Serial engine: same requests, one at a time, coalescing disabled.
-		serial := mkEngine(Options{MaxBatchSize: 1, Workers: 1})
+		serial := mkEngine(Options{MaxBatchSize: 1})
 		for _, tg := range singles {
 			if _, err := serial.Delete("id", tg, obj, core.DeleteOptions{}); err != nil {
 				t.Fatalf("%v: serial delete: %v", obj, err)

@@ -51,25 +51,24 @@
 // caller or, for Submitted writes, a committer goroutine (pipeline.go).
 // Queued Delete/DeleteGroup requests against the same view coalesce into
 // a single cached-basis group solve, queued Insert requests into a single
-// source extension, and each commit's per-view incremental maintenance
-// fans out across a bounded worker pool — so write latency
-// does not scale with the number of prepared views, and throughput under
-// write contention does not degrade to one solve per request. Prepare
+// source extension, and each commit maintains its prepared views one
+// after another on the committing goroutine — so throughput under write
+// contention does not degrade to one solve per request. Prepare
 // computes off the commit lock against a captured source generation and
 // revalidates at registration, so an expensive prepare never stalls
 // concurrent writes. The engine owns a private frozen snapshot of the
 // source database and never mutates a published generation, so concurrent
 // Query/Annotate readers and Delete/Insert writers are race-free by
-// construction (see race_test.go). Options tunes the pipeline (worker
-// count, batch cap, queue bound); the zero value keeps uncontended latency
-// identical to a serial engine.
+// construction (see race_test.go). Options tunes the pipeline (batch
+// cap, queue bound); the zero value keeps uncontended latency identical
+// to a serial engine.
 //
 // Storage: source generations live in the persistent, structure-sharing
-// versioned store (internal/relation, segment.go). A commit derives the
+// versioned store (internal/relation, store.go). A commit derives the
 // next generation in O(|Δ|) — untouched relations are shared by pointer,
-// touched relations get a frozen version (tombstones + appends over each
-// touched segment) sharing the same base arrays — instead of the old
-// copy-the-world DeleteAll/InsertAll, so commit cost scales with the
+// touched relations get a frozen version (a tombstone/append layer)
+// sharing the same base arrays — instead of the old copy-the-world
+// DeleteAll/InsertAll, so commit cost scales with the
 // write, not with |S|, and retaining several generations (the serving one
 // plus those pinned by view snapshots) costs overlays, not copies. Stats
 // surfaces the store's sharing/compaction counters and the live version
@@ -304,12 +303,10 @@ type Engine struct {
 	nCoalescedIns atomic.Int64 // insert requests that shared a batch
 }
 
-// New creates an engine over a private frozen snapshot of db, stored as
-// Options.Segments hash-partitioned segments per relation
-// (relation.Database.Sharded; 0 and 1 both mean the one-segment store).
-// Freezing copies each builder relation of db once, O(|S|), and shares
-// an already frozen relation with the same segment count in O(1); either
-// way later mutations of the caller's database do not reach the engine,
+// New creates an engine over a private frozen snapshot of db
+// (relation.Database.Freeze). Freezing copies each builder relation of db
+// once, O(|S|), and shares an already frozen relation in O(1); either way
+// later mutations of the caller's database do not reach the engine,
 // which is what makes the published generations immutable. An optional
 // Options tunes the write pipeline; omitted or zero fields take the
 // documented defaults.
@@ -319,7 +316,7 @@ func New(db *relation.Database, opts ...Options) *Engine {
 		o = opts[0]
 	}
 	o = o.withDefaults()
-	return &Engine{opt: o, db: db.Sharded(o.Segments), views: make(map[string]*prepared)}
+	return &Engine{opt: o, db: db.Freeze(), views: make(map[string]*prepared)}
 }
 
 // Prepare registers q under name: the query is validated, normalized
@@ -668,12 +665,10 @@ func (e *Engine) Insert(tuples []relation.SourceTuple) (*InsertReport, error) {
 }
 
 // apply publishes a new source generation with T removed and incrementally
-// maintains every prepared view: the per-view ApplyDeletion passes are
-// independent, so they fan out across up to Options.Workers views at
-// once instead of running serially. reqs is the number of coalesced delete
-// requests this commit carries; each view's generation counter advances by
-// it, keeping generation counts identical to applying the requests one at
-// a time.
+// maintains every prepared view, one ApplyDeletion pass after another.
+// reqs is the number of coalesced delete requests this commit carries;
+// each view's generation counter advances by it, keeping generation
+// counts identical to applying the requests one at a time.
 // Callers hold wmu.
 //
 // propview:publish
@@ -691,11 +686,11 @@ func (e *Engine) apply(T []relation.SourceTuple, reqs int) {
 
 	newDB := db.DeleteAll(T)
 	next := make([]*snapshot, len(ps))
-	e.fanOut(len(ps), func(i int) {
-		old := ps[i].snap.Load()
+	for i, p := range ps {
+		old := p.snap.Load()
 		next[i] = nextSnapshot(old, newDB, old.prov.ApplyDeletion(T), false, T)
-		e.nMaint.Add(1)
-	})
+	}
+	e.nMaint.Add(int64(len(ps)))
 
 	e.mu.Lock()
 	e.db = newDB

@@ -247,7 +247,7 @@ func TestCoalescedInsertFailureAttribution(t *testing.T) {
 // generation advancement.
 func TestConcurrentInsertsCoalesce(t *testing.T) {
 	const k = 4
-	e := pipelineEngine(t, Options{MaxBatchSize: k, Workers: 2})
+	e := pipelineEngine(t, Options{MaxBatchSize: k})
 	tuples := []relation.SourceTuple{
 		{Rel: "R", Tuple: relation.StringTuple("n1", "x")},
 		{Rel: "R", Tuple: relation.StringTuple("n2", "y")},

@@ -28,7 +28,7 @@
 //  3. commit — commitDelete fails each request whose targets vanished
 //     individually, runs ONE group solve over the union of the surviving
 //     targets (core.SolveBasis), and maintains every prepared view
-//     once, on the worker pool. A panic fails only this batch's requests.
+//     once, one after another. A panic fails only this batch's requests.
 //  4. publish — the new source generation and every view's snapshot are
 //     published atomically; each view's generation advances by the number
 //     of coalesced requests, as if they ran one at a time. Coalesced
@@ -40,23 +40,17 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/deletion"
-	"repro/internal/parallel"
 	"repro/internal/relation"
 )
 
 // Options tunes the engine's write pipeline. The zero value selects the
 // defaults noted on each field.
 type Options struct {
-	// Workers bounds how many prepared views a commit maintains at once;
-	// each view's own maintenance pass is serial. Default:
-	// runtime.GOMAXPROCS(0).
-	Workers int
 	// MaxBatchSize caps the total number of target tuples coalesced into
 	// one group solve. A single DeleteGroup larger than the cap is still
 	// admitted, alone. Default: 32. Set to 1 to disable coalescing.
@@ -64,26 +58,16 @@ type Options struct {
 	// MaxQueue bounds the writes admitted but not yet taken into a batch;
 	// one more fails at once with ErrOverloaded. Default: 64.
 	MaxQueue int
-	// Segments is the number of hash-partitioned segments each source
-	// relation is stored as (relation.Database.Sharded). Every segment
-	// keeps its own overlay and fold/squash schedule, so commit-time
-	// derivation and compaction scatter across segments and run in
-	// parallel, and folds cost O(segment) instead of O(relation). Zero
-	// (the default) and one both mean the one-segment store. Measured on
-	// 2 vCPUs (BenchmarkCommit_Sharded, an 8,192-tuple delete plus
-	// reinsert on 1M tuples): 8 segments commit in 37-39 ms against 45-55
-	// ms for one segment with two cores, but in 59-64 ms against 47-48 ms
-	// with one core, and allocate 50-60% more bytes per commit; on
-	// hub-write, whose writes commit a handful of tuples, 8 segments
-	// showed no gain over one.
+	// Segments is ignored.
+	//
+	// Deprecated: the source store has no segments any more. The field
+	// stays only because perfbench still sets it (ROADMAP item 2(a)
+	// deletes it).
 	Segments int
 }
 
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.MaxBatchSize <= 0 {
 		o.MaxBatchSize = 32
 	}
@@ -462,9 +446,9 @@ func (e *Engine) commitDelete(p *prepared, b *batch) {
 // any generation; generations advance by the number of requests that
 // contributed at least one novel tuple, keeping the counts identical to
 // applying the requests one at a time. The maintenance pass is two-phase:
-// every view's next snapshot is computed (fanned out on the worker pool)
-// before anything is published, so a failure — e.g. a grown basis tripping
-// a PrepareLimited cap — publishes nothing. When a COALESCED batch fails,
+// every view's next snapshot is computed before anything is published, so
+// a failure — e.g. a grown basis tripping a PrepareLimited cap —
+// publishes nothing. When a COALESCED batch fails,
 // the requests are replayed one at a time (mirroring the delete path's
 // per-request attribution of vanished targets): only the request whose
 // tuples actually blow a cap fails, innocent concurrent inserts succeed
@@ -554,20 +538,13 @@ func (e *Engine) insertGroup(reqs []*writeReq) error {
 		return err
 	}
 	next := make([]*snapshot, len(ps))
-	errs := make([]error, len(ps))
-	e.fanOut(len(ps), func(i int) {
-		old := ps[i].snap.Load()
+	for i, p := range ps {
+		old := p.snap.Load()
 		prov, ierr := old.prov.ApplyInsertion(novel)
 		if ierr != nil {
-			errs[i] = fmt.Errorf("engine: maintaining view %q: %w", ps[i].name, ierr)
-			return
+			return fmt.Errorf("engine: maintaining view %q: %w", p.name, ierr)
 		}
 		next[i] = nextSnapshot(old, newDB, prov, true, novel)
-	})
-	for _, ierr := range errs {
-		if ierr != nil {
-			return ierr
-		}
 	}
 
 	e.mu.Lock()
@@ -584,7 +561,3 @@ func (e *Engine) insertGroup(reqs []*writeReq) error {
 	finish()
 	return nil
 }
-
-// fanOut runs fn(0..n-1), one prepared view per index, on up to
-// e.opt.Workers goroutines and waits for all of them.
-func (e *Engine) fanOut(n int, fn func(i int)) { parallel.For(n, e.opt.Workers, fn) }

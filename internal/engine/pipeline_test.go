@@ -49,11 +49,11 @@ func pipelineEngine(t *testing.T, opts ...Options) *Engine {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Workers < 1 || o.MaxBatchSize != 32 || o.MaxQueue != 64 {
+	if o.MaxBatchSize != 32 || o.MaxQueue != 64 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
-	o = Options{Workers: 3, MaxBatchSize: 5, MaxQueue: 2}.withDefaults()
-	if o.Workers != 3 || o.MaxBatchSize != 5 || o.MaxQueue != 2 {
+	o = Options{MaxBatchSize: 5, MaxQueue: 2}.withDefaults()
+	if o.MaxBatchSize != 5 || o.MaxQueue != 2 {
 		t.Fatalf("explicit options clobbered: %+v", o)
 	}
 }
@@ -679,7 +679,7 @@ func TestCommitAllStale(t *testing.T) {
 // one batch, every caller sharing the combined report.
 func TestConcurrentDeletesCoalesce(t *testing.T) {
 	const k = 4
-	e := pipelineEngine(t, Options{MaxBatchSize: k, Workers: 2})
+	e := pipelineEngine(t, Options{MaxBatchSize: k})
 	targets := []relation.Tuple{
 		relation.StringTuple("r1", "x"),
 		relation.StringTuple("r2", "x"),
@@ -747,29 +747,5 @@ func TestDeleteEmptyTargets(t *testing.T) {
 	}
 	if st := e.Stats(); st.Deletes != 0 {
 		t.Fatalf("empty request counted as a delete: %+v", st)
-	}
-}
-
-// fanOut must run every job exactly once regardless of worker bound.
-func TestFanOut(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		e := &Engine{opt: Options{Workers: workers}.withDefaults()}
-		e.opt.Workers = workers
-		const n = 17
-		var mu sync.Mutex
-		seen := make(map[int]int)
-		e.fanOut(n, func(i int) {
-			mu.Lock()
-			seen[i]++
-			mu.Unlock()
-		})
-		if len(seen) != n {
-			t.Fatalf("workers=%d: %d jobs ran, want %d", workers, len(seen), n)
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: job %d ran %d times", workers, i, c)
-			}
-		}
 	}
 }

@@ -174,7 +174,7 @@ func TestConcurrentServing(t *testing.T) {
 func TestConcurrentCoalescedServing(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	db, q := workload.UserGroupFile(r, 24, 8, 18, 2, 2)
-	e := New(db, Options{MaxBatchSize: 8, Workers: 4})
+	e := New(db, Options{MaxBatchSize: 8})
 	if err := e.Prepare("v", q); err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,14 @@ import (
 
 // TestConcurrentParallelMaintenanceServing is the -race stress for
 // serving during maintenance: paginating readers and an annotating reader
-// run against an engine with 4 across-view workers while a writer churns
-// group deletes and restores. Run under -race; the assertions are
+// run against an engine while a writer churns group deletes and
+// restores. Run under -race; the assertions are
 // secondary to the detector — readers must only ever observe
 // internally-consistent snapshots.
 func TestConcurrentParallelMaintenanceServing(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	db, q := workload.UserGroupFile(r, 24, 8, 20, 2, 2)
-	e := New(db, Options{Workers: 4})
+	e := New(db)
 	if err := e.Prepare("v", q); err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,12 @@ func netDeltas(ws []viewDelta) (died, added []relation.Tuple) {
 	for _, w := range ws {
 		n += len(w.died) + len(w.added)
 	}
+	// Sized up front: grown by append, the two slices allocate once per
+	// doubling, and on hub-write those allocations took about a fifth of
+	// a page read's median.
 	rows := make(map[string]netRow, n)
-	var order []relation.Tuple
-	var keys []string
+	order := make([]relation.Tuple, 0, n)
+	keys := make([]string, 0, n)
 	mention := func(t relation.Tuple, present bool) {
 		k := t.Key()
 		if r, seen := rows[k]; seen {

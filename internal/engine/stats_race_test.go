@@ -28,7 +28,7 @@ import (
 func TestStatsDescribeUnderBatchedWrites(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	db, q := workload.UserGroupFile(r, 20, 8, 15, 2, 2)
-	e := New(db, Options{MaxBatchSize: 6, Workers: 3})
+	e := New(db, Options{MaxBatchSize: 6})
 	if err := e.Prepare("v", q); err != nil {
 		t.Fatal(err)
 	}

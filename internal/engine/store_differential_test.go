@@ -19,25 +19,17 @@ import (
 // folds and squashes), asserting after every step that the maintained
 // view, witness basis, source database and per-view generation are
 // byte-identical to a from-scratch algebra.Eval + provenance.Compute over
-// a legacy flat mirror (storetest.Oracle). This is the proof that structure sharing and
-// compaction are invisible to every consumer above the store.
+// a legacy flat mirror (storetest.Oracle). This is the proof that
+// structure sharing and compaction are invisible to every consumer above
+// the store. Two parameter sets run: a short one over two seeds on small
+// relations, and a long one over one seed on relations about five times
+// larger, whose folds come further apart.
 func TestDifferentialCompactionCycles(t *testing.T) {
-	for _, segments := range []int{0, 1, 4, 17} {
-		segments := segments
-		t.Run(fmt.Sprintf("segments=%d", segments), func(t *testing.T) {
-			testDifferentialCompactionCycles(t, segments)
-		})
-	}
+	t.Run("short", func(t *testing.T) { testDifferentialCompactionCycles(t, 300, 2, 25, 20) })
+	t.Run("long", func(t *testing.T) { testDifferentialCompactionCycles(t, 600, 1, 120, 90) })
 }
 
-func testDifferentialCompactionCycles(t *testing.T, segments int) {
-	// Segmented stores fold per segment, so those runs go longer and seed
-	// more tuples per relation to drive every segment through its own
-	// compaction cycles; one seed keeps the added configurations affordable.
-	steps, seeds, nR, nS := 300, int64(2), 25, 20
-	if segments > 0 {
-		steps, seeds, nR, nS = 600, 1, 120, 90
-	}
+func testDifferentialCompactionCycles(t *testing.T, steps int, seeds int64, nR, nS int) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 
@@ -57,7 +49,7 @@ func testDifferentialCompactionCycles(t *testing.T, segments int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(db, Options{Segments: segments})
+		e := New(db)
 		if err := e.Prepare("v", q); err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +160,6 @@ func testDifferentialCompactionCycles(t *testing.T, segments int) {
 		}
 		if st.Store.DerivedVersions == 0 || st.Store.SharedRelations == 0 || st.Store.RewrittenRelations == 0 {
 			t.Fatalf("seed %d: store counters did not move: %+v", seed, st.Store)
-		}
-		if segments > 0 {
-			if st.Store.Segmented.Relations != 2 || st.Store.Segmented.Segments != 2*segments {
-				t.Fatalf("seed %d: segment stats %+v, want 2 relations × %d segments", seed, st.Store.Segmented, segments)
-			}
-			if segments > 1 && st.Store.Segmented.ParallelDerives == 0 {
-				t.Fatalf("seed %d: no commit ever scattered across segments (stats %+v)", seed, st.Store.Segmented)
-			}
 		}
 		// The view's provenance-tree store must have cycled its node
 		// overlays too — every commit above ran through the O(Δ) tree

@@ -1,7 +1,7 @@
 // Package layered is the persistent layered overlay behind every
-// versioned store in the module: the segments of a frozen relation
-// (internal/relation) and the witness, join-bucket and where-provenance
-// maps (internal/overlay) are thin instantiations of Store.
+// versioned store in the module: the frozen relations of
+// internal/relation and the witness, join-bucket and where-provenance
+// maps of internal/overlay are thin instantiations of Store.
 //
 // A Store is an immutable base plus a chain of immutable layers. Each
 // layer records one delta over the version below it: a tombstone key set
@@ -19,14 +19,14 @@
 // later re-appended therefore leaves its base position and reappears at
 // the end — exactly where a from-scratch rebuild would put it.
 //
-// Two compactions bound the chain, both on one Policy:
+// Two compactions bound the chain, on one schedule for every store:
 //
 //   - fold: when the cumulative mention count passes a quarter of the
-//     base (or the policy's floor, for small bases), the version is
+//     base (or 64, for small bases), the version is
 //     flattened into a fresh base. The O(n) fold is amortized over the
 //     ≥ n/4 delta operations that provoked it, keeping derives amortized
 //     O(|Δ|).
-//   - squash: when the chain grows deeper than the policy's depth without
+//   - squash: when the chain grows deeper than 32 layers without
 //     tripping the fold (e.g. a steady delete/restore churn whose mentions
 //     cancel), the chain is merged into a single layer over the same base
 //     in O(overlay), bounding lookup cost without touching the base.
@@ -46,24 +46,16 @@ type Base interface {
 	Has(k string) bool
 }
 
-// Policy is a fold/squash schedule.
-type Policy struct{ floor, depth int }
-
-// ForSegments is the schedule of a store split into n segments (n < 1
-// counts as one): fold past max(base/4, max(64/n, 24)) mentions, squash
-// past max(32/n, 8) layers. One segment gets the unsegmented schedule,
-// 64/32; from four segments up every segment gets 24/8 — a segment's base
-// is a fraction of the relation, so both the fold floor and the tolerable
-// chain depth shrink with it, keeping per-probe overlay walks short
-// without giving up fold amortization.
-func ForSegments(n int) Policy {
-	n = max(n, 1)
-	return Policy{floor: max(64/n, 24), depth: max(32/n, 8)}
-}
+// The fold/squash schedule: fold past max(base/4, foldFloor) mentions,
+// squash past maxDepth layers.
+const (
+	foldFloor = 64
+	maxDepth  = 32
+)
 
 // FoldLimit is the mention count past which a version over a base of
 // baseLen entries folds.
-func (p Policy) FoldLimit(baseLen int) int { return max(baseLen/4, p.floor) }
+func FoldLimit(baseLen int) int { return max(baseLen/4, foldFloor) }
 
 // Counters counts compactions over the lifetime of a family of chains
 // (every store of one database, of one provenance tree, ...). The
@@ -158,9 +150,8 @@ func (s *Store[E, B]) Decide(k string) (e E, present, decided bool) {
 
 // Walk is the overlay resolution of one pass over a version in iteration
 // order: a base entry is emitted unless Mentioned, and Next then yields
-// the surviving appends oldest-first. The instance drives the base part,
-// so a pass can be pushed (a loop) or pulled (a k-way merge cursor). A
-// Walk costs O(overlay) to set up and nothing without overlay.
+// the surviving appends oldest-first. The instance drives the base part.
+// A Walk costs O(overlay) to set up and nothing without overlay.
 type Walk[E Keyed] struct {
 	d      map[string]*layer[E] // deciding layer per mentioned key; nil for a tombstone
 	layers []*layer[E]          // the chain, oldest first
@@ -226,10 +217,10 @@ func (w *Walk[E]) Next() (E, bool) {
 // Derive publishes the version of s with the keys of dead tombstoned and
 // the entries of added appended in order, holding live entries. dead and
 // added are owned by the new version afterwards; an appended key must not
-// also be in dead. When the chain trips p the new version is folded —
-// fold builds the fresh base from it — or squashed, and c counts it. The
-// receiver is unchanged. O(|Δ|) plus amortized compaction.
-func (s *Store[E, B]) Derive(dead map[string]struct{}, added []E, live int, p Policy, c *Counters, fold func(*Store[E, B]) B) Store[E, B] {
+// also be in dead. When the chain trips the schedule the new version is
+// folded — fold builds the fresh base from it — or squashed, and c counts
+// it. The receiver is unchanged. O(|Δ|) plus amortized compaction.
+func (s *Store[E, B]) Derive(dead map[string]struct{}, added []E, live int, c *Counters, fold func(*Store[E, B]) B) Store[E, B] {
 	l := &layer[E]{
 		below:    s.top,
 		dead:     dead,
@@ -245,13 +236,13 @@ func (s *Store[E, B]) Derive(dead map[string]struct{}, added []E, live int, p Po
 	}
 	v := Store[E, B]{base: s.base, top: l, live: live}
 	switch {
-	case l.mentions > p.FoldLimit(s.base.Len()):
+	case l.mentions > FoldLimit(s.base.Len()):
 		if c != nil {
 			c.folds.Add(1)
 		}
 		flat := v // only a folded version's address escapes
 		return New[E](fold(&flat))
-	case l.depth > p.depth:
+	case l.depth > maxDepth:
 		if c != nil {
 			c.squashes.Add(1)
 		}

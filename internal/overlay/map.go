@@ -1,10 +1,11 @@
 // Package overlay provides the persistent, structure-sharing containers
 // of the annotated operator trees' per-node state (internal/annotree):
 // a string-keyed map over the layered store (internal/layered), and the
-// join-bucket chains used by the incremental maintenance passes. A map compacts on the unsegmented
-// schedule (layered.ForSegments(1)), so deriving the next generation of a
-// node's state costs O(|Δ|) — the base and all earlier layers are shared
-// by pointer — instead of an O(|node|) wholesale copy per write.
+// join-bucket chains used by the incremental maintenance passes. A map
+// compacts on the layered store's one schedule, so deriving the next
+// generation of a node's state costs O(|Δ|) — the base and all earlier
+// layers are shared by pointer — instead of an O(|node|) wholesale copy
+// per write.
 //
 // Values are treated as immutable once stored — a derive that changes a
 // key's value stores a freshly built value, never mutates the old one —
@@ -41,8 +42,6 @@ func (b mapBase[V]) Has(k string) bool {
 type Map[V any] struct {
 	s layered.Store[entry[V], mapBase[V]]
 }
-
-var mapPolicy = layered.ForSegments(1)
 
 // NewMap wraps an eagerly built map as a flat base version. The map is
 // owned by the Map afterwards and must not be mutated.
@@ -103,10 +102,10 @@ func flatten[V any](s *layered.Store[entry[V], mapBase[V]]) mapBase[V] {
 
 // Derive publishes the version of m with the keys of set (re)bound and the
 // keys of dead removed, folding or squashing when the overlay trips the
-// unsegmented schedule. set and dead must be disjoint and both are owned
-// by the new version afterwards; passing both empty returns the receiver.
-// An empty, flat receiver adopts set as the new version's base. The
-// receiver is unchanged. O(|Δ|) plus amortized compaction.
+// layered store's schedule. set and dead must be disjoint and both are
+// owned by the new version afterwards; passing both empty returns the
+// receiver. An empty, flat receiver adopts set as the new version's base.
+// The receiver is unchanged. O(|Δ|) plus amortized compaction.
 func (m *Map[V]) Derive(set map[string]V, dead map[string]struct{}, met *Metrics) *Map[V] {
 	if len(set) == 0 && len(dead) == 0 {
 		return m
@@ -127,7 +126,7 @@ func (m *Map[V]) Derive(set map[string]V, dead map[string]struct{}, met *Metrics
 			live--
 		}
 	}
-	return &Map[V]{m.s.Derive(dead, added, live, mapPolicy, met, flatten[V])}
+	return &Map[V]{m.s.Derive(dead, added, live, met, flatten[V])}
 }
 
 // Depth reports the overlay chain length (0 when flat).

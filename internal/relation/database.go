@@ -14,15 +14,13 @@ import (
 // derived from the same root (Freeze starts a fresh one), so the counters
 // are cumulative across commits.
 type storeMetrics struct {
-	layered.Counters // segment folds and squashes
+	layered.Counters // store folds and squashes
 	// guarded-by: atomic
 	derives atomic.Int64 // DeleteAll/InsertAll generations derived
 	// guarded-by: atomic
 	sharedRels atomic.Int64 // relations shared by pointer during derives
 	// guarded-by: atomic
 	rewrittenRels atomic.Int64 // relations given a new overlay version
-	// guarded-by: atomic
-	parallelDerives atomic.Int64 // derives that scattered across >1 segment
 }
 
 // StoreStats is a point-in-time summary of the versioned source store:
@@ -56,31 +54,6 @@ type StoreStats struct {
 	// Squashes counts overlay chains merged into a single layer without
 	// touching the base.
 	Squashes int64 `json:"squashes"`
-	// Segmented summarizes how this generation's frozen relations spread
-	// over segments. Every frozen relation is segmented (one segment
-	// unless the store was built with Sharded(n > 1)), so it is always
-	// filled in; its overlay fields equal the ones above.
-	Segmented SegmentStats `json:"segmented"`
-}
-
-// SegmentStats summarizes the sharded portion of a store generation: how
-// the tuples spread over segments and how much scatter/gather parallelism
-// the commit path has exercised.
-type SegmentStats struct {
-	// Relations counts relations stored segmented this generation.
-	Relations int `json:"relations"`
-	// Segments is the total segment count across segmented relations.
-	Segments int `json:"segments"`
-	// MaxSegmentTuples is the live tuple count of the fullest segment — a
-	// skew indicator; near Size/Segments means the hash spreads evenly.
-	MaxSegmentTuples int `json:"max_segment_tuples"`
-	// MaxOverlayDepth is the deepest per-segment overlay chain.
-	MaxOverlayDepth int `json:"max_overlay_depth"`
-	// OverlayMentions is the total overlay size across all segments.
-	OverlayMentions int `json:"overlay_mentions"`
-	// ParallelDerives counts commits whose delta touched more than one
-	// segment of some relation, scattering the derive across workers.
-	ParallelDerives int64 `json:"parallel_derives"`
 }
 
 // metrics returns the chain's counters, attaching a fresh set to databases
@@ -93,7 +66,7 @@ func (db *Database) metrics() *storeMetrics {
 }
 
 // StoreStats summarizes the versioned store as of this generation.
-// O(#segments).
+// O(#relations).
 func (db *Database) StoreStats() StoreStats {
 	m := db.metrics()
 	st := StoreStats{
@@ -105,24 +78,14 @@ func (db *Database) StoreStats() StoreStats {
 		Compactions:        m.Folds(),
 		Squashes:           m.Squashes(),
 	}
-	st.Segmented.ParallelDerives = m.parallelDerives.Load()
 	for _, r := range db.rels {
-		if r.seg == nil {
-			continue
-		}
-		st.Segmented.Relations++
-		st.Segmented.Segments += len(r.seg.segs)
-		for _, s := range r.seg.segs {
-			st.Segmented.MaxSegmentTuples = max(st.Segmented.MaxSegmentTuples, s.Len())
-		}
-		d, n := r.seg.overlayShape()
+		d := r.OverlayDepth()
 		if d > 0 {
 			st.OverlayRelations++
 		}
 		st.MaxOverlayDepth = max(st.MaxOverlayDepth, d)
-		st.OverlayMentions += n
+		st.OverlayMentions += r.OverlayMentions()
 	}
-	st.Segmented.MaxOverlayDepth, st.Segmented.OverlayMentions = st.MaxOverlayDepth, st.OverlayMentions
 	return st
 }
 
@@ -131,8 +94,8 @@ func (db *Database) StoreStats() StoreStats {
 //
 // Databases are versioned: DeleteAll and InsertAll derive new generations
 // in O(|Δ|) that share structure with the receiver — untouched relations
-// by pointer, touched relations as frozen versions over the same segment
-// bases (segment.go). A derived database is a snapshot: treat it and its
+// by pointer, touched relations as frozen versions over the same bases
+// (store.go). A derived database is a snapshot: treat it and its
 // ancestor as read-only afterwards, since a legacy mutation through a
 // pointer-shared relation is visible in both. (The mutators themselves
 // stay safe: a frozen relation thaws a private copy before writing, so the
@@ -216,7 +179,7 @@ func (db *Database) Clone() *Database {
 // Freeze returns an immutable snapshot of the database: every relation
 // frozen, the caller's database untouched. A frozen relation is shared as
 // a new header over its immutable store, O(1); a builder is copied into a
-// one-segment store, O(|r|) once. Later mutations of the caller's
+// frozen store, O(|r|) once. Later mutations of the caller's
 // relations therefore never reach the snapshot. The snapshot starts a
 // fresh version chain with zeroed store metrics.
 //
@@ -229,27 +192,12 @@ func (db *Database) Freeze() *Database {
 	return c
 }
 
-// Sharded returns an immutable snapshot of the database with every
-// relation stored as n hash-partitioned segments (segment.go): each
-// segment keeps its own base, overlay chain, and fold/squash schedule, so
-// commits scatter their delta across the affected segments' workers and
-// compaction costs O(segment) instead of O(relation). n <= 1 is the
-// one-segment store. A relation already frozen with n segments is shared
-// in O(1); any other is re-stored in O(|r|), once. Like Freeze, the
-// snapshot starts a fresh version chain with zeroed metrics.
-func (db *Database) Sharded(n int) *Database {
-	n = max(n, 1)
-	c := db.snapshot()
-	for _, name := range db.order {
-		r := db.rels[name]
-		if r.Segments() == n || (n == 1 && r.seg == nil) {
-			c.rels[name] = r.ReadOnly()
-		} else {
-			c.rels[name] = r.frozen(newSegStore(n, r.Tuples(), nil))
-		}
-	}
-	return c
-}
+// Sharded returns Freeze(); n is ignored.
+//
+// Deprecated: the store has no segments any more; use Freeze. Sharded
+// stays only because perfbench still calls it (ROADMAP item 2(a) deletes
+// it).
+func (db *Database) Sharded(n int) *Database { return db.Freeze() }
 
 // snapshot starts an empty database with db's relation order and a fresh
 // version chain.
@@ -300,8 +248,6 @@ func (db *Database) Contains(st SourceTuple) bool {
 // The result is a structure-sharing snapshot — see the Database doc for
 // the aliasing contract.
 func (db *Database) DeleteAll(T []SourceTuple) *Database {
-	// Keys go to the segment workers unchecked: the presence probe runs
-	// there, in parallel with the derive.
 	keys := make(map[string]map[string]struct{})
 	for _, st := range T {
 		if db.rels[st.Rel] == nil {
@@ -313,11 +259,11 @@ func (db *Database) DeleteAll(T []SourceTuple) *Database {
 		keys[st.Rel][st.Tuple.Key()] = struct{}{}
 	}
 	m := db.metrics()
-	return db.derive(func(r *Relation) (*segStore, bool) {
+	return db.derive(func(r *Relation) (*store, bool) {
 		if len(keys[r.name]) == 0 {
 			return nil, false
 		}
-		return r.store().deleteAll(keys[r.name], false, &m.Counters, &m.parallelDerives)
+		return deleteAll(r.store(), keys[r.name], false, &m.Counters)
 	})
 }
 
@@ -333,9 +279,6 @@ func (db *Database) DeleteAll(T []SourceTuple) *Database {
 // plus amortized overlay compaction, with the same structure sharing and
 // aliasing contract as DeleteAll.
 func (db *Database) InsertAll(I []SourceTuple) (*Database, error) {
-	// As in DeleteAll, the request-order list goes to the segment workers
-	// raw: a key always hashes to one segment, so their per-segment
-	// presence checks and dedup are global, and run in parallel.
 	add := make(map[string][]Tuple)
 	for _, st := range I {
 		r := db.rels[st.Rel]
@@ -348,11 +291,11 @@ func (db *Database) InsertAll(I []SourceTuple) (*Database, error) {
 		add[st.Rel] = append(add[st.Rel], st.Tuple)
 	}
 	m := db.metrics()
-	return db.derive(func(r *Relation) (*segStore, bool) {
+	return db.derive(func(r *Relation) (*store, bool) {
 		if len(add[r.name]) == 0 {
 			return nil, false
 		}
-		return r.store().insertAll(add[r.name], false, &m.Counters, &m.parallelDerives)
+		return insertAll(r.store(), add[r.name], false, &m.Counters)
 	}), nil
 }
 
@@ -360,7 +303,7 @@ func (db *Database) InsertAll(I []SourceTuple) (*Database, error) {
 // a store is rewritten over it, every other one is shared by pointer.
 //
 // propview:publish
-func (db *Database) derive(step func(*Relation) (*segStore, bool)) *Database {
+func (db *Database) derive(step func(*Relation) (*store, bool)) *Database {
 	m := db.metrics()
 	c := &Database{
 		rels:    make(map[string]*Relation, len(db.rels)),

@@ -14,7 +14,7 @@ import (
 //
 // A relation is in one of two states. A builder — what New and Insert
 // make — owns its tuple array and index, and the mutators write in place.
-// A frozen relation is an immutable segmented store (segment.go): the
+// A frozen relation is an immutable layered store (store.go): the
 // versions Database.DeleteAll/InsertAll/Freeze and DeleteVersion/
 // InsertVersion derive in O(|Δ|), safe to read concurrently. Reads behave
 // identically in both states, and a legacy mutation of a frozen relation
@@ -25,7 +25,7 @@ type Relation struct {
 	tuples []Tuple        // builder: tuples in insertion order
 	index  map[string]int // builder: tuple key -> position in tuples
 
-	seg *segStore // frozen store; nil for a builder
+	st *store // frozen store; nil for a builder
 	// guarded-by: atomic
 	flat atomic.Pointer[[]Tuple] // frozen: cached materialization, built lazily
 }
@@ -52,10 +52,10 @@ func (r *Relation) Schema() Schema { return r.schema }
 
 // Len returns the number of tuples. O(1) in both states.
 func (r *Relation) Len() int {
-	if r.seg == nil {
+	if r.st == nil {
 		return len(r.tuples)
 	}
-	return r.seg.live
+	return r.st.Len()
 }
 
 // Insert adds tuple t. It reports whether the tuple was new (set
@@ -84,11 +84,11 @@ func (r *Relation) Contains(t Tuple) bool { return r.ContainsKey(t.Key()) }
 // ContainsKey reports whether the relation holds a tuple with the given
 // key.
 func (r *Relation) ContainsKey(key string) bool {
-	if r.seg == nil {
+	if r.st == nil {
 		_, ok := r.index[key]
 		return ok
 	}
-	return r.seg.containsKey(key)
+	return has(r.st, key)
 }
 
 // Delete removes tuple t, reporting whether it was present. Deletion is
@@ -111,39 +111,38 @@ func (r *Relation) Delete(t Tuple) bool {
 }
 
 // Tuples returns the tuples in insertion order. The slice and its tuples
-// must not be modified by callers. A frozen relation with one segment and
-// no overlay returns its base array; any other frozen relation is
-// materialized once and cached. Evaluation-style consumers that only walk
-// the tuples should prefer Each, which reads through the store without
-// materializing.
+// must not be modified by callers. A frozen relation without overlay
+// returns its base array; any other frozen relation is materialized once
+// and cached. Evaluation-style consumers that only walk the tuples should
+// prefer Each, which reads through the store without materializing.
 //
 // propview:read-only
 func (r *Relation) Tuples() []Tuple {
 	if ts, ok := r.plain(); ok {
 		return ts
 	}
-	flat := r.seg.flatten()
+	flat := flatten(r.st)
 	r.flat.Store(&flat)
 	return flat
 }
 
 // plain returns the tuples when they are at hand without materializing:
 // a builder's array, a frozen relation's cached materialization, or the
-// base of a one-segment store without overlay.
+// base of a store without overlay.
 func (r *Relation) plain() ([]Tuple, bool) {
-	if r.seg == nil {
+	if r.st == nil {
 		return r.tuples, true
 	}
 	if f := r.flat.Load(); f != nil {
 		return *f, true
 	}
-	return r.seg.plain()
+	return plain(r.st)
 }
 
 // Each calls yield for every tuple in insertion order, stopping early if
 // yield returns false. Unlike Tuples it never materializes a frozen
-// relation: each segment streams its base past its overlay, merged by
-// sequence, at O(overlay) extra space however large the base is.
+// relation: the store streams its base past its overlay, at O(overlay)
+// extra space however large the base is.
 // Yielded tuples alias the relation's storage; callbacks that keep one
 // must copy it (see internal/analysis).
 //
@@ -157,7 +156,7 @@ func (r *Relation) Each(yield func(Tuple) bool) {
 		}
 		return
 	}
-	r.seg.eachMerged(yield)
+	each(r.st, yield)
 }
 
 // Tuple returns the i-th tuple in insertion order.

@@ -9,16 +9,16 @@ import (
 	"repro/internal/relation"
 )
 
-// TestSegmentedConcurrentFoldsAndReaders races a writer churning a sharded
-// store through per-segment folds and squashes against readers paginating
+// TestSegmentedConcurrentFoldsAndReaders races a writer churning the
+// frozen store through folds and squashes against readers paginating
 // retained generations. Every published generation is immutable, so the
-// readers' streams must be internally consistent however many segment
-// compactions happen underneath — this is the -race proof that the
-// scatter/gather derive path (parallel segment workers, shared segment
-// pointers, lazily-built flat caches) publishes safely.
+// readers' streams must be internally consistent however many
+// compactions happen underneath — this is the -race proof that the derive
+// path (shared bases and layers, lazily-built flat caches) publishes
+// safely.
 func TestSegmentedConcurrentFoldsAndReaders(t *testing.T) {
 	const steps = 300
-	db := diffSeedDB(600, 400).Sharded(8)
+	db := diffSeedDB(600, 400).Freeze()
 
 	var latest atomic.Pointer[relation.Database]
 	latest.Store(db)
@@ -90,6 +90,6 @@ func TestSegmentedConcurrentFoldsAndReaders(t *testing.T) {
 	wg.Wait()
 
 	if st := latest.Load().StoreStats(); st.Compactions == 0 || st.Squashes == 0 {
-		t.Fatalf("churn never compacted a segment: %+v", st)
+		t.Fatalf("churn never both folded and squashed: %+v", st)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // Relation versions: moving between the builder and frozen states, and
 // deriving frozen versions outside the Database store.
 //
-// Every version is a frozen relation (segment.go). Freezing a builder
+// Every version is a frozen relation (store.go). Freezing a builder
 // costs O(|r|) once — a copy of its arrays, which then become the base of
-// a one-segment store — and every later derive is O(|Δ|) plus amortized
+// a frozen store — and every later derive is O(|Δ|) plus amortized
 // compaction, sharing the base and all earlier layers. Iteration order is
 // exactly what a from-scratch rebuild would produce, so Tuples, Contains
 // and Len are indistinguishable from the builders they replace.
@@ -25,17 +25,17 @@ import (
 // corrupting a published version.
 
 // store returns the relation's frozen store: its own when frozen, else a
-// one-segment store over a private copy of the builder's arrays (O(|r|)).
-func (r *Relation) store() *segStore {
-	if r.seg != nil {
-		return r.seg
+// store over a private copy of the builder's arrays (O(|r|)).
+func (r *Relation) store() *store {
+	if r.st != nil {
+		return r.st
 	}
-	return newSegStore(1, slices.Clone(r.tuples), maps.Clone(r.index))
+	return newStore(slices.Clone(r.tuples), maps.Clone(r.index))
 }
 
 // frozen returns a frozen relation over st under r's name and schema.
-func (r *Relation) frozen(st *segStore) *Relation {
-	return &Relation{name: r.name, schema: r.schema, seg: st}
+func (r *Relation) frozen(st *store) *Relation {
+	return &Relation{name: r.name, schema: r.schema, st: st}
 }
 
 // ReadOnly returns a frozen view of the relation: O(1) for a frozen
@@ -55,13 +55,13 @@ func (r *Relation) ReadOnly() *Relation {
 }
 
 // Seal freezes a builder in place in O(1): its arrays become the base of
-// a one-segment store, so later derives from it are O(|Δ|). The caller
+// a frozen store, so later derives from it are O(|Δ|). The caller
 // must own r outright — no other goroutine may be reading it. Sealing a
 // frozen relation is a no-op; a later Insert or Delete thaws r again. It
 // returns r.
 func (r *Relation) Seal() *Relation {
-	if r.seg == nil {
-		r.seg = newSegStore(1, r.tuples, r.index)
+	if r.st == nil {
+		r.st = newStore(r.tuples, r.index)
 		r.tuples, r.index = nil, nil
 	}
 	return r
@@ -84,7 +84,7 @@ func Adopt(name string, schema Schema, ts []Tuple) *Relation {
 // from the frozen store it read from. Called by the legacy mutators
 // before their first write.
 func (r *Relation) thaw() {
-	if r.seg == nil {
+	if r.st == nil {
 		return
 	}
 	src := r.Tuples()
@@ -94,16 +94,8 @@ func (r *Relation) thaw() {
 	for i, t := range tuples {
 		index[t.Key()] = i
 	}
-	r.tuples, r.index, r.seg = tuples, index, nil
+	r.tuples, r.index, r.st = tuples, index, nil
 	r.flat.Store(nil)
-}
-
-// Segments reports the relation's segment count (0 for a builder).
-func (r *Relation) Segments() int {
-	if r.seg == nil {
-		return 0
-	}
-	return len(r.seg.segs)
 }
 
 // --- exported derivation for non-source version chains ---
@@ -123,7 +115,7 @@ func (r *Relation) Segments() int {
 // contract Database.DeleteAll operates under.
 func (r *Relation) DeleteVersion(dead map[string]struct{}, c *layered.Counters) *Relation {
 	st := r.store()
-	if ns, ok := st.deleteAll(dead, true, c, nil); ok {
+	if ns, ok := deleteAll(st, dead, true, c); ok {
 		st = ns
 	}
 	return r.frozen(st)
@@ -133,35 +125,33 @@ func (r *Relation) DeleteVersion(dead map[string]struct{}, c *layered.Counters) 
 // O(|ts|) plus amortized compaction, sharing the receiver's store (a
 // builder receiver is frozen first, in O(|r|)). Callers must pass only
 // tuples r does not contain, without duplicates, and treat both relations
-// as immutable afterwards. An empty receiver with at most one segment
-// adopts ts as the new version's base, without copying (see Adopt).
+// as immutable afterwards. An empty receiver adopts ts as the new
+// version's base, without copying (see Adopt).
 func (r *Relation) InsertVersion(ts []Tuple, c *layered.Counters) *Relation {
-	if r.Len() == 0 && r.Segments() <= 1 {
+	if r.Len() == 0 {
 		return Adopt(r.name, r.schema, ts)
 	}
 	st := r.store()
-	if ns, ok := st.insertAll(ts, true, c, nil); ok {
+	if ns, ok := insertAll(st, ts, true, c); ok {
 		st = ns
 	}
 	return r.frozen(st)
 }
 
-// OverlayDepth reports the relation's deepest segment overlay chain (0
-// without overlay or for a builder).
+// OverlayDepth reports the relation's overlay chain length (0 without
+// overlay or for a builder).
 func (r *Relation) OverlayDepth() int {
-	if r.seg == nil {
+	if r.st == nil {
 		return 0
 	}
-	d, _ := r.seg.overlayShape()
-	return d
+	return r.st.Depth()
 }
 
-// OverlayMentions reports the relation's overlay size across segments
-// (tombstones + appended tuples; 0 without overlay or for a builder).
+// OverlayMentions reports the relation's overlay size (tombstones +
+// appended tuples; 0 without overlay or for a builder).
 func (r *Relation) OverlayMentions() int {
-	if r.seg == nil {
+	if r.st == nil {
 		return 0
 	}
-	_, m := r.seg.overlayShape()
-	return m
+	return r.st.Mentions()
 }

@@ -70,33 +70,21 @@ func assertSameDB(t *testing.T, got *relation.Database, o *storetest.Oracle, ctx
 // TestVersionedOpsDifferential drives long random DeleteAll/InsertAll
 // sequences — enough to force both compaction paths (folds and squashes)
 // several times over — and asserts after every step that the derived
-// generation is byte-identical to a legacy copy-the-world rebuild. The
-// same sequence runs against the unsegmented store and against sharded
-// stores at several segment counts (including 1, the degenerate shard, and
-// 17, a prime that scatters every delta): the segment count must be
-// unobservable on every surface.
+// generation is byte-identical to a legacy copy-the-world rebuild. Two
+// parameter sets run: a short one over three seeds on small relations,
+// starting from builders that the first derive freezes, and a long one
+// over two seeds on relations ten times larger, starting frozen.
 func TestVersionedOpsDifferential(t *testing.T) {
-	for _, segments := range []int{0, 1, 4, 17} {
-		segments := segments
-		t.Run(fmt.Sprintf("segments=%d", segments), func(t *testing.T) {
-			testVersionedOpsDifferential(t, segments)
-		})
-	}
+	t.Run("short", func(t *testing.T) { testVersionedOpsDifferential(t, 400, 3, 40, 30, false) })
+	t.Run("long", func(t *testing.T) { testVersionedOpsDifferential(t, 1200, 2, 400, 300, true) })
 }
 
-func testVersionedOpsDifferential(t *testing.T, segments int) {
-	// Segmented runs go longer and start bigger: fold thresholds are per
-	// segment, so each segment needs enough tuples and churn of its own to
-	// cycle through ≥2 folds even at the highest segment count.
-	steps, seeds, nR, nS := 400, int64(3), 40, 30
-	if segments > 0 {
-		steps, seeds, nR, nS = 1200, 2, 400, 300
-	}
+func testVersionedOpsDifferential(t *testing.T, steps int, seeds int64, nR, nS int, frozen bool) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := diffSeedDB(nR, nS)
-		if segments > 0 {
-			db = db.Sharded(segments)
+		if frozen {
+			db = db.Freeze()
 		}
 		o := storetest.NewOracle(db)
 		fresh := 0 // counter for brand-new tuples so inserts can grow the store
@@ -153,14 +141,6 @@ func testVersionedOpsDifferential(t *testing.T, segments int) {
 		if st.SharedRelations+st.RewrittenRelations != int64(2*steps) {
 			t.Fatalf("seed %d: shared %d + rewritten %d, want %d relation passes",
 				seed, st.SharedRelations, st.RewrittenRelations, 2*steps)
-		}
-		if segments > 0 {
-			if st.Segmented.Relations != 2 || st.Segmented.Segments != 2*segments {
-				t.Fatalf("seed %d: segment stats %+v, want 2 relations × %d segments", seed, st.Segmented, segments)
-			}
-			if st.Segmented.ParallelDerives == 0 && segments > 1 {
-				t.Fatalf("seed %d: no derive ever scattered across segments (stats %+v)", seed, st.Segmented)
-			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ package relation_test
 // TestVersionedOpsDifferential: the fuzzer invents the operation script
 // instead of a seeded PRNG, so it can steer the store into interleavings
 // the random walk never visits (delete-heavy runs that empty a relation,
-// duplicate storms, pathological shard counts). Every step is checked
+// duplicate storms). Every step is checked
 // against the copy-the-world oracle on every observable surface; CI runs
 // it as a short smoke (-fuzz=FuzzVersionedOps -fuzztime=10s) and the seed
 // corpus keeps it meaningful as a plain test.
@@ -18,21 +18,18 @@ import (
 )
 
 func FuzzVersionedOps(f *testing.F) {
-	// Seeds: a delete/insert mix on the flat store, a sharded run, a
-	// delete-everything script, and a duplicate-heavy one.
-	f.Add(uint8(0), []byte{0, 1, 2, 3, 4, 5, 0, 200, 3, 9, 1, 7})
-	f.Add(uint8(4), []byte{2, 0, 2, 1, 0, 0, 4, 3, 5, 5, 3, 2, 0, 9})
-	f.Add(uint8(1), []byte{0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 1, 2, 0, 3, 1, 3})
-	f.Add(uint8(7), []byte{4, 0, 4, 1, 4, 2, 2, 8, 4, 9, 5, 6})
+	// Seeds: two delete/insert mixes, a delete-everything script, and a
+	// duplicate-heavy one.
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 0, 200, 3, 9, 1, 7})
+	f.Add([]byte{2, 0, 2, 1, 0, 0, 4, 3, 5, 5, 3, 2, 0, 9})
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 1, 2, 0, 3, 1, 3})
+	f.Add([]byte{4, 0, 4, 1, 4, 2, 2, 8, 4, 9, 5, 6})
 
-	f.Fuzz(func(t *testing.T, segments uint8, script []byte) {
+	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]
 		}
 		db := diffSeedDB(12, 9)
-		if segs := int(segments % 8); segs > 0 {
-			db = db.Sharded(segs)
-		}
 		o := storetest.NewOracle(db)
 		fresh := 0
 

@@ -7,15 +7,15 @@ import (
 	"repro/internal/layered"
 )
 
-// The one-segment fold/squash schedule: fold past max(64, base/4)
-// mentions, squash past 32 layers.
+// The fold/squash schedule: fold past max(64, base/4) mentions, squash
+// past 32 layers.
 const (
-	oneSegFoldFloor = 64
-	oneSegMaxDepth  = 32
+	foldFloor = 64
+	maxDepth  = 32
 )
 
-// baseOf returns the base of a one-segment frozen relation.
-func baseOf(r *Relation) *segBase { return r.seg.segs[0].Base() }
+// baseOf returns the base of a frozen relation.
+func baseOf(r *Relation) *base { return r.st.Base() }
 
 func seedDB(nR, nS int) *Database {
 	db := NewDatabase()
@@ -128,7 +128,7 @@ func TestReadOnlyViewCopiesOnWrite(t *testing.T) {
 	}
 }
 
-// TestOverlayFoldThreshold: overlay mentions past max(oneSegFoldFloor,
+// TestOverlayFoldThreshold: overlay mentions past max(foldFloor,
 // base/4) fold into a fresh flat base.
 func TestOverlayFoldThreshold(t *testing.T) {
 	db := NewDatabase()
@@ -139,8 +139,8 @@ func TestOverlayFoldThreshold(t *testing.T) {
 	db.MustAdd(r)
 
 	// Insert one novel tuple per derive: mentions grow by one each time,
-	// so the overlay must fold when they exceed oneSegFoldFloor.
-	for i := 0; i <= oneSegFoldFloor; i++ {
+	// so the overlay must fold when they exceed foldFloor.
+	for i := 0; i <= foldFloor; i++ {
 		next, err := db.InsertAll([]SourceTuple{{Rel: "R", Tuple: StringTuple("n" + strconv.Itoa(i))}})
 		if err != nil {
 			t.Fatal(err)
@@ -149,12 +149,12 @@ func TestOverlayFoldThreshold(t *testing.T) {
 	}
 	st := db.StoreStats()
 	if st.Compactions != 1 {
-		t.Fatalf("Compactions = %d, want exactly 1 after %d unit derives", st.Compactions, oneSegFoldFloor+1)
+		t.Fatalf("Compactions = %d, want exactly 1 after %d unit derives", st.Compactions, foldFloor+1)
 	}
 	if got := db.Relation("R"); got.OverlayDepth() != 0 {
 		t.Fatal("relation should be flat right after a fold")
 	}
-	if got, want := db.Relation("R").Len(), 10+oneSegFoldFloor+1; got != want {
+	if got, want := db.Relation("R").Len(), 10+foldFloor+1; got != want {
 		t.Fatalf("Len after fold = %d, want %d", got, want)
 	}
 }
@@ -164,7 +164,7 @@ func TestOverlayFoldThreshold(t *testing.T) {
 func TestOverlaySquashBoundsDepth(t *testing.T) {
 	db := seedDB(10, 1)
 	target := SourceTuple{Rel: "R", Tuple: db.Relation("R").Tuple(0)}
-	for i := 0; i < 10*oneSegMaxDepth; i++ {
+	for i := 0; i < 10*maxDepth; i++ {
 		if i%2 == 0 {
 			db = db.DeleteAll([]SourceTuple{target})
 		} else {
@@ -174,8 +174,8 @@ func TestOverlaySquashBoundsDepth(t *testing.T) {
 			}
 			db = next
 		}
-		if d := db.Relation("R").OverlayDepth(); d > oneSegMaxDepth+1 {
-			t.Fatalf("iteration %d: overlay depth %d exceeds bound %d", i, d, oneSegMaxDepth+1)
+		if d := db.Relation("R").OverlayDepth(); d > maxDepth+1 {
+			t.Fatalf("iteration %d: overlay depth %d exceeds bound %d", i, d, maxDepth+1)
 		}
 	}
 	st := db.StoreStats()
@@ -186,8 +186,8 @@ func TestOverlaySquashBoundsDepth(t *testing.T) {
 	// tuple squashes to one tombstone plus one append), so they oscillate
 	// within the depth bound instead of growing without limit, and the
 	// (never-growing) base is never folded.
-	if st.OverlayMentions > oneSegMaxDepth+2 {
-		t.Fatalf("steady churn accumulated %d overlay mentions, want ≤ %d", st.OverlayMentions, oneSegMaxDepth+2)
+	if st.OverlayMentions > maxDepth+2 {
+		t.Fatalf("steady churn accumulated %d overlay mentions, want ≤ %d", st.OverlayMentions, maxDepth+2)
 	}
 	if st.Compactions != 0 {
 		t.Fatalf("steady churn folded %d times; squashing should have absorbed it", st.Compactions)
@@ -270,7 +270,7 @@ func TestExportedVersionDerivation(t *testing.T) {
 	cur := v2
 	for i := 0; cur.OverlayDepth() > 0 || vm.Folds() == 0; i++ {
 		cur = cur.InsertVersion([]Tuple{StringTuple("f"+strconv.Itoa(i), "f")}, &vm)
-		if i > 10*layered.ForSegments(1).FoldLimit(10) {
+		if i > 10*layered.FoldLimit(10) {
 			t.Fatal("overlay never folded")
 		}
 	}
@@ -283,25 +283,27 @@ func TestExportedVersionDerivation(t *testing.T) {
 	}
 }
 
-// TestOneSegmentStoreIsTheDefault: Freeze, Sharded(0) and Sharded(1) of a
-// builder database all build the one-segment store over the same tuples,
-// and re-sharding a frozen database to its own segment count shares each
-// store instead of re-storing it.
+// TestOneSegmentStoreIsTheDefault: the deprecated Sharded(n) is Freeze
+// for every n. Of a builder database it freezes the same tuples, and of a
+// frozen one it shares each relation's store, as Freeze does.
 func TestOneSegmentStoreIsTheDefault(t *testing.T) {
 	db := seedDB(10, 10)
 	want := WriteDatabaseString(db)
-	for name, snap := range map[string]*Database{"Freeze": db.Freeze(), "Sharded(0)": db.Sharded(0), "Sharded(1)": db.Sharded(1)} {
+	frozen := db.Freeze()
+	for _, n := range []int{0, 1, 4} {
+		snap := db.Sharded(n)
+		if got := WriteDatabaseString(snap); got != want {
+			t.Fatalf("Sharded(%d) changed the tuples:\n%s\nwant:\n%s", n, got, want)
+		}
 		for _, r := range snap.Relations() {
-			if r.Segments() != 1 {
-				t.Fatalf("%s: %s has %d segments, want 1", name, r.Name(), r.Segments())
+			if r.st == nil {
+				t.Fatalf("Sharded(%d) left %s a builder", n, r.Name())
 			}
 		}
-		if got := WriteDatabaseString(snap); got != want {
-			t.Fatalf("%s changed the tuples:\n%s\nwant:\n%s", name, got, want)
+		for _, r := range frozen.Sharded(n).Relations() {
+			if r.st != frozen.Relation(r.Name()).st {
+				t.Fatalf("Sharded(%d) of a frozen database re-stored %s", n, r.Name())
+			}
 		}
-	}
-	four := db.Sharded(4)
-	if again := four.Sharded(4); again.Relation("R").seg != four.Relation("R").seg {
-		t.Fatal("Sharded(4) of a 4-segment database re-stored the relation")
 	}
 }

@@ -165,16 +165,13 @@ var (
 // safe to run concurrently. Writes enter one bounded queue that commits
 // batch by batch in order (Engine.Close drains it): deletes queued back to
 // back against the same view share one group solve, queued inserts share
-// one source extension, and a commit's per-view maintenance fans out
-// across a bounded worker pool —
-// EngineOptions tunes the worker count, the batch cap and the write
-// queue bound.
+// one source extension, and a commit maintains its views one after
+// another. EngineOptions tunes the batch cap and the write queue bound.
 type (
 	// Engine serves prepared views with cached provenance.
 	Engine = engine.Engine
-	// EngineOptions tunes the engine's write pipeline (worker count, max
-	// batch size, write queue bound, store segments); the zero value means
-	// defaults.
+	// EngineOptions tunes the engine's write pipeline (max batch size,
+	// write queue bound); the zero value means defaults.
 	EngineOptions = engine.Options
 	// EngineStats summarizes an engine's cached state and traffic.
 	EngineStats = engine.Stats

@@ -142,7 +142,7 @@ func TestFacadeEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The facade passes write-pipeline options through to the engine.
-	e := propview.NewEngine(db, propview.EngineOptions{Workers: 2, MaxBatchSize: 4})
+	e := propview.NewEngine(db, propview.EngineOptions{MaxBatchSize: 4})
 	if err := e.PrepareText("access", "project(user, file; join(UserGroup, GroupFile))"); err != nil {
 		t.Fatal(err)
 	}
