@@ -21,15 +21,25 @@ import (
 // byte-identical to a from-scratch algebra.Eval + provenance.Compute over
 // a legacy flat mirror (storetest.Oracle). This is the proof that
 // structure sharing and compaction are invisible to every consumer above
-// the store. Two parameter sets run: a short one over two seeds on small
-// relations, and a long one over one seed on relations about five times
-// larger, whose folds come further apart.
+// the store. segments=0 runs a short parameter set over two seeds on small
+// relations; the others pass a segment count through the deprecated
+// Options.Segments, which must stay unobservable, and run a long set over
+// one seed on relations about five times larger, whose folds come further
+// apart.
 func TestDifferentialCompactionCycles(t *testing.T) {
-	t.Run("short", func(t *testing.T) { testDifferentialCompactionCycles(t, 300, 2, 25, 20) })
-	t.Run("long", func(t *testing.T) { testDifferentialCompactionCycles(t, 600, 1, 120, 90) })
+	for _, segments := range []int{0, 1, 4, 17} {
+		segments := segments
+		t.Run(fmt.Sprintf("segments=%d", segments), func(t *testing.T) {
+			if segments == 0 {
+				testDifferentialCompactionCycles(t, 0, 300, 2, 25, 20)
+				return
+			}
+			testDifferentialCompactionCycles(t, segments, 600, 1, 120, 90)
+		})
+	}
 }
 
-func testDifferentialCompactionCycles(t *testing.T, steps int, seeds int64, nR, nS int) {
+func testDifferentialCompactionCycles(t *testing.T, segments, steps int, seeds int64, nR, nS int) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 
@@ -49,7 +59,7 @@ func testDifferentialCompactionCycles(t *testing.T, steps int, seeds int64, nR, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(db)
+		e := New(db, Options{Segments: segments})
 		if err := e.Prepare("v", q); err != nil {
 			t.Fatal(err)
 		}

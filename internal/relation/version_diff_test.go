@@ -70,21 +70,31 @@ func assertSameDB(t *testing.T, got *relation.Database, o *storetest.Oracle, ctx
 // TestVersionedOpsDifferential drives long random DeleteAll/InsertAll
 // sequences — enough to force both compaction paths (folds and squashes)
 // several times over — and asserts after every step that the derived
-// generation is byte-identical to a legacy copy-the-world rebuild. Two
-// parameter sets run: a short one over three seeds on small relations,
-// starting from builders that the first derive freezes, and a long one
-// over two seeds on relations ten times larger, starting frozen.
+// generation is byte-identical to a legacy copy-the-world rebuild.
+// segments=0 runs a short parameter set over three seeds on small
+// relations, starting from builders that the first derive freezes. The
+// others start frozen through the deprecated Sharded(n), whose segment
+// count must stay unobservable, and run a long set over two seeds on
+// relations ten times larger.
 func TestVersionedOpsDifferential(t *testing.T) {
-	t.Run("short", func(t *testing.T) { testVersionedOpsDifferential(t, 400, 3, 40, 30, false) })
-	t.Run("long", func(t *testing.T) { testVersionedOpsDifferential(t, 1200, 2, 400, 300, true) })
+	for _, segments := range []int{0, 1, 4, 17} {
+		segments := segments
+		t.Run(fmt.Sprintf("segments=%d", segments), func(t *testing.T) {
+			if segments == 0 {
+				testVersionedOpsDifferential(t, 0, 400, 3, 40, 30)
+				return
+			}
+			testVersionedOpsDifferential(t, segments, 1200, 2, 400, 300)
+		})
+	}
 }
 
-func testVersionedOpsDifferential(t *testing.T, steps int, seeds int64, nR, nS int, frozen bool) {
+func testVersionedOpsDifferential(t *testing.T, segments, steps int, seeds int64, nR, nS int) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := diffSeedDB(nR, nS)
-		if frozen {
-			db = db.Freeze()
+		if segments > 0 {
+			db = db.Sharded(segments)
 		}
 		o := storetest.NewOracle(db)
 		fresh := 0 // counter for brand-new tuples so inserts can grow the store
