@@ -202,3 +202,41 @@ func checkGolden(t *testing.T, path, got string) {
 		}
 	}
 }
+
+// TestAnnotateReportsGolden pins the routed placement of every cell of the
+// golden targets over the corpus, plus a tie between two side-effect-free
+// sources in different branches of a union.
+func TestAnnotateReportsGolden(t *testing.T) {
+	var b strings.Builder
+	run := func(name string, db *relation.Database, q algebra.Query, target relation.Tuple, attr relation.Attribute) {
+		fmt.Fprintf(&b, "%s | %v | %s\n", name, target, attr)
+		rep, err := Annotate(q, db, target, attr)
+		if err != nil {
+			fmt.Fprintf(&b, "  error: %v\n", err)
+			return
+		}
+		p := rep.Placement
+		fmt.Fprintf(&b, "  class=%s fragment=%s\n  algorithm: %s\n", rep.Class, rep.Fragment, rep.Algorithm)
+		fmt.Fprintf(&b, "  source: %v side effects: %d\n  affected: %v\n", p.Source, p.SideEffects, p.Affected.Sorted())
+	}
+	for _, in := range goldenInstances() {
+		attrs := algebra.MustEval(in.q, in.db).Schema().Attrs()
+		for _, target := range goldenTargets(in.q, in.db) {
+			for _, attr := range attrs {
+				run(in.name, in.db, in.q, target, attr)
+			}
+		}
+	}
+	db := relation.NewDatabase()
+	for _, rel := range []struct {
+		name string
+		b    int64
+	}{{"S", 1}, {"R", 2}} {
+		r := relation.New(rel.name, relation.NewSchema("A", "B"))
+		r.Insert(relation.NewTuple(relation.String("x"), relation.Int(rel.b)))
+		db.MustAdd(r)
+	}
+	a := []relation.Attribute{"A"}
+	run("tie", db, algebra.Un(algebra.Pi(a, algebra.R("S")), algebra.Pi(a, algebra.R("R"))), relation.StringTuple("x"), "A")
+	checkGolden(t, "testdata/annotate_reports.golden", b.String())
+}
