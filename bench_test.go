@@ -21,10 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/annotation"
@@ -303,7 +305,7 @@ func BenchmarkTable3_SPU_Poly(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := annotation.PlaceSPU(q, db, target, "A")
+				p, err := annotation.Place(q, db, target, "A")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -326,7 +328,7 @@ func BenchmarkTable3_SJU_Poly(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := annotation.PlaceSJU(q, db, target, "B"); err != nil {
+				if _, err := annotation.Place(q, db, target, "B"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1091,17 +1093,18 @@ func benchmarkApplyInsertionTreeSize(b *testing.B, rows int) {
 func BenchmarkApplyInsertion_TreeSize1k(b *testing.B)   { benchmarkApplyInsertionTreeSize(b, 1_000) }
 func BenchmarkApplyInsertion_TreeSize100k(b *testing.B) { benchmarkApplyInsertionTreeSize(b, 100_000) }
 
-// benchmarkAnnotateAfterWrite measures what an Annotate costs once the
-// view it places on has changed: each iteration deletes one view tuple
-// (one source tuple, on the Gene⋈Protein key join), restores it, and then
-// annotates. Only the Annotate is timed — the delete's solver counts side
-// effects over the whole view, which is the write path's cost, not the
-// placement's. The Annotate catches the view's where-provenance index up
-// by replaying the two writes and reads placement from the maintained
-// reach counts, so ns/op and allocs/op should stay within ~2× across the
-// 16× view-size spread of _ViewSize1k and _ViewSize16k; rebuilding the
-// index or walking the view per Annotate would scale them with the view.
-func benchmarkAnnotateAfterWrite(b *testing.B, genes int) {
+// benchmarkReadAfterWrite measures what a read costs once the view it
+// reads has changed. Each round deletes one view tuple (one source tuple,
+// on the Gene⋈Protein key join), restores it, and then reads the new
+// generation with read(e, i, view, targets), targets being the 64 view
+// tuples the rounds delete in turn. The whole round is timed, so b.N —
+// and the run — stay bounded by the writes at the default -benchtime,
+// where timing the read alone let b.N climb past 10^5 rounds of untimed
+// writes. The read alone is reported as ns/op, B/op and allocs/op,
+// overriding the round's figures; it is measured as the framework
+// measures an op, by the clock and runtime.MemStats around each read.
+// ms/round is the whole round. Round -1 is a first read, before the timer.
+func benchmarkReadAfterWrite(b *testing.B, genes int, read func(e *engine.Engine, i int, view *relation.Relation, targets []relation.Tuple) error) {
 	db, q := workload.Curation(rand.New(rand.NewSource(3)), genes, 1)
 	e := engine.New(db)
 	if err := e.Prepare("v", q); err != nil {
@@ -1112,59 +1115,13 @@ func benchmarkAnnotateAfterWrite(b *testing.B, genes int) {
 		b.Fatal(err)
 	}
 	targets := view.SortedTuples()[:64]
-	if _, err := e.Annotate("v", targets[0], "protein"); err != nil {
+	if err := read(e, -1, view, targets); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
+	var readNs, readBytes, readAllocs uint64
+	var before, after runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		t := targets[i%len(targets)]
-		rep, err := e.Delete("v", t, core.MinimizeSourceDeletions, core.DeleteOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Insert(rep.Result.T); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := e.Annotate("v", targets[(i+1)%len(targets)], "protein"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(view.Len()), "view-tuples")
-}
-
-func BenchmarkAnnotate_AfterWrite_ViewSize1k(b *testing.B)  { benchmarkAnnotateAfterWrite(b, 1_000) }
-func BenchmarkAnnotate_AfterWrite_ViewSize16k(b *testing.B) { benchmarkAnnotateAfterWrite(b, 16_000) }
-
-// benchmarkQueryPageAfterWrite measures what a page read costs once the
-// view it pages has changed: each iteration deletes one view tuple and
-// restores it (untimed, as in benchmarkAnnotateAfterWrite), then reads one
-// page of the new generation. The read catches the view's sorted rows up
-// by netting the two writes' view deltas, which cancel, so it keeps the
-// previous generation's sorted rows; ns/op and allocs/op should stay
-// within ~2× across the 16× view-size spread of _ViewSize1k and
-// _ViewSize16k, where a full sort per read grows as n log n with the
-// view. A net delta that does not cancel costs one O(n) copying merge.
-func benchmarkQueryPageAfterWrite(b *testing.B, genes int) {
-	db, q := workload.Curation(rand.New(rand.NewSource(3)), genes, 1)
-	e := engine.New(db)
-	if err := e.Prepare("v", q); err != nil {
-		b.Fatal(err)
-	}
-	view, err := e.Query("v")
-	if err != nil {
-		b.Fatal(err)
-	}
-	targets := view.SortedTuples()[:64]
-	if _, err := e.QueryPage("v", 0, 50); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
 		rep, err := e.Delete("v", targets[i%len(targets)], core.MinimizeSourceDeletions, core.DeleteOptions{})
 		if err != nil {
 			b.Fatal(err)
@@ -1172,12 +1129,53 @@ func benchmarkQueryPageAfterWrite(b *testing.B, genes int) {
 		if _, err := e.Insert(rep.Result.T); err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
-		if _, err := e.QueryPage("v", (i*50)%view.Len(), 50); err != nil {
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		err = read(e, i, view, targets)
+		readNs += uint64(time.Since(start))
+		runtime.ReadMemStats(&after)
+		if err != nil {
 			b.Fatal(err)
 		}
+		readBytes += after.TotalAlloc - before.TotalAlloc
+		readAllocs += after.Mallocs - before.Mallocs
 	}
+	n := float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n/1e6, "ms/round")
+	b.ReportMetric(float64(readNs)/n, "ns/op")
+	b.ReportMetric(float64(readBytes)/n, "B/op")
+	b.ReportMetric(float64(readAllocs)/n, "allocs/op")
 	b.ReportMetric(float64(view.Len()), "view-tuples")
+}
+
+// benchmarkAnnotateAfterWrite times an Annotate after a write pair. It
+// catches the view's where-provenance index up by replaying the two
+// writes and reads placement from the maintained reach counts, so ns/op
+// and allocs/op should stay within ~2× across the 16× view-size spread
+// of _ViewSize1k and _ViewSize16k; rebuilding the index or walking the
+// view per Annotate would scale them with the view.
+func benchmarkAnnotateAfterWrite(b *testing.B, genes int) {
+	benchmarkReadAfterWrite(b, genes, func(e *engine.Engine, i int, _ *relation.Relation, targets []relation.Tuple) error {
+		_, err := e.Annotate("v", targets[(i+1)%len(targets)], "protein")
+		return err
+	})
+}
+
+func BenchmarkAnnotate_AfterWrite_ViewSize1k(b *testing.B)  { benchmarkAnnotateAfterWrite(b, 1_000) }
+func BenchmarkAnnotate_AfterWrite_ViewSize16k(b *testing.B) { benchmarkAnnotateAfterWrite(b, 16_000) }
+
+// benchmarkQueryPageAfterWrite times one page read after a write pair.
+// The read catches the view's sorted rows up by netting the two writes'
+// view deltas, which cancel, so it keeps the previous generation's sorted
+// rows; ns/op and allocs/op should stay within ~2× across the 16×
+// view-size spread of _ViewSize1k and _ViewSize16k, where a full sort per
+// read grows as n log n with the view. A net delta that does not cancel
+// costs one O(n) copying merge.
+func benchmarkQueryPageAfterWrite(b *testing.B, genes int) {
+	benchmarkReadAfterWrite(b, genes, func(e *engine.Engine, i int, view *relation.Relation, _ []relation.Tuple) error {
+		_, err := e.QueryPage("v", (max(i, 0)*50)%view.Len(), 50)
+		return err
+	})
 }
 
 func BenchmarkQueryPage_AfterWrite_ViewSize1k(b *testing.B)  { benchmarkQueryPageAfterWrite(b, 1_000) }

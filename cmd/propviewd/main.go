@@ -43,21 +43,34 @@ import (
 	"repro/internal/relation"
 )
 
-func main() {
+// config is propviewd's command line.
+type config struct {
+	dbPath, addr         string
+	maxBatch, writeQueue int
+	prepares             prepareFlags
+}
+
+// newFlagSet defines propviewd's flags on a fresh flag set, parsing into c.
+func newFlagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("propviewd", flag.ExitOnError)
-	dbPath := fs.String("db", "", "path to the text database file (required)")
-	addr := fs.String("addr", ":8080", "listen address")
-	maxBatch := fs.Int("max-batch", 0, "max targets coalesced into one group solve (0 = default 32, 1 disables coalescing)")
-	writeQueue := fs.Int("write-queue", 64, "max writes, sync and async, waiting for a commit (0 = default 64); past it async writes get 429, sync ones 503")
-	var prepares prepareFlags
-	fs.Var(&prepares, "prepare", "view to prepare at boot, as name=QUERY (repeatable)")
+	fs.StringVar(&c.dbPath, "db", "", "path to the text database file (required)")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.maxBatch, "max-batch", 0, "max targets coalesced into one group solve (0 = default 32, 1 disables coalescing)")
+	fs.IntVar(&c.writeQueue, "write-queue", 64, "max writes, sync and async, waiting for a commit (0 = default 64); past it async writes get 429, sync ones 503")
+	fs.Var(&c.prepares, "prepare", "view to prepare at boot, as name=QUERY (repeatable)")
+	return fs
+}
+
+func main() {
+	var c config
+	fs := newFlagSet(&c)
 	fs.Parse(os.Args[1:])
-	if *dbPath == "" {
+	if c.dbPath == "" {
 		fs.Usage()
 		fmt.Fprintln(os.Stderr, "propviewd: -db is required")
 		os.Exit(2)
 	}
-	raw, err := os.ReadFile(*dbPath)
+	raw, err := os.ReadFile(c.dbPath)
 	if err != nil {
 		log.Fatalf("propviewd: %v", err)
 	}
@@ -65,17 +78,17 @@ func main() {
 	if err != nil {
 		log.Fatalf("propviewd: %v", err)
 	}
-	e := engine.New(db, engine.Options{MaxBatchSize: *maxBatch, MaxQueue: *writeQueue})
-	for _, p := range prepares {
+	e := engine.New(db, engine.Options{MaxBatchSize: c.maxBatch, MaxQueue: c.writeQueue})
+	for _, p := range c.prepares {
 		if err := e.PrepareText(p.name, p.query); err != nil {
 			log.Fatalf("propviewd: prepare %s: %v", p.name, err)
 		}
 		log.Printf("prepared view %q: %s", p.name, p.query)
 	}
-	log.Printf("propviewd serving %d relation(s) on %s", len(db.Names()), *addr)
+	log.Printf("propviewd serving %d relation(s) on %s", len(db.Names()), c.addr)
 	s := newServer(e)
 	srv := &http.Server{
-		Addr:         *addr,
+		Addr:         c.addr,
 		Handler:      s,
 		ReadTimeout:  30 * time.Second,
 		WriteTimeout: 5 * time.Minute, // NP-hard deletes can legitimately run long

@@ -29,18 +29,43 @@ func (p *Placement) SideEffectFree() bool { return p.SideEffects == 0 }
 // column is a view-defined constant — see the remark after Theorem 3.1).
 var ErrNoPlacement = fmt.Errorf("annotation: no source location propagates to the target")
 
+// Route is the §3.1 dichotomy as Place applies it to a query with
+// operators ops. spu reports whether the query is SPU — no join, no
+// renaming — which Place answers with Theorem 3.3's scan; every other query
+// takes the candidate scan of its where-provenance, polynomial for SJU
+// queries (Theorem 3.4) and exponential in the query size at worst once
+// projection meets join (Theorem 3.2). alg names the algorithm and the
+// theorem of the query's class.
+func Route(ops algebra.Ops) (spu bool, alg string) {
+	switch {
+	case !ops.HasAny(algebra.OpJoin | algebra.OpRename):
+		return true, "SPU scan (Thm 3.3)"
+	case !ops.HasAny(algebra.OpProject):
+		return false, "SJU component enumeration (Thm 3.4)"
+	case !ops.HasAny(algebra.OpJoin):
+		return false, "SPU candidate scan (Thm 3.3)"
+	}
+	return false, "exact candidate scan (NP-hard, Thm 3.2)"
+}
+
 // Place solves the annotation placement problem exactly for any monotone
 // SPJRU query: among all source locations whose annotation reaches the
 // target view location (t, attr), it returns one minimizing the number of
-// other view locations annotated.
+// other view locations annotated, ties going to the least Location.
 //
 // The optimum is always a single source location (§3.1: "the optimal
-// solution is always a single location"). Complexity: polynomial in the
-// size of the source, the view and all intermediate join results; for PJ
-// queries the intermediate results — and hence the running time — can be
-// exponential in the query size, which is consistent with Theorem 3.2's
-// NP-hardness (the query is part of the input).
+// solution is always a single location"). Place routes by Route: an SPU
+// query takes the linear scan of Theorem 3.3, and every other query scans
+// the target's candidates in its where-provenance (ComputeWhere, then
+// PlaceOn). That is polynomial in the size of the source, the view and all
+// intermediate join results; for PJ queries the intermediate results — and
+// hence the running time — can be exponential in the query size, which is
+// consistent with Theorem 3.2's NP-hardness (the query is part of the
+// input).
 func Place(q algebra.Query, db *relation.Database, t relation.Tuple, attr relation.Attribute) (*Placement, error) {
+	if spu, _ := Route(algebra.OperatorsOf(q)); spu {
+		return placeSPU(q, db, t, attr)
+	}
 	wv, err := ComputeWhere(q, db)
 	if err != nil {
 		return nil, err
@@ -56,31 +81,44 @@ func PlaceOn(wv *WhereView, t relation.Tuple, attr relation.Attribute) (*Placeme
 	return placeOn(wv, t, attr)
 }
 
-// placeOn compares the target's candidates by their reach counts — one
-// O(1) read per candidate, the counts carried by the index generation —
-// and expands only the winner into its Affected set.
+// placeOn places on the target's where set: the candidates' interned ids.
 func placeOn(wv *WhereView, t relation.Tuple, attr relation.Attribute) (*Placement, error) {
-	if !wv.View.Contains(t) {
+	sets := wv.setsOf(t.Key())
+	if sets == nil {
 		return nil, fmt.Errorf("%w: tuple %v not in view", ErrNoPlacement, t)
 	}
-	candidates := wv.WhereOf(t, attr)
-	if len(candidates) == 0 {
+	pos, ok := wv.View.Schema().Index(attr)
+	if !ok || len(sets[pos]) == 0 {
 		return nil, fmt.Errorf("%w: view location (%v, %s)", ErrNoPlacement, t, attr)
 	}
-	best := candidates[0]
-	bestCount := -1
-	for _, cand := range candidates {
-		id, _ := wv.in.lookup(cand)
-		c := int(wv.reach.get(id))
-		if bestCount < 0 || c < bestCount || (c == bestCount && cand.Less(best)) {
-			best, bestCount = cand, c
+	return wv.place(sets[pos]), nil
+}
+
+// place returns the placement on the candidate that comes first under
+// before, expanding only that winner into its Affected set.
+func (wv *WhereView) place(set locSet) *Placement {
+	best := set[0]
+	for _, id := range set[1:] {
+		if wv.before(id, best) {
+			best = id
 		}
 	}
+	src := wv.in.loc(best)
 	return &Placement{
-		Source:      best,
-		Affected:    wv.Affected(best),
-		SideEffects: bestCount - 1,
-	}, nil
+		Source:      src,
+		Affected:    wv.affected(best, src),
+		SideEffects: int(wv.reach.get(best)) - 1,
+	}
+}
+
+// before is the placement order on candidates a and b: fewer side effects
+// first — one O(1) read of each reach count, carried by the index
+// generation — then the least Location.
+func (wv *WhereView) before(a, b int32) bool {
+	if ca, cb := wv.reach.get(a), wv.reach.get(b); ca != cb {
+		return ca < cb
+	}
+	return wv.in.loc(a).Less(wv.in.loc(b))
 }
 
 // CellPlacement pairs a view location with its optimal placement.
@@ -102,133 +140,93 @@ func PlaceAll(q algebra.Query, db *relation.Database) ([]CellPlacement, error) {
 	attrs := wv.View.Schema().Attrs()
 	var out []CellPlacement
 	for _, tu := range wv.View.Tuples() {
-		sets := wv.setsOf(tu.Key())
-		for pos, set := range sets {
-			if len(set) == 0 {
-				continue
+		for pos, set := range wv.setsOf(tu.Key()) {
+			if len(set) > 0 {
+				out = append(out, CellPlacement{ViewTuple: tu, Attr: attrs[pos], Placement: wv.place(set)})
 			}
-			best := wv.in.loc(set[0])
-			bestCount := int(wv.reach.get(set[0]))
-			for _, id := range set[1:] {
-				if c, l := int(wv.reach.get(id)), wv.in.loc(id); c < bestCount || (c == bestCount && l.Less(best)) {
-					best, bestCount = l, c
-				}
-			}
-			out = append(out, CellPlacement{
-				ViewTuple: tu,
-				Attr:      attrs[pos],
-				Placement: &Placement{
-					Source:      best,
-					Affected:    wv.Affected(best),
-					SideEffects: bestCount - 1,
-				},
-			})
 		}
 	}
 	return out, nil
 }
 
-// PlaceSPU is the linear-time algorithm of Theorem 3.3 for SPU queries: it
-// scans the base relation of each select-project branch for a tuple that
-// satisfies the branch's selection and projects onto the target view
-// tuple, and annotates the matching attribute of the first such tuple.
-// The result is always side-effect-free.
-//
-// It returns an error if q is not an SPU query (use Place for the general
-// case).
-func PlaceSPU(q algebra.Query, db *relation.Database, t relation.Tuple, attr relation.Attribute) (*Placement, error) {
-	ops := algebra.OperatorsOf(q)
-	if ops.HasAny(algebra.OpJoin | algebra.OpRename) {
-		return nil, fmt.Errorf("annotation: PlaceSPU requires an SPU query, got %s", ops)
-	}
+// placeSPU is the linear-time algorithm of Theorem 3.3 for SPU queries: it
+// scans the base relation of each select-project branch for the tuples
+// that satisfy the branch's selection and project onto the target view
+// tuple, and annotates attr on the least of them in Location order. Each
+// such location reaches the target alone, so the result is side-effect-free
+// and is the one placeOn picks from the where-provenance.
+func placeSPU(q algebra.Query, db *relation.Database, t relation.Tuple, attr relation.Attribute) (*Placement, error) {
 	viewSchema, err := algebra.SchemaOf(q, db)
 	if err != nil {
 		return nil, err
 	}
 	if !viewSchema.Has(attr) {
-		return nil, fmt.Errorf("annotation: attribute %q not in view schema %s", attr, viewSchema)
+		return nil, fmt.Errorf("%w: attribute %q not in view schema %s", ErrNoPlacement, attr, viewSchema)
 	}
+	if len(t) != viewSchema.Len() {
+		return nil, fmt.Errorf("%w: tuple %v not in view", ErrNoPlacement, t)
+	}
+	var best relation.Location
+	found := false
 	for _, branch := range algebra.UnionTerms(algebra.Normalize(q)) {
-		src, found, err := spBranchSource(branch, db, t, attr, viewSchema)
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			return &Placement{
-				Source:      src,
-				Affected:    relation.NewLocationSet(relation.Loc(algebra.DefaultViewName, t, attr)),
-				SideEffects: 0,
-			}, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: no SPU branch produces %v", ErrNoPlacement, t)
-}
-
-// spBranchSource scans one select-project branch for a source tuple that
-// satisfies the selection and projects onto t, returning the location of
-// attr in that tuple.
-func spBranchSource(branch algebra.Query, db *relation.Database, t relation.Tuple, attr relation.Attribute, viewSchema relation.Schema) (relation.Location, bool, error) {
-	// A normalized SPU branch is Project*(Select*(Scan)) — peel it.
-	var conds []algebra.Condition
-	q := branch
-	projAttrs := viewSchema.Attrs()
-peel:
-	for {
-		switch n := q.(type) {
-		case algebra.Project:
-			projAttrs = n.Attrs
-			q = n.Child
-		case algebra.Select:
-			conds = append(conds, n.Cond)
-			q = n.Child
-		case algebra.Scan:
-			break peel
-		default:
-			return relation.Location{}, false, fmt.Errorf("annotation: branch %s is not select-project-scan", algebra.Format(branch))
-		}
-	}
-	scan := q.(algebra.Scan)
-	base := db.Relation(scan.Rel)
-	if base == nil {
-		return relation.Location{}, false, fmt.Errorf("annotation: unknown relation %q", scan.Rel)
-	}
-	// Align the target tuple to the branch's projection order.
-	aligned := relation.ProjectAttrs(viewSchema, t, projAttrs)
-	for _, cand := range base.Tuples() {
-		ok := true
-		for _, c := range conds {
-			if !c.Holds(base.Schema(), cand) {
-				ok = false
-				break
+		// A normalized SPU branch is Project*(Select*(Scan)) — peel it.
+		var conds []algebra.Condition
+		sub := branch
+		projAttrs := viewSchema.Attrs()
+	peel:
+		for {
+			switch n := sub.(type) {
+			case algebra.Project:
+				projAttrs = n.Attrs
+				sub = n.Child
+			case algebra.Select:
+				conds = append(conds, n.Cond)
+				sub = n.Child
+			case algebra.Scan:
+				break peel
+			default:
+				return nil, fmt.Errorf("annotation: branch %s is not select-project-scan", algebra.Format(branch))
 			}
 		}
-		if !ok {
+		rel := sub.(algebra.Scan).Rel
+		base := db.Relation(rel)
+		if found && rel > best.Rel {
 			continue
 		}
-		if !relation.ProjectAttrs(base.Schema(), cand, projAttrs).Equal(aligned) {
-			continue
+		// A match holds want[i] at position pos[i]: the branch projects
+		// it onto the target.
+		s := base.Schema()
+		pos := make([]int, len(projAttrs))
+		want := make(relation.Tuple, len(projAttrs))
+		for i, a := range projAttrs {
+			pos[i], _ = s.Index(a)
+			vp, _ := viewSchema.Index(a)
+			want[i] = t[vp]
 		}
-		return relation.Loc(scan.Rel, cand, attr), true, nil
+	scan:
+		for _, cand := range base.Tuples() {
+			for i, p := range pos {
+				if cand[p] != want[i] {
+					continue scan
+				}
+			}
+			if found && rel == best.Rel && !cand.Less(best.Tuple) {
+				continue
+			}
+			for _, c := range conds {
+				if !c.Holds(s, cand) {
+					continue scan
+				}
+			}
+			best, found = relation.Loc(rel, cand, attr), true
+		}
 	}
-	return relation.Location{}, false, nil
-}
-
-// PlaceSJU is the polynomial algorithm of Theorem 3.4 for SJU queries in
-// normal form: for each SJ subquery in which the target attribute occurs,
-// it considers annotating the attribute on the component tuple t.Rij of
-// each participating relation, counting the side-effects that location
-// causes through every subquery of the union; it returns the minimum.
-//
-// Implementation note: the side-effect counting for a candidate location
-// is exactly the Affected set of the where-provenance view, so this shares
-// the propagation engine with Place; the SJU structure guarantees the
-// engine runs in polynomial time (joins of distinct relations do not merge
-// derivations). The dedicated entry point validates the query class and
-// restricts candidates to the component locations the theorem enumerates.
-func PlaceSJU(q algebra.Query, db *relation.Database, t relation.Tuple, attr relation.Attribute) (*Placement, error) {
-	ops := algebra.OperatorsOf(q)
-	if ops.HasAny(algebra.OpProject) {
-		return nil, fmt.Errorf("annotation: PlaceSJU requires an SJU query, got %s", ops)
+	if !found {
+		return nil, fmt.Errorf("%w: no SPU branch produces %v", ErrNoPlacement, t)
 	}
-	return Place(q, db, t, attr)
+	return &Placement{
+		Source:      best,
+		Affected:    relation.NewLocationSet(relation.Loc(algebra.DefaultViewName, t, attr)),
+		SideEffects: 0,
+	}, nil
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/algebra"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 func TestPlaceOnScan(t *testing.T) {
@@ -98,20 +100,17 @@ func TestPlaceSPU(t *testing.T) {
 		algebra.Pi([]relation.Attribute{"group"}, algebra.R("UserGroup")),
 		algebra.Pi([]relation.Attribute{"group"}, algebra.R("GroupFile")),
 	)
-	p, err := PlaceSPU(q, db, relation.StringTuple("admin"), "group")
+	p, err := Place(q, db, relation.StringTuple("admin"), "group")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.SideEffectFree() {
 		t.Error("Theorem 3.3: SPU placement must be side-effect-free")
 	}
-	// Cross-check against the exact algorithm.
-	exact, err := Place(q, db, relation.StringTuple("admin"), "group")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.SideEffectFree() {
-		t.Error("exact placement should also find a side-effect-free location")
+	// Four tuples across both branches project onto (admin); the least
+	// location wins, whatever the branch order.
+	if want := relation.Loc("GroupFile", relation.StringTuple("admin", "f1"), "group"); p.Source.Key() != want.Key() {
+		t.Errorf("source %v, want %v", p.Source, want)
 	}
 }
 
@@ -119,7 +118,7 @@ func TestPlaceSPUWithSelection(t *testing.T) {
 	db := userGroupDB()
 	q := algebra.Pi([]relation.Attribute{"user"},
 		algebra.Sigma(algebra.Eq("group", "admin"), algebra.R("UserGroup")))
-	p, err := PlaceSPU(q, db, relation.StringTuple("mary"), "user")
+	p, err := Place(q, db, relation.StringTuple("mary"), "user")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,34 +130,61 @@ func TestPlaceSPUWithSelection(t *testing.T) {
 	}
 }
 
-func TestPlaceSPURejectsJoins(t *testing.T) {
-	db := userGroupDB()
-	q := algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile"))
-	if _, err := PlaceSPU(q, db, relation.StringTuple("john", "staff", "f1"), "user"); err == nil {
-		t.Error("PlaceSPU must reject SJ queries")
-	}
-}
-
 func TestPlaceSPUNoBranch(t *testing.T) {
 	db := userGroupDB()
 	q := algebra.Pi([]relation.Attribute{"user"}, algebra.R("UserGroup"))
-	if _, err := PlaceSPU(q, db, relation.StringTuple("ghost"), "user"); !errors.Is(err, ErrNoPlacement) {
-		t.Errorf("expected ErrNoPlacement, got %v", err)
+	for _, target := range []relation.Tuple{relation.StringTuple("ghost"), relation.StringTuple("john", "staff")} {
+		if _, err := Place(q, db, target, "user"); !errors.Is(err, ErrNoPlacement) {
+			t.Errorf("%v: expected ErrNoPlacement, got %v", target, err)
+		}
+	}
+}
+
+// TestPlaceSPUScanMatchesWhere checks Theorem 3.3's scan against the
+// candidate scan of the where-provenance, which makes no use of the SPU
+// structure: on random SPU instances both must return the same source,
+// side effects and affected set for every view cell.
+func TestPlaceSPUScanMatchesWhere(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		db, q := workload.SPU(rand.New(rand.NewSource(seed)), 3, 12, 4)
+		wv, err := ComputeWhere(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tu := range wv.View.Tuples() {
+			for _, attr := range wv.View.Schema().Attrs() {
+				got, err := placeSPU(q, db, tu, attr)
+				if err != nil {
+					t.Fatalf("seed %d (%v).%s: %v", seed, tu, attr, err)
+				}
+				want, err := placeOn(wv, tu, attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Source.Key() != want.Source.Key() || got.SideEffects != want.SideEffects || !got.Affected.Equal(want.Affected) {
+					t.Fatalf("seed %d (%v).%s: scan %v (%d) %v, where %v (%d) %v", seed, tu, attr,
+						got.Source, got.SideEffects, got.Affected.Sorted(), want.Source, want.SideEffects, want.Affected.Sorted())
+				}
+			}
+		}
 	}
 }
 
 func TestPlaceSJU(t *testing.T) {
 	db := userGroupDB()
 	q := algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile"))
-	p, err := PlaceSJU(q, db, relation.StringTuple("john", "staff", "f1"), "group")
+	p, err := Place(q, db, relation.StringTuple("john", "staff", "f1"), "group")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// group occurs in both relations; UserGroup(john,staff).group feeds
 	// only this join tuple, GroupFile(staff,f1).group likewise — both are
-	// side-effect-free here.
+	// side-effect-free here, and the least location wins the tie.
 	if !p.SideEffectFree() {
 		t.Errorf("side-effects=%d, affected=%v", p.SideEffects, p.Affected.Sorted())
+	}
+	if p.Source.Rel != "GroupFile" {
+		t.Errorf("source %v, want GroupFile's", p.Source)
 	}
 }
 
@@ -168,7 +194,7 @@ func TestPlaceSJUMinimizesAcrossComponents(t *testing.T) {
 	// better option, so side-effects must be exactly 1.
 	db := userGroupDB()
 	q := algebra.NatJoin(algebra.R("UserGroup"), algebra.R("GroupFile"))
-	p, err := PlaceSJU(q, db, relation.StringTuple("john", "admin", "f2"), "user")
+	p, err := Place(q, db, relation.StringTuple("john", "admin", "f2"), "user")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +203,23 @@ func TestPlaceSJUMinimizesAcrossComponents(t *testing.T) {
 	}
 }
 
-func TestPlaceSJURejectsProjection(t *testing.T) {
-	db := userGroupDB()
-	q := algebra.Pi([]relation.Attribute{"user"}, algebra.R("UserGroup"))
-	if _, err := PlaceSJU(q, db, relation.StringTuple("john"), "user"); err == nil {
-		t.Error("PlaceSJU must reject queries with projection")
+// TestRoute pins the route and the theorem each class's label names.
+func TestRoute(t *testing.T) {
+	for _, c := range []struct {
+		ops   algebra.Ops
+		spu   bool
+		label string
+	}{
+		{0, true, "Thm 3.3"},
+		{algebra.OpSelect | algebra.OpProject | algebra.OpUnion, true, "Thm 3.3"},
+		{algebra.OpProject | algebra.OpRename, false, "Thm 3.3"},
+		{algebra.OpSelect | algebra.OpJoin | algebra.OpUnion | algebra.OpRename, false, "Thm 3.4"},
+		{algebra.OpProject | algebra.OpJoin, false, "Thm 3.2"},
+	} {
+		spu, alg := Route(c.ops)
+		if spu != c.spu || !strings.Contains(alg, c.label) {
+			t.Errorf("Route(%s) = %v, %q; want %v and a label naming %s", c.ops, spu, alg, c.spu, c.label)
+		}
 	}
 }
 

@@ -277,11 +277,15 @@ func (wv *WhereView) PropagatesTo(src relation.Location, t relation.Tuple, attr 
 // tuple up the retained operator tree (reachUp), so the cost is the
 // tuple's fan-out through the operators, not the size of the view.
 func (wv *WhereView) Affected(src relation.Location) *relation.LocationSet {
-	out := relation.NewLocationSet()
 	id, ok := wv.in.lookup(src)
 	if !ok {
-		return out
+		return relation.NewLocationSet()
 	}
+	return wv.affected(id, src)
+}
+
+// affected is Affected of src, whose interned id is id.
+func (wv *WhereView) affected(id int32, src relation.Location) *relation.LocationSet {
 	attrs := wv.View.Schema().Attrs()
 	var locs []relation.Location
 	holds := func(sets []locSet) bool {
@@ -300,22 +304,7 @@ func (wv *WhereView) Affected(src relation.Location) *relation.LocationSet {
 		}
 	}
 	relation.SortLocations(locs)
-	for _, l := range locs {
-		out.Add(l)
-	}
-	return out
-}
-
-// SourceLocations returns every source location that reaches at least one
-// view location (the union of all where-sets), in interning order.
-func (wv *WhereView) SourceLocations() []relation.Location {
-	var out []relation.Location
-	for id, n := 0, wv.in.size(); id < n; id++ {
-		if wv.reach.get(int32(id)) > 0 {
-			out = append(out, wv.in.loc(int32(id)))
-		}
-	}
-	return out
+	return relation.NewLocationSet(locs...)
 }
 
 // InternedLocations returns the number of source locations the index's
@@ -342,7 +331,7 @@ func (wv *WhereView) LiveLocations() int {
 
 // ForwardPropagate computes the view locations annotated by a single
 // annotation placed at src, by evaluating the query once with full
-// where-provenance. The Mark variant below avoids the full computation.
+// where-provenance; a caller holding a WhereView asks its Affected instead.
 func ForwardPropagate(q algebra.Query, db *relation.Database, src relation.Location) (*relation.LocationSet, error) {
 	wv, err := ComputeWhere(q, db)
 	if err != nil {

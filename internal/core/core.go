@@ -11,6 +11,10 @@
 //	source side-effect NP-hard   NP-hard   P     P (SJ)
 //	annotation         NP-hard   P (SJU)   P     P
 //
+// An annotation placement goes to annotation.Place, which routes itself:
+// SPU queries take Theorem 3.3's linear scan, every other query the
+// candidate scan of its where-provenance.
+//
 // A deletion builds the view's witness basis at most once and routes on
 // it: the polynomial cases — SPU, SJ, and views whose every tuple has one
 // witness — go to deletion.PolyBasis, and the NP-hard ones to SolveBasis,
@@ -217,41 +221,22 @@ type AnnotateReport struct {
 }
 
 // Annotate places an annotation on view location (target, attr) with
-// minimal side-effects, routing by the §3.1 dichotomy: SPU queries use the
-// scan algorithm of Theorem 3.3, join queries without projection use the
-// component enumeration of Theorem 3.4, and PJ queries fall back to the
-// exact candidate scan (worst-case exponential in query size, per Theorem
-// 3.2).
+// minimal side-effects through annotation.Place, which routes by the §3.1
+// dichotomy (annotation.Route), and reports the class, fragment and
+// algorithm.
 func Annotate(q algebra.Query, db *relation.Database, target relation.Tuple, attr relation.Attribute) (*AnnotateReport, error) {
+	p, err := annotation.Place(q, db, target, attr)
+	if err != nil {
+		return nil, err
+	}
 	ops := algebra.OperatorsOf(q)
-	report := &AnnotateReport{
-		Class:    algebra.ClassifyOps(ops, algebra.ProblemAnnotationPlacement),
-		Fragment: algebra.Fragment(q),
-	}
-	switch {
-	case !ops.HasAny(algebra.OpJoin | algebra.OpRename):
-		p, err := annotation.PlaceSPU(q, db, target, attr)
-		if err != nil {
-			return nil, err
-		}
-		report.Algorithm = "SPU scan (Thm 3.3)"
-		report.Placement = p
-	case !ops.HasAny(algebra.OpProject):
-		p, err := annotation.PlaceSJU(q, db, target, attr)
-		if err != nil {
-			return nil, err
-		}
-		report.Algorithm = "SJU component enumeration (Thm 3.4)"
-		report.Placement = p
-	default:
-		p, err := annotation.Place(q, db, target, attr)
-		if err != nil {
-			return nil, err
-		}
-		report.Algorithm = "exact candidate scan"
-		report.Placement = p
-	}
-	return report, nil
+	_, alg := annotation.Route(ops)
+	return &AnnotateReport{
+		Class:     algebra.ClassifyOps(ops, algebra.ProblemAnnotationPlacement),
+		Fragment:  algebra.Fragment(q),
+		Algorithm: alg,
+		Placement: p,
+	}, nil
 }
 
 // TableRow is one line of a dichotomy table.

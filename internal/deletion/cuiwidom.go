@@ -11,8 +11,9 @@ import (
 // CuiWidomResult reports the outcome of the lineage-enumeration baseline.
 type CuiWidomResult struct {
 	Result
-	// Evaluations counts how many times the query was re-evaluated — the
-	// cost driver of the baseline.
+	// Evaluations counts how many times the query was re-evaluated on a
+	// candidate deletion — the cost driver of the baseline. The unchanged
+	// view is evaluated once more, up front, and not counted.
 	Evaluations int
 	// Found reports whether any translation within the caps removed the
 	// target.
@@ -47,12 +48,16 @@ func CuiWidom(q algebra.Query, db *relation.Database, target relation.Tuple, opt
 	if maxSize <= 0 || maxSize > len(cand) {
 		maxSize = len(cand)
 	}
+	before, err := algebra.Eval(q, db)
+	if err != nil {
+		return nil, err
+	}
 	out := &CuiWidomResult{}
 	bestEffects := -1
 
 	evalCandidate := func(T []relation.SourceTuple) (stop bool, err error) {
 		out.Evaluations++
-		effects, gone, err := SideEffectsOf(q, db, T, target)
+		effects, gone, err := sideEffectsFrom(before, q, db, T, target)
 		if err != nil {
 			return true, err
 		}

@@ -123,7 +123,7 @@ type snapshot struct {
 	// page read catches an older generation's sorted rows up by merging in
 	// the view deltas committed since, or sorts the view when none is
 	// pending.
-	sorted catchUp[[]relation.Tuple, viewDelta]
+	sorted catchUp[[]relation.Tuple, provenance.Delta]
 }
 
 // sourceWrite is one committed write a where index has yet to replay: a
@@ -174,10 +174,10 @@ func nextSnapshot(old *snapshot, newDB *relation.Database, prov *provenance.Resu
 	// A write that left the view's rows as they were carries the sorted
 	// rows over rather than logging an empty delta, so a log's length in
 	// writes stays bounded by its pending rows.
-	if died, added := prov.ViewDelta(); len(died)+len(added) == 0 {
+	if d := prov.ViewDelta(); len(d.Died)+len(d.Added) == 0 {
 		s.sorted.carry(&old.sorted)
 	} else {
-		s.sorted.follow(&old.sorted, viewDelta{died: died, added: added}, len(died)+len(added), sortedLen)
+		s.sorted.follow(&old.sorted, d, len(d.Died)+len(d.Added), sortedLen)
 	}
 	s.where.follow(&old.where, sourceWrite{ins: ins, T: T}, len(T), whereLen)
 	return s
@@ -260,6 +260,7 @@ type prepared struct {
 	cls  struct {
 		view, source, ann algebra.Class
 	}
+	annAlg string // every Annotate report's Algorithm: annotation.Route's label
 
 	snap atomic.Pointer[snapshot] // guarded-by: atomic
 	// gen counts the write requests maintained through.
@@ -370,6 +371,8 @@ func (e *Engine) PrepareLimited(name string, q algebra.Query, lim provenance.Lim
 		p.cls.view = algebra.Classify(q, algebra.ProblemViewSideEffect)
 		p.cls.source = algebra.Classify(q, algebra.ProblemSourceSideEffect)
 		p.cls.ann = algebra.Classify(q, algebra.ProblemAnnotationPlacement)
+		_, alg := annotation.Route(algebra.OperatorsOf(q))
+		p.annAlg = "cached where-index " + alg
 		return p, &snapshot{db: db, prov: prov}, nil
 	}
 
@@ -709,7 +712,9 @@ func (e *Engine) apply(T []relation.SourceTuple, reqs int) {
 // committed since (annotation.WhereView.ApplyDeletion / ApplyInsertion),
 // off the commit lock, so it pays for what changed rather than for the
 // view. Placement then reads the candidates' reach counts and walks only
-// the winner's forward image.
+// the winner's forward image (annotation.PlaceOn), for every class: the
+// index holds exactly the candidates Theorems 3.3 and 3.4 enumerate, and
+// the label names the theorem of the view's class.
 func (e *Engine) Annotate(name string, target relation.Tuple, attr relation.Attribute) (*core.AnnotateReport, error) {
 	p, err := e.lookup(name)
 	if err != nil {
@@ -728,7 +733,7 @@ func (e *Engine) Annotate(name string, target relation.Tuple, attr relation.Attr
 	return &core.AnnotateReport{
 		Class:     p.cls.ann,
 		Fragment:  p.frag,
-		Algorithm: "cached where-provenance candidate scan",
+		Algorithm: p.annAlg,
 		Placement: placement,
 	}, nil
 }

@@ -386,3 +386,77 @@ func TestEngineMatchesOneShot(t *testing.T) {
 		}
 	}
 }
+
+// The engine's cached where-index placements must equal the one-shot
+// routed ones cell for cell, the SPU scan's tie rule included.
+func TestAnnotateMatchesOneShot(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(*rand.Rand) (*relation.Database, algebra.Query)
+	}{
+		{"SPU", func(r *rand.Rand) (*relation.Database, algebra.Query) { return workload.SPU(r, 3, 12, 6) }},
+		{"SJU", func(r *rand.Rand) (*relation.Database, algebra.Query) { return workload.SJU(r, 8, 4) }},
+		{"TwoRelationPJ", func(r *rand.Rand) (*relation.Database, algebra.Query) { return workload.TwoRelationPJ(r, 8, 4) }},
+	}
+	for _, g := range gens {
+		for seed := int64(0); seed < 60; seed++ {
+			db, q := g.gen(rand.New(rand.NewSource(seed)))
+			e := New(db)
+			if err := e.Prepare("v", q); err != nil {
+				t.Fatal(err)
+			}
+			view := algebra.MustEval(q, db)
+			for _, tu := range view.Tuples() {
+				for _, attr := range view.Schema().Attrs() {
+					oneShot, err := core.Annotate(q, db, tu, attr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cached, err := e.Annotate("v", tu, attr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !samePlacement(oneShot.Placement, cached.Placement) {
+						t.Errorf("%s seed %d (%v).%s: one-shot %v (%d), cached %v (%d)", g.name, seed, tu, attr,
+							oneShot.Placement.Source, oneShot.Placement.SideEffects, cached.Placement.Source, cached.Placement.SideEffects)
+					}
+				}
+			}
+		}
+	}
+
+	// Π_A(S) ∪ Π_A(R): two side-effect-free sources in different branches.
+	db := relation.NewDatabase()
+	for _, rel := range []struct {
+		name string
+		b    int64
+	}{{"S", 1}, {"R", 2}} {
+		r := relation.New(rel.name, relation.NewSchema("A", "B"))
+		r.Insert(relation.NewTuple(relation.String("x"), relation.Int(rel.b)))
+		db.MustAdd(r)
+	}
+	a := []relation.Attribute{"A"}
+	q := algebra.Un(algebra.Pi(a, algebra.R("S")), algebra.Pi(a, algebra.R("R")))
+	e := New(db)
+	if err := e.Prepare("tie", q); err != nil {
+		t.Fatal(err)
+	}
+	want := relation.Loc("R", relation.NewTuple(relation.String("x"), relation.Int(2)), "A")
+	oneShot, err := core.Annotate(q, db, relation.StringTuple("x"), "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := e.Annotate("tie", relation.StringTuple("x"), "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*annotation.Placement{oneShot.Placement, cached.Placement} {
+		if p.Source.Key() != want.Key() {
+			t.Errorf("tie: source %v, want %v", p.Source, want)
+		}
+	}
+}
+
+func samePlacement(a, b *annotation.Placement) bool {
+	return a.Source.Key() == b.Source.Key() && a.SideEffects == b.SideEffects && a.Affected.Equal(b.Affected)
+}

@@ -3,16 +3,13 @@ package engine
 import (
 	"slices"
 
+	"repro/internal/provenance"
 	"repro/internal/relation"
 )
 
 // sortTuples sorts a view's rows from scratch; a package variable so
 // engine tests can count full sorts.
 var sortTuples = (*relation.Relation).SortedTuples
-
-// viewDelta is one committed write's view delta (provenance.Result.
-// ViewDelta): the write the sorted-rows cache logs.
-type viewDelta struct{ died, added []relation.Tuple }
 
 // sortedLen sizes a sorted-rows base for the log's drop rule.
 func sortedLen(rows *[]relation.Tuple) int { return len(*rows) }
@@ -25,7 +22,7 @@ func sortedLen(rows *[]relation.Tuple) int { return len(*rows) }
 // (mergeSorted). The base, which older snapshots may share, is never
 // modified. ok is false when the deltas do not fit the base, which
 // maintenance rules out; the read then sorts from scratch.
-func replaySorted(base *[]relation.Tuple, ws []viewDelta) (rows *[]relation.Tuple, ok bool) {
+func replaySorted(base *[]relation.Tuple, ws []provenance.Delta) (rows *[]relation.Tuple, ok bool) {
 	died, added := netDeltas(ws)
 	if len(died)+len(added) == 0 {
 		return base, true
@@ -35,15 +32,16 @@ func replaySorted(base *[]relation.Tuple, ws []viewDelta) (rows *[]relation.Tupl
 }
 
 // netDeltas returns the rows the base holds and the generation after the
-// deltas ws (oldest first) does not (died), and the reverse (added), in
-// order of first mention. A row's first mention tells whether the base
+// view deltas ws (oldest first) does not (died), and the reverse (added),
+// in order of first mention. A row's first mention tells whether the base
 // holds it (it was removed) and its last whether the generation does (it
-// was added); the order never depends on map iteration.
-func netDeltas(ws []viewDelta) (died, added []relation.Tuple) {
+// was added); the order never depends on map iteration. Rows are matched
+// by the keys the deltas carry.
+func netDeltas(ws []provenance.Delta) (died, added []relation.Tuple) {
 	type netRow struct{ inBase, inView bool }
 	n := 0
 	for _, w := range ws {
-		n += len(w.died) + len(w.added)
+		n += len(w.Died) + len(w.Added)
 	}
 	// Sized up front: grown by append, the two slices allocate once per
 	// doubling, and on hub-write those allocations took about a fifth of
@@ -51,8 +49,7 @@ func netDeltas(ws []viewDelta) (died, added []relation.Tuple) {
 	rows := make(map[string]netRow, n)
 	order := make([]relation.Tuple, 0, n)
 	keys := make([]string, 0, n)
-	mention := func(t relation.Tuple, present bool) {
-		k := t.Key()
+	mention := func(t relation.Tuple, k string, present bool) {
 		if r, seen := rows[k]; seen {
 			r.inView = present
 			rows[k] = r
@@ -63,11 +60,11 @@ func netDeltas(ws []viewDelta) (died, added []relation.Tuple) {
 		keys = append(keys, k)
 	}
 	for _, w := range ws {
-		for _, t := range w.died {
-			mention(t, false)
+		for i, t := range w.Died {
+			mention(t, w.DiedKeys[i], false)
 		}
-		for _, t := range w.added {
-			mention(t, true)
+		for i, t := range w.Added {
+			mention(t, w.AddedKeys[i], true)
 		}
 	}
 	for i, t := range order {

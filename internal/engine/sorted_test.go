@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -24,6 +25,36 @@ func countSorts(t *testing.T) *atomic.Int64 {
 	}
 	t.Cleanup(func() { sortTuples = orig })
 	return &n
+}
+
+// keysOf returns the rows' keys, index-aligned.
+func keysOf(rows []relation.Tuple) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = r.Key()
+	}
+	return keys
+}
+
+// checkDeltaKeys fails unless every logged view delta carries each row's
+// key beside it: netDeltas matches rows by those keys alone.
+func checkDeltaKeys(t *testing.T, label string, ws []provenance.Delta) {
+	t.Helper()
+	for _, w := range ws {
+		for _, c := range []struct {
+			rows []relation.Tuple
+			keys []string
+		}{{w.Died, w.DiedKeys}, {w.Added, w.AddedKeys}} {
+			if len(c.keys) != len(c.rows) {
+				t.Fatalf("%s: a logged delta has %d rows but %d keys", label, len(c.rows), len(c.keys))
+			}
+			for i, want := range keysOf(c.rows) {
+				if c.keys[i] != want {
+					t.Fatalf("%s: logged row %v carries key %q", label, c.rows[i], c.keys[i])
+				}
+			}
+		}
+	}
 }
 
 // checkRows fails unless got is want row for row, compared by key (keys
@@ -122,6 +153,9 @@ func TestSortedPagesMatchFreshSort(t *testing.T) {
 			}
 			if vs.SortedReady != (built || lg != nil) {
 				t.Fatalf("%s: SortedReady %v with rows built %v and log pending %v", label, vs.SortedReady, built, lg != nil)
+			}
+			if lg != nil {
+				checkDeltaKeys(t, label, lg.writes())
 			}
 			if !built && lg != nil {
 				if died, added := netDeltas(lg.writes()); len(died)+len(added) == 0 {
@@ -366,13 +400,14 @@ func TestConcurrentFirstReadersShareOneCatchUp(t *testing.T) {
 func TestSortLogNetsDeleteRestore(t *testing.T) {
 	row := func(s string) relation.Tuple { return relation.StringTuple(s) }
 	base := []relation.Tuple{row("a"), row("b"), row("c"), row("d"), row("e"), row("f")}
-	// extend returns a cache whose log is c's plus the view delta.
-	extend := func(c *catchUp[[]relation.Tuple, viewDelta], died, added []relation.Tuple) *catchUp[[]relation.Tuple, viewDelta] {
-		var next catchUp[[]relation.Tuple, viewDelta]
-		next.follow(c, viewDelta{died: died, added: added}, len(died)+len(added), sortedLen)
+	// extend returns a cache whose log is c's plus the view delta, each
+	// row carrying its key as maintenance's deltas do.
+	extend := func(c *catchUp[[]relation.Tuple, provenance.Delta], died, added []relation.Tuple) *catchUp[[]relation.Tuple, provenance.Delta] {
+		var next catchUp[[]relation.Tuple, provenance.Delta]
+		next.follow(c, provenance.Delta{Died: died, Added: added, DiedKeys: keysOf(died), AddedKeys: keysOf(added)}, len(died)+len(added), sortedLen)
 		return &next
 	}
-	var built catchUp[[]relation.Tuple, viewDelta]
+	var built catchUp[[]relation.Tuple, provenance.Delta]
 	built.built.Store(&base)
 	c := extend(&built, []relation.Tuple{row("b"), row("a")}, nil)
 	c = extend(c, nil, []relation.Tuple{row("b"), row("z"), row("y")})

@@ -312,7 +312,7 @@ func Table3Series(seed int64, clauseSizes []int, perSize int) (*Series, error) {
 		target, ok := workload.PickViewTuple(r, q, db)
 		spuFree := 0.0
 		if ok {
-			p, err := annotation.PlaceSPU(q, db, target, "A")
+			p, err := annotation.Place(q, db, target, "A")
 			if err != nil {
 				return nil, err
 			}

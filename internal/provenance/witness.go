@@ -180,18 +180,26 @@ type Result struct {
 	// tm accumulates maintenance counters over the tree's lifetime; shared
 	// along the generation chain, like the source store's metrics.
 	tm *treeMetrics
-	// died and added are the view rows this generation removed from or
-	// appended to its receiver's view (see ViewDelta); nil on a computed
-	// Result.
-	died, added []relation.Tuple
+	// delta is the view rows this generation removed from or appended to
+	// its receiver's view (see ViewDelta); empty on a computed Result.
+	delta Delta
+}
+
+// Delta is the view rows one maintenance pass removed (Died) and appended
+// (Added), each row's key (Tuple.Key) at the same index of DiedKeys and
+// AddedKeys: the keys the pass computed anyway, so a consumer that nets
+// deltas by row need not hash the rows again.
+type Delta struct {
+	Died, Added         []relation.Tuple
+	DiedKeys, AddedKeys []string
 }
 
 // ViewDelta returns the view rows the maintenance pass that produced r
-// removed (died) and appended (added), relative to the Result it was
-// applied to: ApplyDeletion fills died and ApplyInsertion added. Both are
+// removed and appended, relative to the Result it was applied to:
+// ApplyDeletion fills Died and ApplyInsertion Added. All four slices are
 // nil for a Result from Compute and for a pass that left the view's rows
 // as they were. The slices are shared and must not be modified.
-func (r *Result) ViewDelta() (died, added []relation.Tuple) { return r.died, r.added }
+func (r *Result) ViewDelta() Delta { return r.delta }
 
 // Witnesses returns the minimal witnesses of view tuple t (nil if t is not
 // in the view).
@@ -408,9 +416,11 @@ func (r *Result) next(tree *annotree.Node[[]Witness], rows []annotree.Row[[]Witn
 		switch row.S {
 		case annotree.Died:
 			dead[row.K] = struct{}{}
-			out.died = append(out.died, row.T)
+			out.delta.Died = append(out.delta.Died, row.T)
+			out.delta.DiedKeys = append(out.delta.DiedKeys, row.K)
 		case annotree.Added:
-			out.added = append(out.added, row.T)
+			out.delta.Added = append(out.delta.Added, row.T)
+			out.delta.AddedKeys = append(out.delta.AddedKeys, row.K)
 		}
 		old, _ := r.tree.Get(row.K)
 		cur, _ := tree.Get(row.K)
@@ -419,8 +429,8 @@ func (r *Result) next(tree *annotree.Node[[]Witness], rows []annotree.Row[[]Witn
 	if len(dead) > 0 {
 		out.View = out.View.DeleteVersion(dead, &r.tm.relM)
 	}
-	if len(out.added) > 0 {
-		out.View = out.View.InsertVersion(out.added, &r.tm.relM)
+	if len(out.delta.Added) > 0 {
+		out.View = out.View.InsertVersion(out.delta.Added, &r.tm.relM)
 	}
 	return out
 }
@@ -541,7 +551,7 @@ func ComputeLimited(q algebra.Query, db *relation.Database, lim Limit) (*Result,
 	}
 	r := *built
 	r.tm = &treeMetrics{intern: &witnessInterner{}}
-	r.added = nil
+	r.delta = Delta{}
 	return &r, nil
 }
 

@@ -315,7 +315,7 @@ func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkAgainstNaive(t, fmt.Sprintf("seed %d build", seed), nq.q, db, res)
-				if died, added := res.ViewDelta(); died != nil || added != nil {
+				if d := res.ViewDelta(); d.Died != nil || d.Added != nil || d.DiedKeys != nil || d.AddedKeys != nil {
 					t.Fatalf("seed %d: a computed Result reports a view delta", seed)
 				}
 				for step := 0; step < 10; step++ {
@@ -354,15 +354,24 @@ func TestWitnessesNaiveAgreesWithCompute(t *testing.T) {
 
 // checkViewDelta fails unless res.ViewDelta lists exactly the rows of prev
 // missing from res.View (died) and the rows of res.View missing from prev
-// (added), each once.
+// (added), each once, and each row's key beside it.
 func checkViewDelta(t *testing.T, label string, prev *relation.Relation, res *Result) {
 	t.Helper()
-	died, added := res.ViewDelta()
+	d := res.ViewDelta()
 	for _, c := range []struct {
 		name      string
 		got       []relation.Tuple
+		keys      []string
 		from, not *relation.Relation
-	}{{"died", died, prev, res.View}, {"added", added, res.View, prev}} {
+	}{{"died", d.Died, d.DiedKeys, prev, res.View}, {"added", d.Added, d.AddedKeys, res.View, prev}} {
+		if len(c.keys) != len(c.got) {
+			t.Fatalf("%s: %s lists %d rows but %d keys", label, c.name, len(c.got), len(c.keys))
+		}
+		for i, tu := range c.got {
+			if c.keys[i] != tu.Key() {
+				t.Fatalf("%s: %s row %v carries key %q", label, c.name, tu, c.keys[i])
+			}
+		}
 		want := map[string]bool{}
 		for _, tu := range c.from.Tuples() {
 			if !c.not.Contains(tu) {
